@@ -8,7 +8,7 @@ from .errors import (AbortedNonConvex, BlowupError, BoundaryInconsistency,
                      NewtonStall, NonConvexityError, RangeError,
                      SingularStartError, TailError, WindowEscape)
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
-                   hessian_eigen_bounds, log_det_hessian, third_derivative_norm)
+                   log_det_hessian, third_derivative_norm)
 from .flow import (FlowState, Frozen, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
                    rhs, run, step_explicit)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .flow import STEPPERS
 from .presets import INITIAL_FAMILIES, experiment_preset
 
 __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
@@ -67,6 +68,8 @@ class ExperimentConfig:
         tau = float(self.flow.get("tau", 1.0))
         if not 0.0 <= tau <= 1.0:
             raise ConfigError("flow.tau must lie in [0, 1]")
+        if self.flow.get("stepper", "rk2") not in STEPPERS:
+            raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
         if self.initial and self.initial.get("kind") not in INITIAL_FAMILIES:
             raise ConfigError(
                 f"initial.kind must be one of {INITIAL_FAMILIES}")

@@ -195,10 +195,9 @@ def _pointwise_exponent(u: GridFunction) -> np.ndarray:
     return u.domain.n * (u.values - 0.5 * xdu)
 
 
-def expander_residual(u: GridFunction, H: HessianField | None = None) -> GridFunction:
+def expander_residual(u: GridFunction) -> GridFunction:
     """Nodewise det D2u - exp(n (u - <x, Du>/2)); ring entries are zeroed."""
-    if H is None:
-        H = hessian(u)
+    H = hessian(u)
     if not H.is_strictly_convex("nonring"):
         raise NonConvexityError("expander residual needs strict convexity")
     vals = H.det() - np.exp(_pointwise_exponent(u))

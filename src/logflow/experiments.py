@@ -37,14 +37,12 @@ def _setup(cfg: ExperimentConfig):
     return domain, tau, u0, boundary
 
 
-def _run_flow(cfg: ExperimentConfig, u0=None, boundary=None, **overrides):
-    domain, tau, u0_auto, boundary_auto = _setup(cfg)
-    fl = dict(cfg.flow)
-    fl.update(overrides)
-    return run(u0 if u0 is not None else u0_auto,
+def _run_flow(cfg: ExperimentConfig, u0: GridFunction, boundary) -> Trajectory:
+    fl = cfg.flow
+    return run(u0,
                tau=float(fl.get("tau", 1.0)),
                t_end=float(fl["t_end"]),
-               boundary=boundary if boundary is not None else boundary_auto,
+               boundary=boundary,
                stepper=fl.get("stepper", "rk2"),
                safety=float(fl.get("safety", 0.5)),
                max_dt=fl.get("max_dt"),
@@ -60,7 +58,8 @@ def _run_flow(cfg: ExperimentConfig, u0=None, boundary=None, **overrides):
 # ---------------------------------------------------------------------------
 
 def flow_pipeline(cfg: ExperimentConfig):
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     lo = min(r.lambda_min for r in traj.monitors)
     hi = max(r.lambda_max for r in traj.monitors)
     report = {
@@ -88,7 +87,7 @@ def heat_pipeline(cfg: ExperimentConfig):
 def quadratic_exact_pipeline(cfg: ExperimentConfig):
     tic = time.perf_counter()
     domain, tau, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0=u0, boundary=boundary)
+    traj = _run_flow(cfg, u0, boundary)
     rate = boundary.rate(tau, domain.n)
     exact = u0.values + traj.state.t * rate
     sl = domain.interior()
@@ -108,7 +107,8 @@ def quadratic_exact_pipeline(cfg: ExperimentConfig):
 
 
 def condition_b_pipeline(cfg: ExperimentConfig):
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     recs = traj.monitors
     lam0, Lam0 = recs[0].lambda_min, recs[0].lambda_max
     undershoot = max(0.0, max(lam0 - r.lambda_min for r in recs))
@@ -132,7 +132,7 @@ def heat_oracle_pipeline(cfg: ExperimentConfig):
     domain, tau, u0, boundary = _setup(cfg)
     if tau != 0.0:
         raise ConfigError("the oracle comparison runs at tau = 0")
-    traj = _run_flow(cfg, u0=u0, boundary=boundary)
+    traj = _run_flow(cfg, u0, boundary)
     oracle = heat.heat_solve(u0, traj.state.t, boundary)
     sl = domain.interior()
     sup_diff = float(np.max(np.abs((traj.state.u.values - oracle.values)[sl])))
@@ -231,7 +231,8 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
     quad_res = legendre.dual_flow_check(
         [(t, quad_at(t)) for t in (0.45, 0.5, 0.55)])
 
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     if len(traj.snapshots) < 3:
         raise ConfigError("duality check needs three snapshot times")
     snaps = traj.snapshots[-3:]
@@ -256,7 +257,8 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
 
 
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     if corrupt:
         traj = Trajectory(state=traj.state,
                           snapshots=[(t, u.with_values(1.1 * u.values))
@@ -283,7 +285,8 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
 
 def decay_pipeline(cfg: ExperimentConfig):
     tic = time.perf_counter()
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     fit3 = analysis.fit_decay(traj, order=3)
     fit4 = analysis.fit_decay(traj, order=4)
     runtime = time.perf_counter() - tic
@@ -303,7 +306,7 @@ def decay_pipeline(cfg: ExperimentConfig):
 
 def blowdown_pipeline(cfg: ExperimentConfig):
     domain, tau, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0=u0, boundary=boundary)
+    traj = _run_flow(cfg, u0, boundary)
     if not isinstance(boundary, QuadraticFarField):
         raise ConfigError("blow-down comparisons need a quadratic far field")
     A = boundary.A
@@ -321,7 +324,8 @@ def blowdown_pipeline(cfg: ExperimentConfig):
 
 
 def plane_pipeline(cfg: ExperimentConfig):
-    traj = _run_flow(cfg)
+    _, _, u0, boundary = _setup(cfg)
+    traj = _run_flow(cfg, u0, boundary)
     an = cfg.analysis
     rep = analysis.plane_convergence(traj, window_half=float(an.get("window", 2.0)),
                                      final_tol=float(an.get("final_tol", 0.02)))

@@ -5,7 +5,9 @@ which is the heat equation at tau = 0 and the logarithmic gradient flow
 du/dt = (1/n) ln det D2u at tau = 1.  The box is truncated, so the outermost
 node layer is owned by a boundary model; everything inside evolves by the
 discretised equation with forward Euler or explicit midpoint (RK2) stepping
-under a parabolic CFL limit derived from the linearised operator.
+under a parabolic CFL limit derived from the linearised operator.  Each
+iterate's Hessian is assembled once and shared by the step acceptance, the
+step limit, F_tau and the monitors, and its eigenvalue fields are computed once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,6 +110,8 @@ class Frozen:
 
 BoundaryModel = QuadraticFarField | ReferenceSolution | Frozen
 
+STEPPERS = ("euler", "rk2")
+
 
 @lru_cache(maxsize=32)
 def _ring_info(domain: BoxDomain):
@@ -164,12 +168,23 @@ class MonitorRecord:
 
 @dataclass
 class FlowState:
+    """One iterate; its Hessian and F_tau values are evaluated on first use and kept."""
+
     u: GridFunction
     t: float
     tau: float
     boundary: BoundaryModel
     step_count: int = 0
     monitor_log: list = field(default_factory=list)
+
+    @cached_property
+    def H(self) -> HessianField:
+        return hessian(self.u)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """F_tau(D2u); shared by every reader, so never written to."""
+        return _ftau(self.H, self.tau)
 
 
 @dataclass
@@ -198,12 +213,10 @@ class Trajectory:
 # spatial operator
 # ---------------------------------------------------------------------------
 
-def _ftau(u: GridFunction, tau: float, H: HessianField | None = None) -> np.ndarray:
+def _ftau(H: HessianField, tau: float) -> np.ndarray:
     """F_tau(D2u) on every node where the Hessian is defined; convexity is
     enforced on the non-ring nodes whenever tau > 0."""
-    if H is None:
-        H = hessian(u)
-    n = u.domain.n
+    n = H.domain.n
     trace = np.einsum("...ii->...", H.mats)
     if tau == 0.0:
         return trace
@@ -217,7 +230,7 @@ def _ftau(u: GridFunction, tau: float, H: HessianField | None = None) -> np.ndar
 def rhs(u: GridFunction, tau: float, boundary: BoundaryModel | None = None,
         t: float = 0.0) -> GridFunction:
     """Nodewise right-hand side; ring entries come from the boundary model's rate."""
-    vals = _ftau(u, tau)
+    vals = _ftau(hessian(u), tau)
     if boundary is not None:
         idx, _ = _ring_info(u.domain)
         vals[idx] = boundary_rate(u.domain, boundary, t, tau)
@@ -233,8 +246,7 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
     dom = state.u.domain
     mu = 1.0 - state.tau
     if state.tau > 0.0:
-        H = hessian(state.u)
-        lmin, _ = H.eigen_bounds("nonring")
+        lmin, _ = state.H.eigen_bounds("nonring")
         if lmin <= 0.0:
             raise NonConvexityError("lambda_min <= 0: no stable explicit step exists")
         mu += state.tau / (dom.n * lmin)
@@ -245,60 +257,51 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _advance(state: FlowState, dt: float, stepper: str,
-             k1: np.ndarray | None = None) -> np.ndarray:
-    """One tentative update of the nodal values (may raise NonConvexityError)."""
+def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
+    """One tentative step (may raise NonConvexityError)."""
     u, tau, t = state.u, state.tau, state.t
     dom = u.domain
-    if k1 is None:
-        k1 = _ftau(u, tau)
+    k1 = state.F
     if stepper == "euler":
         new = u.values + dt * k1
     elif stepper == "rk2":
         mid = u.values + 0.5 * dt * k1
         apply_boundary(mid, dom, state.boundary, t + 0.5 * dt, tau,
                        u0_ring=u.values[_ring_info(dom)[0]])
-        k2 = _ftau(u.with_values(mid), tau)
+        k2 = _ftau(hessian(u.with_values(mid)), tau)
         new = u.values + dt * k2
     else:
         raise ValueError(f"unknown stepper {stepper!r}")
     apply_boundary(new, dom, state.boundary, t + dt, tau,
                    u0_ring=u.values[_ring_info(dom)[0]])
+    trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=state.boundary,
+                      step_count=state.step_count + 1, monitor_log=state.monitor_log)
     # the new state must itself be convex when tau > 0, else reject the step
-    if tau > 0.0 and not hessian(u.with_values(new)).is_strictly_convex("nonring"):
+    if tau > 0.0 and not trial.H.is_strictly_convex("nonring"):
         raise NonConvexityError("step produced a non-convex iterate")
-    return new
+    return trial
 
 
 def step_explicit(state: FlowState, dt: float, stepper: str = "rk2",
-                  max_halvings: int = 20, _k1: np.ndarray | None = None) -> FlowState:
+                  max_halvings: int = 20) -> FlowState:
     """Advance one accepted step; on convexity failure halve dt and retry."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     trial_dt = dt
     for _ in range(max_halvings + 1):
         try:
-            new_vals = _advance(state, trial_dt, stepper, k1=_k1)
+            return _advance(state, trial_dt, stepper)
         except NonConvexityError:
             trial_dt *= 0.5
-            continue
-        new_u = state.u.with_values(new_vals)
-        return FlowState(u=new_u, t=state.t + trial_dt, tau=state.tau,
-                         boundary=state.boundary, step_count=state.step_count + 1,
-                         monitor_log=state.monitor_log)
     raise AbortedNonConvex(
         f"step rejected after {max_halvings} halvings at t={state.t:.6g}", state=state)
 
 
-def _monitor(state: FlowState, dt: float, residual: float,
-             window: tuple, H: HessianField | None = None) -> MonitorRecord:
-    u = state.u
-    if H is None:
-        H = hessian(u)
-    lmin, lmax = H.eigen_bounds("interior")
-    g = gradient(u)
+def _monitor(state: FlowState, dt: float, residual: float, window: tuple) -> MonitorRecord:
+    lmin, lmax = state.H.eigen_bounds("interior")
+    g = gradient(state.u)
     gsq = float(np.max(np.sum(g * g, axis=0)[window]))
-    d3 = third_derivative_norm(u, H)
+    d3 = third_derivative_norm(state.H)
     return MonitorRecord(t=state.t, lambda_min=lmin, lambda_max=lmax,
                          grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=residual)
 
@@ -328,16 +331,15 @@ def run(u0: GridFunction, tau: float, t_end: float,
         if gap > 0.1 * scale:
             raise BoundaryInconsistency(
                 f"reference disagrees with initial data by {gap:.3g} (>10%)")
+    state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
     if tau > 0.0:
-        lmin0, _ = hessian(u0).eigen_bounds("nonring")
+        lmin0, _ = state.H.eigen_bounds("nonring")
         if lmin0 <= 1e-10:
             warnings.warn("initial data is not strictly convex on the grid "
                           f"(lambda_min = {lmin0:.3g})", stacklevel=2)
 
     window = dom.window(monitor_window) if monitor_window is not None else dom.interior()
     targets = sorted({float(s) for s in snapshot_times if 0.0 <= s <= t_end + 1e-12})
-
-    state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
     snapshots: list = []
 
     def _maybe_snapshot():
@@ -347,7 +349,7 @@ def run(u0: GridFunction, tau: float, t_end: float,
         elif store_every and state.step_count % store_every == 0:
             snapshots.append((state.t, state.u.copy()))
 
-    k1 = _ftau(state.u, tau)
+    state.F  # non-convex initial data fails here, before the first step
     state.monitor_log.append(_monitor(state, 0.0, 0.0, window))
     _maybe_snapshot()
 
@@ -358,14 +360,12 @@ def run(u0: GridFunction, tau: float, t_end: float,
         if targets:
             dt = min(dt, targets[0] - state.t)
         dt = min(dt, t_end - state.t)
-        new_state = step_explicit(state, dt, stepper=stepper,
-                                  max_halvings=max_halvings, _k1=k1)
+        new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings)
         taken = new_state.t - state.t
-        k1_new = _ftau(new_state.u, tau)
         resid = float(np.max(np.abs(
-            ((new_state.u.values - state.u.values) / taken - 0.5 * (k1 + k1_new))
+            ((new_state.u.values - state.u.values) / taken - 0.5 * (state.F + new_state.F))
             [dom.interior()])))
-        state, k1 = new_state, k1_new
+        state = new_state
         # snap exactly onto targets to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
             state.t = targets[0]
@@ -391,7 +391,7 @@ def pde_residual(u_lo: GridFunction, u_mid: GridFunction, u_hi: GridFunction,
     trajectory with the flow equation.
     """
     dom = u_lo.domain
-    f_mid = _ftau(u_mid, tau)
+    f_mid = _ftau(hessian(u_mid), tau)
     resid = (u_hi.values - u_lo.values) / dt - f_mid
     return float(np.max(np.abs(resid[dom.interior()])))
 

@@ -25,11 +25,9 @@ __all__ = [
     "gradient",
     "hessian",
     "log_det_hessian",
-    "hessian_eigen_bounds",
     "third_derivative_norm",
     "derivative_sup_norm",
     "sample",
-    "sample_stack",
     "coincident_index_sets",
 ]
 
@@ -346,20 +344,14 @@ def hessian(u: GridFunction) -> HessianField:
     return HessianField(u.domain, mats)
 
 
-def hessian_eigen_bounds(H: HessianField, region: str | tuple = "interior") -> tuple[float, float]:
-    return H.eigen_bounds(region)
-
-
-def log_det_hessian(u: GridFunction, region: str | tuple = "all",
-                    H: HessianField | None = None) -> GridFunction:
+def log_det_hessian(u: GridFunction, region: str | tuple = "all") -> GridFunction:
     """Nodewise (1/n) ln det D2u.
 
     Raises :class:`NonConvexityError` if the Hessian fails strict positive
     definiteness anywhere in ``region`` (Sylvester minors); values outside the
     region are still filled wherever the determinant is positive.
     """
-    if H is None:
-        H = hessian(u)
+    H = hessian(u)
     n = u.domain.n
     if not H.is_strictly_convex(region):
         raise NonConvexityError(
@@ -375,12 +367,10 @@ def log_det_hessian(u: GridFunction, region: str | tuple = "all",
 # higher derivatives
 # ---------------------------------------------------------------------------
 
-def _third_tensor(u: GridFunction, H: HessianField | None = None) -> np.ndarray:
+def _third_tensor(H: HessianField) -> np.ndarray:
     """Full D3 tensor, shape (*grid, n, n, n): T[..., l, i, j] = d_l H_ij."""
-    if H is None:
-        H = hessian(u)
-    n, h = u.domain.n, u.domain.h
-    T = np.empty(u.domain.shape + (n, n, n), dtype=np.float64)
+    n, h = H.domain.n, H.domain.h
+    T = np.empty(H.domain.shape + (n, n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i, n):
             for l in range(n):
@@ -390,12 +380,10 @@ def _third_tensor(u: GridFunction, H: HessianField | None = None) -> np.ndarray:
     return T
 
 
-def _fourth_tensor(u: GridFunction, H: HessianField | None = None) -> np.ndarray:
+def _fourth_tensor(H: HessianField) -> np.ndarray:
     """Full D4 tensor, shape (*grid, n, n, n, n): second differences of H entries."""
-    if H is None:
-        H = hessian(u)
-    n, h = u.domain.n, u.domain.h
-    T = np.empty(u.domain.shape + (n, n, n, n), dtype=np.float64)
+    n, h = H.domain.n, H.domain.h
+    T = np.empty(H.domain.shape + (n, n, n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i, n):
             entry = H.mats[..., i, j]
@@ -409,19 +397,19 @@ def _fourth_tensor(u: GridFunction, H: HessianField | None = None) -> np.ndarray
     return T
 
 
-def third_derivative_norm(u: GridFunction, H: HessianField | None = None) -> float:
+def third_derivative_norm(H: HessianField) -> float:
     """Sup over the interior of the Frobenius norm of the third-derivative tensor."""
-    T = _third_tensor(u, H)
+    T = _third_tensor(H)
     frob = np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
-    return float(np.max(frob[u.domain.interior()]))
+    return float(np.max(frob[H.domain.interior()]))
 
 
 def derivative_sup_norm(u: GridFunction, order: int) -> float:
     """Interior sup of the Frobenius norm of the derivative tensor of given order."""
     if order == 3:
-        return third_derivative_norm(u)
+        return third_derivative_norm(hessian(u))
     if order == 4:
-        T = _fourth_tensor(u)
+        T = _fourth_tensor(hessian(u))
         frob = np.sqrt(np.sum(T * T, axis=(-4, -3, -2, -1)))
         return float(np.max(frob[u.domain.interior()]))
     raise ValueError("only derivative orders 3 and 4 are monitored")
@@ -451,12 +439,6 @@ def sample(field: np.ndarray | GridFunction, domain_or_points, points=None,
         raise ValueError("sample point outside the computational box")
     coords = (pts + domain.half_width) / domain.h  # index space
     return ndimage.map_coordinates(values, coords.T, order=order, mode="nearest")
-
-
-def sample_stack(fields: np.ndarray, domain: BoxDomain, pts: np.ndarray,
-                 order: int = 3) -> np.ndarray:
-    """Sample a stack of nodal arrays (k, *grid_shape) -> (npts, k)."""
-    return np.stack([sample(f, domain, pts, order=order) for f in fields], axis=-1)
 
 
 def coincident_index_sets(domain: BoxDomain, R: float):

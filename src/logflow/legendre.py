@@ -77,7 +77,7 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
         # arg-max switching jumps at O(h^4), so second differences of the
         # conjugate remain second-order accurate.  Quadratics stay exact.
         from .grid import _third_tensor
-        third_flat = _third_tensor(u, H).reshape(-1, dom.n, dom.n, dom.n)
+        third_flat = _third_tensor(H).reshape(-1, dom.n, dom.n, dom.n)
         bias = np.stack([third_flat[:, i, i, i] for i in range(dom.n)], axis=-1)
         grad_flat = grad_flat - (dom.h ** 2 / 6.0) * bias
 

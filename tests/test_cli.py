@@ -138,6 +138,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["flow", "run", "--config", str(cfg)]) == 2
 
 
+def test_unknown_stepper_exit_code(tmp_path):
+    cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation",
+                                "flow": {"stepper": "rk3"},
+                                "outdir": str(tmp_path / "run")})
+    assert main(["flow", "run", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_expander_shoot_and_certify(tmp_path):
     out = tmp_path / "prof"
     assert main(["expander", "shoot", "--n", "1", "--a", "-0.1",

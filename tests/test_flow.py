@@ -164,6 +164,26 @@ def test_abort_after_exhausted_halvings():
     assert exc.value.state is state
 
 
+@pytest.mark.parametrize("stepper, per_step", [("rk2", 2), ("euler", 1)])
+def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
+    # one Hessian for u0, then per step the accepted iterate's (plus the
+    # midpoint's for rk2); the step limit, acceptance, F_tau and monitors share it
+    import logflow.flow as flow
+    calls = []
+
+    def counting_hessian(u):
+        calls.append(u)
+        return hessian(u)
+
+    monkeypatch.setattr(flow, "hessian", counting_hessian)
+    dom = BoxDomain(n=2, half_width=4.0, m=33)
+    traj = run(bump_quad(dom), tau=1.0, t_end=0.05, stepper=stepper,
+               boundary=QuadraticFarField(np.eye(2), np.zeros(2)))
+    steps = traj.state.step_count
+    assert steps >= 2
+    assert len(calls) == 1 + per_step * steps
+
+
 def test_reference_boundary_mismatch_refused():
     dom = BoxDomain(n=1, half_width=2.0, m=17)
     u0 = quad(dom, np.eye(1))

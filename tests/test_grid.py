@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from logflow.errors import EmptyCoincidenceError, NonConvexityError
 from logflow.grid import (BoxDomain, GridFunction, coincident_index_sets,
                           derivative_sup_norm, gradient, hessian,
-                          hessian_eigen_bounds, log_det_hessian, sample,
-                          third_derivative_norm)
+                          log_det_hessian, sample, third_derivative_norm)
 
 
 def quad_field(domain, A, b=None, c=0.0):
@@ -139,13 +138,13 @@ def test_hessian_convergence_order_two():
 def test_third_derivative_zero_on_quadratics(rng):
     dom = BoxDomain(n=2, half_width=1.0, m=11)
     u = quad_field(dom, spd_matrix(rng, 2))
-    assert third_derivative_norm(u) < 1e-11
+    assert third_derivative_norm(hessian(u)) < 1e-11
 
 
 def test_third_derivative_exact_on_cubic():
     dom = BoxDomain(n=1, half_width=1.0, m=21)
     u = GridFunction(dom, dom.axis ** 3 / 6.0)
-    assert third_derivative_norm(u) == pytest.approx(1.0, abs=1e-10)
+    assert third_derivative_norm(hessian(u)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_third_derivative_of_bump_matches_analytic():
@@ -156,7 +155,7 @@ def test_third_derivative_of_bump_matches_analytic():
     # d^3/dx^3 of exp(-x^2) = (12x - 8x^3) exp(-x^2), sup at the interior
     exact_field = np.abs(eps * (12 * x - 8 * x ** 3) * np.exp(-x ** 2))
     exact = np.max(exact_field[dom.interior()])
-    assert third_derivative_norm(u) == pytest.approx(exact, rel=5e-3)
+    assert third_derivative_norm(hessian(u)) == pytest.approx(exact, rel=5e-3)
 
 
 def test_fourth_derivative_on_quartic():
@@ -172,16 +171,16 @@ def test_fourth_derivative_on_quartic():
 def test_eigen_bounds_identity():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
     u = quad_field(dom, np.eye(2))
-    lo, hi = hessian_eigen_bounds(hessian(u))
+    lo, hi = hessian(u).eigen_bounds()
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigen_bounds_diagonal_and_coupled():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
-    lo, hi = hessian_eigen_bounds(hessian(quad_field(dom, np.diag([2.0, 0.5]))))
+    lo, hi = hessian(quad_field(dom, np.diag([2.0, 0.5]))).eigen_bounds()
     assert (lo, hi) == (pytest.approx(0.5), pytest.approx(2.0))
-    lo, hi = hessian_eigen_bounds(hessian(quad_field(dom, np.array([[2.0, 1.0], [1.0, 2.0]]))))
+    lo, hi = hessian(quad_field(dom, np.array([[2.0, 1.0], [1.0, 2.0]]))).eigen_bounds()
     # characteristic polynomial (2-x)^2 - 1 = 0 -> x = 1, 3
     assert (lo, hi) == (pytest.approx(1.0), pytest.approx(3.0))
 
