@@ -1,11 +1,16 @@
 """Discrete Legendre transform and the flow's exact self-duality check.
 
 u*(y) = sup_x (<x, y> - u(x)) is evaluated by a max over grid nodes followed by
-one local quadratic refinement around the arg-max node, which restores O(h^2)
-accuracy (and is exact for quadratic u).  For strictly convex smooth u the
-conjugate satisfies D2u*(Du(x)) = (D2u(x))^{-1}; for the logarithmic gradient
-flow the conjugate of a solution solves the same equation, because the
-transform F*(M) = -F(M^{-1}) of F = (1/n) ln det fixes F.
+one local Taylor refinement around the arg-max node, which restores O(h^2)
+accuracy (and is exact for quadratic u).  The max over the product grid is
+taken axis by axis as n nested 1-D maxima, last axis first, at a cost of
+O(n m^n m') for m nodes and m' dual nodes per axis; it picks the same node as
+a dense scan of all pairs except at floating-point near-ties.
+
+For strictly convex smooth u the conjugate satisfies
+D2u*(Du(x)) = (D2u(x))^{-1}; for the logarithmic gradient flow the conjugate
+of a solution solves the same equation, because the transform
+F*(M) = -F(M^{-1}) of F = (1/n) ln det fixes F.
 """
 
 from __future__ import annotations
@@ -24,7 +29,26 @@ __all__ = [
     "young_gap",
 ]
 
-_CHUNK = 512
+
+def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tuple]:
+    """max over nodes x of <x, y> - u(x) for every dual node y, with its arg-max.
+
+    Returns the maxima, shape ``y_domain.shape``, and the arg-max node as a
+    tuple of n per-axis index arrays of that shape.
+    """
+    n = u.domain.n
+    xy = np.multiply.outer(u.domain.axis, y_domain.axis)     # (m, m')
+    V, args = -u.values, [None] * n
+    for k in range(n - 1, -1, -1):
+        # V: (m,)*(k+1) + (m',)*(n-1-k); maximise over x_k on axis k
+        scores = np.expand_dims(V, k + 1) + xy.reshape(xy.shape + (1,) * (n - 1 - k))
+        args[k] = np.argmax(scores, axis=k)
+        V = np.take_along_axis(scores, np.expand_dims(args[k], k), axis=k).squeeze(k)
+    ys = np.indices(y_domain.shape)
+    idx = []
+    for k in range(n):                       # i_k = arg_k[i_0..i_{k-1}, y_k..y_{n-1}]
+        idx.append(args[k][tuple(idx) + tuple(ys[k:])])
+    return V, tuple(idx)
 
 
 def auto_dual_domain(u: GridFunction, m: int | None = None,
@@ -64,10 +88,7 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
     if y_domain is None:
         y_domain = auto_dual_domain(u)
 
-    x_pts = dom.points()                       # (N, n)
-    u_flat = u.values.ravel()
     y_pts = y_domain.points()                  # (M, n)
-
     g = gradient(u)
     grad_flat = np.stack([g[i].ravel() for i in range(dom.n)], axis=-1)
     inv_flat = H.inverse().reshape(-1, dom.n, dom.n)
@@ -81,28 +102,22 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
         bias = np.stack([third_flat[:, i, i, i] for i in range(dom.n)], axis=-1)
         grad_flat = grad_flat - (dom.h ** 2 / 6.0) * bias
 
-    m = dom.m
-    star = np.empty(y_pts.shape[0])
-    for start in range(0, y_pts.shape[0], _CHUNK):
-        block = y_pts[start:start + _CHUNK]
-        scores = block @ x_pts.T - u_flat[None, :]
-        best = np.argmax(scores, axis=1)
-        # arg-max on the outermost layer: dual point outside the gradient hull
-        multi = np.unravel_index(best, dom.shape)
-        on_edge = np.zeros(best.shape, dtype=bool)
-        for axis_idx in multi:
-            on_edge |= (axis_idx == 0) | (axis_idx == m - 1)
-        if np.any(on_edge):
-            k = int(np.flatnonzero(on_edge)[0])
-            raise RangeError(f"dual point {block[k]} outside the sampled gradient range")
-        vals = scores[np.arange(block.shape[0]), best]
-        if refine:
-            resid = block - grad_flat[best]          # y - Du(x*)
-            step = np.einsum("kij,kj->ki", inv_flat[best], resid)
-            vals = vals + 0.5 * np.einsum("ki,ki->k", resid, step)
-            vals = vals - np.einsum("kijl,ki,kj,kl->k",
-                                    third_flat[best], step, step, step) / 6.0
-        star[start:start + _CHUNK] = vals
+    sup, multi = _discrete_sup(u, y_domain)
+    # arg-max on the outermost layer: dual point outside the gradient hull
+    on_edge = np.zeros(y_domain.shape, dtype=bool)
+    for axis_idx in multi:
+        on_edge |= (axis_idx == 0) | (axis_idx == dom.m - 1)
+    if np.any(on_edge):
+        k = int(np.flatnonzero(on_edge)[0])
+        raise RangeError(f"dual point {y_pts[k]} outside the sampled gradient range")
+    best = np.ravel_multi_index(multi, dom.shape).ravel()
+    star = sup.ravel()
+    if refine:
+        resid = y_pts - grad_flat[best]              # y - Du(x*)
+        step = np.einsum("kij,kj->ki", inv_flat[best], resid)
+        star = star + 0.5 * np.einsum("ki,ki->k", resid, step)
+        star = star - np.einsum("kijl,ki,kj,kl->k",
+                                third_flat[best], step, step, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),
                         label=f"conjugate[{u.label}]")
 
@@ -115,16 +130,8 @@ def young_gap(u: GridFunction, u_star: GridFunction) -> tuple[float, float]:
     gradient lands inside the dual box.
     """
     dom = u.domain
-    x_pts = dom.points()
-    u_flat = u.values.ravel()
-    y_pts = u_star.domain.points()
-    star_flat = u_star.values.ravel()
-    worst_min = np.inf
-    for start in range(0, y_pts.shape[0], _CHUNK):
-        block = y_pts[start:start + _CHUNK]
-        gap = (u_flat[None, :] + star_flat[start:start + _CHUNK, None]
-               - block @ x_pts.T)
-        worst_min = min(worst_min, float(np.min(gap)))
+    sup, _ = _discrete_sup(u, u_star.domain)
+    worst_min = float(np.min(u_star.values - sup))
 
     from .grid import sample
     g = gradient(u)
@@ -155,7 +162,6 @@ def duality_involution_check(u: GridFunction) -> float:
     if pts.shape[0] == 0:
         raise RangeError("no interior gradient lands inside the dual box")
     mats_x = H.mats[sl].reshape(-1, dom.n, dom.n)[keep]
-    worst = 0.0
     star_entries = np.empty((pts.shape[0], dom.n, dom.n))
     for i in range(dom.n):
         for j in range(dom.n):
@@ -163,8 +169,7 @@ def duality_involution_check(u: GridFunction) -> float:
                                            u_star.domain, pts, order=3)
     prod = np.einsum("kij,kjl->kil", star_entries, mats_x)
     eye = np.eye(dom.n)
-    worst = float(np.max(np.abs(prod - eye)))
-    return worst
+    return float(np.max(np.abs(prod - eye)))
 
 
 def eigenvalue_swap_gap(u: GridFunction, u_star: GridFunction | None = None

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MissingArtifact
 from .grid import BoxDomain, GridFunction
 
 __all__ = ["write_snapshot", "read_snapshot"]
@@ -71,6 +72,10 @@ def read_snapshot(path) -> tuple[GridFunction, dict]:
     domain = BoxDomain(n=int(head["n"]), half_width=float(head["L"]), m=int(head["m"]),
                        margin=int(head.get("margin", 2)))
     if head["format"] == "binary":
+        size = domain.m ** domain.n * 8
+        if len(rest) != size:
+            raise MissingArtifact(f"{path}: payload holds {len(rest)} bytes, "
+                                  f"the header needs {size}")
         values = np.frombuffer(rest, dtype="<f8").astype(np.float64).reshape(domain.shape)
     else:
         body = rest.decode("utf-8").splitlines()

@@ -74,6 +74,15 @@ def legendre_reports():
     return rep65, rep129
 
 
+@pytest.fixture(scope="module")
+def legendre_reports_2d():
+    rep33, _ = legendre_dual_pipeline(_cfg("legendre-duality", grid={"n": 2, "m": 33}))
+    rep65, _ = legendre_dual_pipeline(_cfg(
+        "legendre-duality", grid={"n": 2, "m": 65},
+        flow={"t_end": 0.5025, "snapshot_times": [0.4975, 0.5, 0.5025]}))
+    return rep33, rep65
+
+
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -136,6 +145,20 @@ def test_criterion_06_legendre_self_duality(legendre_reports):
     _report(6, "Legendre self-duality",
             ok, f"quadratic={rep65['quadratic_residual']:.2e} (<=1e-8), "
                 f"bump(m=65)={rep65['bump_residual']:.3e} (<=1e-2), "
+                f"ratio={ratio:.2f} (>=3), swap gaps ok")
+
+
+def test_criterion_06_legendre_self_duality_2d(legendre_reports_2d):
+    rep33, rep65 = legendre_reports_2d
+    ratio = rep33["bump_residual"] / rep65["bump_residual"]
+    ok = (rep33["quadratic_residual"] <= 1e-8
+          and rep33["bump_residual"] <= 1e-2
+          and ratio >= 3.0
+          and max(rep33["eigen_swap_gaps"]) <= rep33["swap_tolerance"]
+          and max(rep65["eigen_swap_gaps"]) <= rep65["swap_tolerance"])
+    _report(6, "Legendre self-duality, n = 2",
+            ok, f"quadratic={rep33['quadratic_residual']:.2e} (<=1e-8), "
+                f"bump(m=33)={rep33['bump_residual']:.3e} (<=1e-2), "
                 f"ratio={ratio:.2f} (>=3), swap gaps ok")
 
 

@@ -171,6 +171,20 @@ def test_legendre_transform_cli(tmp_path):
     assert np.max(np.abs(star.values - 0.5 * grids[0] ** 2)) < 1e-10
 
 
+def test_truncated_snapshot_exits_with_missing_artifact(tmp_path):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import write_snapshot
+    dom = BoxDomain(n=2, half_width=2.0, m=33)
+    x, y = dom.meshgrid()
+    src = tmp_path / "u.snap"
+    dst = tmp_path / "ustar.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * (x ** 2 + y ** 2)), t=0.0, tau=1.0)
+    src.write_bytes(src.read_bytes()[:2000])
+    assert main(["legendre", "transform", "--input", str(src),
+                 "--output", str(dst)]) == 3
+    assert not dst.exists()
+
+
 def test_analyze_condition_cli(tmp_path):
     from logflow.grid import BoxDomain, GridFunction
     from logflow.snapshots import write_snapshot

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from logflow import legendre
 from logflow.errors import RangeError
 from logflow.grid import BoxDomain, GridFunction
-from logflow.legendre import (dual_flow_check,
+from logflow.legendre import (_discrete_sup, auto_dual_domain, dual_flow_check,
                               duality_involution_check, eigenvalue_swap_gap,
                               legendre_transform, young_gap)
 
@@ -18,6 +20,58 @@ def quad(domain, A, c=0.0, label="quad"):
         for j in range(domain.n):
             vals += 0.5 * A[i, j] * grids[i] * grids[j]
     return GridFunction(domain, vals, label=label)
+
+
+def dense_sup(u, y_domain):
+    """Brute-force reference: score every node against every dual node."""
+    scores = y_domain.points() @ u.domain.points().T - u.values.ravel()[None, :]
+    best = np.argmax(scores, axis=1)
+    return scores, best
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       m=st.integers(7, 33))
+def test_axis_by_axis_sup_matches_dense_scan(seed, n, m):
+    if n == 3:
+        m = min(m, 13)
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(n=n, half_width=2.0, m=m)
+    # diagonally dominant SPD: the gradient image of the box then covers the
+    # dual box of auto_dual_domain, so no dual node needs the outermost layer
+    off = np.triu(rng.uniform(-0.1, 0.1, size=(n, n)), 1)
+    A = np.diag(rng.uniform(1.0, 2.0, size=n)) + off + off.T
+    grids = dom.meshgrid()
+    X = np.stack(grids, axis=-1)
+    centre = rng.uniform(-0.5, 0.5, size=n)
+    bump = 0.05 * np.exp(-np.sum((X - centre) ** 2, axis=-1))
+    u = GridFunction(dom, 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + bump)
+    y_dom = auto_dual_domain(u, shrink=0.5)
+
+    scores, best = dense_sup(u, y_dom)
+    rows = np.arange(best.size)
+    dense = scores[rows, best]
+    vals, multi = _discrete_sup(u, y_dom)
+    flat = np.ravel_multi_index(multi, dom.shape).ravel()
+    # values: relative to the magnitude of the sampled sup
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(vals.ravel() - dense)) <= 1e-13 * scale
+    # arg-max: the two scans may only disagree at floating-point near-ties
+    ulps = 4 * np.finfo(float).eps * (np.max(np.abs(y_dom.points() @ dom.points().T))
+                                      + np.max(np.abs(u.values)))
+    assert np.all(np.abs(scores[rows, flat] - dense) <= ulps)
+
+    # reference transform: the same refinement applied at the dense arg-max
+    star = legendre_transform(u, y_dom).values.ravel()
+    orig = legendre._discrete_sup
+    legendre._discrete_sup = lambda u, y_domain: (
+        dense.reshape(y_domain.shape),
+        tuple(a.reshape(y_domain.shape) for a in np.unravel_index(best, dom.shape)))
+    try:
+        ref = legendre_transform(u, y_dom).values.ravel()
+    finally:
+        legendre._discrete_sup = orig
+    same = flat == best
+    assert np.max(np.abs(star - ref)[same]) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_isotropic_quadratic_is_self_dual():
@@ -59,6 +113,10 @@ def test_out_of_range_dual_point_raises():
     u = quad(dom, np.eye(1))  # gradient range is [-1, 1]
     with pytest.raises(RangeError):
         legendre_transform(u, BoxDomain(n=1, half_width=3.0, m=17))
+    # n = 2: the axis-by-axis arg-max must land on the outer layer as well
+    dom2 = BoxDomain(n=2, half_width=1.0, m=33)
+    with pytest.raises(RangeError):
+        legendre_transform(quad(dom2, np.eye(2)), BoxDomain(n=2, half_width=3.0, m=17))
 
 
 def test_involution_returns_original():
@@ -99,6 +157,11 @@ def test_young_inequality_holds_exactly_for_sampled_pairs():
     worst_min, eq_defect = young_gap(u, star)
     assert worst_min >= -1e-12      # u(x) + u*(y) >= <x, y>
     assert eq_defect < 5e-3         # equality at y = Du(x)
+    dom2 = BoxDomain(n=2, half_width=2.5, m=33)
+    x, y = dom2.meshgrid()
+    u2 = GridFunction(dom2, 0.5 * (x ** 2 + y ** 2) + 0.1 * np.exp(-x ** 2 - y ** 2))
+    worst_min, _ = young_gap(u2, legendre_transform(u2))
+    assert worst_min >= -1e-12
 
 
 def test_eigenvalue_swap():
