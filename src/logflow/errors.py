@@ -61,7 +61,10 @@ class InsufficientSamples(LogFlowError):
 
 
 class MissingArtifact(LogFlowError):
-    """A run directory is missing the file an operation needs."""
+    """A run directory lacks a file an operation needs, or a snapshot is unusable.
+
+    Unusable snapshots are truncated, padded or hold non-finite values.
+    """
 
 
 class ConfigError(LogFlowError):

@@ -318,7 +318,7 @@ def blowdown_pipeline(cfg: ExperimentConfig):
     rep = analysis.blowdown_convergence(
         traj, U1, window_half=float(an.get("window", 1.0)),
         monotone_from=int(an.get("monotone_from", 2)),
-        final_tol=float(an.get("final_tol", 0.02)))
+        final_tol=float(cfg.check.get("final_error", 0.02)))
     report = {"pipeline": "blowdown", **rep.to_dict()}
     return report, {"trajectory": traj, "ratefits": [rep.fit] if rep.fit else []}
 
@@ -326,9 +326,9 @@ def blowdown_pipeline(cfg: ExperimentConfig):
 def plane_pipeline(cfg: ExperimentConfig):
     _, _, u0, boundary = _setup(cfg)
     traj = _run_flow(cfg, u0, boundary)
-    an = cfg.analysis
-    rep = analysis.plane_convergence(traj, window_half=float(an.get("window", 2.0)),
-                                     final_tol=float(an.get("final_tol", 0.02)))
+    rep = analysis.plane_convergence(
+        traj, window_half=float(cfg.analysis.get("window", 2.0)),
+        final_tol=float(cfg.check.get("final_max_gradient", 0.02)))
     report = {"pipeline": "plane", **rep.to_dict()}
     return report, {"trajectory": traj}
 

@@ -291,20 +291,44 @@ def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
                          tol: float = 1e-14) -> np.ndarray:
     """Vectorised cyclic Jacobi eigenvalues for symmetric 3x3 matrices.
 
-    Returns sorted eigenvalues, shape (*batch, 3).
+    Returns sorted eigenvalues, shape (*batch, 3).  The sweep runs on six
+    contiguous arrays (three diagonal, three upper off-diagonal entries), and
+    at the start of each sweep every node whose off-diagonal sum is at most
+    ``tol`` times its largest entry is retired: its diagonal is written out
+    and it leaves the arrays.  Such a node is inactive in every later
+    rotation, and an inactive rotation leaves its diagonal unchanged, so for
+    finite input the result is bit for bit that of sweeping the whole batch
+    every time (up to the sign of an eigenvalue that is exactly zero).
     """
-    a = np.array(mats, dtype=np.float64, copy=True)
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    mats = np.asarray(mats, dtype=np.float64)
+    batch = mats.shape[:-2]
+    flat = mats.reshape(-1, 9)
+    diag = [flat[:, 0].copy(), flat[:, 4].copy(), flat[:, 8].copy()]
+    off = {(0, 1): flat[:, 1].copy(), (0, 2): flat[:, 2].copy(),
+           (1, 2): flat[:, 5].copy()}
+    scale = np.abs(diag[0])
+    for entry in (*diag[1:], *off.values()):
+        np.maximum(scale, np.abs(entry), out=scale)
+    lim = tol * np.maximum(scale, 1e-300)
+    node = np.arange(flat.shape[0])
+    ev = np.empty((flat.shape[0], 3))
     for _ in range(max_sweeps):
-        off = np.abs(a[..., 0, 1]) + np.abs(a[..., 0, 2]) + np.abs(a[..., 1, 2])
-        if np.all(off <= tol * scale):
-            break
+        settled = np.abs(off[0, 1]) + np.abs(off[0, 2]) + np.abs(off[1, 2]) <= lim
+        if np.any(settled):
+            for k in range(3):
+                ev[node[settled], k] = diag[k][settled]
+            keep = np.flatnonzero(~settled)
+            diag = [d[keep] for d in diag]
+            off = {pq: o[keep] for pq, o in off.items()}
+            lim, node = lim[keep], node[keep]
+            if node.size == 0:
+                break
         for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[..., p, q]
-            active = np.abs(apq) > tol * scale
+            apq = off[p, q]
+            active = np.abs(apq) > lim
             if not np.any(active):
                 continue
-            app, aqq = a[..., p, p], a[..., q, q]
+            app, aqq = diag[p], diag[q]
             safe_apq = np.where(active, apq, 1.0)
             theta = (aqq - app) / (2.0 * safe_apq)
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
@@ -313,17 +337,18 @@ def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
             r = 3 - p - q  # the remaining index
-            arp, arq = a[..., r, p], a[..., r, q]
-            new_rp = c * arp - s * arq
-            new_rq = s * arp + c * arq
-            a[..., p, p] = app - t * apq
-            a[..., q, q] = aqq + t * apq
-            a[..., p, q] = a[..., q, p] = 0.0
-            a[..., r, p] = a[..., p, r] = new_rp
-            a[..., r, q] = a[..., q, r] = new_rq
-    ev = np.stack([a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]], axis=-1)
+            rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
+            arp, arq = off[rp], off[rq]
+            off[rp] = c * arp - s * arq
+            off[rq] = s * arp + c * arq
+            shift = t * apq
+            diag[p] = app - shift
+            diag[q] = aqq + shift
+            apq.fill(0.0)
+    for k in range(3):
+        ev[node, k] = diag[k]
     ev.sort(axis=-1)
-    return ev
+    return ev.reshape(batch + (3,))
 
 
 def hessian(u: GridFunction) -> HessianField:
@@ -367,17 +392,18 @@ def log_det_hessian(u: GridFunction, region: str | tuple = "all") -> GridFunctio
 # higher derivatives
 # ---------------------------------------------------------------------------
 
-def _third_tensor(H: HessianField) -> np.ndarray:
-    """Full D3 tensor, shape (*grid, n, n, n): T[..., l, i, j] = d_l H_ij."""
+def _third_differences(H: HessianField):
+    """Yield (i, j, l, d_l H_ij) over index pairs i <= j and axes l.
+
+    Each entry field is copied to a contiguous array once before its n
+    derivatives are taken.
+    """
     n, h = H.domain.n, H.domain.h
-    T = np.empty(H.domain.shape + (n, n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i, n):
+            entry = np.ascontiguousarray(H.mats[..., i, j])
             for l in range(n):
-                d = axis_diff(H.mats[..., i, j], h, l)
-                T[..., l, i, j] = d
-                T[..., l, j, i] = d
-    return T
+                yield i, j, l, axis_diff(entry, h, l)
 
 
 def _fourth_tensor(H: HessianField) -> np.ndarray:
@@ -398,10 +424,18 @@ def _fourth_tensor(H: HessianField) -> np.ndarray:
 
 
 def third_derivative_norm(H: HessianField) -> float:
-    """Sup over the interior of the Frobenius norm of the third-derivative tensor."""
-    T = _third_tensor(H)
-    frob = np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
-    return float(np.max(frob[H.domain.interior()]))
+    """Sup over the interior of the Frobenius norm of the third-derivative tensor.
+
+    The squared norm is accumulated on the interior only, one unordered pair
+    of Hessian indices at a time (weight 2 off the diagonal), so no
+    (*grid, n, n, n) tensor is formed.
+    """
+    sl = H.domain.interior()
+    sq = 0.0
+    for i, j, _, d in _third_differences(H):
+        d = d[sl]
+        sq = sq + (d * d if i == j else 2.0 * (d * d))
+    return float(np.sqrt(np.max(sq)))
 
 
 def derivative_sup_norm(u: GridFunction, order: int) -> float:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexityError, RangeError
-from .grid import (BoxDomain, GridFunction, gradient, hessian, log_det_hessian)
+from .grid import (BoxDomain, GridFunction, _third_differences, gradient, hessian,
+                   log_det_hessian)
 
 __all__ = [
     "auto_dual_domain",
@@ -92,15 +93,6 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
     g = gradient(u)
     grad_flat = np.stack([g[i].ravel() for i in range(dom.n)], axis=-1)
     inv_flat = H.inverse().reshape(-1, dom.n, dom.n)
-    if refine:
-        # Third-order nodal Taylor term plus removal of the central-difference
-        # gradient bias (h^2/6) u_iii: both keep the refinement error and its
-        # arg-max switching jumps at O(h^4), so second differences of the
-        # conjugate remain second-order accurate.  Quadratics stay exact.
-        from .grid import _third_tensor
-        third_flat = _third_tensor(H).reshape(-1, dom.n, dom.n, dom.n)
-        bias = np.stack([third_flat[:, i, i, i] for i in range(dom.n)], axis=-1)
-        grad_flat = grad_flat - (dom.h ** 2 / 6.0) * bias
 
     sup, multi = _discrete_sup(u, y_domain)
     # arg-max on the outermost layer: dual point outside the gradient hull
@@ -113,11 +105,18 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
     best = np.ravel_multi_index(multi, dom.shape).ravel()
     star = sup.ravel()
     if refine:
-        resid = y_pts - grad_flat[best]              # y - Du(x*)
+        # Third-order nodal Taylor term plus removal of the central-difference
+        # gradient bias (h^2/6) u_iii: both keep the refinement error and its
+        # arg-max switching jumps at O(h^4), so second differences of the
+        # conjugate remain second-order accurate.  Quadratics stay exact.
+        third = np.empty((best.size, dom.n, dom.n, dom.n))
+        for i, j, l, d in _third_differences(H):
+            third[:, l, i, j] = third[:, l, j, i] = d.ravel()[best]
+        bias = np.stack([third[:, i, i, i] for i in range(dom.n)], axis=-1)
+        resid = y_pts - (grad_flat[best] - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
         step = np.einsum("kij,kj->ki", inv_flat[best], resid)
         star = star + 0.5 * np.einsum("ki,ki->k", resid, step)
-        star = star - np.einsum("kijl,ki,kj,kl->k",
-                                third_flat[best], step, step, step) / 6.0
+        star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),
                         label=f"conjugate[{u.label}]")
 

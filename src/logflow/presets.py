@@ -197,7 +197,7 @@ _PRESETS: dict[str, dict] = {
                     "amplitude": 0.1, "width": 1.0},
         "flow": {"tau": 1.0, "t_end": 16.0, "monitor_every": 10,
                  "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
-        "analysis": {"window": 1.0, "monotone_from": 2, "final_tol": 0.02},
+        "analysis": {"window": 1.0, "monotone_from": 2},
         "check": {"final_error": 0.02},
     },
     "plane-convergence": {
@@ -207,7 +207,7 @@ _PRESETS: dict[str, dict] = {
                     "amplitude": 0.1, "width": 1.0},
         "flow": {"tau": 0.0, "t_end": 8.0, "monitor_every": 10,
                  "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
-        "analysis": {"window": 2.0, "final_tol": 0.02},
+        "analysis": {"window": 2.0},
         "check": {"final_max_gradient": 0.02},
     },
 }

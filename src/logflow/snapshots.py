@@ -71,15 +71,25 @@ def read_snapshot(path) -> tuple[GridFunction, dict]:
         raise ValueError(f"{path} is not a snapshot file")
     domain = BoxDomain(n=int(head["n"]), half_width=float(head["L"]), m=int(head["m"]),
                        margin=int(head.get("margin", 2)))
+    nodes = domain.m ** domain.n
     if head["format"] == "binary":
-        size = domain.m ** domain.n * 8
-        if len(rest) != size:
+        if len(rest) != nodes * 8:
             raise MissingArtifact(f"{path}: payload holds {len(rest)} bytes, "
-                                  f"the header needs {size}")
-        values = np.frombuffer(rest, dtype="<f8").astype(np.float64).reshape(domain.shape)
+                                  f"the header needs {nodes * 8}")
+        values = np.frombuffer(rest, dtype="<f8").astype(np.float64)
     else:
         body = rest.decode("utf-8").splitlines()
         rows = [line for line in body if line and not line.startswith(("#", "x1"))]
-        values = np.array([float(r.rsplit(",", 1)[1]) for r in rows]).reshape(domain.shape)
-    u = GridFunction(domain, values, label=head.get("label", ""))
+        # the writer ends every row with a newline: a cut inside the last
+        # row leaves the row count intact but the terminator missing
+        if len(rows) != nodes or not rest.endswith(b"\n"):
+            raise MissingArtifact(f"{path}: payload holds {len(rows)} rows, the header "
+                                  f"needs {nodes} newline-terminated rows")
+        try:
+            values = np.array([float(r.rsplit(",", 1)[1]) for r in rows])
+        except (IndexError, ValueError) as exc:
+            raise MissingArtifact(f"{path}: unreadable row: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise MissingArtifact(f"{path}: payload holds non-finite values")
+    u = GridFunction(domain, values.reshape(domain.shape), label=head.get("label", ""))
     return u, head

@@ -185,6 +185,50 @@ def test_truncated_snapshot_exits_with_missing_artifact(tmp_path):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda b: b[:2000],             # a prefix drops rows
+    lambda b: b[:-3],               # a cut inside the last row keeps the count
+    lambda b: b[:-2] + b"x\n",      # an unreadable value
+], ids=["prefix", "cut-last-row", "bad-number"])
+def test_damaged_csv_snapshot_exits_with_missing_artifact(tmp_path, tamper):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import read_snapshot, write_snapshot
+    dom = BoxDomain(n=2, half_width=2.0, m=33)
+    x, y = dom.meshgrid()
+    src = tmp_path / "u.csv"
+    dst = tmp_path / "ustar.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * (x ** 2 + y ** 2)), fmt="csv")
+    src.write_bytes(tamper(src.read_bytes()))
+    with pytest.raises(MissingArtifact):
+        read_snapshot(src)
+    assert main(["legendre", "transform", "--input", str(src),
+                 "--output", str(dst)]) == 3
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_snapshot_exits_with_missing_artifact(tmp_path, fmt, bad):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import read_snapshot, write_snapshot
+    dom = BoxDomain(n=2, half_width=2.0, m=17)
+    x, y = dom.meshgrid()
+    src = tmp_path / "u.snap"
+    dst = tmp_path / "ustar.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * (x ** 2 + y ** 2)), fmt=fmt)
+    if fmt == "binary":
+        src.write_bytes(src.read_bytes()[:-8] + np.array([bad], dtype="<f8").tobytes())
+    else:
+        lines = src.read_text().splitlines()
+        lines[-1] = f"{lines[-1].rsplit(',', 1)[0]},{bad!r}"
+        src.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MissingArtifact, match="non-finite"):
+        read_snapshot(src)
+    assert main(["legendre", "transform", "--input", str(src),
+                 "--output", str(dst)]) == 3
+    assert not dst.exists()
+
+
 def test_analyze_condition_cli(tmp_path):
     from logflow.grid import BoxDomain, GridFunction
     from logflow.snapshots import write_snapshot

@@ -111,3 +111,15 @@ def test_three_dimensional_bump_flow_keeps_bounds():
     for rec in traj.monitors:
         assert rec.lambda_min >= lam0 - 2e-2
         assert rec.lambda_max <= Lam0 + 2e-2
+
+
+@pytest.mark.parametrize("preset, key", [("blowdown-convergence", "final_error"),
+                                         ("plane-convergence", "final_max_gradient")])
+def test_final_bound_is_read_from_the_check_key(preset, key):
+    short = {"preset": preset, "grid": {"m": 65},
+             "flow": {"t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}
+    measured = run_pipeline(load_config(short))[0][key]
+    for bound, verdict in ((1.01 * measured, True), (0.99 * measured, False)):
+        report, _ = run_pipeline(load_config({**short, "check": {key: bound}}))
+        assert report[key] == measured
+        assert report["passed"] is verdict

@@ -158,6 +158,39 @@ def test_third_derivative_of_bump_matches_analytic():
     assert third_derivative_norm(hessian(u)) == pytest.approx(exact, rel=5e-3)
 
 
+def _third_norm_dense(H):
+    """Reference: the full (*grid, n, n, n) tensor and its nodewise Frobenius norm."""
+    from logflow.grid import axis_diff
+    n, h = H.domain.n, H.domain.h
+    T = np.empty(H.domain.shape + (n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            for l in range(n):
+                d = axis_diff(H.mats[..., i, j], h, l)
+                T[..., l, i, j] = d
+                T[..., l, j, i] = d
+    frob = np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
+    return float(np.max(frob[H.domain.interior()]))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3))
+def test_third_derivative_norm_matches_dense_tensor(seed, n):
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(n=n, half_width=2.0, m=(41, 25, 13)[n - 1])
+    grids = dom.meshgrid()
+    centre = rng.uniform(-0.5, 0.5, size=n)
+    r2 = sum((g - c) ** 2 for g, c in zip(grids, centre))
+    u = GridFunction(dom, quad_field(dom, spd_matrix(rng, n)).values
+                     + rng.uniform(0.05, 0.2) * np.exp(-r2))
+    H = hessian(u)
+    got, ref = third_derivative_norm(H), _third_norm_dense(H)
+    if n == 1:
+        assert got == ref
+    else:
+        # the sum of squares runs in another order: a few ulps at most
+        assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
 def test_fourth_derivative_on_quartic():
     dom = BoxDomain(n=1, half_width=1.0, m=41)
     u = GridFunction(dom, dom.axis ** 4 / 24.0)
@@ -207,6 +240,75 @@ def test_eigen_bounds_random_spd_batch(rng):
     for k in range(100):
         roots = np.sort(np.roots(np.poly(mats[k])))
         assert np.max(np.abs(ev[k] - roots)) < 1e-10
+
+
+def _jacobi_full_batch(mats, max_sweeps=12, tol=1e-14):
+    """Reference: the cyclic Jacobi sweep over the whole batch in every sweep."""
+    a = np.array(mats, dtype=np.float64, copy=True)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    for _ in range(max_sweeps):
+        off = np.abs(a[..., 0, 1]) + np.abs(a[..., 0, 2]) + np.abs(a[..., 1, 2])
+        if np.all(off <= tol * scale):
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = a[..., p, q]
+            active = np.abs(apq) > tol * scale
+            if not np.any(active):
+                continue
+            app, aqq = a[..., p, p], a[..., q, q]
+            safe_apq = np.where(active, apq, 1.0)
+            theta = (aqq - app) / (2.0 * safe_apq)
+            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t = np.where(theta == 0.0, 1.0, t)
+            t = np.where(active, t, 0.0)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            r = 3 - p - q
+            arp, arq = a[..., r, p], a[..., r, q]
+            new_rp = c * arp - s * arq
+            new_rq = s * arp + c * arq
+            a[..., p, p] = app - t * apq
+            a[..., q, q] = aqq + t * apq
+            a[..., p, q] = a[..., q, p] = 0.0
+            a[..., r, p] = a[..., p, r] = new_rp
+            a[..., r, q] = a[..., q, r] = new_rq
+    ev = np.stack([a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]], axis=-1)
+    ev.sort(axis=-1)
+    return ev
+
+
+def _symmetric_batch(rng, size):
+    """Symmetric 3x3 matrices of five kinds, shuffled together.
+
+    Random SPD, exact diagonals, a repeated eigenvalue, the identity plus
+    ~1e-16 off-diagonals (the far field of a flow), and a repeated diagonal
+    with off-diagonals near the Jacobi threshold 1e-14 * max|entry|.  Only
+    the last kind tells a looser retirement test from the right one: with a
+    repeated diagonal, a rotation just above the threshold moves the
+    diagonal by about the size of the off-diagonal entry.
+    """
+    kind = rng.integers(0, 5, size=size)
+    lam = rng.uniform(0.3, 3.0, size=(size, 3))
+    lam[kind >= 2, 1] = lam[kind >= 2, 0]
+    q, _ = np.linalg.qr(rng.normal(size=(size, 3, 3)))
+    mats = (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+    diag = np.eye(3) * lam[:, None, :]
+    noise = rng.normal(size=(size, 3, 3))
+    near_tol = (1e-14 * rng.uniform(0.3, 3.0, size=(size, 1, 1))
+                * lam.max(axis=1)[:, None, None])
+    mats[kind == 1] = diag[kind == 1]
+    mats[kind == 3] = (np.eye(3) + 1e-16 * noise)[kind == 3]
+    mats[kind == 4] = (diag + near_tol * noise)[kind == 4]
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 20))
+def test_jacobi_matches_full_batch_sweep_bit_for_bit(seed, rows):
+    from logflow.grid import _jacobi_eigvals_sym3
+    mats = _symmetric_batch(np.random.default_rng(seed), rows * 20).reshape(rows, 20, 3, 3)
+    ev = _jacobi_eigvals_sym3(mats)
+    assert ev.shape == (rows, 20, 3)
+    assert ev.tobytes() == _jacobi_full_batch(mats).tobytes()
 
 
 # ---------------------------------------------------------------------------
