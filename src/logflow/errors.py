@@ -63,7 +63,9 @@ class InsufficientSamples(LogFlowError):
 class MissingArtifact(LogFlowError):
     """A run directory lacks a file an operation needs, or a snapshot is unusable.
 
-    Unusable snapshots are truncated, padded or hold non-finite values.
+    Unusable snapshots have a malformed header (not JSON, a wrong kind, a
+    missing key, an impossible grid), are truncated or padded, or hold
+    non-finite values.
     """
 
 

@@ -7,7 +7,8 @@ node layer is owned by a boundary model; everything inside evolves by the
 discretised equation with forward Euler or explicit midpoint (RK2) stepping
 under a parabolic CFL limit derived from the linearised operator.  Each
 iterate's Hessian is assembled once and shared by the step acceptance, the
-step limit, F_tau and the monitors, and its eigenvalue fields are computed once.
+step limit, F_tau and the monitors; its eigenvalue bounds and its convexity
+verdict are computed once per region.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class QuadraticFarField:
     A: np.ndarray
     b: np.ndarray
     c: float = 0.0
+    _trace: float = field(init=False, repr=False, compare=False)
+    _det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
@@ -63,15 +66,15 @@ class QuadraticFarField:
         object.__setattr__(self, "b", b)
         if not np.allclose(A, A.T, atol=1e-12):
             raise ValueError("far-field matrix must be symmetric")
+        object.__setattr__(self, "_trace", float(np.trace(A)))
+        object.__setattr__(self, "_det", float(np.linalg.det(A)))
 
     def rate(self, tau: float, n: int) -> float:
-        tr = float(np.trace(self.A))
         if tau == 0.0:
-            return tr
-        det = float(np.linalg.det(self.A))
-        if det <= 0.0:
+            return self._trace
+        if self._det <= 0.0:
             raise NonConvexityError("quadratic far field needs det A > 0 when tau > 0")
-        return tau / n * math.log(det) + (1.0 - tau) * tr
+        return tau / n * math.log(self._det) + (1.0 - tau) * self._trace
 
     def values_at(self, pts: np.ndarray, t: float, tau: float, n: int) -> np.ndarray:
         quad = 0.5 * np.einsum("ki,ij,kj->k", pts, self.A, pts)

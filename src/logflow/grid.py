@@ -6,6 +6,10 @@ stencils on interior nodes and second-order one-sided stencils on the boundary
 layer, so polynomials of total degree two are differentiated exactly
 everywhere.  Mixed second derivatives are iterated first differences, assigned
 once per unordered index pair, which makes the Hessian symmetric bit for bit.
+First differences are the uniform-spacing expressions of ``np.gradient`` with
+``edge_order=2``, written out, and each consumer computes only the ones it
+reads.  At n = 3 the eigenvalue bounds sweep Jacobi only over the nodes a
+cheap screen cannot rule out.
 """
 
 from __future__ import annotations
@@ -153,8 +157,21 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 def axis_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """First derivative along one axis, central interior, one-sided O(h^2) ends."""
-    return np.gradient(values, h, axis=axis, edge_order=2)
+    """First derivative along one axis, central interior, one-sided O(h^2) ends.
+
+    These are the expressions ``np.gradient(values, h, axis=axis,
+    edge_order=2)`` evaluates for a uniform spacing, written out so that
+    the bits agree without its argument handling.
+    """
+    nd = values.ndim
+    out = np.empty_like(values)
+    out[_sl(nd, axis, slice(1, -1))] = (values[_sl(nd, axis, slice(2, None))]
+                                        - values[_sl(nd, axis, slice(None, -2))]) / (2.0 * h)
+    f = [values[_sl(nd, axis, slice(k, k + 1))] for k in range(3)]
+    out[_sl(nd, axis, slice(0, 1))] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
+    b = [values[_sl(nd, axis, slice(-k - 1, None if k == 0 else -k))] for k in range(3)]
+    out[_sl(nd, axis, slice(-1, None))] = (0.5 / h) * b[2] + (-2.0 / h) * b[1] + (1.5 / h) * b[0]
+    return out
 
 
 def axis_diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -183,13 +200,18 @@ def gradient(u: GridFunction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class HessianField:
-    """Per-node symmetric n x n matrix of second differences of a grid function."""
+    """Per-node symmetric n x n matrix of second differences of a grid function.
+
+    Regions are named: "interior", "nonring" or "all" (see
+    :class:`BoxDomain`).  The eigenvalue bounds and the convexity verdict of
+    a region are evaluated once and kept.
+    """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
         self.domain = domain
         self.mats = mats  # shape (*grid_shape, n, n)
-        self._lmin = None
-        self._lmax = None
+        self._bounds: dict = {}
+        self._convex: dict = {}
 
     # -- determinants / inverses (closed forms, n <= 3) ---------------------
 
@@ -233,40 +255,65 @@ class HessianField:
 
     # -- eigenvalue fields ---------------------------------------------------
 
-    def eigen_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodewise (lambda_min, lambda_max); closed form for n <= 2, Jacobi for n = 3."""
-        if self._lmin is not None:
-            return self._lmin, self._lmax
-        a = self.mats
+    def eigen_fields(self, region: str = "interior") -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_min, lambda_max) on the region's nodes that can hold an extreme.
+
+        Closed form on every node of the region for n <= 2.  For n = 3 the
+        cyclic Jacobi sweep runs only where a cheap screen cannot rule out
+        an extreme.  Per node, with mu = tr/3 and S = |A - mu I|_F^2,
+        ``lo`` = max(Gershgorin lower bound, mu - sqrt(2S/3)) bounds
+        lambda_min from below and ``hi`` = min(Gershgorin upper bound,
+        mu + sqrt(2S/3)) bounds lambda_max from above; the sqrt(2S/3) bound
+        is exact when two eigenvalues coincide, as for a radial bump.
+        Jacobi on the two nodes argmin(lo) and argmax(hi) gives thresholds
+        lmin and lmax, and every node with not (lo > lmin + delta and
+        hi < lmax - delta), delta = 1e-10 times the largest entry in the
+        region, is swept.  Min and max of the returned arrays are bit for
+        bit those of sweeping every node: Jacobi's result at a node does not
+        depend on the rest of its batch, and a node left out cannot hold a
+        more extreme computed value, because delta far exceeds Jacobi's
+        stopping error (1e-14 times the entry scale) plus rounding in the
+        screen.  A NaN or inf entry makes delta non-finite, which keeps
+        every node.
+        """
+        a = self.mats[self._region(region)]
         n = self.domain.n
         if n == 1:
-            lmin = lmax = a[..., 0, 0]
-        elif n == 2:
+            return a[..., 0, 0], a[..., 0, 0]
+        if n == 2:
             mean = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
             rad = np.sqrt((0.5 * (a[..., 0, 0] - a[..., 1, 1])) ** 2 + a[..., 0, 1] ** 2)
-            lmin, lmax = mean - rad, mean + rad
-        else:
-            ev = _jacobi_eigvals_sym3(a)
-            lmin, lmax = ev[..., 0], ev[..., 2]
-        self._lmin, self._lmax = lmin, lmax
-        return lmin, lmax
+            return mean - rad, mean + rad
+        lo, hi = _screen_sym3(a)
+        seeds = [np.unravel_index(np.argmin(lo), lo.shape),
+                 np.unravel_index(np.argmax(hi), hi.shape)]
+        ev = _jacobi_eigvals_sym3(np.stack([a[k] for k in seeds]))
+        delta = 1e-10 * np.max(np.abs(a))
+        keep = ~((lo > ev[0, 0] + delta) & (hi < ev[1, 2] - delta))
+        ev = _jacobi_eigvals_sym3(a[keep])
+        return ev[:, 0], ev[:, 2]
 
-    def eigen_bounds(self, region: str | tuple = "interior") -> tuple[float, float]:
-        lmin, lmax = self.eigen_fields()
-        sl = self._region(region)
-        return float(np.min(lmin[sl])), float(np.max(lmax[sl]))
+    def eigen_bounds(self, region: str = "interior") -> tuple[float, float]:
+        """(min lambda_min, max lambda_max) over the region."""
+        if region not in self._bounds:
+            lmin, lmax = self.eigen_fields(region)
+            self._bounds[region] = float(np.min(lmin)), float(np.max(lmax))
+        return self._bounds[region]
 
-    def is_strictly_convex(self, region: str | tuple = "nonring", slack: float = 0.0) -> bool:
+    def is_strictly_convex(self, region: str = "nonring") -> bool:
         """Sylvester criterion on every node of the region."""
-        sl = self._region(region)
-        a = self.mats[sl]
+        if region not in self._convex:
+            self._convex[region] = self._sylvester(self.mats[self._region(region)])
+        return self._convex[region]
+
+    def _sylvester(self, a: np.ndarray) -> bool:
         n = self.domain.n
-        if np.any(a[..., 0, 0] <= slack):
+        if np.any(a[..., 0, 0] <= 0.0):
             return False
         if n == 1:
             return True
         m2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2
-        if np.any(m2 <= slack):
+        if np.any(m2 <= 0.0):
             return False
         if n == 2:
             return True
@@ -275,16 +322,30 @@ class HessianField:
         det3 = (m00 * (m11 * m22 - m12 ** 2)
                 - m01 * (m01 * m22 - m12 * m02)
                 + m02 * (m01 * m12 - m11 * m02))
-        return not np.any(det3 <= slack)
+        return not np.any(det3 <= 0.0)
 
-    def _region(self, region: str | tuple) -> tuple:
+    def _region(self, region: str) -> tuple:
         if region == "interior":
             return self.domain.interior()
         if region == "nonring":
             return self.domain.nonring()
         if region == "all":
             return tuple(slice(None) for _ in range(self.domain.n))
-        return region
+        raise ValueError(f"unknown region {region!r}; use 'interior', 'nonring' or 'all'")
+
+
+def _screen_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodewise lower bound of lambda_min and upper bound of lambda_max for
+    symmetric 3x3 matrices ``a`` of shape (..., 3, 3)."""
+    d0, d1, d2 = a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]
+    o01, o02, o12 = a[..., 0, 1], a[..., 0, 2], a[..., 1, 2]
+    r01, r02, r12 = np.abs(o01), np.abs(o02), np.abs(o12)
+    gersh_lo = np.minimum(np.minimum(d0 - (r01 + r02), d1 - (r01 + r12)), d2 - (r02 + r12))
+    gersh_hi = np.maximum(np.maximum(d0 + (r01 + r02), d1 + (r01 + r12)), d2 + (r02 + r12))
+    mu = (d0 + d1 + d2) / 3.0
+    S = (d0 - mu) ** 2 + (d1 - mu) ** 2 + (d2 - mu) ** 2 + 2.0 * (o01 ** 2 + o02 ** 2 + o12 ** 2)
+    rad = np.sqrt(2.0 * S / 3.0)
+    return np.maximum(gersh_lo, mu - rad), np.minimum(gersh_hi, mu + rad)
 
 
 def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
@@ -355,21 +416,24 @@ def hessian(u: GridFunction) -> HessianField:
     """Second differences: direct stencils on the diagonal, iterated firsts mixed.
 
     The mixed entry is computed once per unordered pair and mirrored, so the
-    matrix is symmetric by construction at every node.
+    matrix is symmetric by construction at every node.  The first difference
+    along the last axis enters no mixed entry and is not computed.
     """
     n, h = u.domain.n, u.domain.h
     mats = np.empty(u.domain.shape + (n, n), dtype=np.float64)
-    grads = [axis_diff(u.values, h, ax) for ax in range(n)]
     for i in range(n):
         mats[..., i, i] = axis_diff2(u.values, h, i)
+        if i == n - 1:
+            break
+        first = axis_diff(u.values, h, i)
         for j in range(i + 1, n):
-            mixed = axis_diff(grads[i], h, j)
+            mixed = axis_diff(first, h, j)
             mats[..., i, j] = mixed
             mats[..., j, i] = mixed
     return HessianField(u.domain, mats)
 
 
-def log_det_hessian(u: GridFunction, region: str | tuple = "all") -> GridFunction:
+def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
     """Nodewise (1/n) ln det D2u.
 
     Raises :class:`NonConvexityError` if the Hessian fails strict positive
@@ -428,13 +492,23 @@ def third_derivative_norm(H: HessianField) -> float:
 
     The squared norm is accumulated on the interior only, one unordered pair
     of Hessian indices at a time (weight 2 off the diagonal), so no
-    (*grid, n, n, n) tensor is formed.
+    (*grid, n, n, n) tensor is formed.  The interior lies at least one layer
+    inside the box, so every difference there is the central one, and only
+    that is computed.
     """
-    sl = H.domain.interior()
+    dom = H.domain
+    n, h = dom.n, dom.h
+    sl = dom.interior()
     sq = 0.0
-    for i, j, _, d in _third_differences(H):
-        d = d[sl]
-        sq = sq + (d * d if i == j else 2.0 * (d * d))
+    for i in range(n):
+        for j in range(i, n):
+            entry = np.ascontiguousarray(H.mats[..., i, j])
+            for l in range(n):
+                k = sl[l]
+                up = sl[:l] + (slice(k.start + 1, k.stop + 1),) + sl[l + 1:]
+                down = sl[:l] + (slice(k.start - 1, k.stop - 1),) + sl[l + 1:]
+                d = (entry[up] - entry[down]) / (2.0 * h)
+                sq = sq + (d * d if i == j else 2.0 * (d * d))
     return float(np.sqrt(np.max(sq)))
 
 

@@ -63,16 +63,23 @@ def read_snapshot(path) -> tuple[GridFunction, dict]:
     with open(path, "rb") as f:
         first = f.readline()
         rest = f.read()
-    text = first.decode("utf-8").strip()
-    if text.startswith("# "):
-        text = text[2:]
-    head = json.loads(text)
-    if head.get("kind") != _MAGIC:
-        raise ValueError(f"{path} is not a snapshot file")
-    domain = BoxDomain(n=int(head["n"]), half_width=float(head["L"]), m=int(head["m"]),
-                       margin=int(head.get("margin", 2)))
+    try:
+        text = first.decode("utf-8").strip()
+        if text.startswith("# "):
+            text = text[2:]
+        head = json.loads(text)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise MissingArtifact(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(head, dict) or head.get("kind") != _MAGIC:
+        raise MissingArtifact(f"{path} is not a snapshot file")
+    try:
+        fmt = head["format"]
+        domain = BoxDomain(n=int(head["n"]), half_width=float(head["L"]), m=int(head["m"]),
+                           margin=int(head.get("margin", 2)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifact(f"{path}: unusable header: {exc!r}") from exc
     nodes = domain.m ** domain.n
-    if head["format"] == "binary":
+    if fmt == "binary":
         if len(rest) != nodes * 8:
             raise MissingArtifact(f"{path}: payload holds {len(rest)} bytes, "
                                   f"the header needs {nodes * 8}")

@@ -229,6 +229,33 @@ def test_non_finite_snapshot_exits_with_missing_artifact(tmp_path, fmt, bad):
     assert not dst.exists()
 
 
+def _drop(key):
+    return lambda head: json.dumps({k: v for k, v in head.items() if k != key})
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda head: "{garbage",
+    _drop("n"), _drop("L"), _drop("m"), _drop("format"),
+    lambda head: json.dumps(dict(head, kind="something-else")),
+    lambda head: json.dumps(dict(head, m=3)),   # BoxDomain needs m >= 5
+], ids=["not-json", "no-n", "no-L", "no-m", "no-format", "wrong-kind", "bad-grid"])
+def test_malformed_snapshot_header_exits_with_missing_artifact(tmp_path, tamper):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import read_snapshot, write_snapshot
+    dom = BoxDomain(n=2, half_width=2.0, m=17)
+    x, y = dom.meshgrid()
+    src = tmp_path / "u.snap"
+    dst = tmp_path / "ustar.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * (x ** 2 + y ** 2)), t=0.0, tau=1.0)
+    first, rest = src.read_bytes().split(b"\n", 1)
+    src.write_bytes(tamper(json.loads(first)).encode("utf-8") + b"\n" + rest)
+    with pytest.raises(MissingArtifact):
+        read_snapshot(src)
+    assert main(["legendre", "transform", "--input", str(src),
+                 "--output", str(dst)]) == 3
+    assert not dst.exists()
+
+
 def test_analyze_condition_cli(tmp_path):
     from logflow.grid import BoxDomain, GridFunction
     from logflow.snapshots import write_snapshot

@@ -1,9 +1,11 @@
 """Flow integration: exact quadratic evolution, CFL, monitors, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 
-from logflow.errors import AbortedNonConvex, BoundaryInconsistency
+from logflow.errors import AbortedNonConvex, BoundaryInconsistency, NonConvexityError
 from logflow.flow import (FlowState, Frozen, QuadraticFarField,
                           ReferenceSolution, dt_stable, pde_residual, rhs,
                           run, step_explicit)
@@ -90,6 +92,22 @@ def test_quadratic_data_evolves_exactly(stepper):
     assert np.max(np.abs(traj.state.u.values - expected)) < 1e-10
 
 
+def test_far_field_rate_reads_determinant_and_trace_computed_once(monkeypatch):
+    A = np.array([[2.0, 0.3], [0.3, 1.5]])
+    ff = QuadraticFarField(A, np.zeros(2))
+    expected = 0.7 / 2 * math.log(float(np.linalg.det(A))) + 0.3 * float(np.trace(A))
+    singular = QuadraticFarField(np.diag([1.0, 0.0]), np.zeros(2))
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda M: calls.append(M) or det(M))
+    assert ff.rate(0.7, 2) == expected
+    assert ff.rate(0.0, 2) == 3.5
+    assert singular.rate(0.0, 2) == 1.0
+    with pytest.raises(NonConvexityError):
+        singular.rate(0.5, 2)
+    assert calls == []
+
+
 def test_identity_quadratic_is_a_fixed_point():
     dom = BoxDomain(n=2, half_width=1.0, m=17)
     u0 = quad(dom, np.eye(2))
@@ -167,21 +185,31 @@ def test_abort_after_exhausted_halvings():
 @pytest.mark.parametrize("stepper, per_step", [("rk2", 2), ("euler", 1)])
 def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     # one Hessian for u0, then per step the accepted iterate's (plus the
-    # midpoint's for rk2); the step limit, acceptance, F_tau and monitors share it
+    # midpoint's for rk2); the step limit, acceptance, F_tau and monitors share
+    # it, and each Hessian's convexity verdict is evaluated once: the step
+    # acceptance's is reused by the next step's F_tau
     import logflow.flow as flow
-    calls = []
+    from logflow.grid import HessianField
+    calls, checked = [], []
+    sylvester = HessianField._sylvester
 
     def counting_hessian(u):
         calls.append(u)
         return hessian(u)
 
+    def counting_sylvester(H, a):
+        checked.append(H)
+        return sylvester(H, a)
+
     monkeypatch.setattr(flow, "hessian", counting_hessian)
+    monkeypatch.setattr(HessianField, "_sylvester", counting_sylvester)
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     traj = run(bump_quad(dom), tau=1.0, t_end=0.05, stepper=stepper,
                boundary=QuadraticFarField(np.eye(2), np.zeros(2)))
     steps = traj.state.step_count
     assert steps >= 2
     assert len(calls) == 1 + per_step * steps
+    assert len(checked) == len({id(H) for H in checked}) == 1 + per_step * steps
 
 
 def test_reference_boundary_mismatch_refused():

@@ -131,6 +131,41 @@ def test_hessian_convergence_order_two():
     assert 4.0 * 0.85 <= ratio <= 4.0 * 1.15
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+def test_axis_diff_matches_numpy_gradient_bit_for_bit(seed, n):
+    from logflow.grid import axis_diff
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(3, 12, size=n))
+    h = float(rng.uniform(1e-3, 2.0))
+    base = rng.normal(size=shape + (2,)) * 10.0 ** rng.uniform(-3, 3)
+    # a contiguous array and a strided view, as Hessian entries are
+    for v in (np.ascontiguousarray(base[..., 0]), base[..., 1]):
+        for axis in range(n):
+            ref = np.gradient(v, h, axis=axis, edge_order=2)
+            assert axis_diff(v, h, axis).tobytes() == ref.tobytes()
+
+
+def _hessian_reference(u):
+    """Reference: every first difference by np.gradient, mixed ones iterated."""
+    from logflow.grid import axis_diff2
+    n, h = u.domain.n, u.domain.h
+    mats = np.empty(u.domain.shape + (n, n))
+    for i in range(n):
+        mats[..., i, i] = axis_diff2(u.values, h, i)
+        first = np.gradient(u.values, h, axis=i, edge_order=2)
+        for j in range(i + 1, n):
+            mats[..., i, j] = mats[..., j, i] = np.gradient(first, h, axis=j, edge_order=2)
+    return mats
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(5, 13))
+def test_hessian_matches_numpy_gradient_reference_bit_for_bit(seed, n, m):
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(n=n, half_width=float(rng.uniform(0.5, 5.0)), m=m, margin=0)
+    u = GridFunction(dom, rng.normal(size=dom.shape) * 10.0 ** rng.uniform(-3, 3))
+    assert hessian(u).mats.tobytes() == _hessian_reference(u).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # third / fourth derivatives
 # ---------------------------------------------------------------------------
@@ -309,6 +344,76 @@ def test_jacobi_matches_full_batch_sweep_bit_for_bit(seed, rows):
     ev = _jacobi_eigvals_sym3(mats)
     assert ev.shape == (rows, 20, 3)
     assert ev.tobytes() == _jacobi_full_batch(mats).tobytes()
+
+
+_FIELD_KINDS = ("bump", "mixed", "constant", "repeated", "indefinite")
+
+
+def _hessian_batch(rng, kind, dom):
+    """Symmetric 3x3 matrices on every node of ``dom`` (n = 3), scaled at random.
+
+    "bump" is the Hessian of a quadratic plus an off-centre Gaussian bump,
+    "mixed" the five kinds of :func:`_symmetric_batch`, "constant" one SPD
+    matrix on every node (all nodes tie), "repeated" a I + b x x' with unit
+    x (two equal eigenvalues, the radial-bump structure; b of either sign)
+    and "indefinite" symmetrised normal noise.
+    """
+    size = dom.m ** 3
+    if kind == "bump":
+        r2 = sum((g - c) ** 2 for g, c in zip(dom.meshgrid(), rng.uniform(-0.5, 0.5, 3)))
+        u = GridFunction(dom, quad_field(dom, spd_matrix(rng, 3)).values
+                         + rng.uniform(0.05, 0.3) * np.exp(-r2 / rng.uniform(0.5, 1.5)))
+        mats = hessian(u).mats
+    elif kind == "mixed":
+        mats = _symmetric_batch(rng, size)
+    elif kind == "constant":
+        mats = np.broadcast_to(spd_matrix(rng, 3), (size, 3, 3))
+    elif kind == "repeated":
+        x = rng.normal(size=(size, 3))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        a = rng.uniform(0.3, 3.0, size=(size, 1, 1))
+        b = rng.uniform(-0.25, 1.0, size=(size, 1, 1))
+        mats = a * np.eye(3) + b * x[:, :, None] * x[:, None, :]
+    else:
+        g = rng.normal(size=(size, 3, 3))
+        mats = 0.5 * (g + g.transpose(0, 2, 1))
+    return mats.reshape(dom.shape + (3, 3)) * 10.0 ** rng.uniform(-3, 3)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(_FIELD_KINDS),
+       m=st.integers(7, 11))
+def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m):
+    from logflow.grid import HessianField, _jacobi_eigvals_sym3
+    dom = BoxDomain(n=3, half_width=2.0, m=m)
+    H = HessianField(dom, _hessian_batch(np.random.default_rng(seed), kind, dom))
+    regions = {"interior": dom.interior(), "nonring": dom.nonring(),
+               "all": (slice(None),) * 3}
+    for name, sl in regions.items():
+        ev = _jacobi_eigvals_sym3(H.mats[sl])
+        assert H.eigen_bounds(name) == (float(np.min(ev[..., 0])), float(np.max(ev[..., 2])))
+
+
+def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
+    # the flow-3d initial data: the condition-B preset's quadratic plus bump
+    import logflow.grid as grid
+    from logflow.presets import experiment_preset, make_initial_data
+    swept = []
+
+    def counting_jacobi(mats, *args, **kwargs):
+        swept.append(int(np.prod(np.shape(mats)[:-2])))
+        return jacobi(mats, *args, **kwargs)
+
+    jacobi = grid._jacobi_eigvals_sym3
+    monkeypatch.setattr(grid, "_jacobi_eigvals_sym3", counting_jacobi)
+    dom = BoxDomain(n=3, half_width=3.0, m=25)
+    u0, _ = make_initial_data(dom, experiment_preset("condition-b-preservation")["initial"],
+                              tau=1.0)
+    H = hessian(u0)
+    for region in ("nonring", "interior"):
+        swept.clear()
+        H.eigen_bounds(region)
+        nodes = H.mats[H._region(region)].size // 9
+        assert 0 < sum(swept) < 0.05 * nodes
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from logflow.errors import MissingArtifact
 from logflow.grid import BoxDomain, GridFunction
 from logflow.snapshots import read_snapshot, write_snapshot
 
@@ -46,5 +47,5 @@ def test_csv_binary_cross_conversion(tmp_path, rng):
 def test_reject_non_snapshot(tmp_path):
     p = tmp_path / "junk.snap"
     p.write_text('{"hello": 1}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingArtifact, match="not a snapshot"):
         read_snapshot(p)
