@@ -2,9 +2,9 @@
 """Run every packaged experiment preset and summarise the pass flags.
 
 Usage:
-    python scripts/run_all_presets.py [--outdir out] [--check]
+    python scripts/run_all_presets.py [--outdir out] [--check] [--only NAME ...]
 
-Honours LOGFLOW_THREADS for parallel execution across presets.
+The presets run one after another in this process.
 """
 
 import argparse

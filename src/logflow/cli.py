@@ -18,9 +18,8 @@ One binary, one subcommand per module::
 
 Configs are JSON or ``dotted.key = value`` text; ``{"preset": "<name>"}``
 pulls a named experiment.  Exit codes: 0 success, 2 configuration error,
-3 numerical abort, 4 threshold failure in ``--check`` mode.  The environment
-variable ``LOGFLOW_THREADS`` sizes the worker pool when several configs are
-given; each run writes into its own directory.
+3 numerical abort, 4 threshold failure in ``--check`` mode.  Several configs
+run one after another in this process, each into its own directory.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -212,22 +210,10 @@ def _run_configs(config_paths, check: bool, outdir_flag: str | None) -> int:
             cfg.outdir = outdir_flag if len(config_paths) == 1 else str(
                 Path(outdir_flag) / Path(str(p)).stem)
         cfgs.append(cfg)
-    workers = int(os.environ.get("LOGFLOW_THREADS", "1"))
     status = EXIT_OK
-    if workers > 1 and len(cfgs) > 1:
-        import concurrent.futures as fut
-        with fut.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_worker, [c.to_dict() for c in cfgs],
-                                    [check] * len(cfgs)))
-        status = max(results, default=EXIT_OK)
-    else:
-        for cfg in cfgs:
-            status = max(status, _run_one(cfg, check))
+    for cfg in cfgs:
+        status = max(status, _run_one(cfg, check))
     return status
-
-
-def _run_one_worker(cfg_dict: dict, check: bool) -> int:
-    return _run_one(ExperimentConfig.from_dict(cfg_dict), check)
 
 
 def _run_one(cfg: ExperimentConfig, check: bool) -> int:
@@ -295,7 +281,7 @@ def _cmd_mcf_reconstruct(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
     seeds = json.loads(Path(args.seeds).read_text())
     paths = mcf.integrate_particles(traj, seeds, t_start=args.t_start)
-    rep = mcf.verify_mcf(paths, traj)
+    rep = mcf.verify_mcf(paths)
     outdir = Path(args.trajectory)
     _write_paths_csv(outdir / "paths.csv", paths, {})
     (outdir / "mcf_report.json").write_text(json.dumps({

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .flow import STEPPERS
+from .flow import FLOW_KEYS, STEPPERS
 from .presets import INITIAL_FAMILIES, experiment_preset
 
 __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
@@ -65,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError("grid.n must be 1, 2 or 3")
         if float(g.get("L", 0.0)) <= 0:
             raise ConfigError("grid.L must be positive")
+        unknown = sorted(set(self.flow) - set(FLOW_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown flow keys {unknown}; choose from {FLOW_KEYS}")
         tau = float(self.flow.get("tau", 1.0))
         if not 0.0 <= tau <= 1.0:
             raise ConfigError("flow.tau must lie in [0, 1]")

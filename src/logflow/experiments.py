@@ -266,7 +266,7 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
     seeds = cfg.mcf.get("seeds") or [[0.0]]
     t_start = cfg.mcf.get("t_start", None)
     paths = mcf.integrate_particles(traj, seeds, t_start=t_start)
-    rep = mcf.verify_mcf(paths, traj)
+    rep = mcf.verify_mcf(paths)
     thr = cfg.check.get("deviation", 5e-3)
     report = {
         "pipeline": "mcf_verify",

@@ -8,7 +8,9 @@ discretised equation with forward Euler or explicit midpoint (RK2) stepping
 under a parabolic CFL limit derived from the linearised operator.  Each
 iterate's Hessian is assembled once and shared by the step acceptance, the
 step limit, F_tau and the monitors; its eigenvalue bounds and its convexity
-verdict are computed once per region.
+verdict are computed once per region, and its determinant once, for both
+the verdict and F_tau.  A quadratic far field keeps the time-independent
+part of its ring values per domain and adds t * rate per call.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class QuadraticFarField:
     c: float = 0.0
     _trace: float = field(init=False, repr=False, compare=False)
     _det: float = field(init=False, repr=False, compare=False)
+    # per domain, the time-independent part of the ring values
+    _ring: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
@@ -77,8 +81,19 @@ class QuadraticFarField:
         return tau / n * math.log(self._det) + (1.0 - tau) * self._trace
 
     def values_at(self, pts: np.ndarray, t: float, tau: float, n: int) -> np.ndarray:
+        return self._static(pts) + t * self.rate(tau, n)
+
+    def ring_values(self, domain: BoxDomain, t: float, tau: float) -> np.ndarray:
+        """:meth:`values_at` on the ring of ``domain``; only ``t * rate`` is
+        evaluated per call, the rest once per domain."""
+        static = self._ring.get(domain)
+        if static is None:
+            static = self._ring[domain] = self._static(_ring_info(domain)[1])
+        return static + t * self.rate(tau, domain.n)
+
+    def _static(self, pts: np.ndarray) -> np.ndarray:
         quad = 0.5 * np.einsum("ki,ij,kj->k", pts, self.A, pts)
-        return quad + pts @ self.b + self.c + t * self.rate(tau, n)
+        return quad + pts @ self.b + self.c
 
     @classmethod
     def fit_corner(cls, u0: GridFunction) -> "QuadraticFarField":
@@ -105,6 +120,9 @@ class ReferenceSolution:
     def values_at(self, pts: np.ndarray, t: float, tau: float, n: int) -> np.ndarray:
         return np.asarray(self.fn(pts, t), dtype=np.float64)
 
+    def ring_values(self, domain: BoxDomain, t: float, tau: float) -> np.ndarray:
+        return self.values_at(_ring_info(domain)[1], t, tau, domain.n)
+
 
 @dataclass(frozen=True)
 class Frozen:
@@ -114,6 +132,10 @@ class Frozen:
 BoundaryModel = QuadraticFarField | ReferenceSolution | Frozen
 
 STEPPERS = ("euler", "rk2")
+
+# the keys a config's flow section may set: the parameters of run it passes on
+FLOW_KEYS = ("tau", "t_end", "stepper", "safety", "max_dt", "snapshot_times",
+             "store_every", "monitor_every", "monitor_window", "max_halvings")
 
 
 @lru_cache(maxsize=32)
@@ -126,13 +148,14 @@ def _ring_info(domain: BoxDomain):
 
 def apply_boundary(values: np.ndarray, domain: BoxDomain, model: BoundaryModel,
                    t: float, tau: float, u0_ring: np.ndarray | None = None) -> None:
-    idx, pts = _ring_info(domain)
+    """Write the model's ring values at time t; a frozen ring gets ``u0_ring``."""
+    idx = _ring_info(domain)[0]
     if isinstance(model, Frozen):
         if u0_ring is None:
             return
         values[idx] = u0_ring
     else:
-        values[idx] = model.values_at(pts, t, tau, domain.n)
+        values[idx] = model.ring_values(domain, t, tau)
 
 
 def boundary_rate(domain: BoxDomain, model: BoundaryModel, t: float, tau: float) -> np.ndarray:
@@ -220,13 +243,14 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
     """F_tau(D2u) on every node where the Hessian is defined; convexity is
     enforced on the non-ring nodes whenever tau > 0."""
     n = H.domain.n
-    trace = np.einsum("...ii->...", H.mats)
+    # einsum's trace adds to 0.0, which turns -0.0 into +0.0; so does "+ 0.0"
+    trace = H.mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", H.mats)
     if tau == 0.0:
         return trace
-    if not H.is_strictly_convex("nonring"):
-        raise NonConvexityError("strict convexity lost while evaluating the flow operator")
     det = H.det()
-    det = np.where(det > 0.0, det, 1.0)  # ring one-sided values may misbehave; unused
+    if not H.is_strictly_convex("nonring", det):
+        raise NonConvexityError("strict convexity lost while evaluating the flow operator")
+    det[~(det > 0.0)] = 1.0  # ring one-sided values may misbehave; unused
     return tau / n * np.log(det) + (1.0 - tau) * trace
 
 
@@ -262,26 +286,25 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
 
 def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
     """One tentative step (may raise NonConvexityError)."""
-    u, tau, t = state.u, state.tau, state.t
+    u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
+    ring0 = u.values[_ring_info(dom)[0]] if isinstance(boundary, Frozen) else None
     k1 = state.F
     if stepper == "euler":
         new = u.values + dt * k1
     elif stepper == "rk2":
         mid = u.values + 0.5 * dt * k1
-        apply_boundary(mid, dom, state.boundary, t + 0.5 * dt, tau,
-                       u0_ring=u.values[_ring_info(dom)[0]])
+        apply_boundary(mid, dom, boundary, t + 0.5 * dt, tau, u0_ring=ring0)
         k2 = _ftau(hessian(u.with_values(mid)), tau)
         new = u.values + dt * k2
     else:
         raise ValueError(f"unknown stepper {stepper!r}")
-    apply_boundary(new, dom, state.boundary, t + dt, tau,
-                   u0_ring=u.values[_ring_info(dom)[0]])
-    trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=state.boundary,
+    apply_boundary(new, dom, boundary, t + dt, tau, u0_ring=ring0)
+    trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=boundary,
                       step_count=state.step_count + 1, monitor_log=state.monitor_log)
-    # the new state must itself be convex when tau > 0, else reject the step
-    if tau > 0.0 and not trial.H.is_strictly_convex("nonring"):
-        raise NonConvexityError("step produced a non-convex iterate")
+    # the new state must itself be convex when tau > 0, else F_tau raises
+    # and the step is rejected
+    trial.F
     return trial
 
 
@@ -303,7 +326,7 @@ def step_explicit(state: FlowState, dt: float, stepper: str = "rk2",
 def _monitor(state: FlowState, dt: float, residual: float, window: tuple) -> MonitorRecord:
     lmin, lmax = state.H.eigen_bounds("interior")
     g = gradient(state.u)
-    gsq = float(np.max(np.sum(g * g, axis=0)[window]))
+    gsq = float(np.sum(g * g, axis=0)[window].max())
     d3 = third_derivative_norm(state.H)
     return MonitorRecord(t=state.t, lambda_min=lmin, lambda_max=lmax,
                          grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=residual)
@@ -341,7 +364,8 @@ def run(u0: GridFunction, tau: float, t_end: float,
             warnings.warn("initial data is not strictly convex on the grid "
                           f"(lambda_min = {lmin0:.3g})", stacklevel=2)
 
-    window = dom.window(monitor_window) if monitor_window is not None else dom.interior()
+    inner = dom.interior()
+    window = dom.window(monitor_window) if monitor_window is not None else inner
     targets = sorted({float(s) for s in snapshot_times if 0.0 <= s <= t_end + 1e-12})
     snapshots: list = []
 
@@ -365,9 +389,9 @@ def run(u0: GridFunction, tau: float, t_end: float,
         dt = min(dt, t_end - state.t)
         new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings)
         taken = new_state.t - state.t
-        resid = float(np.max(np.abs(
-            ((new_state.u.values - state.u.values) / taken - 0.5 * (state.F + new_state.F))
-            [dom.interior()])))
+        resid = float(np.abs(
+            (new_state.u.values[inner] - state.u.values[inner]) / taken
+            - 0.5 * (state.F[inner] + new_state.F[inner])).max())
         state = new_state
         # snap exactly onto targets to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):

@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 
-def _sl(ndim: int, axis: int, s: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
-
-
 @dataclass(frozen=True)
 class BoxDomain:
     """Uniform grid on the box [-L, L]^n.
@@ -91,11 +85,11 @@ class BoxDomain:
     def interior(self) -> tuple:
         """Slices selecting the monitored interior (margin + 1 layers removed)."""
         k = self.margin + 1
-        return tuple(slice(k, self.m - k) for _ in range(self.n))
+        return (slice(k, self.m - k),) * self.n
 
     def nonring(self) -> tuple:
         """Slices selecting everything but the outermost layer."""
-        return tuple(slice(1, self.m - 1) for _ in range(self.n))
+        return (slice(1, self.m - 1),) * self.n
 
     def window(self, half: float) -> tuple:
         """Slices for the centred sub-box |x_i| <= half."""
@@ -132,7 +126,7 @@ class GridFunction:
         if self.values.shape != self.domain.shape:
             raise ValueError(
                 f"values shape {self.values.shape} != domain shape {self.domain.shape}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("grid function contains non-finite values")
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "GridFunction":
@@ -140,9 +134,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self.values.copy(), self.label)
-
-    def interior_max_abs(self) -> float:
-        return float(np.max(np.abs(self.values[self.domain.interior()])))
 
     @classmethod
     def from_callable(cls, domain: BoxDomain, fn: Callable, label: str = "") -> "GridFunction":
@@ -161,31 +152,29 @@ def axis_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
     These are the expressions ``np.gradient(values, h, axis=axis,
     edge_order=2)`` evaluates for a uniform spacing, written out so that
-    the bits agree without its argument handling.
+    the bits agree without its argument handling.  The stencils index a
+    view with ``axis`` swapped to the front, which builds no index tuples.
     """
-    nd = values.ndim
     out = np.empty_like(values)
-    out[_sl(nd, axis, slice(1, -1))] = (values[_sl(nd, axis, slice(2, None))]
-                                        - values[_sl(nd, axis, slice(None, -2))]) / (2.0 * h)
-    f = [values[_sl(nd, axis, slice(k, k + 1))] for k in range(3)]
-    out[_sl(nd, axis, slice(0, 1))] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
-    b = [values[_sl(nd, axis, slice(-k - 1, None if k == 0 else -k))] for k in range(3)]
-    out[_sl(nd, axis, slice(-1, None))] = (0.5 / h) * b[2] + (-2.0 / h) * b[1] + (1.5 / h) * b[0]
+    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    o[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
+    o[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
     return out
 
 
 def axis_diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative along one axis, central interior, one-sided O(h^2) ends."""
-    nd = values.ndim
+    """Second derivative along one axis, central interior, one-sided O(h^2) ends.
+
+    Both ends take the same expression, ordered from the end inwards; the
+    stencils index a view with ``axis`` swapped to the front.
+    """
     out = np.empty_like(values)
-    c0 = values[_sl(nd, axis, slice(None, -2))]
-    c1 = values[_sl(nd, axis, slice(1, -1))]
-    c2 = values[_sl(nd, axis, slice(2, None))]
-    out[_sl(nd, axis, slice(1, -1))] = (c0 - 2.0 * c1 + c2) / (h * h)
-    f = [values[_sl(nd, axis, slice(k, k + 1))] for k in range(4)]
-    out[_sl(nd, axis, slice(0, 1))] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
-    b = [values[_sl(nd, axis, slice(-k - 1, None if k == 0 else -k))] for k in range(4)]
-    out[_sl(nd, axis, slice(-1, None))] = (2.0 * b[0] - 5.0 * b[1] + 4.0 * b[2] - b[3]) / (h * h)
+    v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+    hh = h * h
+    o[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / hh
+    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / hh
+    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / hh
     return out
 
 
@@ -216,17 +205,8 @@ class HessianField:
     # -- determinants / inverses (closed forms, n <= 3) ---------------------
 
     def det(self) -> np.ndarray:
-        a = self.mats
-        n = self.domain.n
-        if n == 1:
-            return a[..., 0, 0].copy()
-        if n == 2:
-            return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2
-        m00, m01, m02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
-        m11, m12, m22 = a[..., 1, 1], a[..., 1, 2], a[..., 2, 2]
-        return (m00 * (m11 * m22 - m12 ** 2)
-                - m01 * (m01 * m22 - m12 * m02)
-                + m02 * (m01 * m12 - m11 * m02))
+        """Nodewise determinant, a new array on every call."""
+        return _det(self.mats)
 
     def inverse(self) -> np.ndarray:
         a = self.mats
@@ -297,32 +277,33 @@ class HessianField:
         """(min lambda_min, max lambda_max) over the region."""
         if region not in self._bounds:
             lmin, lmax = self.eigen_fields(region)
-            self._bounds[region] = float(np.min(lmin)), float(np.max(lmax))
+            self._bounds[region] = float(lmin.min()), float(lmax.max())
         return self._bounds[region]
 
-    def is_strictly_convex(self, region: str = "nonring") -> bool:
-        """Sylvester criterion on every node of the region."""
+    def is_strictly_convex(self, region: str = "nonring",
+                           det: np.ndarray | None = None) -> bool:
+        """Sylvester criterion on every node of the region.
+
+        A caller that holds this field's :meth:`det` array passes it as
+        ``det``; it supplies the last leading minor, so the determinant is
+        formed once per Hessian.
+        """
         if region not in self._convex:
-            self._convex[region] = self._sylvester(self.mats[self._region(region)])
+            sl = self._region(region)
+            a = self.mats[sl]
+            self._convex[region] = self._sylvester(a) and not (
+                (_det(a) if det is None else det[sl]) <= 0.0).any()
         return self._convex[region]
 
     def _sylvester(self, a: np.ndarray) -> bool:
+        """Positivity of the leading minors below order n; the caller tests det."""
         n = self.domain.n
-        if np.any(a[..., 0, 0] <= 0.0):
-            return False
         if n == 1:
             return True
-        m2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2
-        if np.any(m2 <= 0.0):
+        if (a[..., 0, 0] <= 0.0).any():
             return False
-        if n == 2:
-            return True
-        m00, m01, m02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
-        m11, m12, m22 = a[..., 1, 1], a[..., 1, 2], a[..., 2, 2]
-        det3 = (m00 * (m11 * m22 - m12 ** 2)
-                - m01 * (m01 * m22 - m12 * m02)
-                + m02 * (m01 * m12 - m11 * m02))
-        return not np.any(det3 <= 0.0)
+        return n == 2 or not (
+            (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2) <= 0.0).any()
 
     def _region(self, region: str) -> tuple:
         if region == "interior":
@@ -330,8 +311,22 @@ class HessianField:
         if region == "nonring":
             return self.domain.nonring()
         if region == "all":
-            return tuple(slice(None) for _ in range(self.domain.n))
+            return (slice(None),) * self.domain.n
         raise ValueError(f"unknown region {region!r}; use 'interior', 'nonring' or 'all'")
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of the n x n matrices ``a`` of shape (..., n, n), n <= 3."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0].copy()
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2
+    m00, m01, m02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
+    m11, m12, m22 = a[..., 1, 1], a[..., 1, 2], a[..., 2, 2]
+    return (m00 * (m11 * m22 - m12 ** 2)
+            - m01 * (m01 * m22 - m12 * m02)
+            + m02 * (m01 * m12 - m11 * m02))
 
 
 def _screen_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +370,7 @@ def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
     ev = np.empty((flat.shape[0], 3))
     for _ in range(max_sweeps):
         settled = np.abs(off[0, 1]) + np.abs(off[0, 2]) + np.abs(off[1, 2]) <= lim
-        if np.any(settled):
+        if settled.any():
             for k in range(3):
                 ev[node[settled], k] = diag[k][settled]
             keep = np.flatnonzero(~settled)
@@ -387,7 +382,7 @@ def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = off[p, q]
             active = np.abs(apq) > lim
-            if not np.any(active):
+            if not active.any():
                 continue
             app, aqq = diag[p], diag[q]
             safe_apq = np.where(active, apq, 1.0)
@@ -442,10 +437,10 @@ def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
     """
     H = hessian(u)
     n = u.domain.n
-    if not H.is_strictly_convex(region):
+    det = H.det()
+    if not H.is_strictly_convex(region, det):
         raise NonConvexityError(
             f"det D2u <= 0 or lambda_min <= 0 on region {region!r} of {u.label or 'field'}")
-    det = H.det()
     det = np.where(det > 0.0, det, np.nan)
     vals = np.log(det) / n
     vals = np.where(np.isfinite(vals), vals, 0.0)
@@ -543,7 +538,7 @@ def sample(field: np.ndarray | GridFunction, domain_or_points, points=None,
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != domain.n:
         raise ValueError(f"points must have {domain.n} coordinates")
-    if np.any(np.abs(pts) > domain.half_width + 1e-9):
+    if (np.abs(pts) > domain.half_width + 1e-9).any():
         raise ValueError("sample point outside the computational box")
     coords = (pts + domain.half_width) / domain.h  # index space
     return ndimage.map_coordinates(values, coords.T, order=order, mode="nearest")

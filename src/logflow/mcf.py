@@ -13,7 +13,10 @@ Hessian itself.   With g = det D2u, the mean curvature vector is
     H = -(1/(2 n g)) (dg/dx^l) g^{lk} eta_k ,
 
 whose x-part is the velocity field of the diffeomorphisms that turn a
-potential trajectory into a solution of dF/dt = H.
+potential trajectory into a solution of dF/dt = H.  Particle transport
+evaluates each stored snapshot's Hessian and curvature field once and
+records the curvature vector and the induced metric along every path, which
+is what the dF/dt = H check compares against.
 
 A diagonal-signature presentation is available as an output conversion:
 p = (x + y) / 2, q = (x - y) / 2 turns the pairing into
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EscapeError, NonConvexityError
-from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
-                   sample)
+from .grid import (BoxDomain, GridFunction, HessianField, axis_diff, gradient,
+                   hessian, sample)
 
 __all__ = [
     "null_pairing_matrix",
@@ -37,7 +40,6 @@ __all__ = [
     "immersion_frame",
     "mean_curvature",
     "mean_curvature_fields",
-    "velocity_fields",
     "ParticlePath",
     "integrate_particles",
     "verify_mcf",
@@ -75,23 +77,23 @@ class ImmersionFrame:
     H: np.ndarray           # mean curvature vector, (2n,)
 
 
-def _det_fields(u: GridFunction, H: HessianField):
+def _det_fields(H: HessianField):
     g = H.det()
-    if np.any(g[u.domain.nonring()] <= 0.0):
+    if (g[H.domain.nonring()] <= 0.0).any():
         raise NonConvexityError("graph is not spacelike: det D2u <= 0")
     return g
 
 
-def mean_curvature_fields(u: GridFunction) -> np.ndarray:
-    """Mean curvature components on the whole grid, shape (2n, *grid).
+def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
+    """Mean curvature components on the whole grid, shape (2n, *grid), from
+    the Hessian field of the potential.
 
     x-part: H_x^i = -(1/(2 n g)) (d_l g) g^{li};  y-part: H_y^j = (d_j g)/(2 n g).
+    The x-part is the particle velocity dx/dt.
     """
-    from .grid import axis_diff
-    dom = u.domain
+    dom = Hess.domain
     n, h = dom.n, dom.h
-    Hess = hessian(u)
-    g = _det_fields(u, Hess)
+    g = _det_fields(Hess)
     inv = Hess.inverse()
     dg = np.stack([axis_diff(g, h, ax) for ax in range(n)])
     out = np.empty((2 * n,) + dom.shape)
@@ -102,11 +104,6 @@ def mean_curvature_fields(u: GridFunction) -> np.ndarray:
     return out
 
 
-def velocity_fields(u: GridFunction) -> np.ndarray:
-    """The particle velocity dx/dt = -(1/(2 n g)) (d_l g) g^{li}, shape (n, *grid)."""
-    return mean_curvature_fields(u)[: u.domain.n]
-
-
 def immersion_frame(u: GridFunction, at: tuple) -> ImmersionFrame:
     """Assemble the frame at one (interior) node index."""
     dom = u.domain
@@ -115,14 +112,14 @@ def immersion_frame(u: GridFunction, at: tuple) -> ImmersionFrame:
     if any(i < k or i >= dom.m - k for i in at):
         raise ValueError("frame node must lie in the monitored interior")
     Hess = hessian(u)
-    g = _det_fields(u, Hess)
+    g = _det_fields(Hess)
     grad = gradient(u)
     x = np.array([dom.axis[i] for i in at])
     Du = np.array([grad[(i,) + tuple(at)] for i in range(n)])
     mat = Hess.mats[tuple(at)]
     tangent = np.concatenate([np.eye(n), mat], axis=1)
     normal = np.concatenate([np.eye(n), -mat], axis=1)
-    Hvec = mean_curvature_fields(u)[(slice(None),) + tuple(at)]
+    Hvec = mean_curvature_fields(Hess)[(slice(None),) + tuple(at)]
     return ImmersionFrame(x=x, F=np.concatenate([x, Du]), tangent=tangent,
                           normal=normal, metric=mat, gdet=float(g[tuple(at)]),
                           H=Hvec)
@@ -143,6 +140,8 @@ class ParticlePath:
     times: np.ndarray        # (k,)
     positions: np.ndarray    # (k, n)
     F: np.ndarray            # (k, 2n) embedding along the path
+    H: np.ndarray            # (k, 2n) mean curvature vector along the path
+    metric: np.ndarray       # (k, n, n) induced metric (the Hessian) along the path
 
     def __post_init__(self):
         if not np.allclose(self.positions[0], self.x0):
@@ -159,11 +158,13 @@ def integrate_particles(trajectory, seeds, t_start: float | None = None,
                         t_end: float | None = None) -> list[ParticlePath]:
     """Advect seeds through the time-dependent velocity field of a trajectory.
 
-    The velocity field is precomputed on the grid at every stored snapshot;
-    particles take one explicit midpoint step per snapshot interval with
-    multilinear spatial sampling and linear-in-time field interpolation.  The
-    embedding F = (r, Du(r)) along each path uses cubic sampling so that time
-    differences of F stay within the second-order error budget.
+    Each stored snapshot's Hessian, mean curvature field and gradient are
+    evaluated once, snapshot by snapshot; particles take one explicit
+    midpoint step per snapshot interval with multilinear spatial sampling and
+    linear-in-time field interpolation.  The embedding F = (r, Du(r)), the
+    curvature vector and the induced metric along each path use cubic
+    sampling, so that time differences of F stay within the second-order
+    error budget and :func:`verify_mcf` needs no field of its own.
     """
     snaps = trajectory.snapshots
     times = np.array([t for t, _ in snaps])
@@ -174,35 +175,48 @@ def integrate_particles(trajectory, seeds, t_start: float | None = None,
         raise ValueError("need at least three stored snapshots in the window")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     dom = snaps[0][1].domain
+    n = dom.n
     _escape_guard(dom, seeds)
 
-    vel = [velocity_fields(snaps[k][1]) for k in range(lo, hi + 1)]
-    grads = [gradient(snaps[k][1]) for k in range(lo, hi + 1)]
-    tt = times[lo:hi + 1]
+    def fields(k):
+        u = snaps[k][1]
+        Hess = hessian(u)
+        return Hess.mats, mean_curvature_fields(Hess), gradient(u)
 
+    tt = times[lo:hi + 1]
     k_steps = len(tt) - 1
     npart = seeds.shape[0]
-    pos = np.empty((k_steps + 1, npart, dom.n))
+    pos = np.empty((k_steps + 1, npart, n))
+    F = np.empty((k_steps + 1, npart, 2 * n))
+    Hv = np.empty((k_steps + 1, npart, 2 * n))
+    U = np.empty((k_steps + 1, npart, n, n))
     pos[0] = seeds
-    for k in range(k_steps):
-        dt = tt[k + 1] - tt[k]
+    mats, curv, grad = fields(lo)
+    for k in range(k_steps + 1):
         x = pos[k]
-        v1 = np.stack([sample(vel[k][i], dom, x, order=1)
-                       for i in range(dom.n)], axis=-1)
+        F[k, :, :n] = x
+        for i in range(n):
+            F[k, :, n + i] = sample(grad[i], dom, x, order=3)
+        for c in range(2 * n):
+            Hv[k, :, c] = sample(curv[c], dom, x, order=3)
+        for a_ in range(n):
+            for b_ in range(n):
+                U[k, :, a_, b_] = sample(mats[..., a_, b_], dom, x, order=3)
+        if k == k_steps:
+            break
+        mats, curv_next, grad = fields(lo + k + 1)
+        dt = tt[k + 1] - tt[k]
+        v1 = np.stack([sample(curv[i], dom, x, order=1) for i in range(n)], axis=-1)
         xm = x + 0.5 * dt * v1
         _escape_guard(dom, xm)
-        vm = np.stack([sample(0.5 * (vel[k][i] + vel[k + 1][i]), dom, xm, order=1)
-                       for i in range(dom.n)], axis=-1)
+        vm = np.stack([sample(0.5 * (curv[i] + curv_next[i]), dom, xm, order=1)
+                       for i in range(n)], axis=-1)
         pos[k + 1] = x + dt * vm
         _escape_guard(dom, pos[k + 1])
+        curv = curv_next
 
-    F = np.empty((k_steps + 1, npart, 2 * dom.n))
-    for k in range(k_steps + 1):
-        F[k, :, :dom.n] = pos[k]
-        for i in range(dom.n):
-            F[k, :, dom.n + i] = sample(grads[k][i], dom, pos[k], order=3)
-    return [ParticlePath(x0=seeds[p], times=tt.copy(),
-                         positions=pos[:, p].copy(), F=F[:, p].copy())
+    return [ParticlePath(x0=seeds[p], times=tt.copy(), positions=pos[:, p].copy(),
+                         F=F[:, p].copy(), H=Hv[:, p].copy(), metric=U[:, p].copy())
             for p in range(npart)]
 
 
@@ -222,55 +236,36 @@ class McfReport:
         return self.max_tangential / max(self.max_normal, 1e-300)
 
 
-def verify_mcf(paths: list, trajectory) -> McfReport:
+def verify_mcf(paths: list) -> McfReport:
     """Compare centred time differences of F against the curvature vector.
 
     The motion is purely normal in the continuum, so the tangential part of
     dF/dt (split through the frames at the sampled point) must vanish to
-    discretisation accuracy while the full vector matches H.  Paths produced
-    by :func:`integrate_particles` share their time grid, which lets the field
-    sampling be batched per snapshot.
+    discretisation accuracy while the full vector matches H.  The curvature
+    vector and the metric are the ones :func:`integrate_particles` sampled
+    along each path; the paths must share one time grid.
     """
-    snaps = trajectory.snapshots
-    times = np.array([t for t, _ in snaps])
-    dom = snaps[0][1].domain
-    n = dom.n
-
     tt = paths[0].times
     for p in paths[1:]:
         if not np.array_equal(p.times, tt):
             raise ValueError("paths must share one time grid")
-    k0 = int(np.searchsorted(times, tt[0] - 1e-12))
+    n = paths[0].positions.shape[1]
 
-    npart = len(paths)
-    dev = np.zeros(npart)
-    tan = np.zeros(npart)
-    nor = np.zeros(npart)
-    for j in range(1, len(tt) - 1):
-        u_k = snaps[k0 + j][1]
-        Hf = mean_curvature_fields(u_k)
-        Hm = hessian(u_k).mats
-        pts = np.stack([p.positions[j] for p in paths])      # (npart, n)
-        dFdt = np.stack([(p.F[j + 1] - p.F[j - 1]) / (tt[j + 1] - tt[j - 1])
-                         for p in paths])                     # (npart, 2n)
-        Hvec = np.stack([sample(Hf[c], dom, pts, order=3)
-                         for c in range(2 * n)], axis=-1)     # (npart, 2n)
-        U = np.empty((npart, n, n))
-        for a_ in range(n):
-            for b_ in range(n):
-                U[:, a_, b_] = sample(Hm[..., a_, b_], dom, pts, order=3)
-        dev = np.maximum(dev, np.max(np.abs(dFdt - Hvec), axis=1))
-        # split dFdt = sum a_i e_i + sum b_i eta_i through the point frames
-        dx, dy = dFdt[:, :n], dFdt[:, n:]
-        Uinv_dy = np.linalg.solve(U, dy[..., None])[..., 0]
-        a = 0.5 * (dx + Uinv_dy)
-        b = 0.5 * (dx - Uinv_dy)
-        Ua = np.einsum("kij,kj->ki", U, a)
-        Ub = np.einsum("kij,kj->ki", U, b)
-        tan = np.maximum(tan, np.max(np.abs(np.concatenate([a, Ua], axis=1)),
-                                     axis=1))
-        nor = np.maximum(nor, np.max(np.abs(np.concatenate([b, -Ub], axis=1)),
-                                     axis=1))
+    # (time, path, component) arrays; centred differences at the inner times
+    F = np.stack([p.F for p in paths], axis=1)
+    Hvec = np.stack([p.H for p in paths], axis=1)[1:-1]
+    U = np.stack([p.metric for p in paths], axis=1)[1:-1]
+    dFdt = (F[2:] - F[:-2]) / (tt[2:] - tt[:-2])[:, None, None]
+    dev = np.abs(dFdt - Hvec).max(axis=(0, 2))
+    # split dFdt = sum a_i e_i + sum b_i eta_i through the point frames
+    dx, dy = dFdt[..., :n], dFdt[..., n:]
+    Uinv_dy = np.linalg.solve(U, dy[..., None])[..., 0]
+    a = 0.5 * (dx + Uinv_dy)
+    b = 0.5 * (dx - Uinv_dy)
+    Ua = np.einsum("jkab,jkb->jka", U, a)
+    Ub = np.einsum("jkab,jkb->jka", U, b)
+    tan = np.abs(np.concatenate([a, Ua], axis=-1)).max(axis=(0, 2))
+    nor = np.abs(np.concatenate([b, -Ub], axis=-1)).max(axis=(0, 2))
     per_path = [{"x0": p.x0.tolist(), "deviation": float(dev[i]),
                  "tangential": float(tan[i]), "normal": float(nor[i])}
                 for i, p in enumerate(paths)]

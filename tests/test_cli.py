@@ -146,6 +146,14 @@ def test_unknown_stepper_exit_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_unknown_flow_key_exit_code(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"preset = condition-b-preservation\nflow.t_ned = 1\n"
+                 f"outdir = {tmp_path / 'run'}\n")
+    assert main(["flow", "run", "--config", str(p)]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_expander_shoot_and_certify(tmp_path):
     out = tmp_path / "prof"
     assert main(["expander", "shoot", "--n", "1", "--a", "-0.1",

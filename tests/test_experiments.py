@@ -1,7 +1,6 @@
-"""Pipeline-level wiring: reports, artifacts, worker pool, 3-D smoke runs."""
+"""Pipeline-level wiring: reports, artifacts, multi-config runs, 3-D smoke runs."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -63,9 +62,8 @@ def test_worker_pool_runs_multiple_configs(tmp_path):
             "outdir": str(tmp_path / f"run{k}"),
         }))
         cfgs.append(str(p))
-    env = dict(os.environ, LOGFLOW_THREADS="2")
     proc = subprocess.run([sys.executable, "-m", "logflow.cli", "flow", "run",
-                           "--config", *cfgs], env=env, capture_output=True)
+                           "--config", *cfgs], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     for k in (1, 2):
         assert (tmp_path / f"run{k}" / "report.json").exists()

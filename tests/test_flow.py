@@ -212,6 +212,26 @@ def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     assert len(checked) == len({id(H) for H in checked}) == 1 + per_step * steps
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ring_values_equal_far_field_values_bit_for_bit(n):
+    from logflow.flow import apply_boundary
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    model = QuadraticFarField(B @ B.T + n * np.eye(n), rng.normal(size=n), c=0.3)
+    for m in (9, 12):
+        dom = BoxDomain(n=n, half_width=1.7, m=m)
+        pts = dom.points()[dom.ring_mask().ravel()]
+        quad = 0.5 * np.einsum("ki,ij,kj->k", pts, model.A, pts)
+        for tau in (0.0, 0.4, 1.0):
+            for t in (0.0, 0.013, 0.5, 7.25):
+                vals = np.zeros(dom.shape)
+                apply_boundary(vals, dom, model, t, tau)
+                ref = quad + pts @ model.b + model.c + t * model.rate(tau, n)
+                assert model.values_at(pts, t, tau, n).tobytes() == ref.tobytes()
+                assert vals[dom.ring_mask()].tobytes() == ref.tobytes()
+                assert not vals[dom.nonring()].any()
+
+
 def test_reference_boundary_mismatch_refused():
     dom = BoxDomain(n=1, half_width=2.0, m=17)
     u0 = quad(dom, np.eye(1))

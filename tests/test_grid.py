@@ -145,6 +145,36 @@ def test_axis_diff_matches_numpy_gradient_bit_for_bit(seed, n):
             assert axis_diff(v, h, axis).tobytes() == ref.tobytes()
 
 
+def _axis_diff2_per_end(values, h, axis):
+    """Reference: each end's one-sided expression on keep-dim slices."""
+    def sl(s):
+        idx = [slice(None)] * values.ndim
+        idx[axis] = s
+        return tuple(idx)
+
+    out = np.empty_like(values)
+    out[sl(slice(1, -1))] = (values[sl(slice(None, -2))] - 2.0 * values[sl(slice(1, -1))]
+                             + values[sl(slice(2, None))]) / (h * h)
+    f = [values[sl(slice(k, k + 1))] for k in range(4)]
+    out[sl(slice(0, 1))] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
+    b = [values[sl(slice(-k - 1, None if k == 0 else -k))] for k in range(4)]
+    out[sl(slice(-1, None))] = (2.0 * b[0] - 5.0 * b[1] + 4.0 * b[2] - b[3]) / (h * h)
+    return out
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3))
+def test_axis_diff2_matches_per_end_expressions_bit_for_bit(seed, n):
+    from logflow.grid import axis_diff2
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(k) for k in rng.integers(4, 12, size=n))
+    h = float(rng.uniform(1e-3, 2.0))
+    base = rng.normal(size=shape + (2,)) * 10.0 ** rng.uniform(-3, 3)
+    for v in (np.ascontiguousarray(base[..., 0]), base[..., 1]):
+        for axis in range(n):
+            ref = _axis_diff2_per_end(v, h, axis)
+            assert axis_diff2(v, h, axis).tobytes() == ref.tobytes()
+
+
 def _hessian_reference(u):
     """Reference: every first difference by np.gradient, mixed ones iterated."""
     from logflow.grid import axis_diff2

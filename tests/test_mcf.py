@@ -180,7 +180,7 @@ def test_verify_mcf_quadratic_is_exact():
     traj = run(quad(dom, A), tau=1.0, t_end=0.05,
                boundary=QuadraticFarField(A, np.zeros(1)), store_every=1)
     paths = integrate_particles(traj, [[0.2], [-0.4]])
-    rep = verify_mcf(paths, traj)
+    rep = verify_mcf(paths)
     assert rep.max_deviation < 1e-10
 
 
@@ -188,7 +188,7 @@ def test_verify_mcf_bump_within_budget_and_detects_corruption():
     traj = _bump_trajectory(m=65, t_end=0.4)
     seeds = np.linspace(-0.6, 0.6, 5)[:, None]
     paths = integrate_particles(traj, seeds, t_start=0.1)
-    rep = verify_mcf(paths, traj)
+    rep = verify_mcf(paths)
     assert rep.max_deviation < 5e-3
     assert rep.tangential_ratio < 0.10
 
@@ -197,5 +197,59 @@ def test_verify_mcf_bump_within_budget_and_detects_corruption():
         state=traj.state,
         snapshots=[(t, u.with_values(1.1 * u.values)) for t, u in traj.snapshots])
     paths_bad = integrate_particles(corrupted, seeds, t_start=0.1)
-    rep_bad = verify_mcf(paths_bad, corrupted)
+    rep_bad = verify_mcf(paths_bad)
     assert rep_bad.max_deviation > 10 * rep.max_deviation
+
+
+def _verify_per_time(paths):
+    """Reference: the frame split of dF/dt taken one inner time at a time."""
+    tt, n = paths[0].times, paths[0].positions.shape[1]
+    dev = tan = nor = np.zeros(len(paths))
+    for j in range(1, len(tt) - 1):
+        dFdt = np.stack([(p.F[j + 1] - p.F[j - 1]) / (tt[j + 1] - tt[j - 1])
+                         for p in paths])
+        Hvec = np.stack([p.H[j] for p in paths])
+        U = np.stack([p.metric[j] for p in paths])
+        dev = np.maximum(dev, np.max(np.abs(dFdt - Hvec), axis=1))
+        dx, dy = dFdt[:, :n], dFdt[:, n:]
+        Uinv_dy = np.linalg.solve(U, dy[..., None])[..., 0]
+        a, b = 0.5 * (dx + Uinv_dy), 0.5 * (dx - Uinv_dy)
+        Ua, Ub = np.einsum("kij,kj->ki", U, a), np.einsum("kij,kj->ki", U, b)
+        tan = np.maximum(tan, np.max(np.abs(np.concatenate([a, Ua], axis=1)), axis=1))
+        nor = np.maximum(nor, np.max(np.abs(np.concatenate([b, -Ub], axis=1)), axis=1))
+    return dev, tan, nor
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_mcf_matches_per_time_reference_bit_for_bit(n):
+    dom = BoxDomain(n=n, half_width=2.0, m=13)
+    traj = run(bump(dom, amp=0.1), tau=1.0, t_end=0.15,
+               boundary=QuadraticFarField(np.eye(n), np.zeros(n)), store_every=1)
+    seeds = np.random.default_rng(n).uniform(-0.5, 0.5, size=(4, n))
+    paths = integrate_particles(traj, seeds)
+    rep = verify_mcf(paths)
+    got = [[q[k] for q in rep.per_path] for k in ("deviation", "tangential", "normal")]
+    for mine, ref in zip(got, _verify_per_time(paths)):
+        assert np.array(mine).tobytes() == ref.tobytes()
+
+
+def test_mcf_pipeline_assembles_one_hessian_per_snapshot(monkeypatch):
+    # particle transport and the dF/dt = H check share each snapshot's
+    # Hessian and curvature field
+    import logflow.mcf as mcf
+    from logflow.config import load_config
+    from logflow.experiments import mcf_verify_pipeline
+    from logflow.grid import hessian
+    calls = []
+
+    def counting_hessian(u):
+        calls.append(u)
+        return hessian(u)
+
+    monkeypatch.setattr(mcf, "hessian", counting_hessian)
+    cfg = load_config({"preset": "mcf-correspondence", "grid": {"m": 65},
+                       "flow": {"t_end": 0.3}})
+    report, artifacts = mcf_verify_pipeline(cfg)
+    used = [u for t, u in artifacts["trajectory"].snapshots if t >= 0.1 - 1e-12]
+    assert report["passed"]
+    assert len(calls) == len({id(u) for u in calls}) == len(used)
