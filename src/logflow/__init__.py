@@ -11,14 +11,13 @@ from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
                    log_det_hessian, third_derivative_norm)
 from .flow import (FlowState, Frozen, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
-                   rhs, run, step_explicit)
+                   run, step_explicit)
 from .heat import heat_solve
 from .expander import (ExpanderSolution, certify, expander_residual,
                        newton_solve, profile_to_grid, radial_shoot)
 from .legendre import (dual_flow_check, duality_involution_check,
                        legendre_transform)
-from .mcf import (integrate_particles, mean_curvature, null_pairing_matrix,
-                  verify_mcf)
+from .mcf import integrate_particles, null_pairing_matrix, verify_mcf
 from .analysis import (blowdown_convergence, check_condition_A,
                        check_condition_B, fit_decay, plane_convergence)
 from .snapshots import read_snapshot, write_snapshot

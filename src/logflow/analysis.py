@@ -169,7 +169,7 @@ class BlowdownReport:
 
 def blowdown_convergence(trajectory, U1: Callable | GridFunction,
                          window_half: float, *, monotone_from: int = 2,
-                         final_tol: float = 0.02) -> BlowdownReport:
+                         final_tol: float) -> BlowdownReport:
     """Convergence of t^{-1} u(sqrt(t) x, t) toward the expander profile U1.
 
     For each snapshot time the rescaled solution is cubically sampled on the
@@ -227,7 +227,7 @@ class PlaneReport:
 
 
 def plane_convergence(trajectory, window_half: float, *,
-                      final_tol: float = 0.02, t_from: float = 1.0) -> PlaneReport:
+                      final_tol: float, t_from: float = 1.0) -> PlaneReport:
     """Flattening of the graph (x, Du) for bounded-gradient data.
 
     The testable reading uses linear-plus-decaying-gradient data (a pinched

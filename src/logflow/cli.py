@@ -32,13 +32,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, expander, legendre, mcf
 from .config import ExperimentConfig, load_config
 from .errors import (AbortedNonConvex, ConfigError, LogFlowError, MissingArtifact)
-from .experiments import run_pipeline
-from .flow import MonitorRecord, Trajectory
+from .experiments import PIPELINES, run_pipeline
+from .flow import FLOW_KEYS, MonitorRecord, Trajectory
 from .snapshots import read_snapshot, write_snapshot
 
 EXIT_OK = 0
@@ -88,7 +86,7 @@ def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
     (outdir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2,
                                                    sort_keys=True))
     traj = artifacts.get("trajectory")
-    tau = float(cfg.flow.get("tau", 1.0))
+    tau = cfg.tau
     if traj is not None:
         _write_monitors(outdir, traj.monitors)
         for k, (t, u) in enumerate(traj.snapshots):
@@ -99,14 +97,10 @@ def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
                        fmt=cfg.snapshot_format)
     prof = artifacts.get("profile")
     if prof is not None:
-        with open(outdir / "profile.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["r", "u", "du", "d2u"])
-            for row in zip(prof.r, prof.u, prof.du, prof.d2u):
-                writer.writerow([f"{v:.17g}" for v in row])
+        _write_profile_csv(outdir / "profile.csv", prof)
     paths = artifacts.get("paths")
     if paths is not None:
-        _write_paths_csv(outdir / "paths.csv", paths, report)
+        _write_paths_csv(outdir / "paths.csv", paths)
     fits = artifacts.get("ratefits")
     if fits:
         (outdir / "ratefit.json").write_text(json.dumps(
@@ -119,7 +113,15 @@ def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
     _write_manifest(outdir)
 
 
-def _write_paths_csv(path: Path, paths, report: dict) -> None:
+def _write_profile_csv(path: Path, prof) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["r", "u", "du", "d2u"])
+        for row in zip(prof.r, prof.u, prof.du, prof.d2u):
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+def _write_paths_csv(path: Path, paths) -> None:
     n = paths[0].positions.shape[1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -152,10 +154,11 @@ def load_trajectory_dir(path) -> tuple[Trajectory, float]:
     if not snaps:
         raise MissingArtifact(f"no snapshots found in {path}")
     snaps.sort(key=lambda s: s[0])
+    if tau is None:  # headers written without tau: the flow's default
+        tau = FLOW_KEYS["tau"]
     from .flow import FlowState, Frozen
-    state = FlowState(u=snaps[-1][1], t=snaps[-1][0],
-                      tau=1.0 if tau is None else tau, boundary=Frozen())
-    return Trajectory(state=state, snapshots=snaps), (1.0 if tau is None else tau)
+    state = FlowState(u=snaps[-1][1], t=snaps[-1][0], tau=tau, boundary=Frozen())
+    return Trajectory(state=state, snapshots=snaps), tau
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +245,7 @@ def _cmd_expander_shoot(args) -> int:
     prof = expander.radial_shoot(args.n, args.a, args.rmax)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "profile.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "u", "du", "d2u"])
-        for row in zip(prof.r, prof.u, prof.du, prof.d2u):
-            writer.writerow([f"{v:.17g}" for v in row])
+    _write_profile_csv(outdir / "profile.csv", prof)
     print(f"profile written to {outdir / 'profile.csv'}")
     return EXIT_OK
 
@@ -283,7 +282,7 @@ def _cmd_mcf_reconstruct(args) -> int:
     paths = mcf.integrate_particles(traj, seeds, t_start=args.t_start)
     rep = mcf.verify_mcf(paths)
     outdir = Path(args.trajectory)
-    _write_paths_csv(outdir / "paths.csv", paths, {})
+    _write_paths_csv(outdir / "paths.csv", paths)
     (outdir / "mcf_report.json").write_text(json.dumps({
         "max_deviation": rep.max_deviation,
         "max_tangential": rep.max_tangential,
@@ -305,7 +304,9 @@ def _cmd_analyze_decay(args) -> int:
 
 def _cmd_analyze_plane(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
-    rep = analysis.plane_convergence(traj, window_half=args.window)
+    rep = analysis.plane_convergence(
+        traj, window_half=args.window,
+        final_tol=PIPELINES["plane"].check["final_max_gradient"])
     out = Path(args.trajectory) / "plane_report.json"
     out.write_text(json.dumps(rep.to_dict(), indent=2))
     print(json.dumps({k: v for k, v in rep.to_dict().items()

@@ -4,7 +4,11 @@ Configurations are plain nested dictionaries with a dataclass veneer.  Two
 file formats are accepted everywhere: JSON, and a minimal nested key-value
 text format with one ``dotted.path = value`` assignment per line (values are
 parsed as JSON scalars/arrays).  A config may name a preset and override
-individual keys.
+individual keys.  An unknown key in any section is a ConfigError: ``flow``
+takes the keyword arguments of :func:`logflow.flow.run`, ``initial`` its
+family's keys, the other sections what the pipeline table in
+:mod:`logflow.experiments` declares.  Loading fills ``check`` with the
+pipeline's frozen thresholds, so ``config.json`` records the bounds applied.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from .presets import INITIAL_FAMILIES, experiment_preset
 
 __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
 
-_PIPELINES = ("flow", "heat", "quadratic_exact", "condition_b", "heat_oracle",
-              "expander_stationarity", "expander_cross", "legendre_dual",
-              "mcf_verify", "decay", "blowdown", "plane")
+
+def _reject_unknown(section: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
 
 
 @dataclass
@@ -46,44 +52,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown("config", data, [f.name for f in dataclasses.fields(cls)])
         cfg = cls(**data)
         cfg.validate()
         return cfg
 
+    @property
+    def tau(self) -> float:
+        """``flow.tau``, or the default of :func:`logflow.flow.run`."""
+        return float(self.flow.get("tau", FLOW_KEYS["tau"]))
+
     def validate(self) -> None:
-        if self.pipeline not in _PIPELINES:
+        """Check every section; fill ``check`` with the pipeline's thresholds."""
+        from .experiments import PIPELINES
+        spec = PIPELINES.get(self.pipeline)
+        if spec is None:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}; "
-                              f"choose from {_PIPELINES}")
-        g = self.grid
-        if int(g.get("m", 0)) < 5:
-            raise ConfigError(f"grid.m = {g.get('m')} too small: need m >= 5")
-        if int(g.get("n", 1)) not in (1, 2, 3):
-            raise ConfigError("grid.n must be 1, 2 or 3")
-        if float(g.get("L", 0.0)) <= 0:
-            raise ConfigError("grid.L must be positive")
-        unknown = sorted(set(self.flow) - set(FLOW_KEYS))
-        if unknown:
-            raise ConfigError(f"unknown flow keys {unknown}; choose from {FLOW_KEYS}")
-        tau = float(self.flow.get("tau", 1.0))
-        if not 0.0 <= tau <= 1.0:
+                              f"choose from {tuple(PIPELINES)}")
+        _reject_unknown("grid", self.grid, ("n", "L", "m", "margin"))
+        _reject_unknown("flow", self.flow, FLOW_KEYS)
+        for section in ("expander", "mcf", "analysis"):
+            _reject_unknown(section, getattr(self, section), getattr(spec, section))
+        _reject_unknown("check", self.check, spec.check)
+        if self.initial:
+            kind = self.initial.get("kind")
+            if kind not in INITIAL_FAMILIES:
+                raise ConfigError(f"initial.kind must be one of {tuple(INITIAL_FAMILIES)}")
+            _reject_unknown(f"initial ({kind})", self.initial,
+                            ("kind", "noise") + INITIAL_FAMILIES[kind])
+        try:
+            self.domain()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"grid {self.grid} is not a box: {exc}") from exc
+        if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("flow.tau must lie in [0, 1]")
-        if self.flow.get("stepper", "rk2") not in STEPPERS:
+        if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
             raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
-        if self.initial and self.initial.get("kind") not in INITIAL_FAMILIES:
-            raise ConfigError(
-                f"initial.kind must be one of {INITIAL_FAMILIES}")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
+        self.check = {**spec.check, **self.check}
 
     def domain(self):
         from .grid import BoxDomain
         g = self.grid
-        return BoxDomain(n=int(g.get("n", 1)), half_width=float(g.get("L", 4.0)),
-                         m=int(g.get("m", 65)), margin=int(g.get("margin", 2)))
+        return BoxDomain(n=int(g.get("n", 1)), half_width=float(g["L"]), m=int(g["m"]),
+                         margin=int(g.get("margin", 2)))
 
 
 def merge(base: dict, override: dict) -> dict:
@@ -144,11 +157,6 @@ def load_config(path_or_dict) -> ExperimentConfig:
                                   f"{exc.msg}") from exc
         else:
             data = parse_keyvalue(text)
-    preset_name = data.pop("preset", None)
-    if preset_name is not None:
-        base = experiment_preset(preset_name)
-        data = merge(base, data)
-        cfg = ExperimentConfig.from_dict(data)
-        cfg.preset = preset_name
-        return cfg
+    if data.get("preset") is not None:
+        data = merge(experiment_preset(data["preset"]), data)
     return ExperimentConfig.from_dict(data)

@@ -234,7 +234,7 @@ def _assemble_jacobian(u: GridFunction, H: HessianField) -> sparse.csr_matrix:
     dom = u.domain
     n, h, m = dom.n, dom.h, dom.m
     det = H.det()
-    inv = H.inverse()
+    inv = H.inverse(det)
     expE = np.exp(_pointwise_exponent(u))
     grids = dom.meshgrid()
 

@@ -2,20 +2,24 @@
 
 Each function takes an :class:`~logflow.config.ExperimentConfig`, runs one
 pipeline end to end and returns ``(report, artifacts)``: a JSON-ready report
-with measured quantities and pass flags at the preset's frozen thresholds,
-plus the in-memory artifacts (trajectories, snapshots) the CLI may persist.
+with measured quantities and pass flags at the frozen thresholds in
+``cfg.check``, plus the in-memory artifacts (trajectories, snapshots) the CLI
+may persist.  :data:`PIPELINES` is the one list of pipelines: it declares each
+pipeline's runner, its frozen thresholds and the keys it reads from the
+``expander``, ``mcf`` and ``analysis`` sections.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import analysis, expander, heat, legendre, mcf
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .flow import QuadraticFarField, Trajectory, pde_residual, run
+from .flow import Frozen, QuadraticFarField, Trajectory, pde_residual, run
 from .grid import BoxDomain, GridFunction
 from .presets import make_initial_data
 
@@ -23,34 +27,23 @@ __all__ = ["run_pipeline", "PIPELINES"]
 
 
 def _setup(cfg: ExperimentConfig):
-    domain = cfg.domain()
-    tau = float(cfg.flow.get("tau", 1.0))
-    rng = np.random.default_rng(cfg.seed)
-    u0, boundary = make_initial_data(domain, cfg.initial, tau, rng)
+    u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
+                                     np.random.default_rng(cfg.seed))
     if cfg.boundary == "frozen":
-        from .flow import Frozen
         boundary = Frozen()
     elif cfg.boundary == "quadratic":
         boundary = QuadraticFarField.fit_corner(u0)
     elif cfg.boundary != "auto":
         raise ConfigError("boundary must be 'auto', 'quadratic' or 'frozen'")
-    return domain, tau, u0, boundary
+    return u0, boundary
 
 
-def _run_flow(cfg: ExperimentConfig, u0: GridFunction, boundary) -> Trajectory:
-    fl = cfg.flow
-    return run(u0,
-               tau=float(fl.get("tau", 1.0)),
-               t_end=float(fl["t_end"]),
-               boundary=boundary,
-               stepper=fl.get("stepper", "rk2"),
-               safety=float(fl.get("safety", 0.5)),
-               max_dt=fl.get("max_dt"),
-               snapshot_times=fl.get("snapshot_times", ()),
-               store_every=int(fl.get("store_every", 0)),
-               monitor_every=int(fl.get("monitor_every", 1)),
-               monitor_window=fl.get("monitor_window"),
-               max_halvings=int(fl.get("max_halvings", 20)))
+def _run_flow(cfg: ExperimentConfig) -> tuple[GridFunction, Trajectory]:
+    """The initial data and its trajectory under the config's flow section."""
+    if "t_end" not in cfg.flow:
+        raise ConfigError(f"pipeline {cfg.pipeline!r} runs the flow and needs flow.t_end")
+    u0, boundary = _setup(cfg)
+    return u0, run(u0, boundary=boundary, **cfg.flow)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +51,7 @@ def _run_flow(cfg: ExperimentConfig, u0: GridFunction, boundary) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def flow_pipeline(cfg: ExperimentConfig):
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     lo = min(r.lambda_min for r in traj.monitors)
     hi = max(r.lambda_max for r in traj.monitors)
     report = {
@@ -75,7 +67,7 @@ def flow_pipeline(cfg: ExperimentConfig):
 
 
 def heat_pipeline(cfg: ExperimentConfig):
-    domain, tau, u0, boundary = _setup(cfg)
+    u0, boundary = _setup(cfg)
     if not isinstance(boundary, QuadraticFarField):
         raise ConfigError("the Gaussian-convolution pipeline needs a quadratic far field")
     t = float(cfg.flow.get("t_end", 0.1))
@@ -86,11 +78,10 @@ def heat_pipeline(cfg: ExperimentConfig):
 
 def quadratic_exact_pipeline(cfg: ExperimentConfig):
     tic = time.perf_counter()
-    domain, tau, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
-    rate = boundary.rate(tau, domain.n)
+    u0, traj = _run_flow(cfg)
+    rate = traj.state.boundary.rate(cfg.tau, u0.domain.n)
     exact = u0.values + traj.state.t * rate
-    sl = domain.interior()
+    sl = u0.domain.interior()
     sup_err = float(np.max(np.abs((traj.state.u.values - exact)[sl])))
     runtime = time.perf_counter() - tic
     thr = cfg.check
@@ -100,21 +91,19 @@ def quadratic_exact_pipeline(cfg: ExperimentConfig):
         "rate": rate,
         "runtime_s": runtime,
         "steps": traj.state.step_count,
-        "passed": sup_err <= thr.get("sup_error", 1e-8)
-                  and runtime <= thr.get("runtime_s", 10.0),
+        "passed": sup_err <= thr["sup_error"] and runtime <= thr["runtime_s"],
     }
     return report, {"trajectory": traj}
 
 
 def condition_b_pipeline(cfg: ExperimentConfig):
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     recs = traj.monitors
     lam0, Lam0 = recs[0].lambda_min, recs[0].lambda_max
     undershoot = max(0.0, max(lam0 - r.lambda_min for r in recs))
     overshoot = max(0.0, max(r.lambda_max - Lam0 for r in recs))
     drift = max(undershoot, overshoot)
-    thr = cfg.check.get("drift", 5e-3)
+    thr = cfg.check["drift"]
     report = {
         "pipeline": "condition_b",
         "lambda_initial": lam0,
@@ -129,14 +118,13 @@ def condition_b_pipeline(cfg: ExperimentConfig):
 
 
 def heat_oracle_pipeline(cfg: ExperimentConfig):
-    domain, tau, u0, boundary = _setup(cfg)
-    if tau != 0.0:
+    if cfg.tau != 0.0:
         raise ConfigError("the oracle comparison runs at tau = 0")
-    traj = _run_flow(cfg, u0, boundary)
-    oracle = heat.heat_solve(u0, traj.state.t, boundary)
-    sl = domain.interior()
+    u0, traj = _run_flow(cfg)
+    oracle = heat.heat_solve(u0, traj.state.t, traj.state.boundary)
+    sl = u0.domain.interior()
     sup_diff = float(np.max(np.abs((traj.state.u.values - oracle.values)[sl])))
-    thr = cfg.check.get("sup_diff", 5e-4)
+    thr = cfg.check["sup_diff"]
     report = {
         "pipeline": "heat_oracle",
         "t": traj.state.t,
@@ -176,7 +164,7 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
         u_hi = family(t + dt_probe)
         residuals[str(t)] = pde_residual(u_lo, u_mid, u_hi, dt_probe, tau=1.0)
     worst = max(residuals.values())
-    thr = cfg.check.get("residual", 0.05)
+    thr = cfg.check["residual"]
     report = {
         "pipeline": "expander_stationarity",
         "a": a,
@@ -211,9 +199,9 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
         "newton_residual": sol.residual_norm,
         "newton_iterations": sol.iterations,
         "certification": cert.to_dict(),
-        "passed": (gap <= thr.get("profile_gap", 1e-4)
-                   and sol.residual_norm <= thr.get("newton_residual", 1e-10)
-                   and sol.iterations <= thr.get("newton_iterations", 15)),
+        "passed": (gap <= thr["profile_gap"]
+                   and sol.residual_norm <= thr["newton_residual"]
+                   and sol.iterations <= thr["newton_iterations"]),
     }
     return report, {"solution": sol, "snapshots": [(None, sol.u)]}
 
@@ -221,7 +209,6 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
 def legendre_dual_pipeline(cfg: ExperimentConfig):
     # closed-form anisotropic quadratic trajectory first
     qdom = BoxDomain(n=2, half_width=2.0, m=65)
-    A = np.diag([2.0, 2.0])
     g1, g2 = qdom.meshgrid()
     rate = 0.5 * np.log(4.0)
 
@@ -231,17 +218,13 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
     quad_res = legendre.dual_flow_check(
         [(t, quad_at(t)) for t in (0.45, 0.5, 0.55)])
 
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     if len(traj.snapshots) < 3:
         raise ConfigError("duality check needs three snapshot times")
     snaps = traj.snapshots[-3:]
-    bump_res = legendre.dual_flow_check([(t, u) for t, u in snaps])
-    swap_gaps = []
-    for t, u in snaps:
-        lo_gap, hi_gap = legendre.eigenvalue_swap_gap(u)
-        swap_gaps.append(max(lo_gap, hi_gap))
-    swap_tol = u.domain.h
+    bump_res = legendre.dual_flow_check(snaps)
+    swap_gaps = [max(legendre.eigenvalue_swap_gap(u)) for _, u in snaps]
+    swap_tol = snaps[-1][1].domain.h
     thr = cfg.check
     report = {
         "pipeline": "legendre_dual",
@@ -249,16 +232,15 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
         "bump_residual": bump_res,
         "eigen_swap_gaps": swap_gaps,
         "swap_tolerance": swap_tol,
-        "passed": (quad_res <= thr.get("quadratic_residual", 1e-8)
-                   and bump_res <= thr.get("bump_residual", 1e-2)
+        "passed": (quad_res <= thr["quadratic_residual"]
+                   and bump_res <= thr["bump_residual"]
                    and max(swap_gaps) <= swap_tol),
     }
     return report, {"trajectory": traj}
 
 
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     if corrupt:
         traj = Trajectory(state=traj.state,
                           snapshots=[(t, u.with_values(1.1 * u.values))
@@ -267,7 +249,7 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
     t_start = cfg.mcf.get("t_start", None)
     paths = mcf.integrate_particles(traj, seeds, t_start=t_start)
     rep = mcf.verify_mcf(paths)
-    thr = cfg.check.get("deviation", 5e-3)
+    thr = cfg.check["deviation"]
     report = {
         "pipeline": "mcf_verify",
         "max_deviation": rep.max_deviation,
@@ -285,13 +267,11 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
 
 def decay_pipeline(cfg: ExperimentConfig):
     tic = time.perf_counter()
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     fit3 = analysis.fit_decay(traj, order=3)
     fit4 = analysis.fit_decay(traj, order=4)
     runtime = time.perf_counter() - tic
-    b3 = cfg.check.get("exponent3", [-1.3, -0.7])
-    b4 = cfg.check.get("exponent4", [-2.4, -1.6])
+    b3, b4 = cfg.check["exponent3"], cfg.check["exponent4"]
     ok3 = fit3.exponent is not None and b3[0] <= fit3.exponent <= b3[1]
     ok4 = fit4.exponent is not None and b4[0] <= fit4.exponent <= b4[1]
     report = {
@@ -299,17 +279,16 @@ def decay_pipeline(cfg: ExperimentConfig):
         "fit3": fit3.to_dict(),
         "fit4": fit4.to_dict(),
         "runtime_s": runtime,
-        "passed": ok3 and ok4 and runtime <= cfg.check.get("runtime_s", 120.0),
+        "passed": ok3 and ok4 and runtime <= cfg.check["runtime_s"],
     }
     return report, {"trajectory": traj, "ratefits": [fit3, fit4]}
 
 
 def blowdown_pipeline(cfg: ExperimentConfig):
-    domain, tau, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
-    if not isinstance(boundary, QuadraticFarField):
+    _, traj = _run_flow(cfg)
+    if not isinstance(traj.state.boundary, QuadraticFarField):
         raise ConfigError("blow-down comparisons need a quadratic far field")
-    A = boundary.A
+    A = traj.state.boundary.A
 
     def U1(pts):
         return 0.5 * np.einsum("ki,ij,kj->k", pts, A, pts)
@@ -318,38 +297,56 @@ def blowdown_pipeline(cfg: ExperimentConfig):
     rep = analysis.blowdown_convergence(
         traj, U1, window_half=float(an.get("window", 1.0)),
         monotone_from=int(an.get("monotone_from", 2)),
-        final_tol=float(cfg.check.get("final_error", 0.02)))
+        final_tol=float(cfg.check["final_error"]))
     report = {"pipeline": "blowdown", **rep.to_dict()}
     return report, {"trajectory": traj, "ratefits": [rep.fit] if rep.fit else []}
 
 
 def plane_pipeline(cfg: ExperimentConfig):
-    _, _, u0, boundary = _setup(cfg)
-    traj = _run_flow(cfg, u0, boundary)
+    _, traj = _run_flow(cfg)
     rep = analysis.plane_convergence(
         traj, window_half=float(cfg.analysis.get("window", 2.0)),
-        final_tol=float(cfg.check.get("final_max_gradient", 0.02)))
+        final_tol=float(cfg.check["final_max_gradient"]))
     report = {"pipeline": "plane", **rep.to_dict()}
     return report, {"trajectory": traj}
 
 
+class Pipeline(NamedTuple):
+    """A pipeline's runner, its frozen thresholds (the defaults of ``check``)
+    and the keys it reads from the ``expander``, ``mcf`` and ``analysis``."""
+
+    runner: Callable
+    check: dict = {}
+    expander: tuple = ()
+    mcf: tuple = ()
+    analysis: tuple = ()
+
+
 PIPELINES = {
-    "flow": flow_pipeline,
-    "heat": heat_pipeline,
-    "quadratic_exact": quadratic_exact_pipeline,
-    "condition_b": condition_b_pipeline,
-    "heat_oracle": heat_oracle_pipeline,
-    "expander_stationarity": expander_stationarity_pipeline,
-    "expander_cross": expander_cross_pipeline,
-    "legendre_dual": legendre_dual_pipeline,
-    "mcf_verify": mcf_verify_pipeline,
-    "decay": decay_pipeline,
-    "blowdown": blowdown_pipeline,
-    "plane": plane_pipeline,
+    "flow": Pipeline(flow_pipeline),
+    "heat": Pipeline(heat_pipeline),
+    "quadratic_exact": Pipeline(quadratic_exact_pipeline,
+                                {"sup_error": 1e-8, "runtime_s": 10.0}),
+    "condition_b": Pipeline(condition_b_pipeline, {"drift": 5e-3}),
+    "heat_oracle": Pipeline(heat_oracle_pipeline, {"sup_diff": 5e-4}),
+    "expander_stationarity": Pipeline(
+        expander_stationarity_pipeline, {"residual": 0.05},
+        expander=("a", "slope0", "r_max", "dt_probe", "times")),
+    "expander_cross": Pipeline(
+        expander_cross_pipeline,
+        {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
+        expander=("a", "r_max", "perturbation")),
+    "legendre_dual": Pipeline(legendre_dual_pipeline,
+                              {"quadratic_residual": 1e-8, "bump_residual": 1e-2}),
+    "mcf_verify": Pipeline(mcf_verify_pipeline, {"deviation": 5e-3},
+                           mcf=("seeds", "t_start")),
+    "decay": Pipeline(decay_pipeline, {"exponent3": [-1.3, -0.7],
+                                       "exponent4": [-2.4, -1.6], "runtime_s": 120.0}),
+    "blowdown": Pipeline(blowdown_pipeline, {"final_error": 0.02},
+                         analysis=("window", "monotone_from")),
+    "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02}, analysis=("window",)),
 }
 
 
 def run_pipeline(cfg: ExperimentConfig):
-    if cfg.pipeline not in PIPELINES:
-        raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
-    return PIPELINES[cfg.pipeline](cfg)
+    return PIPELINES[cfg.pipeline].runner(cfg)

@@ -15,6 +15,7 @@ part of its ring values per domain and adds t * rate per call.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +35,6 @@ __all__ = [
     "FlowState",
     "MonitorRecord",
     "Trajectory",
-    "rhs",
     "dt_stable",
     "step_explicit",
     "run",
@@ -133,10 +133,6 @@ BoundaryModel = QuadraticFarField | ReferenceSolution | Frozen
 
 STEPPERS = ("euler", "rk2")
 
-# the keys a config's flow section may set: the parameters of run it passes on
-FLOW_KEYS = ("tau", "t_end", "stepper", "safety", "max_dt", "snapshot_times",
-             "store_every", "monitor_every", "monitor_window", "max_halvings")
-
 
 @lru_cache(maxsize=32)
 def _ring_info(domain: BoxDomain):
@@ -156,18 +152,6 @@ def apply_boundary(values: np.ndarray, domain: BoxDomain, model: BoundaryModel,
         values[idx] = u0_ring
     else:
         values[idx] = model.ring_values(domain, t, tau)
-
-
-def boundary_rate(domain: BoxDomain, model: BoundaryModel, t: float, tau: float) -> np.ndarray:
-    """Time derivative of the ring values (finite difference for references)."""
-    idx, pts = _ring_info(domain)
-    if isinstance(model, Frozen):
-        return np.zeros(pts.shape[0])
-    if isinstance(model, QuadraticFarField):
-        return np.full(pts.shape[0], model.rate(tau, domain.n))
-    eps = 1e-6 * max(1.0, abs(t))
-    return (model.values_at(pts, t + eps, tau, domain.n)
-            - model.values_at(pts, max(t - eps, 0.0), tau, domain.n)) / (eps + min(eps, t))
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +238,6 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
     return tau / n * np.log(det) + (1.0 - tau) * trace
 
 
-def rhs(u: GridFunction, tau: float, boundary: BoundaryModel | None = None,
-        t: float = 0.0) -> GridFunction:
-    """Nodewise right-hand side; ring entries come from the boundary model's rate."""
-    vals = _ftau(hessian(u), tau)
-    if boundary is not None:
-        idx, _ = _ring_info(u.domain)
-        vals[idx] = boundary_rate(u.domain, boundary, t, tau)
-    return u.with_values(vals, label=f"rhs[{u.label}]")
-
-
 def dt_stable(state: FlowState, safety: float = 0.5) -> float:
     """Parabolic step limit safety * h^2 / (2 n mu_max).
 
@@ -332,8 +306,8 @@ def _monitor(state: FlowState, dt: float, residual: float, window: tuple) -> Mon
                          grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=residual)
 
 
-def run(u0: GridFunction, tau: float, t_end: float,
-        boundary: BoundaryModel | None = None, *,
+def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
+        boundary: BoundaryModel | None = None,
         stepper: str = "rk2", safety: float = 0.5, max_dt: float | None = None,
         snapshot_times: Sequence[float] = (), store_every: int = 0,
         monitor_every: int = 1, monitor_window: float | None = None,
@@ -344,7 +318,13 @@ def run(u0: GridFunction, tau: float, t_end: float,
     (a warning, not an error: the continuum statement guarantees preservation,
     the discrete run enforces it step by step).  Reference boundaries must
     match the initial data within 10 percent or the run refuses to start.
+    A config's flow section is passed here as keyword arguments, so these
+    defaults are the flow defaults (:data:`FLOW_KEYS`); JSON numbers of either
+    kind are accepted for the float and integer parameters.
     """
+    tau, t_end, safety = float(tau), float(t_end), float(safety)
+    store_every, monitor_every = int(store_every), int(monitor_every)
+    max_halvings = int(max_halvings)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     dom = u0.domain
@@ -403,6 +383,12 @@ def run(u0: GridFunction, tau: float, t_end: float,
     if not snapshots or snapshots[-1][0] < state.t - 1e-12:
         snapshots.append((state.t, state.u.copy()))
     return Trajectory(state=state, snapshots=snapshots)
+
+
+# the keys a config's flow section may set, each with its default: every
+# keyword argument of run except the boundary model (t_end has no default)
+FLOW_KEYS = {name: p.default for name, p in inspect.signature(run).parameters.items()
+             if p.kind is p.KEYWORD_ONLY and name != "boundary"}
 
 
 # ---------------------------------------------------------------------------

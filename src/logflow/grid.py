@@ -54,7 +54,7 @@ class BoxDomain:
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.m < 5:
-            raise ValueError(f"need at least 5 points per axis, got m={self.m}")
+            raise ValueError(f"need m >= 5 points per axis, got m={self.m}")
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if self.margin < 0:
@@ -208,14 +208,16 @@ class HessianField:
         """Nodewise determinant, a new array on every call."""
         return _det(self.mats)
 
-    def inverse(self) -> np.ndarray:
+    def inverse(self, det: np.ndarray | None = None) -> np.ndarray:
+        """Nodewise inverse; a caller that holds this field's :meth:`det`
+        array passes it as ``det``, and n = 1 needs none."""
         a = self.mats
         n = self.domain.n
-        d = self.det()
         if n == 1:
             inv = np.empty_like(a)
             inv[..., 0, 0] = 1.0 / a[..., 0, 0]
             return inv
+        d = self.det() if det is None else det
         if n == 2:
             inv = np.empty_like(a)
             inv[..., 0, 0] = a[..., 1, 1] / d

@@ -31,14 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EscapeError, NonConvexityError
-from .grid import (BoxDomain, GridFunction, HessianField, axis_diff, gradient,
-                   hessian, sample)
+from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
 
 __all__ = [
     "null_pairing_matrix",
-    "ImmersionFrame",
-    "immersion_frame",
-    "mean_curvature",
     "mean_curvature_fields",
     "ParticlePath",
     "integrate_particles",
@@ -64,26 +60,6 @@ def to_signature_coordinates(vec: np.ndarray) -> np.ndarray:
     return np.concatenate([(x + y) * 0.5, (x - y) * 0.5], axis=-1)
 
 
-@dataclass
-class ImmersionFrame:
-    """Embedding data of one grid node: frames, metric and curvature vector."""
-
-    x: np.ndarray           # base point, (n,)
-    F: np.ndarray           # embedding (x, Du), (2n,)
-    tangent: np.ndarray     # e_i rows, (n, 2n)
-    normal: np.ndarray      # eta_i rows, (n, 2n)
-    metric: np.ndarray      # induced metric = Hessian, (n, n)
-    gdet: float             # det D2u
-    H: np.ndarray           # mean curvature vector, (2n,)
-
-
-def _det_fields(H: HessianField):
-    g = H.det()
-    if (g[H.domain.nonring()] <= 0.0).any():
-        raise NonConvexityError("graph is not spacelike: det D2u <= 0")
-    return g
-
-
 def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
     """Mean curvature components on the whole grid, shape (2n, *grid), from
     the Hessian field of the potential.
@@ -93,8 +69,10 @@ def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
     """
     dom = Hess.domain
     n, h = dom.n, dom.h
-    g = _det_fields(Hess)
-    inv = Hess.inverse()
+    g = Hess.det()
+    if (g[dom.nonring()] <= 0.0).any():
+        raise NonConvexityError("graph is not spacelike: det D2u <= 0")
+    inv = Hess.inverse(g)
     dg = np.stack([axis_diff(g, h, ax) for ax in range(n)])
     out = np.empty((2 * n,) + dom.shape)
     coef = 1.0 / (2.0 * n * g)
@@ -102,32 +80,6 @@ def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
         out[i] = -coef * sum(dg[l] * inv[..., l, i] for l in range(n))
         out[n + i] = coef * dg[i]
     return out
-
-
-def immersion_frame(u: GridFunction, at: tuple) -> ImmersionFrame:
-    """Assemble the frame at one (interior) node index."""
-    dom = u.domain
-    n = dom.n
-    k = dom.margin + 1
-    if any(i < k or i >= dom.m - k for i in at):
-        raise ValueError("frame node must lie in the monitored interior")
-    Hess = hessian(u)
-    g = _det_fields(Hess)
-    grad = gradient(u)
-    x = np.array([dom.axis[i] for i in at])
-    Du = np.array([grad[(i,) + tuple(at)] for i in range(n)])
-    mat = Hess.mats[tuple(at)]
-    tangent = np.concatenate([np.eye(n), mat], axis=1)
-    normal = np.concatenate([np.eye(n), -mat], axis=1)
-    Hvec = mean_curvature_fields(Hess)[(slice(None),) + tuple(at)]
-    return ImmersionFrame(x=x, F=np.concatenate([x, Du]), tangent=tangent,
-                          normal=normal, metric=mat, gdet=float(g[tuple(at)]),
-                          H=Hvec)
-
-
-def mean_curvature(u: GridFunction, at: tuple) -> np.ndarray:
-    """Mean curvature vector at one node, in null components (2n,)."""
-    return immersion_frame(u, at).H
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_blowdown_stationary_expander_is_exact():
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[1.0, 2.0, 4.0], max_dt=0.05)
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2,
-                               window_half=1.0, monotone_from=0)
+                               window_half=1.0, monotone_from=0, final_tol=0.02)
     assert max(rep.errors) < 1e-9
 
 
@@ -183,7 +183,8 @@ def test_blowdown_window_escape():
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[16.0], max_dt=0.5)
     with pytest.raises(WindowEscape):
-        blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0)
+        blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
+                             final_tol=0.02)
 
 
 def test_blowdown_bump_converges():
@@ -193,7 +194,8 @@ def test_blowdown_bump_converges():
     traj = run(u0, tau=1.0, t_end=16.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[1.0, 2.0, 4.0, 8.0, 16.0])
-    rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0)
+    rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
+                               final_tol=0.02)
     assert rep.passed
     assert rep.final_error <= 0.02
 
@@ -215,7 +217,7 @@ def test_plane_convergence_on_decaying_gradient_data():
     traj = run(u0, tau=0.0, t_end=8.0,
                boundary=ReferenceSolution(_erf_solution),
                snapshot_times=[0.5, 1.0, 2.0, 4.0, 8.0])
-    rep = plane_convergence(traj, window_half=2.0)
+    rep = plane_convergence(traj, window_half=2.0, final_tol=0.02)
     assert rep.hypothesis_ok
     assert rep.passed
     # closed form: sup |Du| = 0.1 / sqrt(1 + 4 t)
@@ -225,6 +227,6 @@ def test_plane_convergence_on_decaying_gradient_data():
 def test_plane_convergence_flags_unbounded_gradient():
     dom = BoxDomain(n=1, half_width=4.0, m=65)
     traj = run(iso_quad(dom), tau=0.0, t_end=0.5, snapshot_times=[0.5], max_dt=0.01)
-    rep = plane_convergence(traj, window_half=1.0)
+    rep = plane_convergence(traj, window_half=1.0, final_tol=0.02)
     assert not rep.hypothesis_ok
     assert rep.passed is None

@@ -56,10 +56,31 @@ def test_unknown_preset_lists_catalogue():
         assert name in str(exc.value)
 
 
+# the check sections the presets carried before the thresholds moved into
+# the pipeline table: loading a preset must resolve exactly these bounds
+FROZEN_THRESHOLDS = {
+    "quadratic-exact": {"sup_error": 1e-8, "runtime_s": 10.0},
+    "condition-b-preservation": {"drift": 5e-3},
+    "heat-oracle": {"sup_diff": 5e-4},
+    "expander-stationarity": {"residual": 0.05},
+    "expander-cross-validation": {"profile_gap": 1e-4, "newton_residual": 1e-10,
+                                  "newton_iterations": 15},
+    "legendre-duality": {"quadratic_residual": 1e-8, "bump_residual": 1e-2},
+    "mcf-correspondence": {"deviation": 5e-3},
+    "decay-rates": {"exponent3": [-1.3, -0.7], "exponent4": [-2.4, -1.6],
+                    "runtime_s": 120.0},
+    "blowdown-convergence": {"final_error": 0.02},
+    "plane-convergence": {"final_max_gradient": 0.02},
+}
+
+
 def test_every_preset_validates():
+    assert set(FROZEN_THRESHOLDS) == set(preset_names())
     for name in preset_names():
         cfg = load_config({"preset": name})
         assert cfg.preset == name
+        assert cfg.check == FROZEN_THRESHOLDS[name]
+        assert "check" not in experiment_preset(name)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +167,46 @@ def test_unknown_stepper_exit_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_unknown_flow_key_exit_code(tmp_path):
+@pytest.mark.parametrize("preset, line", [
+    ("condition-b-preservation", "flow.t_ned = 1"),
+    ("condition-b-preservation", "check.drfit = 1e-30"),
+    ("blowdown-convergence", "analysis.windw = 1.0"),
+    ("mcf-correspondence", "mcf.seed = [[0.0]]"),
+    ("expander-stationarity", "expander.rmax = 2.5"),
+    ("condition-b-preservation", "initial.amplitde = 0.1"),
+    ("condition-b-preservation", "grid.margn = 2"),
+], ids=lambda v: v.split(" ")[0] if "=" in v else None)
+def test_unknown_flow_key_exit_code(tmp_path, preset, line):
+    # one mistyped key per section; each is a configuration error
     p = tmp_path / "cfg.txt"
-    p.write_text(f"preset = condition-b-preservation\nflow.t_ned = 1\n"
-                 f"outdir = {tmp_path / 'run'}\n")
+    p.write_text(f"preset = {preset}\n{line}\noutdir = {tmp_path / 'run'}\n")
     assert main(["flow", "run", "--config", str(p)]) == 2
     assert not (tmp_path / "run").exists()
+
+
+def test_missing_t_end_exit_code(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "pipeline": "condition_b",
+        "initial": {"kind": "quadratic_plus_bump", "A": 1.0},
+        "outdir": str(tmp_path / "run"),
+    })
+    assert main(["flow", "run", "--config", str(cfg)]) == 2
+    assert "flow.t_end" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_integer_tau_and_t_end_match_floats(tmp_path):
+    # JSON integers for flow.tau and flow.t_end run the same flow, bit for bit
+    files = []
+    for tag, flow in (("float", {"tau": 1.0, "t_end": 8.0}), ("int", {"tau": 1, "t_end": 8})):
+        cfg = _write_cfg(tmp_path, {"preset": "decay-rates", "flow": flow,
+                                    "outdir": str(tmp_path / tag)})
+        assert main(["flow", "run", "--config", str(cfg)]) == 0
+        rundir = tmp_path / tag
+        files.append({p.name: p.read_bytes() for p in rundir.iterdir()
+                      if p.name == "report.json" or p.suffix == ".snap"})
+    assert len(files[0]) > 2
+    assert files[0] == files[1]
 
 
 def test_expander_shoot_and_certify(tmp_path):

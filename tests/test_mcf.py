@@ -5,8 +5,8 @@ import pytest
 
 from logflow.errors import EscapeError
 from logflow.flow import QuadraticFarField, run
-from logflow.grid import BoxDomain, GridFunction
-from logflow.mcf import (immersion_frame, integrate_particles, mean_curvature,
+from logflow.grid import BoxDomain, GridFunction, hessian
+from logflow.mcf import (integrate_particles, mean_curvature_fields,
                          null_pairing_matrix, to_signature_coordinates,
                          verify_mcf)
 
@@ -31,12 +31,18 @@ def quad(domain, A):
 # frames and the ambient pairing
 # ---------------------------------------------------------------------------
 
+def mean_curvature(u, at):
+    """Mean curvature vector at one node, in null components (2n,)."""
+    return mean_curvature_fields(hessian(u))[(slice(None),) + tuple(at)]
+
+
 def test_frame_pairing_identities():
     dom = BoxDomain(n=2, half_width=2.0, m=17)
     u = bump(dom, amp=0.15)
     B = null_pairing_matrix(2)
-    frame = immersion_frame(u, (8, 8))
-    e, eta, g = frame.tangent, frame.normal, frame.metric
+    g = hessian(u).mats[8, 8]
+    e = np.concatenate([np.eye(2), g], axis=1)      # tangent frame e_i
+    eta = np.concatenate([np.eye(2), -g], axis=1)   # normal frame eta_i
     assert np.array_equal(e @ B @ e.T, g)              # <e_i, e_j> = u_ij
     assert np.array_equal(eta @ B @ eta.T, -g)         # <eta_i, eta_j> = -u_ij
     assert np.max(np.abs(e @ B @ eta.T)) == 0.0        # <e_i, eta_j> = 0
@@ -44,8 +50,7 @@ def test_frame_pairing_identities():
 
 def test_spacelike_iff_convex():
     dom = BoxDomain(n=2, half_width=2.0, m=17)
-    frame = immersion_frame(bump(dom), (8, 8))
-    ev = np.linalg.eigvalsh(frame.metric)
+    ev = np.linalg.eigvalsh(hessian(bump(dom)).mats[8, 8])
     assert ev[0] > 0.0
 
 
