@@ -13,11 +13,10 @@ from .flow import (FlowState, Frozen, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
                    run, step_explicit)
 from .heat import heat_solve
-from .expander import (ExpanderSolution, certify, expander_residual,
-                       newton_solve, profile_to_grid, radial_shoot)
-from .legendre import (dual_flow_check, duality_involution_check,
-                       legendre_transform)
-from .mcf import integrate_particles, null_pairing_matrix, verify_mcf
+from .expander import (ExpanderSolution, certify, newton_solve, profile_to_grid,
+                       radial_shoot)
+from .legendre import dual_flow_check, legendre_transform
+from .mcf import integrate_particles, verify_mcf
 from .analysis import (blowdown_convergence, check_condition_A,
                        check_condition_B, fit_decay, plane_convergence)
 from .snapshots import read_snapshot, write_snapshot

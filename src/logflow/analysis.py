@@ -26,7 +26,6 @@ __all__ = [
     "fit_decay",
     "blowdown_convergence",
     "BlowdownReport",
-    "rescaled_view",
     "plane_convergence",
     "PlaneReport",
 ]
@@ -67,17 +66,16 @@ class ConditionBReport:
         return self.__dict__.copy()
 
 
-def check_condition_B(u: GridFunction, lower: float, upper: float, *,
-                      tol_scale: float = 1.0) -> ConditionBReport:
+def check_condition_B(u: GridFunction, lower: float, upper: float) -> ConditionBReport:
     """Uniform Hessian pinching lower*I <= D2u <= upper*I on the interior.
 
-    The tolerance 1e-8 + tol_scale * h^2 absorbs grid rounding plus the
-    second-order discretisation error of the Hessian stencils.
+    The tolerance 1e-8 + h^2 absorbs grid rounding plus the second-order
+    discretisation error of the Hessian stencils.
     """
     if lower > upper:
         raise ValueError("need lower <= upper")
     lo, hi = hessian(u).eigen_bounds("interior")
-    tol = 1e-8 + tol_scale * u.domain.h ** 2
+    tol = 1e-8 + u.domain.h ** 2
     passed = (lo >= lower - tol) and (hi <= upper + tol)
     return ConditionBReport(lambda_min=lo, lambda_max=hi, lower=lower,
                             upper=upper, tol=tol, passed=passed)
@@ -118,9 +116,10 @@ def _loglog_fit(times, values, quantity) -> RateFit:
                    max_log_residual=resid)
 
 
-def fit_decay(trajectory, order: int, *, t_min: float = 0.25) -> RateFit:
+def fit_decay(trajectory, order: int) -> RateFit:
     """Log-log fit of the squared interior sup norm of the derivative tensor
-    of the given order against snapshot times t >= t_min."""
+    of the given order against snapshot times t >= 0.25."""
+    t_min = 0.25
     samples = [(t, u) for t, u in trajectory.snapshots if t >= t_min - 1e-12]
     if len(samples) < 5:
         raise InsufficientSamples(
@@ -133,24 +132,6 @@ def fit_decay(trajectory, order: int, *, t_min: float = 0.25) -> RateFit:
 # ---------------------------------------------------------------------------
 # blow-down convergence
 # ---------------------------------------------------------------------------
-
-def rescaled_view(u: GridFunction, R: float, label: str = "") -> GridFunction:
-    """The parabolic rescaling R^{-2} u(R .) on the coincident sub-grid.
-
-    For integer R the result lives on the sub-box of half-width L/R with the
-    source spacing, sampled without interpolation.
-    """
-    if R < 1.0 or abs(R - round(R)) > 1e-12:
-        raise ValueError("rescaled views need an integer scale R >= 1")
-    dom = u.domain
-    src, dst = coincident_index_sets(dom, R)
-    k = (dom.m - 1) // 2
-    count = 2 * int(k // round(R)) + 1
-    sub = BoxDomain(n=dom.n, half_width=dom.half_width * (count - 1) / (dom.m - 1),
-                    m=count, margin=dom.margin)
-    return GridFunction(sub, u.values[dst] / R ** 2,
-                        label=label or f"rescaled[{u.label}]")
-
 
 @dataclass
 class BlowdownReport:
@@ -167,13 +148,14 @@ class BlowdownReport:
         return d
 
 
-def blowdown_convergence(trajectory, U1: Callable | GridFunction,
+def blowdown_convergence(trajectory, U1: Callable,
                          window_half: float, *, monotone_from: int = 2,
                          final_tol: float) -> BlowdownReport:
     """Convergence of t^{-1} u(sqrt(t) x, t) toward the expander profile U1.
 
     For each snapshot time the rescaled solution is cubically sampled on the
-    fixed window and compared against U1; the errors must decrease strictly
+    fixed window and compared against U1, a function of the (k, n) array of
+    window points; the errors must decrease strictly
     from index ``monotone_from`` on and end below ``final_tol``.
     """
     dom = trajectory.snapshots[0][1].domain
@@ -182,10 +164,7 @@ def blowdown_convergence(trajectory, U1: Callable | GridFunction,
     window = BoxDomain(n=dom.n, half_width=window_half,
                        m=min(dom.m, 65), margin=0)
     pts = window.points()
-    if isinstance(U1, GridFunction):
-        target = sample(U1, pts, order=3)
-    else:
-        target = np.asarray(U1(pts), dtype=np.float64)
+    target = np.asarray(U1(pts), dtype=np.float64)
     for t, u in trajectory.snapshots:
         if t <= 0.0:
             continue
@@ -194,7 +173,7 @@ def blowdown_convergence(trajectory, U1: Callable | GridFunction,
             raise WindowEscape(
                 f"sqrt(t) * window = {stretch:.3g} exceeds the usable box "
                 f"{margin_limit:.3g}; cap T at {(margin_limit / window_half) ** 2:.3g}")
-        vals = sample(u, np.sqrt(t) * pts, order=3) / t
+        vals = sample(u.values, dom, np.sqrt(t) * pts, order=3) / t
         times.append(t)
         errors.append(float(np.max(np.abs(vals - target))))
     monotone = all(errors[k + 1] < errors[k]
@@ -227,14 +206,14 @@ class PlaneReport:
 
 
 def plane_convergence(trajectory, window_half: float, *,
-                      final_tol: float, t_from: float = 1.0) -> PlaneReport:
+                      final_tol: float) -> PlaneReport:
     """Flattening of the graph (x, Du) for bounded-gradient data.
 
     The testable reading uses linear-plus-decaying-gradient data (a pinched
     convex potential cannot have a bounded gradient on all of space, so the
     hypothesis is checked and flagged rather than assumed): per snapshot the
     report records the window sup of |Du| and the deviation of Du from its
-    best affine fit; both must decrease from ``t_from`` on, and the gradient
+    best affine fit; both must decrease from t = 1 on, and the gradient
     must end below ``final_tol``.
     """
     snaps = trajectory.snapshots
@@ -266,7 +245,7 @@ def plane_convergence(trajectory, window_half: float, *,
             dev = max(dev, float(np.max(np.abs(comp - design @ coef))))
         affine_dev.append(dev)
 
-    idx = [i for i, t in enumerate(times) if t >= t_from - 1e-12]
+    idx = [i for i, t in enumerate(times) if t >= 1.0 - 1e-12]
     decreasing = all(max_grad[b] < max_grad[a] + 1e-12 and
                      affine_dev[b] < affine_dev[a] + 1e-12
                      for a, b in zip(idx, idx[1:]))

@@ -205,17 +205,18 @@ def emit_plotdata(artifact_dir) -> Path:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _run_configs(config_paths, check: bool, outdir_flag: str | None) -> int:
+def _cmd_run_configs(args) -> int:
+    """Load every config first, then run them one after another."""
     cfgs = []
-    for p in config_paths:
+    for p in args.config:
         cfg = load_config(p)
-        if outdir_flag:
-            cfg.outdir = outdir_flag if len(config_paths) == 1 else str(
-                Path(outdir_flag) / Path(str(p)).stem)
+        if args.outdir:
+            cfg.outdir = args.outdir if len(args.config) == 1 else str(
+                Path(args.outdir) / Path(str(p)).stem)
         cfgs.append(cfg)
     status = EXIT_OK
     for cfg in cfgs:
-        status = max(status, _run_one(cfg, check))
+        status = max(status, _run_one(cfg, args.check))
     return status
 
 
@@ -327,100 +328,87 @@ def _cmd_analyze_condition(args) -> int:
     return EXIT_OK if rep.passed else EXIT_THRESHOLD
 
 
+def _cmd_emit(args) -> int:
+    emit_plotdata(args.artifact_dir)
+    print(f"plot data written to {Path(args.artifact_dir) / 'plotdata.csv'}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command table: each leaf parser carries its handler as ``handler``."""
     parser = argparse.ArgumentParser(prog="logflow",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     top = parser.add_subparsers(dest="command", required=True)
 
-    def config_runner(sub, names):
-        for name in names:
-            p = sub.add_parser(name)
-            p.add_argument("--config", nargs="+", required=True)
-            p.add_argument("--check", action="store_true",
-                           help="exit 4 when a frozen threshold fails")
-            p.add_argument("--outdir", default=None)
+    def command(sub, name, handler):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
+        return p
+
+    def config_runner(sub, name):
+        p = command(sub, name, _cmd_run_configs)
+        p.add_argument("--config", nargs="+", required=True)
+        p.add_argument("--check", action="store_true",
+                       help="exit 4 when a frozen threshold fails")
+        p.add_argument("--outdir", default=None)
 
     flow = top.add_parser("flow").add_subparsers(dest="sub", required=True)
-    config_runner(flow, ["run"])
+    config_runner(flow, "run")
 
     heat_p = top.add_parser("heat").add_subparsers(dest="sub", required=True)
-    config_runner(heat_p, ["solve"])
+    config_runner(heat_p, "solve")
 
     exp = top.add_parser("expander").add_subparsers(dest="sub", required=True)
-    shoot = exp.add_parser("shoot")
+    shoot = command(exp, "shoot", _cmd_expander_shoot)
     shoot.add_argument("--n", type=int, required=True)
     shoot.add_argument("--a", type=float, required=True)
     shoot.add_argument("--rmax", type=float, required=True)
     shoot.add_argument("--out", default="out")
-    config_runner(exp, ["newton"])
-    cert = exp.add_parser("certify")
+    config_runner(exp, "newton")
+    cert = command(exp, "certify", _cmd_expander_certify)
     cert.add_argument("--input", required=True)
     cert.add_argument("--output", default=None)
 
     leg = top.add_parser("legendre").add_subparsers(dest="sub", required=True)
-    tr = leg.add_parser("transform")
+    tr = command(leg, "transform", _cmd_legendre_transform)
     tr.add_argument("--input", required=True)
     tr.add_argument("--output", required=True)
-    cd = leg.add_parser("check-dual")
+    cd = command(leg, "check-dual", _cmd_legendre_checkdual)
     cd.add_argument("--trajectory", required=True)
 
     mc = top.add_parser("mcf").add_subparsers(dest="sub", required=True)
-    rec = mc.add_parser("reconstruct")
+    rec = command(mc, "reconstruct", _cmd_mcf_reconstruct)
     rec.add_argument("--trajectory", required=True)
     rec.add_argument("--seeds", required=True)
     rec.add_argument("--t-start", type=float, default=None)
 
     an = top.add_parser("analyze").add_subparsers(dest="sub", required=True)
-    config_runner(an, ["blowdown"])
-    dec = an.add_parser("decay")
+    config_runner(an, "blowdown")
+    dec = command(an, "decay", _cmd_analyze_decay)
     dec.add_argument("--trajectory", required=True)
     dec.add_argument("--order", type=int, default=3)
-    pl = an.add_parser("plane")
+    pl = command(an, "plane", _cmd_analyze_plane)
     pl.add_argument("--trajectory", required=True)
     pl.add_argument("--window", type=float, default=2.0)
-    cond = an.add_parser("condition")
+    cond = command(an, "condition", _cmd_analyze_condition)
     cond.add_argument("--input", required=True)
     cond.add_argument("--lambda", dest="lam", type=float, required=True)
     cond.add_argument("--Lambda", dest="Lam", type=float, required=True)
 
-    em = top.add_parser("emit")
+    em = command(top, "emit", _cmd_emit)
     em.add_argument("artifact_dir")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("flow", "heat") or (
-                args.command == "expander" and args.sub == "newton") or (
-                args.command == "analyze" and args.sub == "blowdown"):
-            return _run_configs(args.config, args.check, args.outdir)
-        if args.command == "expander" and args.sub == "shoot":
-            return _cmd_expander_shoot(args)
-        if args.command == "expander" and args.sub == "certify":
-            return _cmd_expander_certify(args)
-        if args.command == "legendre" and args.sub == "transform":
-            return _cmd_legendre_transform(args)
-        if args.command == "legendre" and args.sub == "check-dual":
-            return _cmd_legendre_checkdual(args)
-        if args.command == "mcf":
-            return _cmd_mcf_reconstruct(args)
-        if args.command == "analyze" and args.sub == "decay":
-            return _cmd_analyze_decay(args)
-        if args.command == "analyze" and args.sub == "plane":
-            return _cmd_analyze_plane(args)
-        if args.command == "analyze" and args.sub == "condition":
-            return _cmd_analyze_condition(args)
-        if args.command == "emit":
-            emit_plotdata(args.artifact_dir)
-            print(f"plot data written to {Path(args.artifact_dir) / 'plotdata.csv'}")
-            return EXIT_OK
+        return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -430,8 +418,6 @@ def main(argv=None) -> int:
     except LogFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    parser.error(f"unhandled command {args.command}")
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

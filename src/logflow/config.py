@@ -7,7 +7,8 @@ parsed as JSON scalars/arrays).  A config may name a preset and override
 individual keys.  An unknown key in any section is a ConfigError: ``flow``
 takes the keyword arguments of :func:`logflow.flow.run`, ``initial`` its
 family's keys, the other sections what the pipeline table in
-:mod:`logflow.experiments` declares.  Loading fills ``check`` with the
+:mod:`logflow.experiments` declares; a pipeline that evolves no initial data
+takes neither ``flow`` nor ``initial``.  Loading fills ``check`` with the
 pipeline's frozen thresholds, so ``config.json`` records the bounds applied.
 """
 
@@ -28,7 +29,8 @@ __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
 def _reject_unknown(section: str, keys, allowed) -> None:
     unknown = sorted(set(keys) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown {section} keys {unknown}; choose from {sorted(allowed)}")
+        hint = f"choose from {sorted(allowed)}" if allowed else "the pipeline reads none"
+        raise ConfigError(f"unknown {section} keys {unknown}; {hint}")
 
 
 @dataclass
@@ -70,6 +72,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}; "
                               f"choose from {tuple(PIPELINES)}")
         _reject_unknown("grid", self.grid, ("n", "L", "m", "margin"))
+        if not spec.evolves:
+            for section in ("flow", "initial"):
+                _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
         for section in ("expander", "mcf", "analysis"):
             _reject_unknown(section, getattr(self, section), getattr(spec, section))
@@ -88,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError("flow.tau must lie in [0, 1]")
         if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
             raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
+        if self.boundary not in ("auto", "quadratic", "frozen"):
+            raise ConfigError("boundary must be 'auto', 'quadratic' or 'frozen'")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
         self.check = {**spec.check, **self.check}

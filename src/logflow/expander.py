@@ -34,14 +34,13 @@ __all__ = [
     "ExpanderSolution",
     "radial_shoot",
     "profile_to_grid",
-    "expander_residual",
-    "residual_sup",
     "newton_solve",
     "certify",
     "CertificationReport",
 ]
 
 _CURVATURE_CAP = 1e6
+_RTOL, _ATOL = 1e-10, 1e-12   # tolerances of the ODE integrations
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +88,7 @@ def _radial_rhs(n: int, a: float):
     return f
 
 
-def radial_shoot(n: int, a: float, r_max: float, *, slope0: float = 0.0,
-                 rtol: float = 1e-10, atol: float = 1e-12,
-                 num: int = 513) -> RadialProfile:
+def radial_shoot(n: int, a: float, r_max: float, *, slope0: float = 0.0) -> RadialProfile:
     """Integrate the radial profile from u(0) = a, u'(0) = slope0 to r_max.
 
     Regularity at the origin forces u''(0) = exp(a); the integration starts at
@@ -123,14 +120,14 @@ def radial_shoot(n: int, a: float, r_max: float, *, slope0: float = 0.0,
     too_flat.terminal = True
 
     sol = solve_ivp(f, (r0, r_max), [u_start, du_start], method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True,
+                    rtol=_RTOL, atol=_ATOL, dense_output=True,
                     events=[too_steep, too_flat])
     if sol.status == 1:
         raise BlowupError(f"curvature left (0, 1e6) at r = {sol.t[-1]:.6g}")
     if not sol.success:
         raise BlowupError(f"radial integration failed: {sol.message}")
 
-    r = np.linspace(r0, r_max, num)
+    r = np.linspace(r0, r_max, 513)
     y = sol.sol(r)
     d2 = np.array([f(rk, yk)[1] for rk, yk in zip(r, y.T)])
     return RadialProfile(n=n, a=a, r=r, u=y[0], du=y[1], d2u=d2, _sol=sol.sol)
@@ -144,8 +141,7 @@ def profile_to_grid(profile: RadialProfile, domain: BoxDomain,
     return GridFunction(domain, profile(radii), label=label)
 
 
-def line_profile(a: float, slope0: float, half_width: float, *,
-                 rtol: float = 1e-10, atol: float = 1e-12):
+def line_profile(a: float, slope0: float, half_width: float):
     """Two-sided 1-D expander solution with u(0) = a, u'(0) = slope0.
 
     On the line the stationary equation u'' = exp(u - x u'/2) is regular away
@@ -160,7 +156,7 @@ def line_profile(a: float, slope0: float, half_width: float, *,
     def shoot(sign):
         start = [a + slope0 * sign * r0 + 0.5 * c0 * r0 ** 2, slope0 + sign * c0 * r0]
         sol = solve_ivp(f, (sign * r0, sign * half_width), start, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True)
+                        rtol=_RTOL, atol=_ATOL, dense_output=True)
         if not sol.success:
             raise BlowupError(f"line integration failed: {sol.message}")
         return sol.sol
@@ -188,27 +184,16 @@ def line_profile(a: float, slope0: float, half_width: float, *,
 # residual and Newton iteration on the grid
 # ---------------------------------------------------------------------------
 
-def _pointwise_exponent(u: GridFunction) -> np.ndarray:
+def _w_field(u: GridFunction) -> np.ndarray:
+    """w = u - <x, Du>/2; the expander equation reads det D2u = exp(n w)."""
     g = gradient(u)
     grids = u.domain.meshgrid()
-    xdu = sum(grids[i] * g[i] for i in range(u.domain.n))
-    return u.domain.n * (u.values - 0.5 * xdu)
+    return u.values - 0.5 * sum(grids[i] * g[i] for i in range(u.domain.n))
 
 
-def expander_residual(u: GridFunction) -> GridFunction:
-    """Nodewise det D2u - exp(n (u - <x, Du>/2)); ring entries are zeroed."""
-    H = hessian(u)
-    if not H.is_strictly_convex("nonring"):
-        raise NonConvexityError("expander residual needs strict convexity")
-    vals = H.det() - np.exp(_pointwise_exponent(u))
-    vals[u.domain.ring_mask()] = 0.0
-    return u.with_values(vals, label=f"residual[{u.label}]")
-
-
-def residual_sup(u: GridFunction, region: str = "nonring") -> float:
-    r = expander_residual(u)
-    sl = u.domain.interior() if region == "interior" else u.domain.nonring()
-    return float(np.max(np.abs(r.values[sl])))
+def _residual(H: HessianField, w: np.ndarray) -> np.ndarray:
+    """Nodewise det D2u - exp(n w)."""
+    return H.det() - np.exp(H.domain.n * w)
 
 
 @dataclass
@@ -225,17 +210,17 @@ class ExpanderSolution:
             raise NonConvexityError("certified solutions must be strictly convex")
 
 
-def _assemble_jacobian(u: GridFunction, H: HessianField) -> sparse.csr_matrix:
+def _assemble_jacobian(H: HessianField, w: np.ndarray) -> sparse.csr_matrix:
     """Jacobian of the discrete residual with respect to the non-ring unknowns.
 
     d(det D2u)[v] = det(D2u) u^{ij} v_ij,
-    d(exp E)[v]   = exp(E) n (v - <x, Dv>/2).
+    d(exp(n w))[v] = exp(n w) n (v - <x, Dv>/2).
     """
-    dom = u.domain
+    dom = H.domain
     n, h, m = dom.n, dom.h, dom.m
     det = H.det()
-    inv = H.inverse(det)
-    expE = np.exp(_pointwise_exponent(u))
+    inv = H.inverse()
+    expE = np.exp(n * w)
     grids = dom.meshgrid()
 
     inner = dom.nonring()
@@ -287,16 +272,18 @@ def _assemble_jacobian(u: GridFunction, H: HessianField) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
 
 
-def newton_solve(u_init: GridFunction, dirichlet: GridFunction | None = None, *,
-                 tol: float = 1e-10, max_iter: int = 50,
-                 min_step: float = 2.0 ** -20) -> ExpanderSolution:
+def newton_solve(u_init: GridFunction,
+                 dirichlet: GridFunction | None = None) -> ExpanderSolution:
     """Damped Newton iteration for the discrete self-expander equation.
 
     ``dirichlet`` supplies the fixed ring values (defaults to the ring of the
-    initial guess).  The line search backtracks until the iterate stays
-    strictly convex and the residual decreases; stagnation raises
-    :class:`NewtonStall`.
+    initial guess).  The iteration stops at a residual of 1e-10 or after 50
+    steps.  The line search backtracks until the iterate stays strictly
+    convex and the residual decreases; a step below 2^-20 raises
+    :class:`NewtonStall`.  Each iterate's Hessian and w field are evaluated
+    once and shared by its residual and its Jacobian.
     """
+    tol, max_iter, min_step = 1e-10, 50, 2.0 ** -20
     dom = u_init.domain
     ring = dom.ring_mask()
     vals = u_init.values.copy()
@@ -304,23 +291,19 @@ def newton_solve(u_init: GridFunction, dirichlet: GridFunction | None = None, *,
         vals[ring] = dirichlet.values[ring]
     u = u_init.with_values(vals)
 
-    H = hessian(u)
+    H, w = hessian(u), _w_field(u)
     if not H.is_strictly_convex("nonring"):
         raise NonConvexityError("initial guess is not strictly convex")
 
     inner = dom.nonring()
-
-    def res_field(uu, HH):
-        return (HH.det() - np.exp(_pointwise_exponent(uu)))[inner]
-
-    R = res_field(u, H)
+    R = _residual(H, w)[inner]
     rnorm = float(np.max(np.abs(R)))
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
             lo, hi = H.eigen_bounds("interior")
             return ExpanderSolution(u=u, residual_norm=rnorm, iterations=it - 1,
                                     condition_B=(lo, hi))
-        J = _assemble_jacobian(u, H)
+        J = _assemble_jacobian(H, w)
         delta = spsolve(J, -R.ravel()).reshape(R.shape)
         step = 1.0
         while True:
@@ -329,7 +312,8 @@ def newton_solve(u_init: GridFunction, dirichlet: GridFunction | None = None, *,
             u_try = u.with_values(trial)
             H_try = hessian(u_try)
             if H_try.is_strictly_convex("nonring"):
-                R_try = res_field(u_try, H_try)
+                w_try = _w_field(u_try)
+                R_try = _residual(H_try, w_try)[inner]
                 r_try = float(np.max(np.abs(R_try)))
                 if r_try < rnorm * (1.0 - 1e-4 * step) or r_try <= tol:
                     break
@@ -337,7 +321,7 @@ def newton_solve(u_init: GridFunction, dirichlet: GridFunction | None = None, *,
             if step < min_step:
                 raise NewtonStall(
                     f"line search stalled at iteration {it} (residual {rnorm:.3e})")
-        u, H, R, rnorm = u_try, H_try, R_try, r_try
+        u, H, w, R, rnorm = u_try, H_try, w_try, R_try, r_try
 
     if rnorm <= tol:
         lo, hi = H.eigen_bounds("interior")
@@ -371,7 +355,7 @@ class CertificationReport:
         }
 
 
-def bernstein_residual(u: GridFunction) -> float:
+def _bernstein_residual(H: HessianField, w: np.ndarray) -> float:
     """Interior sup of u^{ij} w_ij + (n/2) <x, Dw> with w = u - <x, Du>/2.
 
     On solutions of the expander equation, ln det D2u = n w, so differentiating
@@ -380,52 +364,40 @@ def bernstein_residual(u: GridFunction) -> float:
     second order on certified solutions and is identically zero (both sides)
     exactly when w is constant, i.e. for quadratic solutions.
     """
-    dom = u.domain
-    H = hessian(u)
-    inv = H.inverse()
-    g = gradient(u)
+    dom = H.domain
     grids = dom.meshgrid()
-    w = u.values - 0.5 * sum(grids[i] * g[i] for i in range(dom.n))
-    wf = u.with_values(w, label="bernstein-w")
-    Hw = hessian(wf).mats
+    wf = GridFunction(dom, w, label="bernstein-w")
     gw = gradient(wf)
-    lhs = np.einsum("...ij,...ij->...", inv, Hw)
+    lhs = np.einsum("...ij,...ij->...", H.inverse(), hessian(wf).mats)
     drift = 0.5 * dom.n * sum(grids[i] * gw[i] for i in range(dom.n))
     return float(np.max(np.abs((lhs + drift)[dom.interior()])))
 
 
-def _w_field(u: GridFunction) -> np.ndarray:
-    g = gradient(u)
-    grids = u.domain.meshgrid()
-    return u.values - 0.5 * sum(grids[i] * g[i] for i in range(u.domain.n))
-
-
-def certify(u_or_solution, far_quadratic: np.ndarray | None = None,
-            scales=(2.0, 4.0)) -> CertificationReport:
+def certify(u_or_solution) -> CertificationReport:
     """Certify a candidate expander: bounds, blow-down defect, Bernstein residual.
 
-    The blow-down defect compares R^{-2} u(Rx) at coincident nodes against the
-    homogeneous quadratic x'Ax/2 with A estimated at a corner of the monitored
-    interior (or supplied explicitly); it vanishes for quadratic solutions.
+    The blow-down defect compares R^{-2} u(Rx) at coincident nodes, R = 2
+    and 4, against the homogeneous quadratic x'Ax/2 with A the Hessian at a
+    corner of the monitored interior; it vanishes for quadratic solutions.
+    The candidate's Hessian and w field are evaluated once.
     """
     if isinstance(u_or_solution, ExpanderSolution):
-        u = u_or_solution.u
-        residual_norm = u_or_solution.residual_norm
+        u, residual_norm = u_or_solution.u, u_or_solution.residual_norm
     else:
-        u = u_or_solution
-        residual_norm = residual_sup(u, region="interior")
-
+        u, residual_norm = u_or_solution, None
     dom = u.domain
-    H = hessian(u)
+    H, w = hessian(u), _w_field(u)
+    if residual_norm is None:
+        if not H.is_strictly_convex("nonring"):
+            raise NonConvexityError("expander residual needs strict convexity")
+        residual_norm = float(np.max(np.abs(_residual(H, w)[dom.interior()])))
+
     cond_b = H.eigen_bounds("interior")
     if cond_b[0] <= 0.0:
         raise NonConvexityError("candidate is not strictly convex on the interior")
 
-    if far_quadratic is None:
-        k = dom.margin + 1
-        far_quadratic = H.mats[(k,) * dom.n]
-    A = np.atleast_2d(np.asarray(far_quadratic, dtype=np.float64))
-
+    k = dom.margin + 1
+    A = H.mats[(k,) * dom.n]
     grids = dom.meshgrid()
     quad = np.zeros(dom.shape)
     for i in range(dom.n):
@@ -433,7 +405,7 @@ def certify(u_or_solution, far_quadratic: np.ndarray | None = None,
             quad += 0.5 * A[i, j] * grids[i] * grids[j]
 
     defect = 0.0
-    for R in scales:
+    for R in (2.0, 4.0):
         try:
             src, dst = coincident_index_sets(dom, R)
         except EmptyCoincidenceError:
@@ -441,9 +413,9 @@ def certify(u_or_solution, far_quadratic: np.ndarray | None = None,
         defect = max(defect, float(np.max(np.abs(
             u.values[dst] / R ** 2 - quad[src]))))
 
-    bern = bernstein_residual(u)
-    w = _w_field(u)[dom.interior()]
-    w_range = float(np.max(w) - np.min(w))
+    bern = _bernstein_residual(H, w)
+    w_in = w[dom.interior()]
+    w_range = float(np.max(w_in) - np.min(w_in))
     return CertificationReport(condition_B=cond_b, condition_A_defect=defect,
                                bernstein_residual=bern, w_range=w_range,
                                is_quadratic=w_range <= 1e-8,

@@ -5,7 +5,8 @@ pipeline end to end and returns ``(report, artifacts)``: a JSON-ready report
 with measured quantities and pass flags at the frozen thresholds in
 ``cfg.check``, plus the in-memory artifacts (trajectories, snapshots) the CLI
 may persist.  :data:`PIPELINES` is the one list of pipelines: it declares each
-pipeline's runner, its frozen thresholds and the keys it reads from the
+pipeline's runner, its frozen thresholds, whether it evolves initial data
+(reading the ``initial`` and ``flow`` sections) and the keys it reads from the
 ``expander``, ``mcf`` and ``analysis`` sections.
 """
 
@@ -33,8 +34,6 @@ def _setup(cfg: ExperimentConfig):
         boundary = Frozen()
     elif cfg.boundary == "quadratic":
         boundary = QuadraticFarField.fit_corner(u0)
-    elif cfg.boundary != "auto":
-        raise ConfigError("boundary must be 'auto', 'quadratic' or 'frozen'")
     return u0, boundary
 
 
@@ -259,7 +258,8 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
         "per_path": rep.per_path,
         "threshold": thr,
         "corrupted": corrupt,
-        "passed": (rep.max_deviation <= thr and rep.tangential_ratio <= 0.10)
+        "passed": (rep.max_deviation <= thr
+                   and rep.tangential_ratio <= cfg.check["tangential_ratio"])
                   if not corrupt else rep.max_deviation > thr,
     }
     return report, {"trajectory": traj, "paths": paths}
@@ -312,11 +312,13 @@ def plane_pipeline(cfg: ExperimentConfig):
 
 
 class Pipeline(NamedTuple):
-    """A pipeline's runner, its frozen thresholds (the defaults of ``check``)
-    and the keys it reads from the ``expander``, ``mcf`` and ``analysis``."""
+    """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
+    whether it evolves initial data (reads ``initial`` and ``flow``) and the
+    keys it reads from the ``expander``, ``mcf`` and ``analysis``."""
 
     runner: Callable
     check: dict = {}
+    evolves: bool = True
     expander: tuple = ()
     mcf: tuple = ()
     analysis: tuple = ()
@@ -330,15 +332,16 @@ PIPELINES = {
     "condition_b": Pipeline(condition_b_pipeline, {"drift": 5e-3}),
     "heat_oracle": Pipeline(heat_oracle_pipeline, {"sup_diff": 5e-4}),
     "expander_stationarity": Pipeline(
-        expander_stationarity_pipeline, {"residual": 0.05},
+        expander_stationarity_pipeline, {"residual": 0.05}, evolves=False,
         expander=("a", "slope0", "r_max", "dt_probe", "times")),
     "expander_cross": Pipeline(
         expander_cross_pipeline,
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
-        expander=("a", "r_max", "perturbation")),
+        evolves=False, expander=("a", "r_max", "perturbation")),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
                               {"quadratic_residual": 1e-8, "bump_residual": 1e-2}),
-    "mcf_verify": Pipeline(mcf_verify_pipeline, {"deviation": 5e-3},
+    "mcf_verify": Pipeline(mcf_verify_pipeline,
+                           {"deviation": 5e-3, "tangential_ratio": 0.10},
                            mcf=("seeds", "t_start")),
     "decay": Pipeline(decay_pipeline, {"exponent3": [-1.3, -0.7],
                                        "exponent4": [-2.4, -1.6], "runtime_s": 120.0}),

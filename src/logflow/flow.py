@@ -208,16 +208,6 @@ class Trajectory:
     def monitors(self) -> list:
         return self.state.monitor_log
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
-
-    def u_at(self, t: float) -> GridFunction:
-        for tk, u in self.snapshots:
-            if abs(tk - t) <= 1e-9 * max(1.0, abs(t)):
-                return u
-        raise KeyError(f"no snapshot at t={t}")
-
 
 # ---------------------------------------------------------------------------
 # spatial operator
@@ -231,11 +221,11 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
     trace = H.mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", H.mats)
     if tau == 0.0:
         return trace
-    det = H.det()
-    if not H.is_strictly_convex("nonring", det):
+    if not H.is_strictly_convex("nonring"):
         raise NonConvexityError("strict convexity lost while evaluating the flow operator")
-    det[~(det > 0.0)] = 1.0  # ring one-sided values may misbehave; unused
-    return tau / n * np.log(det) + (1.0 - tau) * trace
+    det = H.det()
+    # ring one-sided values may misbehave; they are unused
+    return tau / n * np.log(np.where(det > 0.0, det, 1.0)) + (1.0 - tau) * trace
 
 
 def dt_stable(state: FlowState, safety: float = 0.5) -> float:
@@ -408,20 +398,3 @@ def pde_residual(u_lo: GridFunction, u_mid: GridFunction, u_hi: GridFunction,
     resid = (u_hi.values - u_lo.values) / dt - f_mid
     return float(np.max(np.abs(resid[dom.interior()])))
 
-
-def trajectory_pde_residual(traj: Trajectory, tau: float) -> float:
-    """Largest centred-triple residual over equally spaced snapshot triples."""
-    snaps = traj.snapshots
-    worst = 0.0
-    found = False
-    for k in range(1, len(snaps) - 1):
-        t0, u0 = snaps[k - 1]
-        t1, u1 = snaps[k]
-        t2, u2 = snaps[k + 1]
-        if abs((t1 - t0) - (t2 - t1)) > 1e-9 * max(t2 - t0, 1e-30):
-            continue
-        found = True
-        worst = max(worst, pde_residual(u0, u1, u2, t2 - t0, tau))
-    if not found:
-        raise ValueError("no equally spaced snapshot triple available")
-    return worst

@@ -14,9 +14,7 @@ cheap screen cannot rule out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
+from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
@@ -135,13 +133,6 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.domain, self.values.copy(), self.label)
 
-    @classmethod
-    def from_callable(cls, domain: BoxDomain, fn: Callable, label: str = "") -> "GridFunction":
-        """Sample ``fn`` on the grid; ``fn`` takes the n meshgrid arrays."""
-        vals = fn(*domain.meshgrid())
-        return cls(domain, np.broadcast_to(np.asarray(vals, dtype=np.float64),
-                                           domain.shape).copy(), label)
-
 
 # ---------------------------------------------------------------------------
 # derivative stencils
@@ -192,32 +183,43 @@ class HessianField:
     """Per-node symmetric n x n matrix of second differences of a grid function.
 
     Regions are named: "interior", "nonring" or "all" (see
-    :class:`BoxDomain`).  The eigenvalue bounds and the convexity verdict of
-    a region are evaluated once and kept.
+    :class:`BoxDomain`).  The determinant is evaluated once and kept, as are
+    the eigenvalue bounds and the convexity verdict of each region.
     """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
         self.domain = domain
         self.mats = mats  # shape (*grid_shape, n, n)
+        self._det = None
         self._bounds: dict = {}
         self._convex: dict = {}
 
     # -- determinants / inverses (closed forms, n <= 3) ---------------------
 
     def det(self) -> np.ndarray:
-        """Nodewise determinant, a new array on every call."""
-        return _det(self.mats)
+        """Nodewise determinant; shared by every reader, so never written to."""
+        if self._det is None:
+            self._det = _det(self.mats)
+        return self._det
 
-    def inverse(self, det: np.ndarray | None = None) -> np.ndarray:
-        """Nodewise inverse; a caller that holds this field's :meth:`det`
-        array passes it as ``det``, and n = 1 needs none."""
+    def inverse(self) -> np.ndarray:
+        """Nodewise inverse; n = 1 needs no determinant.
+
+        It reads the kept :meth:`det` array when there is one and otherwise
+        forms a temporary one without keeping it, so a field read only
+        through its inverse (the Legendre transform) holds no extra array
+        across the dense max.  Keeping it there raised the duality-2d
+        workload's peak RSS from 99 to 106 MB on x86-64 Linux with glibc,
+        while the traced allocations grew by 0.1 MB: the kept array changes
+        how the heap is laid out around the max's two 7 MB score arrays.
+        """
         a = self.mats
         n = self.domain.n
         if n == 1:
             inv = np.empty_like(a)
             inv[..., 0, 0] = 1.0 / a[..., 0, 0]
             return inv
-        d = self.det() if det is None else det
+        d = _det(a) if self._det is None else self._det
         if n == 2:
             inv = np.empty_like(a)
             inv[..., 0, 0] = a[..., 1, 1] / d
@@ -282,19 +284,13 @@ class HessianField:
             self._bounds[region] = float(lmin.min()), float(lmax.max())
         return self._bounds[region]
 
-    def is_strictly_convex(self, region: str = "nonring",
-                           det: np.ndarray | None = None) -> bool:
-        """Sylvester criterion on every node of the region.
-
-        A caller that holds this field's :meth:`det` array passes it as
-        ``det``; it supplies the last leading minor, so the determinant is
-        formed once per Hessian.
-        """
+    def is_strictly_convex(self, region: str = "nonring") -> bool:
+        """Sylvester criterion on every node of the region; :meth:`det`
+        supplies the last leading minor."""
         if region not in self._convex:
             sl = self._region(region)
-            a = self.mats[sl]
-            self._convex[region] = self._sylvester(a) and not (
-                (_det(a) if det is None else det[sl]) <= 0.0).any()
+            self._convex[region] = self._sylvester(self.mats[sl]) and not (
+                self.det()[sl] <= 0.0).any()
         return self._convex[region]
 
     def _sylvester(self, a: np.ndarray) -> bool:
@@ -439,12 +435,11 @@ def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
     """
     H = hessian(u)
     n = u.domain.n
-    det = H.det()
-    if not H.is_strictly_convex(region, det):
+    if not H.is_strictly_convex(region):
         raise NonConvexityError(
             f"det D2u <= 0 or lambda_min <= 0 on region {region!r} of {u.label or 'field'}")
-    det = np.where(det > 0.0, det, np.nan)
-    vals = np.log(det) / n
+    det = H.det()
+    vals = np.log(np.where(det > 0.0, det, np.nan)) / n
     vals = np.where(np.isfinite(vals), vals, 0.0)
     return GridFunction(u.domain, vals, label=f"logdet[{u.label}]")
 
@@ -524,20 +519,14 @@ def derivative_sup_norm(u: GridFunction, order: int) -> float:
 # off-node sampling and coincident-node bookkeeping
 # ---------------------------------------------------------------------------
 
-def sample(field: np.ndarray | GridFunction, domain_or_points, points=None,
+def sample(values: np.ndarray, domain: BoxDomain, points,
            order: int = 3) -> np.ndarray:
     """Interpolate a nodal array at arbitrary points inside the box.
 
     ``order=3`` is cubic-spline interpolation (used wherever off-node values
     feed second-order comparisons), ``order=1`` is multilinear.
     """
-    if isinstance(field, GridFunction):
-        domain, values = field.domain, field.values
-        pts = np.asarray(domain_or_points, dtype=np.float64)
-    else:
-        domain, values = domain_or_points, np.asarray(field)
-        pts = np.asarray(points, dtype=np.float64)
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[-1] != domain.n:
         raise ValueError(f"points must have {domain.n} coordinates")
     if (np.abs(pts) > domain.half_width + 1e-9).any():

@@ -37,14 +37,14 @@ def gaussian_tail_mass(center: np.ndarray, L: float, t: float, n: int) -> float:
     return 1.0 - inside
 
 
-def heat_solve(u0: GridFunction, t: float, far_field: QuadraticFarField,
-               tail_tol: float = 1e-10) -> GridFunction:
+def heat_solve(u0: GridFunction, t: float, far_field: QuadraticFarField) -> GridFunction:
     """Evolve u0 for time t under the heat equation on the sampled box.
 
     Raises :class:`TailError` when the kernel centred on the remainder's peak
-    leaks more than ``tail_tol`` of its mass outside the box, i.e. when t is
-    too large for the truncation half-width.
+    (or on the origin) leaks more than 1e-10 of its mass outside the box,
+    i.e. when t is too large for the truncation half-width.
     """
+    tail_tol = 1e-10
     if not t > 0.0:
         raise ValueError("heat_solve needs t > 0")
     dom = u0.domain

@@ -24,10 +24,8 @@ from .grid import (BoxDomain, GridFunction, _third_differences, gradient, hessia
 __all__ = [
     "auto_dual_domain",
     "legendre_transform",
-    "duality_involution_check",
     "dual_flow_check",
     "eigenvalue_swap_gap",
-    "young_gap",
 ]
 
 
@@ -52,13 +50,13 @@ def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tup
     return V, tuple(idx)
 
 
-def auto_dual_domain(u: GridFunction, m: int | None = None,
-                     shrink: float = 0.8) -> BoxDomain:
+def auto_dual_domain(u: GridFunction, shrink: float = 0.8) -> BoxDomain:
     """Symmetric dual box inside the sampled gradient range.
 
     The half-width is ``shrink`` times the largest symmetric interval that the
     per-axis gradient ranges support, which keeps every dual node away from
-    the gradient-range boundary where the conjugate degenerates.
+    the gradient-range boundary where the conjugate degenerates.  It has as
+    many nodes per axis as the primal grid.
     """
     g = gradient(u)
     half = np.inf
@@ -68,12 +66,11 @@ def auto_dual_domain(u: GridFunction, m: int | None = None,
             raise RangeError("gradient range does not surround the origin; "
                              "supply a dual box explicitly")
         half = min(half, -lo, hi)
-    return BoxDomain(n=u.domain.n, half_width=shrink * half,
-                     m=u.domain.m if m is None else m, margin=u.domain.margin)
+    return BoxDomain(n=u.domain.n, half_width=shrink * half, m=u.domain.m,
+                     margin=u.domain.margin)
 
 
-def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
-                       refine: bool = True) -> GridFunction:
+def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> GridFunction:
     """Convex conjugate sampled on the dual box.
 
     Raises :class:`RangeError` when the discrete arg-max for some dual node
@@ -103,84 +100,30 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None, *,
         k = int(np.flatnonzero(on_edge)[0])
         raise RangeError(f"dual point {y_pts[k]} outside the sampled gradient range")
     best = np.ravel_multi_index(multi, dom.shape).ravel()
-    star = sup.ravel()
-    if refine:
-        # Third-order nodal Taylor term plus removal of the central-difference
-        # gradient bias (h^2/6) u_iii: both keep the refinement error and its
-        # arg-max switching jumps at O(h^4), so second differences of the
-        # conjugate remain second-order accurate.  Quadratics stay exact.
-        third = np.empty((best.size, dom.n, dom.n, dom.n))
-        for i, j, l, d in _third_differences(H):
-            third[:, l, i, j] = third[:, l, j, i] = d.ravel()[best]
-        bias = np.stack([third[:, i, i, i] for i in range(dom.n)], axis=-1)
-        resid = y_pts - (grad_flat[best] - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
-        step = np.einsum("kij,kj->ki", inv_flat[best], resid)
-        star = star + 0.5 * np.einsum("ki,ki->k", resid, step)
-        star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
+    # Third-order nodal Taylor term plus removal of the central-difference
+    # gradient bias (h^2/6) u_iii: both keep the refinement error and its
+    # arg-max switching jumps at O(h^4), so second differences of the
+    # conjugate remain second-order accurate.  Quadratics stay exact.
+    third = np.empty((best.size, dom.n, dom.n, dom.n))
+    for i, j, l, d in _third_differences(H):
+        third[:, l, i, j] = third[:, l, j, i] = d.ravel()[best]
+    bias = np.stack([third[:, i, i, i] for i in range(dom.n)], axis=-1)
+    resid = y_pts - (grad_flat[best] - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
+    step = np.einsum("kij,kj->ki", inv_flat[best], resid)
+    star = sup.ravel() + 0.5 * np.einsum("ki,ki->k", resid, step)
+    star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),
                         label=f"conjugate[{u.label}]")
 
 
-def young_gap(u: GridFunction, u_star: GridFunction) -> tuple[float, float]:
-    """(min over pairs of u(x) + u*(y) - <x,y>, max equality defect at y = Du(x)).
-
-    The first value is nonnegative by construction; the second measures how
-    sharply equality is attained at the dual point of each interior node whose
-    gradient lands inside the dual box.
-    """
-    dom = u.domain
-    sup, _ = _discrete_sup(u, u_star.domain)
-    worst_min = float(np.min(u_star.values - sup))
-
-    from .grid import sample
-    g = gradient(u)
-    sl = dom.interior()
-    grads = np.stack([g[i][sl].ravel() for i in range(dom.n)], axis=-1)
-    inside = np.all(np.abs(grads) <= u_star.domain.half_width - 2 * u_star.domain.h,
-                    axis=1)
-    grads = grads[inside]
-    xs = np.stack([grid[sl].ravel() for grid in dom.meshgrid()], axis=-1)[inside]
-    uvals = u.values[sl].ravel()[inside]
-    star_at = sample(u_star, grads, order=3)
-    eq_defect = float(np.max(np.abs(uvals + star_at - np.sum(xs * grads, axis=1))))
-    return worst_min, eq_defect
-
-
-def duality_involution_check(u: GridFunction) -> float:
-    """Max over interior samples of || D2u*(Du(x)) . D2u(x) - I ||_max."""
-    from .grid import sample
-    dom = u.domain
-    u_star = legendre_transform(u)
-    H = hessian(u)
-    H_star = hessian(u_star)
-    g = gradient(u)
-    sl = dom.interior()
-    pts = np.stack([g[i][sl].ravel() for i in range(dom.n)], axis=-1)
-    keep = np.all(np.abs(pts) <= u_star.domain.half_width - 2 * u_star.domain.h, axis=1)
-    pts = pts[keep]
-    if pts.shape[0] == 0:
-        raise RangeError("no interior gradient lands inside the dual box")
-    mats_x = H.mats[sl].reshape(-1, dom.n, dom.n)[keep]
-    star_entries = np.empty((pts.shape[0], dom.n, dom.n))
-    for i in range(dom.n):
-        for j in range(dom.n):
-            star_entries[:, i, j] = sample(H_star.mats[..., i, j],
-                                           u_star.domain, pts, order=3)
-    prod = np.einsum("kij,kjl->kil", star_entries, mats_x)
-    eye = np.eye(dom.n)
-    return float(np.max(np.abs(prod - eye)))
-
-
-def eigenvalue_swap_gap(u: GridFunction, u_star: GridFunction | None = None
-                        ) -> tuple[float, float]:
-    """Defects of the dual eigenvalue inequalities.
+def eigenvalue_swap_gap(u: GridFunction) -> tuple[float, float]:
+    """Defects of the dual eigenvalue inequalities, u* on the automatic dual box.
 
     Returns (max(0, 1/lambda_max(u) - lambda_min(u*)),
              max(0, lambda_max(u*) - 1/lambda_min(u))); both vanish up to O(h)
     because the dual box samples a subset of the gradient image.
     """
-    if u_star is None:
-        u_star = legendre_transform(u)
+    u_star = legendre_transform(u)
     lo, hi = hessian(u).eigen_bounds("interior")
     lo_s, hi_s = hessian(u_star).eigen_bounds("interior")
     return max(0.0, 1.0 / hi - lo_s), max(0.0, hi_s - 1.0 / lo)

@@ -17,11 +17,6 @@ potential trajectory into a solution of dF/dt = H.  Particle transport
 evaluates each stored snapshot's Hessian and curvature field once and
 records the curvature vector and the induced metric along every path, which
 is what the dF/dt = H check compares against.
-
-A diagonal-signature presentation is available as an output conversion:
-p = (x + y) / 2, q = (x - y) / 2 turns the pairing into
-sum (dp^i)^2 - sum (dq^i)^2.  This basis choice is a fixed convention of the
-package, not a canonical one.
 """
 
 from __future__ import annotations
@@ -34,30 +29,12 @@ from .errors import EscapeError, NonConvexityError
 from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
 
 __all__ = [
-    "null_pairing_matrix",
     "mean_curvature_fields",
     "ParticlePath",
     "integrate_particles",
     "verify_mcf",
     "McfReport",
-    "to_signature_coordinates",
 ]
-
-
-def null_pairing_matrix(n: int) -> np.ndarray:
-    """Gram matrix of the ambient pairing in null coordinates (x, y)."""
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, n:] = 0.5 * np.eye(n)
-    B[n:, :n] = 0.5 * np.eye(n)
-    return B
-
-
-def to_signature_coordinates(vec: np.ndarray) -> np.ndarray:
-    """Convert null components (x, y) to the diagonal-signature basis (p, q)."""
-    vec = np.asarray(vec, dtype=np.float64)
-    n = vec.shape[-1] // 2
-    x, y = vec[..., :n], vec[..., n:]
-    return np.concatenate([(x + y) * 0.5, (x - y) * 0.5], axis=-1)
 
 
 def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
@@ -72,7 +49,7 @@ def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
     g = Hess.det()
     if (g[dom.nonring()] <= 0.0).any():
         raise NonConvexityError("graph is not spacelike: det D2u <= 0")
-    inv = Hess.inverse(g)
+    inv = Hess.inverse()
     dg = np.stack([axis_diff(g, h, ax) for ax in range(n)])
     out = np.empty((2 * n,) + dom.shape)
     coef = 1.0 / (2.0 * n * g)
@@ -106,9 +83,10 @@ def _escape_guard(dom: BoxDomain, pts: np.ndarray):
         raise EscapeError("particle left the trustworthy interior margin")
 
 
-def integrate_particles(trajectory, seeds, t_start: float | None = None,
-                        t_end: float | None = None) -> list[ParticlePath]:
-    """Advect seeds through the time-dependent velocity field of a trajectory.
+def integrate_particles(trajectory, seeds,
+                        t_start: float | None = None) -> list[ParticlePath]:
+    """Advect seeds through the time-dependent velocity field of a trajectory,
+    from the first stored snapshot at or after ``t_start`` to the last one.
 
     Each stored snapshot's Hessian, mean curvature field and gradient are
     evaluated once, snapshot by snapshot; particles take one explicit
@@ -121,8 +99,7 @@ def integrate_particles(trajectory, seeds, t_start: float | None = None,
     snaps = trajectory.snapshots
     times = np.array([t for t, _ in snaps])
     lo = 0 if t_start is None else int(np.searchsorted(times, t_start - 1e-12))
-    hi = len(snaps) - 1 if t_end is None else int(
-        np.searchsorted(times, t_end + 1e-12) - 1)
+    hi = len(snaps) - 1
     if hi - lo < 2:
         raise ValueError("need at least three stored snapshots in the window")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))

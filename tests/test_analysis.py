@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 
 from logflow.errors import InsufficientSamples, WindowEscape
 from logflow.analysis import (blowdown_convergence, check_condition_A,
-                              check_condition_B, fit_decay, plane_convergence,
-                              rescaled_view)
-from logflow.flow import (QuadraticFarField, ReferenceSolution, Trajectory,
-                          run, trajectory_pde_residual)
-from logflow.grid import BoxDomain, GridFunction, hessian
+                              check_condition_B, fit_decay, plane_convergence)
+from logflow.flow import QuadraticFarField, ReferenceSolution, pde_residual, run
+from logflow.grid import BoxDomain, GridFunction, coincident_index_sets
 
 
 def iso_quad(domain, scale=1.0, const=0.0):
@@ -69,43 +67,26 @@ def test_condition_b_quartic_fails_any_positive_lower_bound():
 
 
 # ---------------------------------------------------------------------------
-# rescaled views
+# parabolic rescaling
 # ---------------------------------------------------------------------------
 
-def test_rescaled_view_hessian_matches_source():
-    dom = BoxDomain(n=1, half_width=4.0, m=65)
-    x = dom.axis
-    u = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-x ** 2))
-    view = rescaled_view(u, 2.0)
-    # D2(view) at x equals D2u at 2x up to the coarser stencil error
-    hv = hessian(view).mats[..., 0, 0]
-    hu = hessian(u).mats[..., 0, 0]
-    xs = view.domain.axis
-    src_idx = np.rint((2.0 * xs + dom.half_width) / dom.h).astype(int)
-    gap = np.max(np.abs(hv[1:-1] - hu[src_idx][1:-1]))
-    assert gap < 5e-2  # interpolation-free, stencil-width limited
-
-
 def test_rescaled_trajectory_solves_the_flow():
-    # scaling covariance: R^-2 u(Rx, R^2 t) is again a solution
+    # scaling covariance: R^-2 u(Rx, R^2 t) is again a solution; it is read
+    # off the coincident nodes, on the sub-box of half-width L/R
     dom = BoxDomain(n=1, half_width=4.0, m=65)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-x ** 2))
-    R, t0, dt = 2.0, 0.05, 0.004
+    R, t0, dt = 2, 0.05, 0.004
     big_times = [R ** 2 * (t0 + k * dt) for k in (0, 1, 2)]
     traj = run(u0, tau=1.0, t_end=big_times[-1],
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=big_times)
-    views = [(t / R ** 2, rescaled_view(u, R)) for t, u in traj.snapshots]
-    scaled = Trajectory(state=traj.state, snapshots=views)
-    resid = trajectory_pde_residual(scaled, tau=1.0)
+    _, dst = coincident_index_sets(dom, R)
+    sub = BoxDomain(n=1, half_width=dom.half_width / R, m=(dom.m - 1) // R + 1)
+    views = [GridFunction(sub, u.values[dst] / R ** 2) for _, u in traj.snapshots]
+    t_lo, _, t_hi = (t / R ** 2 for t, _ in traj.snapshots)
+    resid = pde_residual(*views, dt=t_hi - t_lo, tau=1.0)
     assert resid < 5e-2  # O(h^2 + dt) at the coarse sampling
-
-
-def test_rescaled_view_needs_integer_scale():
-    dom = BoxDomain(n=1, half_width=1.0, m=17)
-    with pytest.raises(ValueError):
-        rescaled_view(iso_quad(dom), 1.5)
 
 
 # ---------------------------------------------------------------------------

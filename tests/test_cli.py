@@ -66,7 +66,7 @@ FROZEN_THRESHOLDS = {
     "expander-cross-validation": {"profile_gap": 1e-4, "newton_residual": 1e-10,
                                   "newton_iterations": 15},
     "legendre-duality": {"quadratic_residual": 1e-8, "bump_residual": 1e-2},
-    "mcf-correspondence": {"deviation": 5e-3},
+    "mcf-correspondence": {"deviation": 5e-3, "tangential_ratio": 0.10},
     "decay-rates": {"exponent3": [-1.3, -0.7], "exponent4": [-2.4, -1.6],
                     "runtime_s": 120.0},
     "blowdown-convergence": {"final_error": 0.02},
@@ -175,13 +175,28 @@ def test_unknown_stepper_exit_code(tmp_path):
     ("expander-stationarity", "expander.rmax = 2.5"),
     ("condition-b-preservation", "initial.amplitde = 0.1"),
     ("condition-b-preservation", "grid.margn = 2"),
+    ("expander-stationarity", "flow.t_end = 5.0"),
+    ("expander-cross-validation", "initial.kind = quadratic"),
 ], ids=lambda v: v.split(" ")[0] if "=" in v else None)
 def test_unknown_flow_key_exit_code(tmp_path, preset, line):
-    # one mistyped key per section; each is a configuration error
+    # one mistyped key per section, and a section the expander pipelines do
+    # not read; each is a configuration error
     p = tmp_path / "cfg.txt"
     p.write_text(f"preset = {preset}\n{line}\noutdir = {tmp_path / 'run'}\n")
     assert main(["flow", "run", "--config", str(p)]) == 2
     assert not (tmp_path / "run").exists()
+
+
+def test_bad_boundary_rejected_before_any_run(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"preset": "heat-oracle"}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"preset": "heat-oracle", "boundary": "fixed"}))
+    runs = tmp_path / "runs"
+    assert main(["flow", "run", "--config", str(good), str(bad),
+                 "--outdir", str(runs)]) == 2
+    assert "boundary must be" in capsys.readouterr().err
+    assert not runs.exists()
 
 
 def test_missing_t_end_exit_code(tmp_path, capsys):

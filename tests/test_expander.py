@@ -5,9 +5,8 @@ import pytest
 
 from logflow.errors import (BlowupError, NewtonStall, NonConvexityError,
                             SingularStartError)
-from logflow.expander import (bernstein_residual, certify,
-                              expander_residual, newton_solve, profile_to_grid,
-                              radial_shoot, residual_sup)
+from logflow.expander import (certify, newton_solve, profile_to_grid,
+                              radial_shoot)
 from logflow.flow import run
 from logflow.grid import BoxDomain, GridFunction
 
@@ -19,13 +18,13 @@ def iso_quad(domain, scale=1.0, const=0.0):
 
 
 # ---------------------------------------------------------------------------
-# pointwise residual
+# pointwise residual det D2u - exp(n w), read as certify's interior sup
 # ---------------------------------------------------------------------------
 
 def test_residual_zero_on_isotropic_quadratic():
     for n in (1, 2):
         dom = BoxDomain(n=n, half_width=1.5, m=17)
-        assert residual_sup(iso_quad(dom)) < 1e-11
+        assert certify(iso_quad(dom)).residual_norm < 1e-11
 
 
 def test_residual_of_anisotropic_quadratic():
@@ -33,22 +32,19 @@ def test_residual_of_anisotropic_quadratic():
     dom = BoxDomain(n=2, half_width=1.0, m=17)
     x1, x2 = dom.meshgrid()
     u = GridFunction(dom, 0.5 * (2 * x1 ** 2 + 2 * x2 ** 2))
-    r = expander_residual(u)
-    mid = (dom.m // 2, dom.m // 2)
-    assert r.values[mid] == pytest.approx(3.0, abs=1e-9)
+    assert certify(u).residual_norm == pytest.approx(3.0, abs=1e-9)
 
 
 def test_residual_of_stretched_parabola_1d():
     dom = BoxDomain(n=1, half_width=1.0, m=17)
     u = GridFunction(dom, 0.6 * dom.axis ** 2)
-    r = expander_residual(u)
-    assert r.values[dom.m // 2] == pytest.approx(0.2, abs=1e-9)
+    assert certify(u).residual_norm == pytest.approx(0.2, abs=1e-9)
 
 
 def test_residual_requires_convexity():
     dom = BoxDomain(n=1, half_width=1.0, m=17)
-    with pytest.raises(NonConvexityError):
-        expander_residual(GridFunction(dom, -0.5 * dom.axis ** 2))
+    with pytest.raises(NonConvexityError, match="expander residual"):
+        certify(GridFunction(dom, -0.5 * dom.axis ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +194,8 @@ def test_flow_snapshot_of_homogeneous_data_is_an_expander():
         + t * np.log(np.where(pts[:, 0] < 0, cm, cp)))
     traj = run(u0, tau=1.0, t_end=1.0, boundary=ref)
     u1 = traj.state.u
-    assert residual_sup(u1, region="interior") < 0.05  # O(h^2) residual
     rep = certify(u1)
+    assert rep.residual_norm < 0.05  # O(h^2) residual
     assert not rep.is_quadratic
     assert rep.w_range > 1e-2
     # w has no interior extremum: it increases monotonically across the kink
@@ -224,3 +220,50 @@ def test_bernstein_residual_shrinks_at_second_order():
         return rep.bernstein_residual
 
     assert res(65) / res(129) > 3.0
+
+
+# ---------------------------------------------------------------------------
+# derivative fields evaluated once
+# ---------------------------------------------------------------------------
+
+def _counting(fn, tally, key, when=lambda *args: True):
+    def wrapper(*args, **kwargs):
+        tally[key] += bool(when(*args))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_newton_forms_one_determinant_per_hessian(monkeypatch):
+    from logflow import expander, grid
+    from logflow.config import load_config
+    from logflow.experiments import run_pipeline
+    tally = {"det": 0, "hessian": 0}
+    inside = []
+    monkeypatch.setattr(grid, "_det", _counting(grid._det, tally, "det", lambda *a: inside))
+    monkeypatch.setattr(expander, "hessian",
+                        _counting(expander.hessian, tally, "hessian", lambda *a: inside))
+    solve = expander.newton_solve
+
+    def tracked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(expander, "newton_solve", tracked)
+    report, _ = run_pipeline(load_config({"preset": "expander-cross-validation"}))
+    assert report["newton_iterations"] == 3
+    assert tally == {"det": 4, "hessian": 4}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_certify_evaluates_hessian_and_gradient_once(monkeypatch, n):
+    from logflow import expander
+    u = iso_quad(BoxDomain(n=n, half_width=2.0, m=33))
+    tally = {"hessian": 0, "gradient": 0}
+    for name in tally:
+        monkeypatch.setattr(expander, name, _counting(getattr(expander, name), tally,
+                                                      name, lambda v, *a: v is u))
+    certify(u)
+    assert tally == {"hessian": 1, "gradient": 1}

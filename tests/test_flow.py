@@ -153,10 +153,11 @@ def test_scaling_invariance_of_quadratic_solutions():
     t_star = 0.25
     traj = run(u0, tau=1.0, t_end=4 * t_star, boundary=QuadraticFarField(A, np.zeros(2)),
                snapshot_times=[t_star / 4, t_star, 4 * t_star])
-    u_mid = traj.u_at(t_star).values
+    snaps = dict(traj.snapshots)
+    u_mid = snaps[t_star].values
     for R in (2.0, 0.5):
         src, dst = coincident_index_sets(dom, R)
-        u_scaled = traj.u_at(R ** 2 * t_star).values
+        u_scaled = snaps[R ** 2 * t_star].values
         assert np.max(np.abs(u_mid[src] - u_scaled[dst] / R ** 2)) < 1e-10
 
 
@@ -312,7 +313,7 @@ def test_snapshot_times_hit_exactly():
     dom = BoxDomain(n=1, half_width=2.0, m=17)
     traj = run(quad(dom, np.eye(1)), tau=1.0, t_end=0.5,
                snapshot_times=[0.1, 0.25, 0.5])
-    assert list(traj.times) == [0.1, 0.25, 0.5]
+    assert [t for t, _ in traj.snapshots] == [0.1, 0.25, 0.5]
 
 
 def test_runs_are_deterministic():

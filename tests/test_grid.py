@@ -478,7 +478,7 @@ def test_cubic_sampling_accuracy():
     dom = BoxDomain(n=1, half_width=2.0, m=129)
     u = GridFunction(dom, np.sin(dom.axis))
     pts = np.array([[0.1234], [-0.7321], [1.005]])
-    got = sample(u, pts, order=3)
+    got = sample(u.values, dom, pts, order=3)
     assert np.max(np.abs(got - np.sin(pts[:, 0]))) < 1e-7
 
 

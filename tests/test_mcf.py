@@ -6,9 +6,7 @@ import pytest
 from logflow.errors import EscapeError
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction, hessian
-from logflow.mcf import (integrate_particles, mean_curvature_fields,
-                         null_pairing_matrix, to_signature_coordinates,
-                         verify_mcf)
+from logflow.mcf import integrate_particles, mean_curvature_fields, verify_mcf
 
 
 def bump(domain, amp=0.1, width=1.0):
@@ -39,7 +37,9 @@ def mean_curvature(u, at):
 def test_frame_pairing_identities():
     dom = BoxDomain(n=2, half_width=2.0, m=17)
     u = bump(dom, amp=0.15)
-    B = null_pairing_matrix(2)
+    # Gram matrix of the ambient pairing in null coordinates (x, y)
+    B = np.zeros((4, 4))
+    B[:2, 2:] = B[2:, :2] = 0.5 * np.eye(2)
     g = hessian(u).mats[8, 8]
     e = np.concatenate([np.eye(2), g], axis=1)      # tangent frame e_i
     eta = np.concatenate([np.eye(2), -g], axis=1)   # normal frame eta_i
@@ -52,20 +52,6 @@ def test_spacelike_iff_convex():
     dom = BoxDomain(n=2, half_width=2.0, m=17)
     ev = np.linalg.eigvalsh(hessian(bump(dom)).mats[8, 8])
     assert ev[0] > 0.0
-
-
-def test_signature_conversion_diagonalises_pairing():
-    rng = np.random.default_rng(7)
-    n = 2
-    B = null_pairing_matrix(n)
-    for _ in range(10):
-        v = rng.normal(size=2 * n)
-        w = rng.normal(size=2 * n)
-        pq_v = to_signature_coordinates(v)
-        pq_w = to_signature_coordinates(w)
-        direct = v @ B @ w
-        diag = np.sum(pq_v[:n] * pq_w[:n]) - np.sum(pq_v[n:] * pq_w[n:])
-        assert abs(direct - diag) < 1e-12
 
 
 # ---------------------------------------------------------------------------
