@@ -251,10 +251,21 @@ def _cmd_expander_shoot(args) -> int:
     return EXIT_OK
 
 
+def _output_file(path) -> Path:
+    """An output file path, refused before the computation when its directory
+    is missing or it names a directory."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {path.parent} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory")
+    return path
+
+
 def _cmd_expander_certify(args) -> int:
     u, head = read_snapshot(args.input)
+    out = _output_file(args.output or Path(args.input).with_suffix(".certification.json"))
     rep = expander.certify(u)
-    out = Path(args.output or (Path(args.input).with_suffix(".certification.json")))
     out.write_text(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -262,8 +273,9 @@ def _cmd_expander_certify(args) -> int:
 
 def _cmd_legendre_transform(args) -> int:
     u, head = read_snapshot(args.input)
+    out = _output_file(args.output)
     star = legendre.legendre_transform(u)
-    write_snapshot(args.output, star, t=head.get("t"), tau=head.get("tau"))
+    write_snapshot(out, star, t=head.get("t"), tau=head.get("tau"))
     print(f"conjugate written to {args.output}")
     return EXIT_OK
 
@@ -316,6 +328,8 @@ def _cmd_analyze_plane(args) -> int:
 
 
 def _cmd_analyze_condition(args) -> int:
+    if args.lam > args.Lam:
+        raise ConfigError(f"--lambda {args.lam:g} exceeds --Lambda {args.Lam:g}")
     u, head = read_snapshot(args.input)
     rep = analysis.check_condition_B(u, args.lam, args.Lam)
     defect = None

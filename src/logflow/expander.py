@@ -368,7 +368,10 @@ def _bernstein_residual(H: HessianField, w: np.ndarray) -> float:
     grids = dom.meshgrid()
     wf = GridFunction(dom, w, label="bernstein-w")
     gw = gradient(wf)
-    lhs = np.einsum("...ij,...ij->...", H.inverse(), hessian(wf).mats)
+    # einsum sums the component-major fields in another order; C order
+    # keeps the bits of the contraction
+    lhs = np.einsum("...ij,...ij->...", np.ascontiguousarray(H.inverse()),
+                    np.ascontiguousarray(hessian(wf).mats))
     drift = 0.5 * dom.n * sum(grids[i] * gw[i] for i in range(dom.n))
     return float(np.max(np.abs((lhs + drift)[dom.interior()])))
 

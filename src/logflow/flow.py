@@ -102,7 +102,7 @@ class QuadraticFarField:
         k = dom.margin + 1
         idx = (k,) * dom.n
         H = hessian(u0)
-        A = H.mats[idx]
+        A = np.ascontiguousarray(H.mats[idx])
         g = gradient(u0)
         x0 = np.array([dom.axis[k]] * dom.n)
         Du = np.array([g[(i,) + idx] for i in range(dom.n)])

@@ -6,10 +6,13 @@ stencils on interior nodes and second-order one-sided stencils on the boundary
 layer, so polynomials of total degree two are differentiated exactly
 everywhere.  Mixed second derivatives are iterated first differences, assigned
 once per unordered index pair, which makes the Hessian symmetric bit for bit.
-First differences are the uniform-spacing expressions of ``np.gradient`` with
-``edge_order=2``, written out, and each consumer computes only the ones it
-reads.  At n = 3 the eigenvalue bounds sweep Jacobi only over the nodes a
-cheap screen cannot rule out.
+Each Hessian is stored component-major: one (n, n, *grid) buffer seen as
+(*grid, n, n) through a transpose, so every entry field ``mats[..., i, j]``
+is one contiguous array.  First differences are the uniform-spacing
+expressions of ``np.gradient`` with ``edge_order=2``, written out, and each
+consumer computes only the ones it reads.  At n = 3 the eigenvalue bounds
+sweep Jacobi only over the nodes a cheap screen cannot rule out; the screen
+runs once per Hessian on all nodes and every region reads its slice.
 """
 
 from __future__ import annotations
@@ -182,15 +185,20 @@ def gradient(u: GridFunction) -> np.ndarray:
 class HessianField:
     """Per-node symmetric n x n matrix of second differences of a grid function.
 
-    Regions are named: "interior", "nonring" or "all" (see
-    :class:`BoxDomain`).  The determinant is evaluated once and kept, as are
-    the eigenvalue bounds and the convexity verdict of each region.
+    ``mats`` has shape (*grid_shape, n, n); :func:`hessian` stores it
+    component-major, so each entry field ``mats[..., i, j]`` is contiguous
+    and every nodewise formula below reads contiguous memory.  Any layout
+    gives the same values.  Regions are named: "interior", "nonring" or
+    "all" (see :class:`BoxDomain`).  The determinant is evaluated once and
+    kept, as are the n = 3 eigenvalue screen, the eigenvalue bounds and the
+    convexity verdict of each region.
     """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
         self.domain = domain
         self.mats = mats  # shape (*grid_shape, n, n)
         self._det = None
+        self._screen = None
         self._bounds: dict = {}
         self._convex: dict = {}
 
@@ -244,7 +252,9 @@ class HessianField:
 
         Closed form on every node of the region for n <= 2.  For n = 3 the
         cyclic Jacobi sweep runs only where a cheap screen cannot rule out
-        an extreme.  Per node, with mu = tr/3 and S = |A - mu I|_F^2,
+        an extreme.  The screen is evaluated once per field on all nodes and
+        each region reads its slice; the screen of a node does not depend on
+        the other nodes.  Per node, with mu = tr/3 and S = |A - mu I|_F^2,
         ``lo`` = max(Gershgorin lower bound, mu - sqrt(2S/3)) bounds
         lambda_min from below and ``hi`` = min(Gershgorin upper bound,
         mu + sqrt(2S/3)) bounds lambda_max from above; the sqrt(2S/3) bound
@@ -260,7 +270,8 @@ class HessianField:
         screen.  A NaN or inf entry makes delta non-finite, which keeps
         every node.
         """
-        a = self.mats[self._region(region)]
+        sl = self._region(region)
+        a = self.mats[sl]
         n = self.domain.n
         if n == 1:
             return a[..., 0, 0], a[..., 0, 0]
@@ -268,7 +279,9 @@ class HessianField:
             mean = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
             rad = np.sqrt((0.5 * (a[..., 0, 0] - a[..., 1, 1])) ** 2 + a[..., 0, 1] ** 2)
             return mean - rad, mean + rad
-        lo, hi = _screen_sym3(a)
+        if self._screen is None:
+            self._screen = _screen_sym3(self.mats)
+        lo, hi = self._screen[0][sl], self._screen[1][sl]
         seeds = [np.unravel_index(np.argmin(lo), lo.shape),
                  np.unravel_index(np.argmax(hi), hi.shape)]
         ev = _jacobi_eigvals_sym3(np.stack([a[k] for k in seeds]))
@@ -410,20 +423,21 @@ def hessian(u: GridFunction) -> HessianField:
 
     The mixed entry is computed once per unordered pair and mirrored, so the
     matrix is symmetric by construction at every node.  The first difference
-    along the last axis enters no mixed entry and is not computed.
+    along the last axis enters no mixed entry and is not computed.  The
+    entries fill one component-major (n, n, *grid) buffer, which the field
+    sees as (*grid, n, n) through ``transpose`` (a view; ``np.moveaxis``
+    gives the same view at several times the per-call cost).
     """
     n, h = u.domain.n, u.domain.h
-    mats = np.empty(u.domain.shape + (n, n), dtype=np.float64)
+    comps = np.empty((n, n) + u.domain.shape, dtype=np.float64)
     for i in range(n):
-        mats[..., i, i] = axis_diff2(u.values, h, i)
+        comps[i, i] = axis_diff2(u.values, h, i)
         if i == n - 1:
             break
         first = axis_diff(u.values, h, i)
         for j in range(i + 1, n):
-            mixed = axis_diff(first, h, j)
-            mats[..., i, j] = mixed
-            mats[..., j, i] = mixed
-    return HessianField(u.domain, mats)
+            comps[i, j] = comps[j, i] = axis_diff(first, h, j)
+    return HessianField(u.domain, comps.transpose(tuple(range(2, n + 2)) + (0, 1)))
 
 
 def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
@@ -449,15 +463,11 @@ def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
 # ---------------------------------------------------------------------------
 
 def _third_differences(H: HessianField):
-    """Yield (i, j, l, d_l H_ij) over index pairs i <= j and axes l.
-
-    Each entry field is copied to a contiguous array once before its n
-    derivatives are taken.
-    """
+    """Yield (i, j, l, d_l H_ij) over index pairs i <= j and axes l."""
     n, h = H.domain.n, H.domain.h
     for i in range(n):
         for j in range(i, n):
-            entry = np.ascontiguousarray(H.mats[..., i, j])
+            entry = H.mats[..., i, j]
             for l in range(n):
                 yield i, j, l, axis_diff(entry, h, l)
 
@@ -494,7 +504,7 @@ def third_derivative_norm(H: HessianField) -> float:
     sq = 0.0
     for i in range(n):
         for j in range(i, n):
-            entry = np.ascontiguousarray(H.mats[..., i, j])
+            entry = H.mats[..., i, j]
             for l in range(n):
                 k = sl[l]
                 up = sl[:l] + (slice(k.start + 1, k.stop + 1),) + sl[l + 1:]

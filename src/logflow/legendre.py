@@ -50,7 +50,10 @@ def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tup
     return V, tuple(idx)
 
 
-def auto_dual_domain(u: GridFunction, shrink: float = 0.8) -> BoxDomain:
+_SHRINK = 0.8  # the automatic dual box's share of the gradient range
+
+
+def auto_dual_domain(u: GridFunction, shrink: float = _SHRINK) -> BoxDomain:
     """Symmetric dual box inside the sampled gradient range.
 
     The half-width is ``shrink`` times the largest symmetric interval that the
@@ -58,16 +61,20 @@ def auto_dual_domain(u: GridFunction, shrink: float = 0.8) -> BoxDomain:
     the gradient-range boundary where the conjugate degenerates.  It has as
     many nodes per axis as the primal grid.
     """
-    g = gradient(u)
+    return _dual_box(gradient(u), u.domain, shrink)
+
+
+def _dual_box(g: np.ndarray, domain: BoxDomain, shrink: float) -> BoxDomain:
+    """:func:`auto_dual_domain` from the gradient ``g`` already taken."""
     half = np.inf
-    for i in range(u.domain.n):
+    for i in range(domain.n):
         lo, hi = float(np.min(g[i])), float(np.max(g[i]))
         if not (lo < 0.0 < hi):
             raise RangeError("gradient range does not surround the origin; "
                              "supply a dual box explicitly")
         half = min(half, -lo, hi)
-    return BoxDomain(n=u.domain.n, half_width=shrink * half, m=u.domain.m,
-                     margin=u.domain.margin)
+    return BoxDomain(n=domain.n, half_width=shrink * half, m=domain.m,
+                     margin=domain.margin)
 
 
 def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> GridFunction:
@@ -83,13 +90,16 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> Gr
     lo, _ = H.eigen_bounds("all")
     if lo <= 0.0:
         raise NonConvexityError("conjugation needs strict convexity on the grid")
+    g = gradient(u)
     if y_domain is None:
-        y_domain = auto_dual_domain(u)
+        y_domain = _dual_box(g, dom, _SHRINK)
 
     y_pts = y_domain.points()                  # (M, n)
-    g = gradient(u)
     grad_flat = np.stack([g[i].ravel() for i in range(dom.n)], axis=-1)
-    inv_flat = H.inverse().reshape(-1, dom.n, dom.n)
+    # formed before the max, not after: allocated after the max's two large
+    # score arrays are freed, it raised duality-2d's peak RSS from 100 to
+    # 106 MB (x86-64 Linux, glibc)
+    inv = H.inverse()
 
     sup, multi = _discrete_sup(u, y_domain)
     # arg-max on the outermost layer: dual point outside the gradient hull
@@ -109,7 +119,7 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> Gr
         third[:, l, i, j] = third[:, l, j, i] = d.ravel()[best]
     bias = np.stack([third[:, i, i, i] for i in range(dom.n)], axis=-1)
     resid = y_pts - (grad_flat[best] - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
-    step = np.einsum("kij,kj->ki", inv_flat[best], resid)
+    step = np.einsum("kij,kj->ki", inv[multi].reshape(-1, dom.n, dom.n), resid)
     star = sup.ravel() + 0.5 * np.einsum("ki,ki->k", resid, step)
     star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),

@@ -249,6 +249,22 @@ def test_legendre_transform_cli(tmp_path):
     assert np.max(np.abs(star.values - 0.5 * grids[0] ** 2)) < 1e-10
 
 
+@pytest.mark.parametrize("dst, message", [("missing/o.snap", "does not exist"),
+                                          (".", "is a directory")])
+def test_legendre_transform_to_unwritable_output_exits_config(tmp_path, capsys,
+                                                              dst, message):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import write_snapshot
+    dom = BoxDomain(n=1, half_width=2.0, m=33)
+    src = tmp_path / "u.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * dom.axis ** 2), t=0.0, tau=1.0)
+    assert main(["legendre", "transform", "--input", str(src),
+                 "--output", str(tmp_path / dst)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.snap"]
+
+
 def test_truncated_snapshot_exits_with_missing_artifact(tmp_path):
     from logflow.grid import BoxDomain, GridFunction
     from logflow.snapshots import write_snapshot
@@ -345,6 +361,18 @@ def test_analyze_condition_cli(tmp_path):
                  "--lambda", "1.0", "--Lambda", "1.0"]) == 0
     assert main(["analyze", "condition", "--input", str(src),
                  "--lambda", "2.0", "--Lambda", "3.0"]) == 4
+
+
+def test_analyze_condition_with_inverted_bounds_exits_config(tmp_path, capsys):
+    from logflow.grid import BoxDomain, GridFunction
+    from logflow.snapshots import write_snapshot
+    dom = BoxDomain(n=1, half_width=2.0, m=33)
+    src = tmp_path / "u.snap"
+    write_snapshot(src, GridFunction(dom, 0.5 * dom.axis ** 2))
+    assert main(["analyze", "condition", "--input", str(src),
+                 "--lambda", "3", "--Lambda", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--lambda 3 exceeds --Lambda 2" in err
 
 
 def test_emit_requires_artifacts(tmp_path):

@@ -222,6 +222,36 @@ def test_bernstein_residual_shrinks_at_second_order():
     assert res(65) / res(129) > 3.0
 
 
+def _c_order_hessian(u):
+    """The Hessian of ``u`` with each node's matrix contiguous (C order)."""
+    from logflow.grid import HessianField, hessian
+    return HessianField(u.domain, np.ascontiguousarray(hessian(u).mats))
+
+
+@pytest.mark.parametrize("n, m, amp", [(2, 17, 0.05), (3, 17, 0.2)])
+def test_certify_bits_match_c_order_hessian_reference(n, m, amp):
+    # the Hessian's storage order must not move a bit of the contractions;
+    # on these off-centre bumps an einsum over the component-major fields
+    # moves the interior sup of the Bernstein residual
+    from logflow.expander import _bernstein_residual, _residual, _w_field
+    from logflow.grid import gradient, hessian
+    dom = BoxDomain(n=n, half_width=2.0, m=m)
+    grids = dom.meshgrid()
+    r2 = sum((g - 0.3 * (k + 1) / n) ** 2 for k, g in enumerate(grids))
+    u = GridFunction(dom, 0.5 * sum(g ** 2 for g in grids) + amp * np.exp(-r2),
+                     label="bump")
+    w = _w_field(u)
+    H = _c_order_hessian(u)
+    wf = GridFunction(dom, w)
+    lhs = np.einsum("...ij,...ij->...", H.inverse(), _c_order_hessian(wf).mats)
+    drift = 0.5 * n * sum(x * g for x, g in zip(grids, gradient(wf)))
+    bern = float(np.max(np.abs((lhs + drift)[dom.interior()])))
+    resid = float(np.max(np.abs(_residual(H, w)[dom.interior()])))
+    assert _bernstein_residual(hessian(u), w) == bern
+    rep = certify(u)
+    assert (rep.bernstein_residual, rep.residual_norm) == (bern, resid)
+
+
 # ---------------------------------------------------------------------------
 # derivative fields evaluated once
 # ---------------------------------------------------------------------------

@@ -121,3 +121,26 @@ def test_final_bound_is_read_from_the_check_key(preset, key):
         report, _ = run_pipeline(load_config({**short, "check": {key: bound}}))
         assert report[key] == measured
         assert report["passed"] is verdict
+
+
+def test_benchmark_tracer_records_flow_3d_layers(monkeypatch):
+    # the benchmark's span tracer wraps functions by name; renaming one of the
+    # layers it reports must fail here, not only in a traced benchmark run
+    from pathlib import Path
+    from logflow import experiments, flow, grid
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    import workloads
+    (label, data), = workloads.entries("flow-3d", 1, reduced=True)
+    cfg = load_config(data)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report, _ = experiments.run_pipeline(cfg)
+    finally:
+        tracer.uninstall()
+    assert report["passed"]
+    names = {s[0] for s in tracer.spans}
+    assert {"experiments.run_pipeline", "grid.hessian", "grid.eigen_fields"} <= names
+    spans.check_tree(tracer.spans)
+    assert flow.hessian is grid.hessian and not hasattr(grid.hessian, "__wrapped__")

@@ -217,6 +217,49 @@ def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     assert len(checked) == len({id(H) for H in checked}) == 1 + per_step * steps
 
 
+def test_eigen_screen_runs_once_per_n3_hessian(monkeypatch):
+    # every accepted iterate's Hessian is read by dt_stable ("nonring") and
+    # by the monitor ("interior"); both regions slice one screen of all nodes
+    import logflow.grid as grid
+    screened = []
+    screen = grid._screen_sym3
+
+    def counting_screen(a):
+        screened.append(a.shape)
+        return screen(a)
+
+    monkeypatch.setattr(grid, "_screen_sym3", counting_screen)
+    dom = BoxDomain(n=3, half_width=3.0, m=13)
+    traj = run(bump_quad(dom), tau=1.0, t_end=0.1,
+               boundary=QuadraticFarField(np.eye(3), np.zeros(3)))
+    steps = traj.state.step_count
+    assert steps >= 2 and len(traj.monitors) == steps + 1
+    assert screened == [dom.shape + (3, 3)] * (steps + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fit_corner_bits_match_c_order_hessian_reference(n):
+    # the corner matrix is read from component-major storage; the fit must
+    # give the bits of a C-order matrix (a strided one moves b and c on some
+    # of these fields)
+    from logflow.grid import gradient
+    dom = BoxDomain(n=n, half_width=2.2, m=15)
+    k = dom.margin + 1
+    idx = (k,) * n
+    x0 = np.full(n, dom.axis[k])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, n))
+        u = bump_quad(dom).with_values(bump_quad(dom).values
+                                       + quad(dom, B @ B.T, rng.normal(size=n)).values)
+        A = np.ascontiguousarray(hessian(u).mats[idx])
+        g = gradient(u)
+        b = np.array([g[(i,) + idx] for i in range(n)]) - A @ x0
+        c = float(u.values[idx] - 0.5 * x0 @ A @ x0 - b @ x0)
+        fit = QuadraticFarField.fit_corner(u)
+        assert (fit.A.tobytes(), fit.b.tobytes(), fit.c) == (A.tobytes(), b.tobytes(), c)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ring_values_equal_far_field_values_bit_for_bit(n):
     from logflow.flow import apply_boundary

@@ -196,6 +196,17 @@ def test_hessian_matches_numpy_gradient_reference_bit_for_bit(seed, n, m):
     assert hessian(u).mats.tobytes() == _hessian_reference(u).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_entry_fields_are_contiguous(n):
+    dom = BoxDomain(n=n, half_width=2.0, m=9)
+    u = GridFunction(dom, np.random.default_rng(n).normal(size=dom.shape))
+    mats = hessian(u).mats
+    assert mats.shape == dom.shape + (n, n)
+    for i in range(n):
+        for j in range(n):
+            assert mats[..., i, j].flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # third / fourth derivatives
 # ---------------------------------------------------------------------------
@@ -411,14 +422,17 @@ def _hessian_batch(rng, kind, dom):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(_FIELD_KINDS),
-       m=st.integers(7, 11))
-def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m):
+       m=st.integers(7, 11),
+       order=st.permutations(["interior", "nonring", "all"]))
+def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m, order):
+    # the screen is kept from the first region requested, so the order varies
     from logflow.grid import HessianField, _jacobi_eigvals_sym3
     dom = BoxDomain(n=3, half_width=2.0, m=m)
     H = HessianField(dom, _hessian_batch(np.random.default_rng(seed), kind, dom))
     regions = {"interior": dom.interior(), "nonring": dom.nonring(),
                "all": (slice(None),) * 3}
-    for name, sl in regions.items():
+    for name in order:
+        sl = regions[name]
         ev = _jacobi_eigvals_sym3(H.mats[sl])
         assert H.eigen_bounds(name) == (float(np.min(ev[..., 0])), float(np.max(ev[..., 2])))
 

@@ -156,6 +156,26 @@ def test_out_of_range_dual_point_raises():
         legendre_transform(quad(dom2, np.eye(2)), BoxDomain(n=2, half_width=3.0, m=17))
 
 
+def test_automatic_dual_box_takes_the_gradient_once(monkeypatch):
+    dom = BoxDomain(n=2, half_width=2.0, m=17)
+    grids = dom.meshgrid()
+    r2 = sum((g - 0.2) ** 2 for g in grids)
+    u = GridFunction(dom, 0.5 * sum(g ** 2 for g in grids) + 0.1 * np.exp(-r2))
+    y_domain = auto_dual_domain(u)
+    explicit = legendre_transform(u, y_domain)
+    calls = []
+
+    def counting_gradient(v):
+        calls.append(v)
+        return gradient(v)
+
+    monkeypatch.setattr(legendre, "gradient", counting_gradient)
+    star = legendre_transform(u)
+    assert len(calls) == 1
+    assert star.domain == y_domain
+    assert star.values.tobytes() == explicit.values.tobytes()
+
+
 def test_involution_returns_original():
     dom = BoxDomain(n=1, half_width=2.0, m=129)
     x = dom.axis
