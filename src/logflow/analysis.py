@@ -149,7 +149,7 @@ class BlowdownReport:
 
 
 def blowdown_convergence(trajectory, U1: Callable,
-                         window_half: float, *, monotone_from: int = 2,
+                         window_half: float, *, monotone_from: int,
                          final_tol: float) -> BlowdownReport:
     """Convergence of t^{-1} u(sqrt(t) x, t) toward the expander profile U1.
 

@@ -205,14 +205,28 @@ def emit_plotdata(artifact_dir) -> Path:
 # command implementations
 # ---------------------------------------------------------------------------
 
+def _run_dir(path) -> Path:
+    """A run directory, refused before any run when it, or the nearest of its
+    parents that exists, is not a directory."""
+    path = Path(path)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"output directory {path}: {p} is not a directory")
+            break
+    return path
+
+
 def _cmd_run_configs(args) -> int:
-    """Load every config first, then run them one after another."""
+    """Load every config and check its run directory first, then run them
+    one after another."""
     cfgs = []
     for p in args.config:
         cfg = load_config(p)
         if args.outdir:
             cfg.outdir = args.outdir if len(args.config) == 1 else str(
                 Path(args.outdir) / Path(str(p)).stem)
+        _run_dir(cfg.outdir)
         cfgs.append(cfg)
     status = EXIT_OK
     for cfg in cfgs:
@@ -408,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--order", type=int, default=3)
     pl = command(an, "plane", _cmd_analyze_plane)
     pl.add_argument("--trajectory", required=True)
-    pl.add_argument("--window", type=float, default=2.0)
+    pl.add_argument("--window", type=float,
+                    default=PIPELINES["plane"].analysis["window"])
     cond = command(an, "condition", _cmd_analyze_condition)
     cond.add_argument("--input", required=True)
     cond.add_argument("--lambda", dest="lam", type=float, required=True)

@@ -8,16 +8,21 @@ individual keys.  An unknown key in any section is a ConfigError: ``flow``
 takes the keyword arguments of :func:`logflow.flow.run`, ``initial`` its
 family's keys, the other sections what the pipeline table in
 :mod:`logflow.experiments` declares; a pipeline that evolves no initial data
-takes neither ``flow`` nor ``initial``.  Loading fills ``check`` with the
-pipeline's frozen thresholds, so ``config.json`` records the bounds applied.
+takes neither ``flow`` nor ``initial``, and one that does needs
+``flow.t_end``.  Loading fills ``check``, ``expander``, ``mcf`` and
+``analysis`` from the pipeline table, so ``config.json`` records the
+thresholds and parameters the run used.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 from .flow import FLOW_KEYS, STEPPERS
@@ -65,7 +70,8 @@ class ExperimentConfig:
         return float(self.flow.get("tau", FLOW_KEYS["tau"]))
 
     def validate(self) -> None:
-        """Check every section; fill ``check`` with the pipeline's thresholds."""
+        """Check every section; fill ``check``, ``expander``, ``mcf`` and
+        ``analysis`` with the pipeline's defaults."""
         from .experiments import PIPELINES
         spec = PIPELINES.get(self.pipeline)
         if spec is None:
@@ -76,19 +82,30 @@ class ExperimentConfig:
             for section in ("flow", "initial"):
                 _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
-        for section in ("expander", "mcf", "analysis"):
-            _reject_unknown(section, getattr(self, section), getattr(spec, section))
-        _reject_unknown("check", self.check, spec.check)
+        for section in ("check", "expander", "mcf", "analysis"):
+            table = getattr(spec, section)
+            _reject_unknown(section, getattr(self, section), table)
+            setattr(self, section, {**copy.deepcopy(table), **getattr(self, section)})
         if self.initial:
             kind = self.initial.get("kind")
             if kind not in INITIAL_FAMILIES:
                 raise ConfigError(f"initial.kind must be one of {tuple(INITIAL_FAMILIES)}")
             _reject_unknown(f"initial ({kind})", self.initial,
-                            ("kind", "noise") + INITIAL_FAMILIES[kind])
+                            ("kind", *INITIAL_FAMILIES[kind]))
         try:
-            self.domain()
+            n = self.domain().n
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"grid {self.grid} is not a box: {exc}") from exc
+        if spec.evolves and "t_end" not in self.flow:
+            raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs flow.t_end")
+        if "seeds" in self.mcf:
+            try:
+                shape = np.shape(np.asarray(self.mcf["seeds"], dtype=np.float64))
+            except (TypeError, ValueError):
+                shape = ()
+            if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
+                raise ConfigError(f"mcf.seeds must be a non-empty list of points "
+                                  f"with {n} coordinates each")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("flow.tau must lie in [0, 1]")
         if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
@@ -97,13 +114,10 @@ class ExperimentConfig:
             raise ConfigError("boundary must be 'auto', 'quadratic' or 'frozen'")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
-        self.check = {**spec.check, **self.check}
 
     def domain(self):
         from .grid import BoxDomain
-        g = self.grid
-        return BoxDomain(n=int(g.get("n", 1)), half_width=float(g["L"]), m=int(g["m"]),
-                         margin=int(g.get("margin", 2)))
+        return BoxDomain.from_dict({"n": 1, **self.grid})  # grid.n defaults to the line
 
 
 def merge(base: dict, override: dict) -> dict:

@@ -88,26 +88,23 @@ def _radial_rhs(n: int, a: float):
     return f
 
 
-def radial_shoot(n: int, a: float, r_max: float, *, slope0: float = 0.0) -> RadialProfile:
-    """Integrate the radial profile from u(0) = a, u'(0) = slope0 to r_max.
+def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
+    """Integrate the radial profile from u(0) = a, u'(0) = 0 to r_max.
 
     Regularity at the origin forces u''(0) = exp(a); the integration starts at
-    r0 = 1e-4 from the quadratic series.  A nonzero starting slope is only
-    admissible on the line (n = 1), where the profile is just an off-centre
-    solution rather than a genuinely radial one.
+    r0 = 1e-4 from the quadratic series.  Off-centre solutions on the line
+    (u'(0) != 0) come from :func:`line_profile`.
     """
-    if n >= 2 and slope0 != 0.0:
-        raise SingularStartError("u'(0) must vanish for n >= 2 (0/0 at the origin)")
     c0 = math.exp(a)
     if not 0.0 < c0 < _CURVATURE_CAP:
         raise BlowupError(f"starting curvature exp(a) = {c0:.3g} outside (0, 1e6)")
     r0 = 1e-4
-    u_start = a + slope0 * r0 + 0.5 * c0 * r0 ** 2
-    du_start = slope0 + c0 * r0
+    u_start = a + 0.5 * c0 * r0 ** 2
+    du_start = c0 * r0
 
     f = _radial_rhs(n, a)
     d2_start = f(r0, [u_start, du_start])[1]
-    if abs(d2_start - c0) > 0.02 * c0 + abs(slope0):
+    if abs(d2_start - c0) > 0.02 * c0:
         raise SingularStartError(
             f"series start inconsistent: u''(r0) = {d2_start:.6g}, expected {c0:.6g}")
 

@@ -7,7 +7,8 @@ with measured quantities and pass flags at the frozen thresholds in
 may persist.  :data:`PIPELINES` is the one list of pipelines: it declares each
 pipeline's runner, its frozen thresholds, whether it evolves initial data
 (reading the ``initial`` and ``flow`` sections) and the keys it reads from the
-``expander``, ``mcf`` and ``analysis`` sections.
+``expander``, ``mcf`` and ``analysis`` sections with their defaults.  Loading
+a config fills those sections, so a runner indexes them directly.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ def _setup(cfg: ExperimentConfig):
 
 def _run_flow(cfg: ExperimentConfig) -> tuple[GridFunction, Trajectory]:
     """The initial data and its trajectory under the config's flow section."""
-    if "t_end" not in cfg.flow:
-        raise ConfigError(f"pipeline {cfg.pipeline!r} runs the flow and needs flow.t_end")
     u0, boundary = _setup(cfg)
     return u0, run(u0, boundary=boundary, **cfg.flow)
 
@@ -69,7 +68,7 @@ def heat_pipeline(cfg: ExperimentConfig):
     u0, boundary = _setup(cfg)
     if not isinstance(boundary, QuadraticFarField):
         raise ConfigError("the Gaussian-convolution pipeline needs a quadratic far field")
-    t = float(cfg.flow.get("t_end", 0.1))
+    t = float(cfg.flow["t_end"])
     out = heat.heat_solve(u0, t, boundary)
     report = {"pipeline": "heat", "t": t, "passed": True}
     return report, {"snapshots": [(t, out)], "trajectory": None}
@@ -137,10 +136,10 @@ def heat_oracle_pipeline(cfg: ExperimentConfig):
 def expander_stationarity_pipeline(cfg: ExperimentConfig):
     domain = cfg.domain()
     ex = cfg.expander
-    a = float(ex.get("a", -0.1))
-    slope0 = float(ex.get("slope0", 0.0))
-    r_max = float(ex.get("r_max", 2.0 + domain.half_width))
-    dt_probe = float(ex.get("dt_probe", 1e-3))
+    a = float(ex["a"])
+    slope0 = float(ex["slope0"])
+    r_max = float(2.0 + domain.half_width if ex["r_max"] is None else ex["r_max"])
+    dt_probe = float(ex["dt_probe"])
     if slope0 != 0.0 and domain.n == 1:
         # genuinely non-quadratic stationary solution on the line
         prof_fn = expander.line_profile(a, slope0, r_max)
@@ -157,7 +156,7 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 
     cert = expander.certify(family(1.0))
     residuals = {}
-    for t in ex.get("times", [1.0, 2.0, 4.0]):
+    for t in ex["times"]:
         u_lo = family(t)
         u_mid = family(t + 0.5 * dt_probe)
         u_hi = family(t + dt_probe)
@@ -181,13 +180,11 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 def expander_cross_pipeline(cfg: ExperimentConfig):
     domain = cfg.domain()
     ex = cfg.expander
-    a = float(ex.get("a", -0.1))
-    prof = expander.radial_shoot(domain.n, a,
-                                 float(ex.get("r_max", domain.half_width + 0.5)))
+    r_max = float(domain.half_width + 0.5 if ex["r_max"] is None else ex["r_max"])
+    prof = expander.radial_shoot(domain.n, float(ex["a"]), r_max)
     target = expander.profile_to_grid(prof, domain)
-    pert = float(ex.get("perturbation", 5e-3))
+    pert = float(ex["perturbation"])
     start_vals = target.values + pert * np.cos(2.0 * sum(domain.meshgrid()))
-    start_vals[domain.ring_mask()] = target.values[domain.ring_mask()]
     sol = expander.newton_solve(GridFunction(domain, start_vals), dirichlet=target)
     gap = float(np.max(np.abs(sol.u.values - target.values)))
     cert = expander.certify(sol)
@@ -244,9 +241,7 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
         traj = Trajectory(state=traj.state,
                           snapshots=[(t, u.with_values(1.1 * u.values))
                                      for t, u in traj.snapshots])
-    seeds = cfg.mcf.get("seeds") or [[0.0]]
-    t_start = cfg.mcf.get("t_start", None)
-    paths = mcf.integrate_particles(traj, seeds, t_start=t_start)
+    paths = mcf.integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
     rep = mcf.verify_mcf(paths)
     thr = cfg.check["deviation"]
     report = {
@@ -295,8 +290,8 @@ def blowdown_pipeline(cfg: ExperimentConfig):
 
     an = cfg.analysis
     rep = analysis.blowdown_convergence(
-        traj, U1, window_half=float(an.get("window", 1.0)),
-        monotone_from=int(an.get("monotone_from", 2)),
+        traj, U1, window_half=float(an["window"]),
+        monotone_from=int(an["monotone_from"]),
         final_tol=float(cfg.check["final_error"]))
     report = {"pipeline": "blowdown", **rep.to_dict()}
     return report, {"trajectory": traj, "ratefits": [rep.fit] if rep.fit else []}
@@ -305,7 +300,7 @@ def blowdown_pipeline(cfg: ExperimentConfig):
 def plane_pipeline(cfg: ExperimentConfig):
     _, traj = _run_flow(cfg)
     rep = analysis.plane_convergence(
-        traj, window_half=float(cfg.analysis.get("window", 2.0)),
+        traj, window_half=float(cfg.analysis["window"]),
         final_tol=float(cfg.check["final_max_gradient"]))
     report = {"pipeline": "plane", **rep.to_dict()}
     return report, {"trajectory": traj}
@@ -314,14 +309,20 @@ def plane_pipeline(cfg: ExperimentConfig):
 class Pipeline(NamedTuple):
     """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
     whether it evolves initial data (reads ``initial`` and ``flow``) and the
-    keys it reads from the ``expander``, ``mcf`` and ``analysis``."""
+    keys it reads from ``expander``, ``mcf`` and ``analysis``, each mapped to
+    its default."""
 
     runner: Callable
     check: dict = {}
     evolves: bool = True
-    expander: tuple = ()
-    mcf: tuple = ()
-    analysis: tuple = ()
+    expander: dict = {}
+    mcf: dict = {}
+    analysis: dict = {}
+
+
+# the keys both expander pipelines read: the value a = u(0) of the profile and
+# the radius it is integrated to (L + 2 for stationarity, L + 0.5 for cross)
+_EXPANDER = {"a": -0.1, "r_max": None}
 
 
 PIPELINES = {
@@ -333,21 +334,23 @@ PIPELINES = {
     "heat_oracle": Pipeline(heat_oracle_pipeline, {"sup_diff": 5e-4}),
     "expander_stationarity": Pipeline(
         expander_stationarity_pipeline, {"residual": 0.05}, evolves=False,
-        expander=("a", "slope0", "r_max", "dt_probe", "times")),
+        expander={**_EXPANDER, "slope0": 0.0, "dt_probe": 1e-3,
+                  "times": [1.0, 2.0, 4.0]}),
     "expander_cross": Pipeline(
         expander_cross_pipeline,
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
-        evolves=False, expander=("a", "r_max", "perturbation")),
+        evolves=False, expander={**_EXPANDER, "perturbation": 5e-3}),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
                               {"quadratic_residual": 1e-8, "bump_residual": 1e-2}),
     "mcf_verify": Pipeline(mcf_verify_pipeline,
                            {"deviation": 5e-3, "tangential_ratio": 0.10},
-                           mcf=("seeds", "t_start")),
+                           mcf={"seeds": [[0.0]], "t_start": None}),
     "decay": Pipeline(decay_pipeline, {"exponent3": [-1.3, -0.7],
                                        "exponent4": [-2.4, -1.6], "runtime_s": 120.0}),
     "blowdown": Pipeline(blowdown_pipeline, {"final_error": 0.02},
-                         analysis=("window", "monotone_from")),
-    "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02}, analysis=("window",)),
+                         analysis={"window": 1.0, "monotone_from": 2}),
+    "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02},
+                      analysis={"window": 2.0}),
 }
 
 

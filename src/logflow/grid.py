@@ -106,12 +106,14 @@ class BoxDomain:
         return mask
 
     def to_dict(self) -> dict:
+        """The one dict form of a box, as config grids and snapshot headers
+        write it; :meth:`from_dict` ignores any other keys."""
         return {"n": self.n, "L": self.half_width, "m": self.m, "margin": self.margin}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoxDomain":
         return cls(n=int(d["n"]), half_width=float(d["L"]), m=int(d["m"]),
-                   margin=int(d.get("margin", 2)))
+                   margin=int(d.get("margin", cls.margin)))
 
 
 @dataclass
@@ -472,21 +474,15 @@ def _third_differences(H: HessianField):
                 yield i, j, l, axis_diff(entry, h, l)
 
 
-def _fourth_tensor(H: HessianField) -> np.ndarray:
-    """Full D4 tensor, shape (*grid, n, n, n, n): second differences of H entries."""
-    n, h = H.domain.n, H.domain.h
-    T = np.empty(H.domain.shape + (n, n, n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            entry = H.mats[..., i, j]
-            firsts = [axis_diff(entry, h, ax) for ax in range(n)]
-            for k in range(n):
-                for l in range(k, n):
-                    d = axis_diff2(entry, h, k) if k == l else axis_diff(firsts[k], h, l)
-                    for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
-                        T[..., k, l, a, b] = d
-                        T[..., l, k, a, b] = d
-    return T
+def _shift(sl: tuple, axis: int, by: int) -> tuple:
+    """``sl`` moved by ``by`` nodes along ``axis``."""
+    k = sl[axis]
+    return sl[:axis] + (slice(k.start + by, k.stop + by),) + sl[axis + 1:]
+
+
+def _central(values: np.ndarray, sl: tuple, axis: int, h: float) -> np.ndarray:
+    """Central first difference along ``axis`` at the nodes ``sl`` selects."""
+    return (values[_shift(sl, axis, 1)] - values[_shift(sl, axis, -1)]) / (2.0 * h)
 
 
 def third_derivative_norm(H: HessianField) -> float:
@@ -506,11 +502,38 @@ def third_derivative_norm(H: HessianField) -> float:
         for j in range(i, n):
             entry = H.mats[..., i, j]
             for l in range(n):
-                k = sl[l]
-                up = sl[:l] + (slice(k.start + 1, k.stop + 1),) + sl[l + 1:]
-                down = sl[:l] + (slice(k.start - 1, k.stop - 1),) + sl[l + 1:]
-                d = (entry[up] - entry[down]) / (2.0 * h)
+                d = _central(entry, sl, l, h)
                 sq = sq + (d * d if i == j else 2.0 * (d * d))
+    return float(np.sqrt(np.max(sq)))
+
+
+def _fourth_norm(H: HessianField) -> float:
+    """Sup over the interior of the Frobenius norm of the fourth-derivative tensor.
+
+    The squared norm is accumulated on the interior only, one unordered pair
+    of Hessian indices and one unordered pair of axes at a time, with the
+    tensor's multiplicities as weights: 1 on both diagonals, 2 off one, 4 off
+    both.  Every difference there is the central one: a pure second
+    difference, or a central difference of central first differences.
+    """
+    dom = H.domain
+    n, h = dom.n, dom.h
+    hh = h * h
+    sl = dom.interior()
+    sq = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            entry = H.mats[..., i, j]
+            for k in range(n):
+                for l in range(k, n):
+                    if k == l:
+                        d = (entry[_shift(sl, k, -1)] - 2.0 * entry[sl]
+                             + entry[_shift(sl, k, 1)]) / hh
+                    else:
+                        d = (_central(entry, _shift(sl, l, 1), k, h)
+                             - _central(entry, _shift(sl, l, -1), k, h)) / (2.0 * h)
+                    weight = (1.0 if i == j else 2.0) * (1.0 if k == l else 2.0)
+                    sq = sq + weight * (d * d)
     return float(np.sqrt(np.max(sq)))
 
 
@@ -519,9 +542,7 @@ def derivative_sup_norm(u: GridFunction, order: int) -> float:
     if order == 3:
         return third_derivative_norm(hessian(u))
     if order == 4:
-        T = _fourth_tensor(hessian(u))
-        frob = np.sqrt(np.sum(T * T, axis=(-4, -3, -2, -1)))
-        return float(np.max(frob[u.domain.interior()]))
+        return _fourth_norm(hessian(u))
     raise ValueError("only derivative orders 3 and 4 are monitored")
 
 

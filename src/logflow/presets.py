@@ -25,13 +25,14 @@ from .grid import BoxDomain, GridFunction
 
 __all__ = ["make_initial_data", "experiment_preset", "preset_names", "INITIAL_FAMILIES"]
 
-# each family and the keys it reads besides "kind" and "noise"
-INITIAL_FAMILIES = {
-    "quadratic": ("A", "b", "c"),
-    "quadratic_plus_bump": ("A", "amplitude", "width"),
-    "linear_plus_bump": ("b", "amplitude", "width"),
-    "two_slope": ("c_minus", "c_plus"),
-}
+# each family and the keys it reads besides "kind", mapped to their defaults;
+# A = None is the identity and b = None the zero vector, both of size n
+INITIAL_FAMILIES = {kind: {"noise": 0.0, **keys} for kind, keys in {
+    "quadratic": {"A": None, "b": None, "c": 0.0},
+    "quadratic_plus_bump": {"A": None, "amplitude": 0.1, "width": 1.0},
+    "linear_plus_bump": {"b": None, "amplitude": 0.1, "width": 1.0},
+    "two_slope": {"c_minus": 0.7, "c_plus": 1.3},
+}.items()}
 
 
 def _as_matrix(A, n):
@@ -43,6 +44,10 @@ def _as_matrix(A, n):
     return np.atleast_2d(A)
 
 
+def _as_vector(b, n):
+    return np.zeros(n) if b is None else np.asarray(b, dtype=np.float64)
+
+
 def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
                       rng: np.random.Generator | None = None):
     """Build (u0, boundary_model) from an initial-data description.
@@ -52,12 +57,16 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
     for the gradient-bump (heat endpoint) and two-slope families.
     """
     kind = spec.get("kind")
+    if kind not in INITIAL_FAMILIES:
+        raise ConfigError(
+            f"unknown initial data family {kind!r}; choose from {tuple(INITIAL_FAMILIES)}")
+    spec = {**INITIAL_FAMILIES[kind], **spec}
     grids = domain.meshgrid()
     n = domain.n
     if kind == "quadratic":
-        A = _as_matrix(spec.get("A"), n)
-        b = np.asarray(spec.get("b", np.zeros(n)), dtype=np.float64)
-        c = float(spec.get("c", 0.0))
+        A = _as_matrix(spec["A"], n)
+        b = _as_vector(spec["b"], n)
+        c = float(spec["c"])
         vals = c * np.ones(domain.shape)
         for i in range(n):
             vals += b[i] * grids[i]
@@ -66,9 +75,9 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
         u0 = GridFunction(domain, vals, label="quadratic")
         boundary = QuadraticFarField(A, b, c)
     elif kind == "quadratic_plus_bump":
-        A = _as_matrix(spec.get("A"), n)
-        amp = float(spec.get("amplitude", 0.1))
-        width = float(spec.get("width", 1.0))
+        A = _as_matrix(spec["A"], n)
+        amp = float(spec["amplitude"])
+        width = float(spec["width"])
         r2 = sum(g ** 2 for g in grids)
         vals = amp * np.exp(-r2 / width ** 2)
         for i in range(n):
@@ -77,9 +86,9 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
         u0 = GridFunction(domain, vals, label="quadratic_plus_bump")
         boundary = QuadraticFarField(A, np.zeros(n), 0.0)
     elif kind == "linear_plus_bump":
-        b = np.asarray(spec.get("b", np.zeros(n)), dtype=np.float64)
-        amp = float(spec.get("amplitude", 0.1))
-        width = float(spec.get("width", 1.0))
+        b = _as_vector(spec["b"], n)
+        amp = float(spec["amplitude"])
+        width = float(spec["width"])
         if tau != 0.0:
             raise ConfigError("linear_plus_bump data is not convex: only the "
                               "tau = 0 endpoint can evolve it")
@@ -93,11 +102,11 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
         u0 = GridFunction(domain, reference(domain.points(), 0.0).reshape(domain.shape),
                           label="linear_plus_bump")
         boundary = ReferenceSolution(reference)
-    elif kind == "two_slope":
+    else:  # two_slope
         if n != 1:
             raise ConfigError("two_slope data lives on the line (n = 1)")
-        cm = float(spec.get("c_minus", 0.7))
-        cp = float(spec.get("c_plus", 1.3))
+        cm = float(spec["c_minus"])
+        cp = float(spec["c_plus"])
         if min(cm, cp) <= 0:
             raise ConfigError("two_slope curvatures must be positive")
         x = grids[0]
@@ -110,11 +119,8 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
             return 0.5 * c * pts[:, 0] ** 2 + t * rate
 
         boundary = ReferenceSolution(reference)
-    else:
-        raise ConfigError(
-            f"unknown initial data family {kind!r}; choose from {tuple(INITIAL_FAMILIES)}")
 
-    noise = float(spec.get("noise", 0.0))
+    noise = float(spec["noise"])
     if noise:
         if rng is None:
             rng = np.random.default_rng(0)

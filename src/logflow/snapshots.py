@@ -24,10 +24,7 @@ def _header(u: GridFunction, t, tau, fmt: str) -> dict:
     return {
         "format": fmt,
         "kind": _MAGIC,
-        "n": u.domain.n,
-        "L": u.domain.half_width,
-        "m": u.domain.m,
-        "margin": u.domain.margin,
+        **u.domain.to_dict(),
         "t": None if t is None else float(t),
         "tau": None if tau is None else float(tau),
         "label": u.label,
@@ -74,8 +71,7 @@ def read_snapshot(path) -> tuple[GridFunction, dict]:
         raise MissingArtifact(f"{path} is not a snapshot file")
     try:
         fmt = head["format"]
-        domain = BoxDomain(n=int(head["n"]), half_width=float(head["L"]), m=int(head["m"]),
-                           margin=int(head.get("margin", 2)))
+        domain = BoxDomain.from_dict(head)
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifact(f"{path}: unusable header: {exc!r}") from exc
     nodes = domain.m ** domain.n

@@ -165,7 +165,7 @@ def test_blowdown_window_escape():
                snapshot_times=[16.0], max_dt=0.5)
     with pytest.raises(WindowEscape):
         blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
-                             final_tol=0.02)
+                             monotone_from=2, final_tol=0.02)
 
 
 def test_blowdown_bump_converges():
@@ -176,7 +176,7 @@ def test_blowdown_bump_converges():
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[1.0, 2.0, 4.0, 8.0, 16.0])
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
-                               final_tol=0.02)
+                               monotone_from=2, final_tol=0.02)
     assert rep.passed
     assert rep.final_error <= 0.02
 

@@ -210,6 +210,49 @@ def test_missing_t_end_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_missing_t_end_rejected_before_any_run(tmp_path, capsys):
+    # the heat pipeline needs flow.t_end like every pipeline that evolves data
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"preset": "heat-oracle"}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"pipeline": "heat", "grid": {"n": 1, "L": 4.0, "m": 33},
+                               "initial": {"kind": "quadratic_plus_bump", "A": 1.0},
+                               "flow": {"tau": 0.0}}))
+    runs = tmp_path / "runs"
+    assert main(["heat", "solve", "--config", str(good), str(bad),
+                 "--outdir", str(runs)]) == 2
+    assert "flow.t_end" in capsys.readouterr().err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("seeds", [[], [[0.1, 0.2]], [[0.1], [0.2, 0.3]]],
+                         ids=["empty", "wrong-length", "ragged"])
+def test_bad_mcf_seeds_exit_config(tmp_path, capsys, seeds):
+    cfg = _write_cfg(tmp_path, {"preset": "mcf-correspondence", "mcf": {"seeds": seeds},
+                                "outdir": str(tmp_path / "run")})
+    assert main(["flow", "run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mcf.seeds" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("outdir", ["afile", "afile/x"])
+def test_outdir_below_a_file_rejected_before_any_run(tmp_path, capsys, outdir):
+    (tmp_path / "afile").write_text("a regular file")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"preset": "heat-oracle", "outdir": str(tmp_path / "good")}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"preset": "heat-oracle", "outdir": str(tmp_path / outdir)}))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for argv in (["--config", str(good), str(bad)],
+                 ["--config", str(good), "--outdir", str(tmp_path / outdir)]):
+        assert main(["flow", "run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_text() == "a regular file"
+
+
 def test_integer_tau_and_t_end_match_floats(tmp_path):
     # JSON integers for flow.tau and flow.t_end run the same flow, bit for bit
     files = []

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from logflow.errors import (BlowupError, NewtonStall, NonConvexityError,
-                            SingularStartError)
-from logflow.expander import (certify, newton_solve, profile_to_grid,
+from logflow.errors import BlowupError, NewtonStall, NonConvexityError
+from logflow.expander import (certify, line_profile, newton_solve, profile_to_grid,
                               radial_shoot)
 from logflow.flow import run
 from logflow.grid import BoxDomain, GridFunction
@@ -93,20 +92,17 @@ def test_line_profiles_are_exact_parabolas():
     assert np.max(np.abs(prof.u - exact)) < 1e-8
 
 
-def test_shoot_rejects_slope_for_higher_dimensions():
-    with pytest.raises(SingularStartError):
-        radial_shoot(n=2, a=0.0, r_max=1.0, slope0=0.5)
-
-
 def test_shoot_blowup_guard():
     with pytest.raises(BlowupError):
         radial_shoot(n=1, a=20.0, r_max=1.0)
 
 
 def test_off_centre_line_profile_is_not_quadratic():
-    # a nonzero starting slope genuinely breaks the quadratic rigidity
-    prof = radial_shoot(n=1, a=0.0, r_max=2.0, slope0=0.5)
-    w = prof.u - 0.5 * prof.r * prof.du
+    # a nonzero starting slope genuinely breaks the quadratic rigidity: the
+    # centred profiles keep w = u - x u' / 2 constant, this one does not
+    x = np.linspace(0.0, 2.0, 2001)
+    u = line_profile(a=0.0, slope0=0.5, half_width=2.0)(x)
+    w = u - 0.5 * x * np.gradient(u, x)
     assert np.max(w) - np.min(w) > 1e-3
 
 
@@ -208,7 +204,6 @@ def test_flow_snapshot_of_homogeneous_data_is_an_expander():
 
 def test_bernstein_residual_shrinks_at_second_order():
     # ODE-accurate non-quadratic solution: the only residual left is the FD error
-    from logflow.expander import line_profile
     u_exact = line_profile(a=0.0, slope0=0.5, half_width=2.5)
 
     def res(m):

@@ -1,15 +1,21 @@
 """Pipeline-level wiring: reports, artifacts, multi-config runs, 3-D smoke runs."""
 
+import ast
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from logflow import experiments
+from logflow.cli import persist_run
 from logflow.config import load_config
-from logflow.experiments import (expander_stationarity_pipeline, flow_pipeline,
-                                 heat_pipeline, run_pipeline)
+from logflow.experiments import (PIPELINES, expander_stationarity_pipeline,
+                                 flow_pipeline, heat_pipeline, run_pipeline)
+from logflow.presets import experiment_preset
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction
 from logflow.heat import heat_solve
@@ -48,6 +54,46 @@ def test_stationarity_certifies_non_quadratic():
         {"preset": "expander-stationarity"}))
     assert not report["certification"]["is_quadratic"]
     assert report["certification"]["lambda_min"] > 0
+
+
+def test_runners_read_no_fallback_defaults():
+    # every default of a pipeline's sections is in PIPELINES, which loading
+    # fills in; a `.get(key, default)` in a runner would be a second copy
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    gets = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"]
+    assert gets == []
+
+
+# each preset whose pipeline reads a parameter section, shortened
+_SECTION_PRESETS = {
+    "expander-stationarity": ("expander", {}),
+    "expander-cross-validation": ("expander", {"grid": {"m": 65}}),
+    "mcf-correspondence": ("mcf", {"grid": {"m": 33}, "flow": {"t_end": 0.2}}),
+    "blowdown-convergence": ("analysis", {"grid": {"m": 65}, "flow": {
+        "t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}),
+    "plane-convergence": ("analysis", {"grid": {"m": 65}, "flow": {
+        "t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SECTION_PRESETS))
+def test_omitted_section_keys_take_the_table_defaults(tmp_path, preset):
+    section, short = _SECTION_PRESETS[preset]
+    data = experiment_preset(preset)
+    for key, val in short.items():
+        data[key].update(val)
+    table = getattr(PIPELINES[data["pipeline"]], section)
+    assert table
+    out = {}
+    for tag, given in (("omitted", {}), ("spelled", copy.deepcopy(table))):
+        cfg = load_config({**data, section: given})
+        persist_run(tmp_path / tag, cfg, *run_pipeline(cfg))
+        recorded = json.loads((tmp_path / tag / "config.json").read_text())
+        assert recorded[section] == table
+        out[tag] = (tmp_path / tag / "report.json").read_bytes()
+    assert out["omitted"] == out["spelled"]
 
 
 def test_worker_pool_runs_multiple_configs(tmp_path):

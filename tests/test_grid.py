@@ -267,6 +267,42 @@ def test_third_derivative_norm_matches_dense_tensor(seed, n):
         assert abs(got - ref) <= 4 * np.spacing(ref)
 
 
+def _fourth_norm_dense(H):
+    """Reference: the full (*grid, n, n, n, n) tensor of second differences of
+    the Hessian entries and its nodewise Frobenius norm."""
+    from logflow.grid import axis_diff, axis_diff2
+    n, h = H.domain.n, H.domain.h
+    T = np.empty(H.domain.shape + (n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            entry = H.mats[..., i, j]
+            for k in range(n):
+                for l in range(n):
+                    T[..., k, l, i, j] = (axis_diff2(entry, h, k) if k == l else
+                                          axis_diff(axis_diff(entry, h, min(k, l)),
+                                                    h, max(k, l)))
+    frob = np.sqrt(np.sum(T * T, axis=(-4, -3, -2, -1)))
+    return float(np.max(frob[H.domain.interior()]))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3), margin=st.integers(0, 2))
+def test_fourth_derivative_norm_matches_dense_tensor(seed, n, margin):
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(n=n, half_width=2.0, m=(41, 25, 13)[n - 1], margin=margin)
+    grids = dom.meshgrid()
+    centre = rng.uniform(-0.5, 0.5, size=n)
+    r2 = sum((g - c) ** 2 for g, c in zip(grids, centre))
+    u = GridFunction(dom, quad_field(dom, spd_matrix(rng, n)).values
+                     + rng.uniform(0.05, 0.2) * np.exp(-r2)
+                     + 1e-3 * rng.normal(size=dom.shape))
+    got, ref = derivative_sup_norm(u, 4), _fourth_norm_dense(hessian(u))
+    if n == 1:
+        assert got == ref
+    else:
+        # the sum of squares runs in another order: a few ulps at most
+        assert abs(got - ref) <= 4 * np.spacing(ref)
+
+
 def test_fourth_derivative_on_quartic():
     dom = BoxDomain(n=1, half_width=1.0, m=41)
     u = GridFunction(dom, dom.axis ** 4 / 24.0)
