@@ -18,7 +18,8 @@ One binary, one subcommand per module::
 
 Configs are JSON or ``dotted.key = value`` text; ``{"preset": "<name>"}``
 pulls a named experiment.  Exit codes: 0 success, 2 configuration error,
-3 numerical abort, 4 threshold failure in ``--check`` mode.  Several configs
+3 numerical abort, 4 threshold failure in ``--check`` mode, which also runs
+a refined pipeline's finer level and judges the wall time.  Several configs
 run one after another in this process, each into its own directory.
 """
 
@@ -35,7 +36,7 @@ from pathlib import Path
 from . import analysis, expander, legendre, mcf
 from .config import ExperimentConfig, load_config
 from .errors import (AbortedNonConvex, ConfigError, LogFlowError, MissingArtifact)
-from .experiments import PIPELINES, run_pipeline
+from .experiments import PIPELINES, gate, judge, run_pipeline
 from .flow import FLOW_KEYS, MonitorRecord, Trajectory
 from .snapshots import read_snapshot, write_snapshot
 
@@ -237,7 +238,7 @@ def _cmd_run_configs(args) -> int:
 def _run_one(cfg: ExperimentConfig, check: bool) -> int:
     outdir = Path(cfg.outdir)
     try:
-        report, artifacts = run_pipeline(cfg)
+        report, artifacts, timing = gate(cfg) if check else (*run_pipeline(cfg), [])
     except AbortedNonConvex as exc:
         outdir.mkdir(parents=True, exist_ok=True)
         if exc.state is not None:
@@ -250,8 +251,11 @@ def _run_one(cfg: ExperimentConfig, check: bool) -> int:
     persist_run(outdir, cfg, report, artifacts)
     print(json.dumps({k: v for k, v in report.items()
                       if not isinstance(v, (list, dict))}, indent=2))
-    if check and not report.get("passed", False):
-        print("threshold check failed", file=sys.stderr)
+    failed = [c for c in report["checks"] + timing if not c["ok"]]
+    if check and failed:
+        print("threshold check failed:", file=sys.stderr)
+        for entry in failed:
+            print(f"  {json.dumps(entry)}", file=sys.stderr)
         return EXIT_THRESHOLD
     return EXIT_OK
 
@@ -331,12 +335,13 @@ def _cmd_analyze_decay(args) -> int:
 
 def _cmd_analyze_plane(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
-    rep = analysis.plane_convergence(
-        traj, window_half=args.window,
-        final_tol=PIPELINES["plane"].check["final_max_gradient"])
+    rep = analysis.plane_convergence(traj, window_half=args.window)
+    checks = judge(PIPELINES["plane"].check, rep.measured())
+    result = {**rep.to_dict(), "checks": checks,
+              "passed": all(c["ok"] for c in checks)}
     out = Path(args.trajectory) / "plane_report.json"
-    out.write_text(json.dumps(rep.to_dict(), indent=2))
-    print(json.dumps({k: v for k, v in rep.to_dict().items()
+    out.write_text(json.dumps(result, indent=2))
+    print(json.dumps({k: v for k, v in result.items()
                       if not isinstance(v, list)}, indent=2))
     return EXIT_OK
 
@@ -382,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(sub, name, _cmd_run_configs)
         p.add_argument("--config", nargs="+", required=True)
         p.add_argument("--check", action="store_true",
-                       help="exit 4 when a frozen threshold fails")
+                       help="run the refinement pair too; exit 4 when a check "
+                            "or the wall-time bound fails")
         p.add_argument("--outdir", default=None)
 
     flow = top.add_parser("flow").add_subparsers(dest="sub", required=True)

@@ -38,6 +38,14 @@ def _reject_unknown(section: str, keys, allowed) -> None:
         raise ConfigError(f"unknown {section} keys {unknown}; {hint}")
 
 
+def _shape(value) -> tuple | None:
+    """The shape of a numeric array, or None when value is not one."""
+    try:
+        return np.shape(np.asarray(value, dtype=np.float64))
+    except (TypeError, ValueError):
+        return None
+
+
 @dataclass
 class ExperimentConfig:
     pipeline: str
@@ -99,13 +107,17 @@ class ExperimentConfig:
         if spec.evolves and "t_end" not in self.flow:
             raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs flow.t_end")
         if "seeds" in self.mcf:
-            try:
-                shape = np.shape(np.asarray(self.mcf["seeds"], dtype=np.float64))
-            except (TypeError, ValueError):
-                shape = ()
+            shape = _shape(self.mcf["seeds"]) or ()
             if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
                 raise ConfigError(f"mcf.seeds must be a non-empty list of points "
                                   f"with {n} coordinates each")
+        for key, shapes, what in (("A", [(), (n, n)], f"a scalar or an {n} x {n} matrix"),
+                                  ("b", [(n,)], f"a vector of length {n}")):
+            if self.initial.get(key) is not None and _shape(self.initial[key]) not in shapes:
+                raise ConfigError(f"initial.{key} must be {what}")
+        if self.expander.get("slope0", 0.0) != 0.0 and n > 1:
+            raise ConfigError("expander.slope0 != 0 selects the line expander; "
+                              "at n >= 2 the profile is radial and needs slope0 = 0")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("flow.tau must lie in [0, 1]")
         if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:

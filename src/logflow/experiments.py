@@ -1,18 +1,22 @@
 """Named experiment pipelines.
 
-Each function takes an :class:`~logflow.config.ExperimentConfig`, runs one
-pipeline end to end and returns ``(report, artifacts)``: a JSON-ready report
-with measured quantities and pass flags at the frozen thresholds in
-``cfg.check``, plus the in-memory artifacts (trajectories, snapshots) the CLI
-may persist.  :data:`PIPELINES` is the one list of pipelines: it declares each
-pipeline's runner, its frozen thresholds, whether it evolves initial data
-(reading the ``initial`` and ``flow`` sections) and the keys it reads from the
-``expander``, ``mcf`` and ``analysis`` sections with their defaults.  Loading
-a config fills those sections, so a runner indexes them directly.
+Each runner takes an :class:`~logflow.config.ExperimentConfig`, runs one
+pipeline end to end and returns ``(report, measured, artifacts)``: a
+JSON-ready report of measured quantities, the values its verdict judges, and
+the in-memory artifacts (trajectories, snapshots) the CLI may persist.
+Runners measure; :func:`judge` alone compares a measurement with its bound,
+and :func:`run_pipeline` sets the report's ``checks`` and ``passed``.
+:data:`PIPELINES` is the one list of pipelines: it declares each pipeline's
+runner, its frozen thresholds, whether it evolves initial data (reading the
+``initial`` and ``flow`` sections), the keys it reads from the ``expander``,
+``mcf`` and ``analysis`` sections with their defaults, and its refinement
+pair.  Loading a config fills those sections, so a runner indexes them
+directly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, NamedTuple
 
@@ -25,7 +29,8 @@ from .flow import Frozen, QuadraticFarField, Trajectory, pde_residual, run
 from .grid import BoxDomain, GridFunction
 from .presets import make_initial_data
 
-__all__ = ["run_pipeline", "PIPELINES"]
+__all__ = ["run_pipeline", "gate", "judge", "finer_level", "refinement_check",
+           "PIPELINES", "Refinement"]
 
 
 def _setup(cfg: ExperimentConfig):
@@ -59,9 +64,8 @@ def flow_pipeline(cfg: ExperimentConfig):
         "lambda_min_overall": lo,
         "lambda_max_overall": hi,
         "snapshots": [t for t, _ in traj.snapshots],
-        "passed": True,
     }
-    return report, {"trajectory": traj}
+    return report, {}, {"trajectory": traj}
 
 
 def heat_pipeline(cfg: ExperimentConfig):
@@ -70,28 +74,22 @@ def heat_pipeline(cfg: ExperimentConfig):
         raise ConfigError("the Gaussian-convolution pipeline needs a quadratic far field")
     t = float(cfg.flow["t_end"])
     out = heat.heat_solve(u0, t, boundary)
-    report = {"pipeline": "heat", "t": t, "passed": True}
-    return report, {"snapshots": [(t, out)], "trajectory": None}
+    return {"pipeline": "heat", "t": t}, {}, {"snapshots": [(t, out)], "trajectory": None}
 
 
 def quadratic_exact_pipeline(cfg: ExperimentConfig):
-    tic = time.perf_counter()
     u0, traj = _run_flow(cfg)
     rate = traj.state.boundary.rate(cfg.tau, u0.domain.n)
     exact = u0.values + traj.state.t * rate
     sl = u0.domain.interior()
     sup_err = float(np.max(np.abs((traj.state.u.values - exact)[sl])))
-    runtime = time.perf_counter() - tic
-    thr = cfg.check
     report = {
         "pipeline": "quadratic_exact",
         "sup_error": sup_err,
         "rate": rate,
-        "runtime_s": runtime,
         "steps": traj.state.step_count,
-        "passed": sup_err <= thr["sup_error"] and runtime <= thr["runtime_s"],
     }
-    return report, {"trajectory": traj}
+    return report, {"sup_error": sup_err}, {"trajectory": traj}
 
 
 def condition_b_pipeline(cfg: ExperimentConfig):
@@ -101,7 +99,6 @@ def condition_b_pipeline(cfg: ExperimentConfig):
     undershoot = max(0.0, max(lam0 - r.lambda_min for r in recs))
     overshoot = max(0.0, max(r.lambda_max - Lam0 for r in recs))
     drift = max(undershoot, overshoot)
-    thr = cfg.check["drift"]
     report = {
         "pipeline": "condition_b",
         "lambda_initial": lam0,
@@ -109,10 +106,8 @@ def condition_b_pipeline(cfg: ExperimentConfig):
         "undershoot": undershoot,
         "overshoot": overshoot,
         "drift": drift,
-        "threshold": thr,
-        "passed": drift <= thr,
     }
-    return report, {"trajectory": traj}
+    return report, {"drift": drift}, {"trajectory": traj}
 
 
 def heat_oracle_pipeline(cfg: ExperimentConfig):
@@ -122,15 +117,9 @@ def heat_oracle_pipeline(cfg: ExperimentConfig):
     oracle = heat.heat_solve(u0, traj.state.t, traj.state.boundary)
     sl = u0.domain.interior()
     sup_diff = float(np.max(np.abs((traj.state.u.values - oracle.values)[sl])))
-    thr = cfg.check["sup_diff"]
-    report = {
-        "pipeline": "heat_oracle",
-        "t": traj.state.t,
-        "sup_diff": sup_diff,
-        "threshold": thr,
-        "passed": sup_diff <= thr,
-    }
-    return report, {"trajectory": traj, "snapshots": [(traj.state.t, oracle)]}
+    report = {"pipeline": "heat_oracle", "t": traj.state.t, "sup_diff": sup_diff}
+    return report, {"sup_diff": sup_diff}, {"trajectory": traj,
+                                            "snapshots": [(traj.state.t, oracle)]}
 
 
 def expander_stationarity_pipeline(cfg: ExperimentConfig):
@@ -140,8 +129,9 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
     slope0 = float(ex["slope0"])
     r_max = float(2.0 + domain.half_width if ex["r_max"] is None else ex["r_max"])
     dt_probe = float(ex["dt_probe"])
-    if slope0 != 0.0 and domain.n == 1:
-        # genuinely non-quadratic stationary solution on the line
+    if slope0 != 0.0:
+        # genuinely non-quadratic stationary solution on the line (loading
+        # refuses slope0 != 0 at n >= 2)
         prof_fn = expander.line_profile(a, slope0, r_max)
         prof = None
     else:
@@ -161,8 +151,6 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
         u_mid = family(t + 0.5 * dt_probe)
         u_hi = family(t + dt_probe)
         residuals[str(t)] = pde_residual(u_lo, u_mid, u_hi, dt_probe, tau=1.0)
-    worst = max(residuals.values())
-    thr = cfg.check["residual"]
     report = {
         "pipeline": "expander_stationarity",
         "a": a,
@@ -170,11 +158,10 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
         "h": domain.h,
         "certification": cert.to_dict(),
         "residuals": residuals,
-        "worst_residual": worst,
-        "threshold": thr,
-        "passed": worst <= thr and cert.residual_norm <= thr,
+        "worst_residual": max(residuals.values()),
     }
-    return report, {"profile": prof}
+    measured = {"residual": {**residuals, "certification": cert.residual_norm}}
+    return report, measured, {"profile": prof}
 
 
 def expander_cross_pipeline(cfg: ExperimentConfig):
@@ -187,19 +174,11 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
     start_vals = target.values + pert * np.cos(2.0 * sum(domain.meshgrid()))
     sol = expander.newton_solve(GridFunction(domain, start_vals), dirichlet=target)
     gap = float(np.max(np.abs(sol.u.values - target.values)))
-    cert = expander.certify(sol)
-    thr = cfg.check
-    report = {
-        "pipeline": "expander_cross",
-        "profile_gap": gap,
-        "newton_residual": sol.residual_norm,
-        "newton_iterations": sol.iterations,
-        "certification": cert.to_dict(),
-        "passed": (gap <= thr["profile_gap"]
-                   and sol.residual_norm <= thr["newton_residual"]
-                   and sol.iterations <= thr["newton_iterations"]),
-    }
-    return report, {"solution": sol, "snapshots": [(None, sol.u)]}
+    measured = {"profile_gap": gap, "newton_residual": sol.residual_norm,
+                "newton_iterations": sol.iterations}
+    report = {"pipeline": "expander_cross", **measured,
+              "certification": expander.certify(sol).to_dict()}
+    return report, measured, {"solution": sol, "snapshots": [(None, sol.u)]}
 
 
 def legendre_dual_pipeline(cfg: ExperimentConfig):
@@ -220,19 +199,16 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
     snaps = traj.snapshots[-3:]
     bump_res = legendre.dual_flow_check(snaps)
     swap_gaps = [max(legendre.eigenvalue_swap_gap(u)) for _, u in snaps]
-    swap_tol = snaps[-1][1].domain.h
-    thr = cfg.check
     report = {
         "pipeline": "legendre_dual",
         "quadratic_residual": quad_res,
         "bump_residual": bump_res,
         "eigen_swap_gaps": swap_gaps,
-        "swap_tolerance": swap_tol,
-        "passed": (quad_res <= thr["quadratic_residual"]
-                   and bump_res <= thr["bump_residual"]
-                   and max(swap_gaps) <= swap_tol),
     }
-    return report, {"trajectory": traj}
+    # the swap gaps vanish to O(h): the bound is the grid's, not the table's
+    measured = {"quadratic_residual": quad_res, "bump_residual": bump_res,
+                "swap_gaps_within_h": bool(max(swap_gaps) <= snaps[-1][1].domain.h)}
+    return report, measured, {"trajectory": traj}
 
 
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
@@ -243,7 +219,6 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
                                      for t, u in traj.snapshots])
     paths = mcf.integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
     rep = mcf.verify_mcf(paths)
-    thr = cfg.check["deviation"]
     report = {
         "pipeline": "mcf_verify",
         "max_deviation": rep.max_deviation,
@@ -251,32 +226,20 @@ def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
         "max_normal": rep.max_normal,
         "tangential_ratio": rep.tangential_ratio,
         "per_path": rep.per_path,
-        "threshold": thr,
         "corrupted": corrupt,
-        "passed": (rep.max_deviation <= thr
-                   and rep.tangential_ratio <= cfg.check["tangential_ratio"])
-                  if not corrupt else rep.max_deviation > thr,
     }
-    return report, {"trajectory": traj, "paths": paths}
+    measured = {"deviation": rep.max_deviation,
+                "tangential_ratio": rep.tangential_ratio}
+    return report, measured, {"trajectory": traj, "paths": paths}
 
 
 def decay_pipeline(cfg: ExperimentConfig):
-    tic = time.perf_counter()
     _, traj = _run_flow(cfg)
     fit3 = analysis.fit_decay(traj, order=3)
     fit4 = analysis.fit_decay(traj, order=4)
-    runtime = time.perf_counter() - tic
-    b3, b4 = cfg.check["exponent3"], cfg.check["exponent4"]
-    ok3 = fit3.exponent is not None and b3[0] <= fit3.exponent <= b3[1]
-    ok4 = fit4.exponent is not None and b4[0] <= fit4.exponent <= b4[1]
-    report = {
-        "pipeline": "decay",
-        "fit3": fit3.to_dict(),
-        "fit4": fit4.to_dict(),
-        "runtime_s": runtime,
-        "passed": ok3 and ok4 and runtime <= cfg.check["runtime_s"],
-    }
-    return report, {"trajectory": traj, "ratefits": [fit3, fit4]}
+    report = {"pipeline": "decay", "fit3": fit3.to_dict(), "fit4": fit4.to_dict()}
+    measured = {"exponent3": fit3.exponent, "exponent4": fit4.exponent}
+    return report, measured, {"trajectory": traj, "ratefits": [fit3, fit4]}
 
 
 def blowdown_pipeline(cfg: ExperimentConfig):
@@ -291,26 +254,34 @@ def blowdown_pipeline(cfg: ExperimentConfig):
     an = cfg.analysis
     rep = analysis.blowdown_convergence(
         traj, U1, window_half=float(an["window"]),
-        monotone_from=int(an["monotone_from"]),
-        final_tol=float(cfg.check["final_error"]))
+        monotone_from=int(an["monotone_from"]))
     report = {"pipeline": "blowdown", **rep.to_dict()}
-    return report, {"trajectory": traj, "ratefits": [rep.fit] if rep.fit else []}
+    measured = {"monotone": rep.monotone, "final_error": rep.final_error}
+    return report, measured, {"trajectory": traj,
+                              "ratefits": [rep.fit] if rep.fit else []}
 
 
 def plane_pipeline(cfg: ExperimentConfig):
     _, traj = _run_flow(cfg)
-    rep = analysis.plane_convergence(
-        traj, window_half=float(cfg.analysis["window"]),
-        final_tol=float(cfg.check["final_max_gradient"]))
-    report = {"pipeline": "plane", **rep.to_dict()}
-    return report, {"trajectory": traj}
+    rep = analysis.plane_convergence(traj, window_half=float(cfg.analysis["window"]))
+    return {"pipeline": "plane", **rep.to_dict()}, rep.measured(), {"trajectory": traj}
+
+
+class Refinement(NamedTuple):
+    """A refinement pair: the finer level (:func:`finer_level`) must pass its
+    own checks and read ``key`` at most ``max(coarse / ratio, floor)``."""
+
+    key: str
+    ratio: float
+    floor: float
+    halves_spacing: bool = False
 
 
 class Pipeline(NamedTuple):
     """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
-    whether it evolves initial data (reads ``initial`` and ``flow``) and the
+    whether it evolves initial data (reads ``initial`` and ``flow``), the
     keys it reads from ``expander``, ``mcf`` and ``analysis``, each mapped to
-    its default."""
+    its default, and its refinement pair, if it has one."""
 
     runner: Callable
     check: dict = {}
@@ -318,6 +289,7 @@ class Pipeline(NamedTuple):
     expander: dict = {}
     mcf: dict = {}
     analysis: dict = {}
+    refinement: Refinement | None = None
 
 
 # the keys both expander pipelines read: the value a = u(0) of the profile and
@@ -330,18 +302,23 @@ PIPELINES = {
     "heat": Pipeline(heat_pipeline),
     "quadratic_exact": Pipeline(quadratic_exact_pipeline,
                                 {"sup_error": 1e-8, "runtime_s": 10.0}),
-    "condition_b": Pipeline(condition_b_pipeline, {"drift": 5e-3}),
-    "heat_oracle": Pipeline(heat_oracle_pipeline, {"sup_diff": 5e-4}),
+    "condition_b": Pipeline(condition_b_pipeline, {"drift": 5e-3},
+                            refinement=Refinement("drift", 3.0, 1e-6)),
+    "heat_oracle": Pipeline(heat_oracle_pipeline, {"sup_diff": 5e-4},
+                            refinement=Refinement("sup_diff", 3.0, 0.0)),
     "expander_stationarity": Pipeline(
         expander_stationarity_pipeline, {"residual": 0.05}, evolves=False,
         expander={**_EXPANDER, "slope0": 0.0, "dt_probe": 1e-3,
-                  "times": [1.0, 2.0, 4.0]}),
+                  "times": [1.0, 2.0, 4.0]},
+        refinement=Refinement("residuals", 3.0, 0.0)),
     "expander_cross": Pipeline(
         expander_cross_pipeline,
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
         evolves=False, expander={**_EXPANDER, "perturbation": 5e-3}),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
-                              {"quadratic_residual": 1e-8, "bump_residual": 1e-2}),
+                              {"quadratic_residual": 1e-8, "bump_residual": 1e-2},
+                              refinement=Refinement("bump_residual", 3.0, 0.0,
+                                                    halves_spacing=True)),
     "mcf_verify": Pipeline(mcf_verify_pipeline,
                            {"deviation": 5e-3, "tangential_ratio": 0.10},
                            mcf={"seeds": [[0.0]], "t_start": None}),
@@ -354,5 +331,96 @@ PIPELINES = {
 }
 
 
-def run_pipeline(cfg: ExperimentConfig):
-    return PIPELINES[cfg.pipeline].runner(cfg)
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+
+def _within(measured, bound) -> bool:
+    """The one comparison of a measurement with its bound."""
+    if isinstance(measured, dict):
+        return all(_within(v, bound[k] if isinstance(bound, dict) else bound)
+                   for k, v in measured.items())
+    if isinstance(bound, bool):
+        return measured is bound
+    if measured is None:  # a fit that found nothing to fit
+        return False
+    if isinstance(bound, list):
+        lo, hi = bound
+        return lo <= measured <= hi
+    return measured <= bound
+
+
+def judge(check: dict, measured: dict) -> list:
+    """One ``{key, bound, measured, ok}`` entry per measured value.
+
+    A number is bounded by ``check[key]``: a scalar bound means
+    ``measured <= bound``, a ``[lo, hi]`` pair ``lo <= measured <= hi``, and
+    a dict of numbers must hold the bound entry by entry.  A condition with
+    no table bound is a bool, reported with bound ``true``.
+    """
+    checks = []
+    for key, value in measured.items():
+        bound = True if isinstance(value, bool) else check[key]
+        checks.append({"key": key, "bound": bound, "measured": value,
+                       "ok": _within(value, bound)})
+    return checks
+
+
+def finer_level(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg at ``grid.m -> 2m - 1``; with ``halves_spacing``, the snapshot times
+    and ``t_end`` move halfway toward the middle snapshot time."""
+    flow = dict(cfg.flow)
+    if PIPELINES[cfg.pipeline].refinement.halves_spacing:
+        times = list(flow["snapshot_times"] if "snapshot_times" in flow else ())
+        if not times:
+            raise ConfigError("the finer level halves the spacing of "
+                              "flow.snapshot_times, which the config does not set")
+        mid = times[len(times) // 2]
+        flow["snapshot_times"] = [mid + (t - mid) / 2 for t in times]
+        flow["t_end"] = mid + (flow["t_end"] - mid) / 2
+    return dataclasses.replace(cfg, grid={**cfg.grid, "m": 2 * cfg.domain().m - 1},
+                               flow=flow)
+
+
+def refinement_check(ref: Refinement, coarse, fine, level: str) -> dict:
+    """The refinement clause as a checks entry: ``fine <= max(coarse / ratio,
+    floor)``, elementwise over a per-time dict."""
+    if isinstance(coarse, dict):
+        bound = {k: max(v / ref.ratio, ref.floor) for k, v in coarse.items()}
+    else:
+        bound = max(coarse / ref.ratio, ref.floor)
+    key = f"{ref.key} refinement ({level})"
+    return judge({key: bound}, {key: fine})[0]
+
+
+def run_pipeline(cfg: ExperimentConfig, refine: bool = False):
+    """Run and judge cfg's pipeline: ``(report, artifacts)``.  The report
+    gains ``checks`` (:func:`judge` over the runner's measured values),
+    ``passed`` (their conjunction) and ``runtime_s`` (the runner's wall time,
+    which no verdict here reads).  With ``refine`` a refined pipeline also
+    appends its finer level's checks and the refinement clause."""
+    spec = PIPELINES[cfg.pipeline]
+    fine_cfg = finer_level(cfg) if refine and spec.refinement is not None else None
+    tic = time.perf_counter()
+    report, measured, artifacts = spec.runner(cfg)
+    report["runtime_s"] = time.perf_counter() - tic
+    report["checks"] = judge(cfg.check, measured)
+    if fine_cfg is not None:
+        fine, _ = run_pipeline(fine_cfg)
+        level = f"m = {fine_cfg.domain().m}"
+        report["checks"] += [{**c, "key": f"{c['key']} ({level})"} for c in fine["checks"]]
+        report["checks"].append(refinement_check(
+            spec.refinement, report[spec.refinement.key],
+            fine[spec.refinement.key], level))
+    report["passed"] = all(c["ok"] for c in report["checks"])
+    return report, artifacts
+
+
+def gate(cfg: ExperimentConfig):
+    """What the acceptance gate and ``--check`` judge: ``(report, artifacts,
+    timing)``, the refined run and its wall time against ``check.runtime_s``.
+    The timing entries stay out of the report, which stays deterministic."""
+    report, artifacts = run_pipeline(cfg, refine=True)
+    timing = (judge(cfg.check, {"runtime_s": report["runtime_s"]})
+              if "runtime_s" in cfg.check else [])
+    return report, artifacts, timing

@@ -36,12 +36,12 @@ INITIAL_FAMILIES = {kind: {"noise": 0.0, **keys} for kind, keys in {
 
 
 def _as_matrix(A, n):
+    # loading admits A only as a scalar or an n x n matrix, b only as a
+    # length-n vector
     if A is None:
         return np.eye(n)
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim == 0:
-        return float(A) * np.eye(n)
-    return np.atleast_2d(A)
+    return float(A) * np.eye(n) if A.ndim == 0 else A
 
 
 def _as_vector(b, n):

@@ -154,7 +154,7 @@ def test_blowdown_stationary_expander_is_exact():
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[1.0, 2.0, 4.0], max_dt=0.05)
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2,
-                               window_half=1.0, monotone_from=0, final_tol=0.02)
+                               window_half=1.0, monotone_from=0)
     assert max(rep.errors) < 1e-9
 
 
@@ -165,7 +165,7 @@ def test_blowdown_window_escape():
                snapshot_times=[16.0], max_dt=0.5)
     with pytest.raises(WindowEscape):
         blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
-                             monotone_from=2, final_tol=0.02)
+                             monotone_from=2)
 
 
 def test_blowdown_bump_converges():
@@ -176,8 +176,8 @@ def test_blowdown_bump_converges():
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                snapshot_times=[1.0, 2.0, 4.0, 8.0, 16.0])
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
-                               monotone_from=2, final_tol=0.02)
-    assert rep.passed
+                               monotone_from=2)
+    assert rep.monotone
     assert rep.final_error <= 0.02
 
 
@@ -198,9 +198,9 @@ def test_plane_convergence_on_decaying_gradient_data():
     traj = run(u0, tau=0.0, t_end=8.0,
                boundary=ReferenceSolution(_erf_solution),
                snapshot_times=[0.5, 1.0, 2.0, 4.0, 8.0])
-    rep = plane_convergence(traj, window_half=2.0, final_tol=0.02)
-    assert rep.hypothesis_ok
-    assert rep.passed
+    rep = plane_convergence(traj, window_half=2.0)
+    assert rep.hypothesis_ok and rep.decreasing
+    assert rep.final_max_gradient <= 0.02
     # closed form: sup |Du| = 0.1 / sqrt(1 + 4 t)
     assert rep.final_max_gradient == pytest.approx(0.1 / np.sqrt(33.0), rel=2e-2)
 
@@ -208,6 +208,7 @@ def test_plane_convergence_on_decaying_gradient_data():
 def test_plane_convergence_flags_unbounded_gradient():
     dom = BoxDomain(n=1, half_width=4.0, m=65)
     traj = run(iso_quad(dom), tau=0.0, t_end=0.5, snapshot_times=[0.5], max_dt=0.01)
-    rep = plane_convergence(traj, window_half=1.0, final_tol=0.02)
+    rep = plane_convergence(traj, window_half=1.0)
     assert not rep.hypothesis_ok
-    assert rep.passed is None
+    assert rep.measured() == {"hypothesis_ok": False, "decreasing": False,
+                              "final_max_gradient": None}

@@ -1,5 +1,6 @@
 """Configuration loading, the command-line surface, artifact round trips."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from logflow.cli import emit_plotdata, load_trajectory_dir, main
 from logflow.config import ExperimentConfig, load_config, parse_keyvalue
 from logflow.errors import ConfigError, MissingArtifact
+from logflow.experiments import PIPELINES, finer_level
 from logflow.presets import experiment_preset, preset_names
 
 
@@ -83,6 +85,57 @@ def test_every_preset_validates():
         assert "check" not in experiment_preset(name)
 
 
+# each refined preset's refinement pair: (measured key, ratio, floor, finer m,
+# whether the finer level halves the snapshot spacing)
+REFINEMENTS = {
+    "condition-b-preservation": ("drift", 3.0, 1e-6, 129, False),
+    "heat-oracle": ("sup_diff", 3.0, 0.0, 129, False),
+    "expander-stationarity": ("residuals", 3.0, 0.0, 129, False),
+    "legendre-duality": ("bump_residual", 3.0, 0.0, 129, True),
+}
+
+
+def test_refinement_pairs_are_pinned():
+    for name in preset_names():
+        cfg = load_config({"preset": name})
+        ref = PIPELINES[cfg.pipeline].refinement
+        if ref is None:
+            assert name not in REFINEMENTS
+        else:
+            assert (ref.key, ref.ratio, ref.floor, finer_level(cfg).domain().m,
+                    ref.halves_spacing) == REFINEMENTS[name]
+    fine = finer_level(load_config({"preset": "legendre-duality"}))
+    assert fine.flow["snapshot_times"] == [0.4975, 0.5, 0.5025]
+    assert fine.flow["t_end"] == 0.5025
+
+
+def _arithmetic_literal(node) -> bool:
+    """A number, or arithmetic or a call on one (``10 * x``, ``max(x / 3, y)``);
+    an index such as ``a[0]`` is not one."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return _arithmetic_literal(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _arithmetic_literal(node.left) or _arithmetic_literal(node.right)
+    if isinstance(node, ast.Call):
+        return any(_arithmetic_literal(arg) for arg in node.args)
+    return False
+
+
+def test_the_gate_holds_no_threshold_literal():
+    # every bound the gate applies comes from the pipeline table (pinned
+    # above); a float literal, or a number inside a comparison, in the gate
+    # would be a second copy
+    path = Path(__file__).with_name("test_acceptance.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    floats = [n.lineno for n in ast.walk(tree)
+              if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    compared = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                and any(map(_arithmetic_literal, (n.left, *n.comparators)))]
+    assert floats == [] and compared == []
+
+
 # ---------------------------------------------------------------------------
 # CLI round trips
 # ---------------------------------------------------------------------------
@@ -144,14 +197,35 @@ def test_flow_run_deterministic_snapshots(tmp_path):
     assert out[0] == out[1]
 
 
-def test_check_mode_exit_code(tmp_path):
-    cfg = _write_cfg(tmp_path, {
-        "preset": "quadratic-exact",
-        "grid": {"m": 17},
-        "check": {"sup_error": 1e-30},  # impossible threshold
-        "outdir": str(tmp_path / "run"),
-    })
-    assert main(["flow", "run", "--config", str(cfg), "--check"]) == 4
+def test_check_mode_exit_code(tmp_path, capsys):
+    # an impossible threshold fails the report; an impossible wall-time bound
+    # fails only --check, and wall time never reaches report.json
+    for check, passed in (({"sup_error": 1e-30}, False), ({"runtime_s": 1e-9}, True)):
+        cfg = _write_cfg(tmp_path, {"preset": "quadratic-exact", "grid": {"m": 17},
+                                    "check": check, "outdir": str(tmp_path / "run")})
+        assert main(["flow", "run", "--config", str(cfg)]) == 0
+        assert main(["flow", "run", "--config", str(cfg), "--check"]) == 4
+        assert f'"key": "{next(iter(check))}"' in capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["passed"] is passed and "runtime_s" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("preset, line, message", [
+    ("expander-stationarity", "grid.n = 2", "slope0"),  # the preset's slope0 = 0.5
+    ("quadratic-exact", "initial.A = [[1.0]]", "initial.A"),  # n = 2
+    ("quadratic-exact", "initial.b = [1.0]", "initial.b"),
+    ("quadratic-exact", "initial.b = [1.0, 0.0, 0.0]", "initial.b"),
+    # the finer level halves the snapshot spacing, even when stored states
+    # would supply the three snapshots
+    ("legendre-duality", "flow.snapshot_times = []\nflow.store_every = 50",
+     "snapshot_times"),
+])
+def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
+    p = tmp_path / "cfg.txt"
+    p.write_text(f"preset = {preset}\n{line}\noutdir = {tmp_path / 'run'}\n")
+    assert main(["flow", "run", "--config", str(p), "--check"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_error_exit_code(tmp_path):

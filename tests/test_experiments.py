@@ -13,8 +13,8 @@ import pytest
 from logflow import experiments
 from logflow.cli import persist_run
 from logflow.config import load_config
-from logflow.experiments import (PIPELINES, expander_stationarity_pipeline,
-                                 flow_pipeline, heat_pipeline, run_pipeline)
+from logflow.experiments import (PIPELINES, Refinement, judge, refinement_check,
+                                 run_pipeline)
 from logflow.presets import experiment_preset
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction
@@ -30,7 +30,7 @@ def test_flow_pipeline_report_fields():
         "flow": {"tau": 1.0, "t_end": 0.05},
     })
     report, artifacts = run_pipeline(cfg)
-    assert report["passed"]
+    assert report["checks"] == [] and report["passed"] is True
     assert report["steps"] > 0
     assert artifacts["trajectory"].state.t == pytest.approx(0.05)
 
@@ -43,17 +43,41 @@ def test_heat_pipeline_produces_snapshot():
                     "amplitude": 0.1, "width": 1.0},
         "flow": {"tau": 0.0, "t_end": 0.05},
     })
-    report, artifacts = heat_pipeline(cfg)
+    report, artifacts = run_pipeline(cfg)
+    assert report["checks"] == [] and report["passed"] is True
     t, out = artifacts["snapshots"][0]
     assert t == 0.05
     assert out.values.shape == (17, 17)
 
 
 def test_stationarity_certifies_non_quadratic():
-    report, _ = expander_stationarity_pipeline(load_config(
-        {"preset": "expander-stationarity"}))
+    report, _ = run_pipeline(load_config({"preset": "expander-stationarity"}))
     assert not report["certification"]["is_quadratic"]
     assert report["certification"]["lambda_min"] > 0
+
+
+def test_judge_reads_scalar_pair_and_boolean_bounds():
+    check = {"a": 1.0, "b": [-2.0, -1.0], "c": 1.0}
+    measured = {"a": 1.0, "b": -2.5, "c": {"1.0": 0.5, "2.0": 1.5}, "d": True,
+                "e": False}
+    assert judge(check, measured) == [
+        {"key": "a", "bound": 1.0, "measured": 1.0, "ok": True},
+        {"key": "b", "bound": [-2.0, -1.0], "measured": -2.5, "ok": False},
+        {"key": "c", "bound": 1.0, "measured": {"1.0": 0.5, "2.0": 1.5}, "ok": False},
+        {"key": "d", "bound": True, "measured": True, "ok": True},
+        {"key": "e", "bound": True, "measured": False, "ok": False},
+    ]
+    # a fit that found nothing to fit fails its bound
+    assert judge({"b": [-2.0, -1.0]}, {"b": None})[0]["ok"] is False
+
+
+def test_refinement_clause():
+    ref = Refinement("drift", 3.0, 1e-6)
+    assert not refinement_check(ref, 1e-2, 1e-2 / 2, "m = 129")["ok"]
+    assert refinement_check(ref, 0.0, 0.0, "m = 129")["ok"]
+    # elementwise over per-time values: one time refining too slowly fails
+    coarse, fine = {"1.0": 4e-3, "2.0": 4e-3}, {"1.0": 1e-3, "2.0": 2e-3}
+    assert not refinement_check(ref._replace(floor=0.0), coarse, fine, "m = 129")["ok"]
 
 
 def test_runners_read_no_fallback_defaults():
@@ -155,18 +179,6 @@ def test_three_dimensional_bump_flow_keeps_bounds():
     for rec in traj.monitors:
         assert rec.lambda_min >= lam0 - 2e-2
         assert rec.lambda_max <= Lam0 + 2e-2
-
-
-@pytest.mark.parametrize("preset, key", [("blowdown-convergence", "final_error"),
-                                         ("plane-convergence", "final_max_gradient")])
-def test_final_bound_is_read_from_the_check_key(preset, key):
-    short = {"preset": preset, "grid": {"m": 65},
-             "flow": {"t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}
-    measured = run_pipeline(load_config(short))[0][key]
-    for bound, verdict in ((1.01 * measured, True), (0.99 * measured, False)):
-        report, _ = run_pipeline(load_config({**short, "check": {key: bound}}))
-        assert report[key] == measured
-        assert report["passed"] is verdict
 
 
 def test_benchmark_tracer_records_flow_3d_layers(monkeypatch):

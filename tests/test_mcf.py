@@ -229,7 +229,7 @@ def test_mcf_pipeline_assembles_one_hessian_per_snapshot(monkeypatch):
     # Hessian and curvature field
     import logflow.mcf as mcf
     from logflow.config import load_config
-    from logflow.experiments import mcf_verify_pipeline
+    from logflow.experiments import run_pipeline
     from logflow.grid import hessian
     calls = []
 
@@ -240,7 +240,7 @@ def test_mcf_pipeline_assembles_one_hessian_per_snapshot(monkeypatch):
     monkeypatch.setattr(mcf, "hessian", counting_hessian)
     cfg = load_config({"preset": "mcf-correspondence", "grid": {"m": 65},
                        "flow": {"t_end": 0.3}})
-    report, artifacts = mcf_verify_pipeline(cfg)
+    report, artifacts = run_pipeline(cfg)
     used = [u for t, u in artifacts["trajectory"].snapshots if t >= 0.1 - 1e-12]
     assert report["passed"]
     assert len(calls) == len({id(u) for u in calls}) == len(used)
