@@ -36,7 +36,7 @@ from pathlib import Path
 from . import analysis, expander, legendre, mcf
 from .config import ExperimentConfig, load_config
 from .errors import (AbortedNonConvex, ConfigError, LogFlowError, MissingArtifact)
-from .experiments import PIPELINES, gate, judge, run_pipeline
+from .experiments import PIPELINES, finer_level, gate, judge, run_pipeline
 from .flow import FLOW_KEYS, MonitorRecord, Trajectory
 from .snapshots import read_snapshot, write_snapshot
 
@@ -219,8 +219,8 @@ def _run_dir(path) -> Path:
 
 
 def _cmd_run_configs(args) -> int:
-    """Load every config and check its run directory first, then run them
-    one after another."""
+    """Load every config and check its run directory (and, under ``--check``,
+    its finer level) first, then run them one after another."""
     cfgs = []
     for p in args.config:
         cfg = load_config(p)
@@ -228,6 +228,8 @@ def _cmd_run_configs(args) -> int:
             cfg.outdir = args.outdir if len(args.config) == 1 else str(
                 Path(args.outdir) / Path(str(p)).stem)
         _run_dir(cfg.outdir)
+        if args.check and PIPELINES[cfg.pipeline].refinement is not None:
+            finer_level(cfg)  # refuses a finer level it cannot build
         cfgs.append(cfg)
     status = EXIT_OK
     for cfg in cfgs:

@@ -5,7 +5,8 @@ pipeline end to end and returns ``(report, measured, artifacts)``: a
 JSON-ready report of measured quantities, the values its verdict judges, and
 the in-memory artifacts (trajectories, snapshots) the CLI may persist.
 Runners measure; :func:`judge` alone compares a measurement with its bound,
-and :func:`run_pipeline` sets the report's ``checks`` and ``passed``.
+and :func:`run_pipeline` sets the report's ``checks`` and ``passed``
+(:func:`gate` extends both with a refinement pair).
 :data:`PIPELINES` is the one list of pipelines: it declares each pipeline's
 runner, its frozen thresholds, whether it evolves initial data (reading the
 ``initial`` and ``flow`` sections), the keys it reads from the ``expander``,
@@ -393,34 +394,33 @@ def refinement_check(ref: Refinement, coarse, fine, level: str) -> dict:
     return judge({key: bound}, {key: fine})[0]
 
 
-def run_pipeline(cfg: ExperimentConfig, refine: bool = False):
+def run_pipeline(cfg: ExperimentConfig):
     """Run and judge cfg's pipeline: ``(report, artifacts)``.  The report
     gains ``checks`` (:func:`judge` over the runner's measured values),
     ``passed`` (their conjunction) and ``runtime_s`` (the runner's wall time,
-    which no verdict here reads).  With ``refine`` a refined pipeline also
-    appends its finer level's checks and the refinement clause."""
-    spec = PIPELINES[cfg.pipeline]
-    fine_cfg = finer_level(cfg) if refine and spec.refinement is not None else None
+    which no verdict here reads)."""
     tic = time.perf_counter()
-    report, measured, artifacts = spec.runner(cfg)
+    report, measured, artifacts = PIPELINES[cfg.pipeline].runner(cfg)
     report["runtime_s"] = time.perf_counter() - tic
     report["checks"] = judge(cfg.check, measured)
-    if fine_cfg is not None:
-        fine, _ = run_pipeline(fine_cfg)
-        level = f"m = {fine_cfg.domain().m}"
-        report["checks"] += [{**c, "key": f"{c['key']} ({level})"} for c in fine["checks"]]
-        report["checks"].append(refinement_check(
-            spec.refinement, report[spec.refinement.key],
-            fine[spec.refinement.key], level))
     report["passed"] = all(c["ok"] for c in report["checks"])
     return report, artifacts
 
 
 def gate(cfg: ExperimentConfig):
     """What the acceptance gate and ``--check`` judge: ``(report, artifacts,
-    timing)``, the refined run and its wall time against ``check.runtime_s``.
-    The timing entries stay out of the report, which stays deterministic."""
-    report, artifacts = run_pipeline(cfg, refine=True)
+    timing)``: a refined report gains the finer level's checks and the clause;
+    ``timing`` judges wall time against ``check.runtime_s`` outside the
+    report, which stays deterministic."""
+    ref = PIPELINES[cfg.pipeline].refinement
+    fine_cfg = finer_level(cfg) if ref is not None else None
+    report, artifacts = run_pipeline(cfg)
+    if fine_cfg is not None:
+        fine, _ = run_pipeline(fine_cfg)
+        level = f"m = {fine_cfg.domain().m}"
+        report["checks"] += [{**c, "key": f"{c['key']} ({level})"} for c in fine["checks"]]
+        report["checks"].append(refinement_check(ref, report[ref.key], fine[ref.key], level))
+        report["passed"] = all(c["ok"] for c in report["checks"])
     timing = (judge(cfg.check, {"runtime_s": report["runtime_s"]})
               if "runtime_s" in cfg.check else [])
     return report, artifacts, timing

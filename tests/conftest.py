@@ -9,10 +9,3 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
-
-
-@pytest.fixture
-def fault_separation():
-    """Criterion 7's planted fault must read more than this many times the
-    clean deviation (a bound of the acceptance gate, pinned here)."""
-    return 10

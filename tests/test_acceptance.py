@@ -16,6 +16,7 @@ from logflow.config import load_config
 from logflow.experiments import judge, mcf_verify_pipeline
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
+FAULT_SEPARATION = 10  # criterion 7: the planted fault / the clean deviation
 
 
 def _report(idx: int, name: str, ok: bool, detail: str) -> None:
@@ -74,7 +75,7 @@ def test_criterion_06_legendre_self_duality_2d(tmp_path):
     _row(tmp_path, 6, "Legendre self-duality, n = 2", "legendre-duality", grid={"n": 2, "m": 33})
 
 
-def test_criterion_07_mcf_correspondence(tmp_path, fault_separation):
+def test_criterion_07_mcf_correspondence(tmp_path):
     clean = _row(tmp_path, 7, "graph flow correspondence", "mcf-correspondence")
     # planted fault: every snapshot scaled by 1.1 must fail the check and read
     # far above the clean deviation
@@ -83,9 +84,9 @@ def test_criterion_07_mcf_correspondence(tmp_path, fault_separation):
     checks = judge(cfg.check, measured)
     separation = measured["deviation"] / clean["max_deviation"]
     _report(7, "graph flow correspondence, planted fault",
-            not all(c["ok"] for c in checks) and separation > fault_separation,
+            not all(c["ok"] for c in checks) and separation > FAULT_SEPARATION,
             f"corrupted: {_detail(checks)}; {separation:.1f} x the clean "
-            f"deviation (bound > {fault_separation})")
+            f"deviation (bound > {FAULT_SEPARATION})")
 
 
 def test_criterion_08_decay_exponents(tmp_path):
@@ -101,7 +102,8 @@ def test_criterion_10_plane_convergence(tmp_path):
 
 
 def test_criterion_11_determinism_and_round_trip(tmp_path):
-    base = {"preset": "quadratic-exact", "flow": {"store_every": 256}}  # t = 0, 0.5, 1
+    base = {"preset": "quadratic-exact",
+            "flow": {"snapshot_times": [0.5, 1.0]}}
     blobs = []
     for tag in ("a", "b"):
         cfg_path = tmp_path / f"{tag}.json"

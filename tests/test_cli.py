@@ -125,15 +125,18 @@ def _arithmetic_literal(node) -> bool:
 
 def test_the_gate_holds_no_threshold_literal():
     # every bound the gate applies comes from the pipeline table (pinned
-    # above); a float literal, or a number inside a comparison, in the gate
-    # would be a second copy
+    # above); a number inside a comparison, or a float or a check override
+    # among a row's overrides, would be a second copy
     path = Path(__file__).with_name("test_acceptance.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    floats = [n.lineno for n in ast.walk(tree)
-              if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    rows = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "_row"]
+    floats = [c.lineno for row in rows for c in ast.walk(row)
+              if isinstance(c, ast.Constant) and isinstance(c.value, float)]
+    overrides = [k.arg for row in rows for k in row.keywords if k.arg == "check"]
     compared = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
                 and any(map(_arithmetic_literal, (n.left, *n.comparators)))]
-    assert floats == [] and compared == []
+    assert rows and floats == [] and overrides == [] and compared == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +224,14 @@ def test_check_mode_exit_code(tmp_path, capsys):
      "snapshot_times"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
+    # a good config listed first does not run either
+    good = tmp_path / "good.txt"
+    good.write_text(f"preset = quadratic-exact\noutdir = {tmp_path / 'good'}\n")
     p = tmp_path / "cfg.txt"
     p.write_text(f"preset = {preset}\n{line}\noutdir = {tmp_path / 'run'}\n")
-    assert main(["flow", "run", "--config", str(p), "--check"]) == 2
+    assert main(["flow", "run", "--config", str(good), str(p), "--check"]) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists() and not (tmp_path / "good").exists()
 
 
 def test_config_error_exit_code(tmp_path):
