@@ -8,7 +8,7 @@ from .errors import (AbortedNonConvex, BlowupError, BoundaryInconsistency,
                      NewtonStall, NonConvexityError, RangeError,
                      SingularStartError, TailError, WindowEscape)
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
-                   log_det_hessian, third_derivative_norm)
+                   third_derivative_norm)
 from .flow import (FlowState, Frozen, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
                    run, step_explicit)

@@ -38,6 +38,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (AbortedNonConvex, ConfigError, LogFlowError, MissingArtifact)
 from .experiments import PIPELINES, finer_level, gate, judge, run_pipeline
 from .flow import FLOW_KEYS, MonitorRecord, Trajectory
+from .grid import gradient, hessian
 from .snapshots import read_snapshot, write_snapshot
 
 EXIT_OK = 0
@@ -294,7 +295,7 @@ def _cmd_expander_certify(args) -> int:
 def _cmd_legendre_transform(args) -> int:
     u, head = read_snapshot(args.input)
     out = _output_file(args.output)
-    star = legendre.legendre_transform(u)
+    star = legendre.legendre_transform(u, hessian(u), gradient(u))
     write_snapshot(out, star, t=head.get("t"), tau=head.get("tau"))
     print(f"conjugate written to {args.output}")
     return EXIT_OK
@@ -304,7 +305,7 @@ def _cmd_legendre_checkdual(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
     if len(traj.snapshots) < 3:
         raise ConfigError("need at least three snapshots for the duality check")
-    res = legendre.dual_flow_check(traj.snapshots[-3:])
+    res, _ = legendre.dual_flow_check(traj.snapshots[-3:])
     print(json.dumps({"dual_residual": res}, indent=2))
     return EXIT_OK
 

@@ -38,6 +38,17 @@ def _reject_unknown(section: str, keys, allowed) -> None:
         raise ConfigError(f"unknown {section} keys {unknown}; {hint}")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reject_non_numeric(section: str, values: dict, defaults: dict) -> None:
+    """A key whose declared default is a number takes only numbers."""
+    for key, default in defaults.items():
+        if _number(default) and key in values and not _number(values[key]):
+            raise ConfigError(f"{section}.{key} must be a number, got {values[key]!r}")
+
+
 def _shape(value) -> tuple | None:
     """The shape of a numeric array, or None when value is not one."""
     try:
@@ -90,9 +101,11 @@ class ExperimentConfig:
             for section in ("flow", "initial"):
                 _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
+        _reject_non_numeric("flow", self.flow, FLOW_KEYS)
         for section in ("check", "expander", "mcf", "analysis"):
             table = getattr(spec, section)
             _reject_unknown(section, getattr(self, section), table)
+            _reject_non_numeric(section, getattr(self, section), table)
             setattr(self, section, {**copy.deepcopy(table), **getattr(self, section)})
         if self.initial:
             kind = self.initial.get("kind")
@@ -100,12 +113,14 @@ class ExperimentConfig:
                 raise ConfigError(f"initial.kind must be one of {tuple(INITIAL_FAMILIES)}")
             _reject_unknown(f"initial ({kind})", self.initial,
                             ("kind", *INITIAL_FAMILIES[kind]))
+            _reject_non_numeric("initial", self.initial, INITIAL_FAMILIES[kind])
         try:
             n = self.domain().n
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"grid {self.grid} is not a box: {exc}") from exc
-        if spec.evolves and "t_end" not in self.flow:
-            raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs flow.t_end")
+        if spec.evolves and not _number(self.flow.get("t_end")):
+            raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs "
+                              f"a number flow.t_end, got {self.flow.get('t_end')!r}")
         if "seeds" in self.mcf:
             shape = _shape(self.mcf["seeds"]) or ()
             if len(shape) != 2 or shape[0] == 0 or shape[1] != n:

@@ -191,15 +191,16 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
     def quad_at(t):
         return GridFunction(qdom, 0.5 * (2 * g1 ** 2 + 2 * g2 ** 2) + rate * t)
 
-    quad_res = legendre.dual_flow_check(
+    quad_res, _ = legendre.dual_flow_check(
         [(t, quad_at(t)) for t in (0.45, 0.5, 0.55)])
 
     _, traj = _run_flow(cfg)
     if len(traj.snapshots) < 3:
         raise ConfigError("duality check needs three snapshot times")
     snaps = traj.snapshots[-3:]
-    bump_res = legendre.dual_flow_check(snaps)
-    swap_gaps = [max(legendre.eigenvalue_swap_gap(u)) for _, u in snaps]
+    # the swap gaps read the dual check's conjugates, on its 0.75 box
+    bump_res, pairs = legendre.dual_flow_check(snaps)
+    swap_gaps = [max(legendre.eigenvalue_swap_gap(H, H_star)) for H, H_star in pairs]
     report = {
         "pipeline": "legendre_dual",
         "quadratic_residual": quad_res,

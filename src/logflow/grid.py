@@ -29,7 +29,6 @@ __all__ = [
     "HessianField",
     "gradient",
     "hessian",
-    "log_det_hessian",
     "third_derivative_norm",
     "derivative_sup_norm",
     "sample",
@@ -213,23 +212,14 @@ class HessianField:
         return self._det
 
     def inverse(self) -> np.ndarray:
-        """Nodewise inverse; n = 1 needs no determinant.
-
-        It reads the kept :meth:`det` array when there is one and otherwise
-        forms a temporary one without keeping it, so a field read only
-        through its inverse (the Legendre transform) holds no extra array
-        across the dense max.  Keeping it there raised the duality-2d
-        workload's peak RSS from 99 to 106 MB on x86-64 Linux with glibc,
-        while the traced allocations grew by 0.1 MB: the kept array changes
-        how the heap is laid out around the max's two 7 MB score arrays.
-        """
+        """Nodewise inverse; n = 1 needs no determinant."""
         a = self.mats
         n = self.domain.n
         if n == 1:
             inv = np.empty_like(a)
             inv[..., 0, 0] = 1.0 / a[..., 0, 0]
             return inv
-        d = _det(a) if self._det is None else self._det
+        d = self.det()
         if n == 2:
             inv = np.empty_like(a)
             inv[..., 0, 0] = a[..., 1, 1] / d
@@ -307,6 +297,20 @@ class HessianField:
             self._convex[region] = self._sylvester(self.mats[sl]) and not (
                 self.det()[sl] <= 0.0).any()
         return self._convex[region]
+
+    def log_det(self, region: str = "all") -> np.ndarray:
+        """Nodewise (1/n) ln det.
+
+        Raises :class:`NonConvexityError` if the field fails strict positive
+        definiteness anywhere in ``region`` (Sylvester minors); values outside
+        the region are still filled wherever the determinant is positive, and
+        are 0 elsewhere.
+        """
+        if not self.is_strictly_convex(region):
+            raise NonConvexityError(f"det D2u <= 0 or lambda_min <= 0 on region {region!r}")
+        det = self.det()
+        vals = np.log(np.where(det > 0.0, det, np.nan)) / self.domain.n
+        return np.where(np.isfinite(vals), vals, 0.0)
 
     def _sylvester(self, a: np.ndarray) -> bool:
         """Positivity of the leading minors below order n; the caller tests det."""
@@ -440,24 +444,6 @@ def hessian(u: GridFunction) -> HessianField:
         for j in range(i + 1, n):
             comps[i, j] = comps[j, i] = axis_diff(first, h, j)
     return HessianField(u.domain, comps.transpose(tuple(range(2, n + 2)) + (0, 1)))
-
-
-def log_det_hessian(u: GridFunction, region: str = "all") -> GridFunction:
-    """Nodewise (1/n) ln det D2u.
-
-    Raises :class:`NonConvexityError` if the Hessian fails strict positive
-    definiteness anywhere in ``region`` (Sylvester minors); values outside the
-    region are still filled wherever the determinant is positive.
-    """
-    H = hessian(u)
-    n = u.domain.n
-    if not H.is_strictly_convex(region):
-        raise NonConvexityError(
-            f"det D2u <= 0 or lambda_min <= 0 on region {region!r} of {u.label or 'field'}")
-    det = H.det()
-    vals = np.log(np.where(det > 0.0, det, np.nan)) / n
-    vals = np.where(np.isfinite(vals), vals, 0.0)
-    return GridFunction(u.domain, vals, label=f"logdet[{u.label}]")
 
 
 # ---------------------------------------------------------------------------

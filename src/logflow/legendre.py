@@ -5,7 +5,13 @@ one local Taylor refinement around the arg-max node, which restores O(h^2)
 accuracy (and is exact for quadratic u).  The max over the product grid is
 taken axis by axis as n nested 1-D maxima, last axis first, at a cost of
 O(n m^n m') for m nodes and m' dual nodes per axis; it picks the same node as
-a dense scan of all pairs except at floating-point near-ties.
+a dense scan of all pairs except at floating-point near-ties.  Each pass
+scores a block of dual indices at a time, so the max holds O(block) scores,
+not a whole pass, with the same bits as scoring the pass at once.
+
+The transform reads the Hessian and gradient of u from its caller, who takes
+them once.  :func:`dual_flow_check` conjugates each snapshot once and hands
+back the Hessian pairs that :func:`eigenvalue_swap_gap` compares.
 
 For strictly convex smooth u the conjugate satisfies
 D2u*(Du(x)) = (D2u(x))^{-1}; for the logarithmic gradient flow the conjugate
@@ -18,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexityError, RangeError
-from .grid import (BoxDomain, GridFunction, _third_differences, gradient, hessian,
-                   log_det_hessian)
+from .grid import (BoxDomain, GridFunction, HessianField, _third_differences, gradient,
+                   hessian)
 
 __all__ = [
     "auto_dual_domain",
@@ -29,20 +35,39 @@ __all__ = [
 ]
 
 
+_BLOCK = 1 << 14
+"""Scores per block of the max, 128 kB of float64.  At n = 2, m = 97 on a
+2-vCPU x86-64 host the max took 7.5 ms with this block, 13 ms with 1 << 18
+and 18 ms in one block per pass."""
+
+
 def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tuple]:
     """max over nodes x of <x, y> - u(x) for every dual node y, with its arg-max.
 
     Returns the maxima, shape ``y_domain.shape``, and the arg-max node as a
-    tuple of n per-axis index arrays of that shape.
+    tuple of n per-axis index arrays of that shape.  Pass k maximises over
+    x_k for a block of dual indices y_k at a time: about ``_BLOCK`` scores,
+    or those of one dual index when they are more.  The first maximum wins,
+    as when the pass is scored at once, so the bits are the same.
     """
-    n = u.domain.n
+    n, m, m_y = u.domain.n, u.domain.m, y_domain.m
     xy = np.multiply.outer(u.domain.axis, y_domain.axis)     # (m, m')
     V, args = -u.values, [None] * n
     for k in range(n - 1, -1, -1):
         # V: (m,)*(k+1) + (m',)*(n-1-k); maximise over x_k on axis k
-        scores = np.expand_dims(V, k + 1) + xy.reshape(xy.shape + (1,) * (n - 1 - k))
-        args[k] = np.argmax(scores, axis=k)
-        V = np.take_along_axis(scores, np.expand_dims(args[k], k), axis=k).squeeze(k)
+        shape = (m,) * k + (m_y,) * (n - k)
+        V_next, args[k] = np.empty(shape), np.empty(shape, dtype=np.intp)
+        width = max(1, _BLOCK // V.size)
+        Vk = np.expand_dims(V, k + 1)
+        for j in range(0, m_y, width):
+            blk = (slice(None),) * k + (slice(j, j + width),)
+            col = xy[:, j:j + width]
+            scores = Vk + col.reshape(col.shape + (1,) * (n - 1 - k))
+            best = np.argmax(scores, axis=k)
+            args[k][blk] = best
+            V_next[blk] = np.take_along_axis(scores, np.expand_dims(best, k),
+                                             axis=k).squeeze(k)
+        V = V_next
     ys = np.indices(y_domain.shape)
     idx = []
     for k in range(n):                       # i_k = arg_k[i_0..i_{k-1}, y_k..y_{n-1}]
@@ -53,19 +78,14 @@ def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tup
 _SHRINK = 0.8  # the automatic dual box's share of the gradient range
 
 
-def auto_dual_domain(u: GridFunction, shrink: float = _SHRINK) -> BoxDomain:
-    """Symmetric dual box inside the sampled gradient range.
+def auto_dual_domain(g: np.ndarray, domain: BoxDomain, shrink: float = _SHRINK) -> BoxDomain:
+    """Symmetric dual box inside the sampled range of the gradient ``g``.
 
     The half-width is ``shrink`` times the largest symmetric interval that the
     per-axis gradient ranges support, which keeps every dual node away from
     the gradient-range boundary where the conjugate degenerates.  It has as
     many nodes per axis as the primal grid.
     """
-    return _dual_box(gradient(u), u.domain, shrink)
-
-
-def _dual_box(g: np.ndarray, domain: BoxDomain, shrink: float) -> BoxDomain:
-    """:func:`auto_dual_domain` from the gradient ``g`` already taken."""
     half = np.inf
     for i in range(domain.n):
         lo, hi = float(np.min(g[i])), float(np.max(g[i]))
@@ -77,31 +97,25 @@ def _dual_box(g: np.ndarray, domain: BoxDomain, shrink: float) -> BoxDomain:
                      margin=domain.margin)
 
 
-def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> GridFunction:
-    """Convex conjugate sampled on the dual box.
+def legendre_transform(u: GridFunction, H: HessianField, g: np.ndarray,
+                       y_domain: BoxDomain | None = None) -> GridFunction:
+    """Convex conjugate sampled on the dual box (by default the automatic one).
 
-    Raises :class:`RangeError` when the discrete arg-max for some dual node
-    sits on the outermost grid layer, which signals that the requested dual
-    point lies outside (or too close to the edge of) the sampled gradient
-    range.
+    ``H`` and ``g`` are ``hessian(u)`` and ``gradient(u)``: the caller takes
+    them once and may read them again.  Raises :class:`RangeError` when the
+    discrete arg-max for some dual node sits on the outermost grid layer,
+    which signals that the requested dual point lies outside (or too close
+    to the edge of) the sampled gradient range.
     """
     dom = u.domain
-    H = hessian(u)
     lo, _ = H.eigen_bounds("all")
     if lo <= 0.0:
         raise NonConvexityError("conjugation needs strict convexity on the grid")
-    g = gradient(u)
     if y_domain is None:
-        y_domain = _dual_box(g, dom, _SHRINK)
-
-    y_pts = y_domain.points()                  # (M, n)
-    grad_flat = np.stack([g[i].ravel() for i in range(dom.n)], axis=-1)
-    # formed before the max, not after: allocated after the max's two large
-    # score arrays are freed, it raised duality-2d's peak RSS from 100 to
-    # 106 MB (x86-64 Linux, glibc)
-    inv = H.inverse()
+        y_domain = auto_dual_domain(g, dom)
 
     sup, multi = _discrete_sup(u, y_domain)
+    y_pts = y_domain.points()                  # (M, n)
     # arg-max on the outermost layer: dual point outside the gradient hull
     on_edge = np.zeros(y_domain.shape, dtype=bool)
     for axis_idx in multi:
@@ -118,48 +132,55 @@ def legendre_transform(u: GridFunction, y_domain: BoxDomain | None = None) -> Gr
     for i, j, l, d in _third_differences(H):
         third[:, l, i, j] = third[:, l, j, i] = d.ravel()[best]
     bias = np.stack([third[:, i, i, i] for i in range(dom.n)], axis=-1)
-    resid = y_pts - (grad_flat[best] - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
-    step = np.einsum("kij,kj->ki", inv[multi].reshape(-1, dom.n, dom.n), resid)
+    grad_at = np.stack([g[i].ravel()[best] for i in range(dom.n)], axis=-1)
+    resid = y_pts - (grad_at - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
+    step = np.einsum("kij,kj->ki", H.inverse()[multi].reshape(-1, dom.n, dom.n), resid)
     star = sup.ravel() + 0.5 * np.einsum("ki,ki->k", resid, step)
     star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),
                         label=f"conjugate[{u.label}]")
 
 
-def eigenvalue_swap_gap(u: GridFunction) -> tuple[float, float]:
-    """Defects of the dual eigenvalue inequalities, u* on the automatic dual box.
+def eigenvalue_swap_gap(H: HessianField, H_star: HessianField) -> tuple[float, float]:
+    """Defects of the dual eigenvalue inequalities between the Hessian ``H``
+    of u and the Hessian ``H_star`` of its conjugate.
 
     Returns (max(0, 1/lambda_max(u) - lambda_min(u*)),
              max(0, lambda_max(u*) - 1/lambda_min(u))); both vanish up to O(h)
     because the dual box samples a subset of the gradient image.
     """
-    u_star = legendre_transform(u)
-    lo, hi = hessian(u).eigen_bounds("interior")
-    lo_s, hi_s = hessian(u_star).eigen_bounds("interior")
+    lo, hi = H.eigen_bounds("interior")
+    lo_s, hi_s = H_star.eigen_bounds("interior")
     return max(0.0, 1.0 / hi - lo_s), max(0.0, hi_s - 1.0 / lo)
 
 
-def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> float:
+def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple[float, list]:
     """Residual of the conjugated trajectory under the same flow equation.
 
     ``snapshots`` holds three (t, GridFunction) entries from a tau = 1
     trajectory, not necessarily equally spaced.  Each snapshot is conjugated
-    onto one common dual box and the interior sup of
-    d(u*)/dt - (1/n) ln det D2u* at the middle time is returned, with the
-    time derivative taken by the second-order three-point formula.
+    once onto one common dual box, by default the middle snapshot's
+    automatic box at shrink 0.75.  Returns the interior sup of
+    d(u*)/dt - (1/n) ln det D2u* at the middle time, with the time
+    derivative taken by the second-order three-point formula, and the
+    ``(H, H_star)`` Hessian pair of each snapshot and its conjugate, for
+    :func:`eigenvalue_swap_gap`.
     """
     if len(snapshots) != 3:
         raise ValueError("dual_flow_check needs exactly three snapshots")
     (t0, u0), (t1, u1), (t2, u2) = snapshots
     if not t0 < t1 < t2:
         raise ValueError("snapshot times must be strictly increasing")
+    us = (u0, u1, u2)
+    hess, grads = [hessian(u) for u in us], [gradient(u) for u in us]
     if y_domain is None:
-        y_domain = auto_dual_domain(u1, shrink=0.75)
-    stars = [legendre_transform(u, y_domain) for u in (u0, u1, u2)]
+        y_domain = auto_dual_domain(grads[1], u1.domain, shrink=0.75)
+    stars = [legendre_transform(u, H, g, y_domain) for u, H, g in zip(us, hess, grads)]
+    hess_star = [hessian(s) for s in stars]
     ha, hb = t1 - t0, t2 - t1
     dstar_dt = (-hb / (ha * (ha + hb)) * stars[0].values
                 + (hb - ha) / (ha * hb) * stars[1].values
                 + ha / (hb * (ha + hb)) * stars[2].values)
-    logdet = log_det_hessian(stars[1], region="interior").values
+    logdet = hess_star[1].log_det("interior")
     resid = dstar_dt - logdet
-    return float(np.max(np.abs(resid[y_domain.interior()])))
+    return float(np.max(np.abs(resid[y_domain.interior()]))), list(zip(hess, hess_star))

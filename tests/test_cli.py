@@ -222,6 +222,10 @@ def test_check_mode_exit_code(tmp_path, capsys):
     # would supply the three snapshots
     ("legendre-duality", "flow.snapshot_times = []\nflow.store_every = 50",
      "snapshot_times"),
+    # a key whose default is a number takes only numbers
+    ("expander-stationarity", "expander.slope0 = x", "expander.slope0"),
+    ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
+    ("condition-b-preservation", "flow.t_end = soon", "flow.t_end"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
     # a good config listed first does not run either

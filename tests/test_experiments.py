@@ -202,3 +202,47 @@ def test_benchmark_tracer_records_flow_3d_layers(monkeypatch):
     assert {"experiments.run_pipeline", "grid.hessian", "grid.eigen_fields"} <= names
     spans.check_tree(tracer.spans)
     assert flow.hessian is grid.hessian and not hasattr(grid.hessian, "__wrapped__")
+
+
+def test_legendre_dual_pipeline_conjugates_each_field_once(monkeypatch):
+    # six primal fields (three quadratic, three bump snapshots): one
+    # transform each, and no field's Hessian or gradient taken twice
+    from logflow import legendre
+
+    def counting(fn, seen):
+        def wrapper(v, *args):
+            seen.append(v)
+            return fn(v, *args)
+        return wrapper
+
+    calls = {"hessian": [], "gradient": [], "legendre_transform": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(legendre, name, counting(getattr(legendre, name), seen))
+    report, _ = run_pipeline(load_config({"preset": "legendre-duality"}))
+    assert report["passed"]
+    assert len(calls["legendre_transform"]) == 6
+    assert len(calls["gradient"]) == 6 and len(calls["hessian"]) == 12
+    for seen in calls.values():
+        assert len({id(v) for v in seen}) == len(seen)
+
+
+def test_benchmark_tracer_counts_duality_2d_transforms(monkeypatch):
+    # the reduced duality-2d entry of the benchmark: each pass conjugates its
+    # six primal fields once
+    from logflow import experiments
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    import workloads
+    (label, data), = workloads.entries("duality-2d", 1, reduced=True)
+    cfg = load_config(data)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report, _ = experiments.run_pipeline(cfg)
+    finally:
+        tracer.uninstall()
+    assert report["passed"]
+    names = [s[0] for s in tracer.spans]
+    assert names.count("legendre.legendre_transform") == 6
+    assert names.count("legendre.dual_flow_check") == 2
+    spans.check_tree(tracer.spans)

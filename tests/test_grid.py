@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from logflow.errors import EmptyCoincidenceError, NonConvexityError
 from logflow.grid import (BoxDomain, GridFunction, coincident_index_sets,
-                          derivative_sup_norm, gradient, hessian,
-                          log_det_hessian, sample, third_derivative_norm)
+                          derivative_sup_norm, gradient, hessian, sample,
+                          third_derivative_norm)
 
 
 def quad_field(domain, A, b=None, c=0.0):
@@ -502,22 +502,22 @@ def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
 
 def test_log_det_identity_zero():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
-    v = log_det_hessian(quad_field(dom, np.eye(2)))
-    assert np.max(np.abs(v.values)) < 1e-12
+    v = hessian(quad_field(dom, np.eye(2))).log_det()
+    assert np.max(np.abs(v)) < 1e-12
 
 
 def test_log_det_values():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
-    v = log_det_hessian(quad_field(dom, np.diag([2.0, 2.0])))
-    assert np.max(np.abs(v.values - np.log(2.0))) < 1e-10
-    v = log_det_hessian(quad_field(dom, np.diag([2.0, 0.5])))
-    assert np.max(np.abs(v.values)) < 1e-10
+    v = hessian(quad_field(dom, np.diag([2.0, 2.0]))).log_det()
+    assert np.max(np.abs(v - np.log(2.0))) < 1e-10
+    v = hessian(quad_field(dom, np.diag([2.0, 0.5]))).log_det()
+    assert np.max(np.abs(v)) < 1e-10
 
 
 def test_log_det_raises_on_concave_data():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
     with pytest.raises(NonConvexityError):
-        log_det_hessian(quad_field(dom, -np.eye(2)))
+        hessian(quad_field(dom, -np.eye(2))).log_det()
 
 
 # ---------------------------------------------------------------------------

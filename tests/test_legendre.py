@@ -1,14 +1,21 @@
 """Convex conjugation: closed forms, involution, duality of the flow."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from logflow import legendre
 from logflow.errors import RangeError
 from logflow.grid import BoxDomain, GridFunction, gradient, hessian, sample
 from logflow.legendre import (_discrete_sup, auto_dual_domain, dual_flow_check,
                               eigenvalue_swap_gap, legendre_transform)
+
+
+def conjugate(u, y_domain=None):
+    return legendre_transform(u, hessian(u), gradient(u), y_domain)
 
 
 def quad(domain, A, c=0.0, label="quad"):
@@ -33,7 +40,7 @@ def interior_gradients(u, star):
 
 def involution_defect(u):
     """Max over interior samples of || D2u*(Du(x)) . D2u(x) - I ||_max."""
-    star = legendre_transform(u)
+    star = conjugate(u)
     n = u.domain.n
     sl, pts, keep = interior_gradients(u, star)
     assert pts.shape[0] > 0
@@ -82,7 +89,7 @@ def test_axis_by_axis_sup_matches_dense_scan(seed, n, m):
     centre = rng.uniform(-0.5, 0.5, size=n)
     bump = 0.05 * np.exp(-np.sum((X - centre) ** 2, axis=-1))
     u = GridFunction(dom, 0.5 * np.einsum("...i,ij,...j->...", X, A, X) + bump)
-    y_dom = auto_dual_domain(u, shrink=0.5)
+    y_dom = auto_dual_domain(gradient(u), dom, shrink=0.5)
 
     scores, best = dense_sup(u, y_dom)
     rows = np.arange(best.size)
@@ -98,23 +105,82 @@ def test_axis_by_axis_sup_matches_dense_scan(seed, n, m):
     assert np.all(np.abs(scores[rows, flat] - dense) <= ulps)
 
     # reference transform: the same refinement applied at the dense arg-max
-    star = legendre_transform(u, y_dom).values.ravel()
+    star = conjugate(u, y_dom).values.ravel()
     orig = legendre._discrete_sup
     legendre._discrete_sup = lambda u, y_domain: (
         dense.reshape(y_domain.shape),
         tuple(a.reshape(y_domain.shape) for a in np.unravel_index(best, dom.shape)))
     try:
-        ref = legendre_transform(u, y_dom).values.ravel()
+        ref = conjugate(u, y_dom).values.ravel()
     finally:
         legendre._discrete_sup = orig
     same = flat == best
     assert np.max(np.abs(star - ref)[same]) <= 1e-13 * np.max(np.abs(ref))
 
 
+def one_shot_sup(u, y_domain):
+    """The axis-by-axis max with each pass scored as one (m,)*(k+1) + (m',)*(n-k) array."""
+    n = u.domain.n
+    xy = np.multiply.outer(u.domain.axis, y_domain.axis)
+    V, args = -u.values, [None] * n
+    for k in range(n - 1, -1, -1):
+        scores = np.expand_dims(V, k + 1) + xy.reshape(xy.shape + (1,) * (n - 1 - k))
+        args[k] = np.argmax(scores, axis=k)
+        V = np.take_along_axis(scores, np.expand_dims(args[k], k), axis=k).squeeze(k)
+    ys = np.indices(y_domain.shape)
+    idx = []
+    for k in range(n):
+        idx.append(args[k][tuple(idx) + tuple(ys[k:])])
+    return V, tuple(idx)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(7, 15),
+       m_y=st.integers(7, 15), width=st.integers(1, 14), ties=st.booleans())
+@example(seed=1, n=1, m=13, m_y=8, width=3, ties=False)
+@example(seed=2, n=2, m=9, m_y=11, width=4, ties=True)
+@example(seed=3, n=3, m=7, m_y=9, width=2, ties=False)
+def test_blocked_sup_has_the_bits_of_one_shot_passes(seed, n, m, m_y, width, ties):
+    # the first pass (over the last axis) holds m**n scores per dual index,
+    # so this block size scores `width` dual indices per block there: the
+    # passes run in several blocks, often with a short last one
+    rng = np.random.default_rng(seed)
+    dom = BoxDomain(n=n, half_width=0.25 * (m - 1), m=m)
+    y_dom = BoxDomain(n=n, half_width=0.5 * (m_y - 1), m=m_y)
+    if ties:   # dyadic scores: exact ties, where the first maximum must win
+        vals = 0.25 * rng.integers(-8, 9, size=dom.shape)
+    else:
+        vals = rng.normal(size=dom.shape)
+    u = GridFunction(dom, vals)
+    with mock.patch.object(legendre, "_BLOCK", width * m ** n):
+        V, idx = _discrete_sup(u, y_dom)
+    V_ref, idx_ref = one_shot_sup(u, y_dom)
+    assert V.tobytes() == V_ref.tobytes()
+    assert len(idx) == n
+    for a, b in zip(idx, idx_ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_transform_memory_is_bounded():
+    # n = 2, m = 97: the scores of one pass would take 7.3 MB, two of them
+    # 14.6 MB; the blocked max keeps the whole transform under 4 MB
+    dom = BoxDomain(n=2, half_width=3.0, m=97)
+    x, y = dom.meshgrid()
+    u = GridFunction(dom, 0.5 * (x ** 2 + 2 * y ** 2) + 0.1 * np.exp(-x ** 2 - y ** 2))
+    first = conjugate(u)
+    tracemalloc.start()
+    try:
+        star = conjugate(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert star.values.tobytes() == first.values.tobytes()
+    assert peak < 4e6
+
+
 def test_isotropic_quadratic_is_self_dual():
     dom = BoxDomain(n=2, half_width=1.5, m=33)
     u = quad(dom, np.eye(2))
-    star = legendre_transform(u)
+    star = conjugate(u)
     grids = star.domain.meshgrid()
     exact = 0.5 * sum(g ** 2 for g in grids)
     assert np.max(np.abs(star.values - exact)) < 1e-12
@@ -123,7 +189,7 @@ def test_isotropic_quadratic_is_self_dual():
 def test_quadratic_conjugate_inverts_the_matrix():
     dom = BoxDomain(n=2, half_width=1.5, m=33)
     A = np.diag([2.0, 0.5])
-    star = legendre_transform(quad(dom, A))
+    star = conjugate(quad(dom, A))
     grids = star.domain.meshgrid()
     Ainv = np.diag([0.5, 2.0])
     exact = np.zeros(star.domain.shape)
@@ -139,7 +205,7 @@ def test_quartic_conjugate_closed_form():
     x = dom.axis
     u = GridFunction(dom, 0.25 * x ** 4 + 0.5e-3 * x ** 2)  # tiny stiffener keeps it strictly convex
     ydom = BoxDomain(n=1, half_width=0.8, m=65)
-    star = legendre_transform(u, ydom)
+    star = conjugate(u, ydom)
     y = ydom.axis
     exact = 0.75 * np.abs(y) ** (4.0 / 3.0)
     assert np.max(np.abs(star.values - exact)) < 5e-3
@@ -149,20 +215,22 @@ def test_out_of_range_dual_point_raises():
     dom = BoxDomain(n=1, half_width=1.0, m=33)
     u = quad(dom, np.eye(1))  # gradient range is [-1, 1]
     with pytest.raises(RangeError):
-        legendre_transform(u, BoxDomain(n=1, half_width=3.0, m=17))
+        conjugate(u, BoxDomain(n=1, half_width=3.0, m=17))
     # n = 2: the axis-by-axis arg-max must land on the outer layer as well
     dom2 = BoxDomain(n=2, half_width=1.0, m=33)
     with pytest.raises(RangeError):
-        legendre_transform(quad(dom2, np.eye(2)), BoxDomain(n=2, half_width=3.0, m=17))
+        conjugate(quad(dom2, np.eye(2)), BoxDomain(n=2, half_width=3.0, m=17))
 
 
 def test_automatic_dual_box_takes_the_gradient_once(monkeypatch):
+    # the caller's gradient sets the automatic box; the transform takes none
     dom = BoxDomain(n=2, half_width=2.0, m=17)
     grids = dom.meshgrid()
     r2 = sum((g - 0.2) ** 2 for g in grids)
     u = GridFunction(dom, 0.5 * sum(g ** 2 for g in grids) + 0.1 * np.exp(-r2))
-    y_domain = auto_dual_domain(u)
-    explicit = legendre_transform(u, y_domain)
+    H, g = hessian(u), gradient(u)
+    y_domain = auto_dual_domain(g, dom)
+    explicit = legendre_transform(u, H, g, y_domain)
     calls = []
 
     def counting_gradient(v):
@@ -170,8 +238,8 @@ def test_automatic_dual_box_takes_the_gradient_once(monkeypatch):
         return gradient(v)
 
     monkeypatch.setattr(legendre, "gradient", counting_gradient)
-    star = legendre_transform(u)
-    assert len(calls) == 1
+    star = legendre_transform(u, H, g)
+    assert len(calls) == 0
     assert star.domain == y_domain
     assert star.values.tobytes() == explicit.values.tobytes()
 
@@ -180,8 +248,8 @@ def test_involution_returns_original():
     dom = BoxDomain(n=1, half_width=2.0, m=129)
     x = dom.axis
     u = GridFunction(dom, 0.5 * x ** 2 + 0.05 * np.exp(-x ** 2))
-    star = legendre_transform(u)
-    back = legendre_transform(star)
+    star = conjugate(u)
+    back = conjugate(star)
     pts = back.domain.points()
     u_at = sample(u.values, u.domain, pts, order=3)
     assert np.max(np.abs(back.values.ravel() - u_at)) < 5e-4
@@ -209,21 +277,21 @@ def test_young_inequality_holds_exactly_for_sampled_pairs():
     dom = BoxDomain(n=1, half_width=2.5, m=65)
     x = dom.axis
     u = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-x ** 2))
-    star = legendre_transform(u)
+    star = conjugate(u)
     worst_min, eq_defect = young_gap(u, star)
     assert worst_min >= -1e-12      # u(x) + u*(y) >= <x, y>
     assert eq_defect < 5e-3         # equality at y = Du(x)
     dom2 = BoxDomain(n=2, half_width=2.5, m=33)
     x, y = dom2.meshgrid()
     u2 = GridFunction(dom2, 0.5 * (x ** 2 + y ** 2) + 0.1 * np.exp(-x ** 2 - y ** 2))
-    worst_min, _ = young_gap(u2, legendre_transform(u2))
+    worst_min, _ = young_gap(u2, conjugate(u2))
     assert worst_min >= -1e-12
 
 
 def test_eigenvalue_swap():
     dom = BoxDomain(n=2, half_width=1.5, m=33)
     u = quad(dom, np.diag([2.0, 0.5]))
-    gap_lo, gap_hi = eigenvalue_swap_gap(u)
+    gap_lo, gap_hi = eigenvalue_swap_gap(hessian(u), hessian(conjugate(u)))
     assert gap_lo <= dom.h
     assert gap_hi <= dom.h
 
@@ -235,7 +303,7 @@ def test_dual_flow_check_quadratic_trajectory():
     A = np.diag([2.0, 2.0])
     rate = 0.5 * np.log(4.0)
     snaps = [(t, quad(dom, A, c=rate * t)) for t in (0.45, 0.5, 0.55)]
-    assert dual_flow_check(snaps) < 1e-8
+    assert dual_flow_check(snaps)[0] < 1e-8
 
 
 def test_dual_flow_check_handles_uneven_spacing():
@@ -245,7 +313,7 @@ def test_dual_flow_check_handles_uneven_spacing():
     A = np.diag([2.0, 2.0])
     rate = 0.5 * np.log(4.0)
     snaps = [(t, quad(dom, A, c=rate * t)) for t in (0.25, 0.5, 1.0)]
-    assert dual_flow_check(snaps) < 1e-8
+    assert dual_flow_check(snaps)[0] < 1e-8
 
 
 def test_dual_flow_check_requires_increasing_times():
@@ -266,7 +334,7 @@ def test_dual_flow_check_bump_trajectory_converges():
         traj = run(u0, tau=1.0, t_end=0.5 + delta,
                    boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
                    snapshot_times=[0.5 - delta, 0.5, 0.5 + delta])
-        return dual_flow_check([(t, u) for t, u in traj.snapshots])
+        return dual_flow_check([(t, u) for t, u in traj.snapshots])[0]
 
     r65 = residual(65, 0.005)
     assert r65 < 1e-2
