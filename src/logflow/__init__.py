@@ -9,7 +9,7 @@ from .errors import (AbortedNonConvex, BlowupError, BoundaryInconsistency,
                      SingularStartError, TailError, WindowEscape)
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
                    third_derivative_norm)
-from .flow import (FlowState, Frozen, MonitorRecord, QuadraticFarField,
+from .flow import (FlowState, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
                    run, step_explicit)
 from .heat import heat_solve

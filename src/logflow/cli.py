@@ -20,7 +20,10 @@ Configs are JSON or ``dotted.key = value`` text; ``{"preset": "<name>"}``
 pulls a named experiment.  Exit codes: 0 success, 2 configuration error,
 3 numerical abort, 4 threshold failure in ``--check`` mode, which also runs
 a refined pipeline's finer level and judges the wall time.  Several configs
-run one after another in this process, each into its own directory.
+run one after another in this process, each into its own directory; every
+preset at once is ``logflow flow run --config presets/*.json --outdir out``.
+A ``--trajectory`` command reads a run directory's snapshots, not its
+monitors or final flow state.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ def _write_paths_csv(path: Path, paths) -> None:
 # ---------------------------------------------------------------------------
 
 def load_trajectory_dir(path) -> tuple[Trajectory, float]:
-    """Rebuild (trajectory, tau) from a persisted run directory."""
+    """Rebuild (trajectory, tau) from a persisted run directory: its
+    snapshots, sorted by time, without a final flow state."""
     path = Path(path)
     if not path.is_dir():
         raise MissingArtifact(f"{path} is not a run directory")
@@ -158,9 +162,7 @@ def load_trajectory_dir(path) -> tuple[Trajectory, float]:
     snaps.sort(key=lambda s: s[0])
     if tau is None:  # headers written without tau: the flow's default
         tau = FLOW_KEYS["tau"]
-    from .flow import FlowState, Frozen
-    state = FlowState(u=snaps[-1][1], t=snaps[-1][0], tau=tau, boundary=Frozen())
-    return Trajectory(state=state, snapshots=snaps), tau
+    return Trajectory(state=None, snapshots=snaps), tau
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ file formats are accepted everywhere: JSON, and a minimal nested key-value
 text format with one ``dotted.path = value`` assignment per line (values are
 parsed as JSON scalars/arrays).  A config may name a preset and override
 individual keys.  An unknown key in any section is a ConfigError: ``flow``
-takes the keyword arguments of :func:`logflow.flow.run`, ``initial`` its
-family's keys, the other sections what the pipeline table in
+takes the keyword arguments of :func:`logflow.flow.run` except the boundary
+model, which always comes with the initial data, ``initial`` its family's
+keys, the other sections what the pipeline table in
 :mod:`logflow.experiments` declares; a pipeline that evolves no initial data
 takes neither ``flow`` nor ``initial``, and one that does needs
-``flow.t_end``.  Loading fills ``check``, ``expander``, ``mcf`` and
-``analysis`` from the pipeline table, so ``config.json`` records the
-thresholds and parameters the run used.
+``flow.t_end``.  A key's default sets the type of its value (a number, null
+or a number, a list of numbers).  Loading fills ``check``, ``expander``,
+``mcf`` and ``analysis`` from the pipeline table, so ``config.json`` records
+the thresholds and parameters the run used.
 """
 
 from __future__ import annotations
@@ -42,11 +44,28 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _reject_non_numeric(section: str, values: dict, defaults: dict) -> None:
-    """A key whose declared default is a number takes only numbers."""
+# keys with a shape check of their own in ExperimentConfig.validate
+_SHAPED = ("A", "b", "seeds")
+
+
+def _reject_mistyped(section: str, values: dict, defaults: dict) -> None:
+    """A key's declared default sets what it takes: a number default a number,
+    a None default null or a number, a list default a list of numbers."""
     for key, default in defaults.items():
-        if _number(default) and key in values and not _number(values[key]):
-            raise ConfigError(f"{section}.{key} must be a number, got {values[key]!r}")
+        if key not in values or key in _SHAPED:
+            continue
+        value = values[key]
+        if _number(default):
+            ok, what = _number(value), "a number"
+        elif default is None:
+            ok, what = value is None or _number(value), "null or a number"
+        elif isinstance(default, (list, tuple)):
+            ok = isinstance(value, (list, tuple)) and all(map(_number, value))
+            what = "a list of numbers"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
 
 
 def _shape(value) -> tuple | None:
@@ -67,7 +86,6 @@ class ExperimentConfig:
     mcf: dict = field(default_factory=dict)
     analysis: dict = field(default_factory=dict)
     check: dict = field(default_factory=dict)
-    boundary: str = "auto"
     seed: int = 0
     snapshot_format: str = "binary"
     outdir: str = "out"
@@ -101,11 +119,11 @@ class ExperimentConfig:
             for section in ("flow", "initial"):
                 _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
-        _reject_non_numeric("flow", self.flow, FLOW_KEYS)
+        _reject_mistyped("flow", self.flow, FLOW_KEYS)
         for section in ("check", "expander", "mcf", "analysis"):
             table = getattr(spec, section)
             _reject_unknown(section, getattr(self, section), table)
-            _reject_non_numeric(section, getattr(self, section), table)
+            _reject_mistyped(section, getattr(self, section), table)
             setattr(self, section, {**copy.deepcopy(table), **getattr(self, section)})
         if self.initial:
             kind = self.initial.get("kind")
@@ -113,7 +131,7 @@ class ExperimentConfig:
                 raise ConfigError(f"initial.kind must be one of {tuple(INITIAL_FAMILIES)}")
             _reject_unknown(f"initial ({kind})", self.initial,
                             ("kind", *INITIAL_FAMILIES[kind]))
-            _reject_non_numeric("initial", self.initial, INITIAL_FAMILIES[kind])
+            _reject_mistyped("initial", self.initial, INITIAL_FAMILIES[kind])
         try:
             n = self.domain().n
         except (KeyError, TypeError, ValueError) as exc:
@@ -137,8 +155,6 @@ class ExperimentConfig:
             raise ConfigError("flow.tau must lie in [0, 1]")
         if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
             raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
-        if self.boundary not in ("auto", "quadratic", "frozen"):
-            raise ConfigError("boundary must be 'auto', 'quadratic' or 'frozen'")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, expander, heat, legendre, mcf
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .flow import Frozen, QuadraticFarField, Trajectory, pde_residual, run
+from .flow import QuadraticFarField, Trajectory, pde_residual, run
 from .grid import BoxDomain, GridFunction
 from .presets import make_initial_data
 
@@ -34,19 +34,11 @@ __all__ = ["run_pipeline", "gate", "judge", "finer_level", "refinement_check",
            "PIPELINES", "Refinement"]
 
 
-def _setup(cfg: ExperimentConfig):
+def _run_flow(cfg: ExperimentConfig) -> tuple[GridFunction, Trajectory]:
+    """The initial data and its trajectory under the config's flow section;
+    the ring follows the closure built with the data."""
     u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
                                      np.random.default_rng(cfg.seed))
-    if cfg.boundary == "frozen":
-        boundary = Frozen()
-    elif cfg.boundary == "quadratic":
-        boundary = QuadraticFarField.fit_corner(u0)
-    return u0, boundary
-
-
-def _run_flow(cfg: ExperimentConfig) -> tuple[GridFunction, Trajectory]:
-    """The initial data and its trajectory under the config's flow section."""
-    u0, boundary = _setup(cfg)
     return u0, run(u0, boundary=boundary, **cfg.flow)
 
 
@@ -70,7 +62,8 @@ def flow_pipeline(cfg: ExperimentConfig):
 
 
 def heat_pipeline(cfg: ExperimentConfig):
-    u0, boundary = _setup(cfg)
+    u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
+                                     np.random.default_rng(cfg.seed))
     if not isinstance(boundary, QuadraticFarField):
         raise ConfigError("the Gaussian-convolution pipeline needs a quadratic far field")
     t = float(cfg.flow["t_end"])
@@ -179,7 +172,7 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
                 "newton_iterations": sol.iterations}
     report = {"pipeline": "expander_cross", **measured,
               "certification": expander.certify(sol).to_dict()}
-    return report, measured, {"solution": sol, "snapshots": [(None, sol.u)]}
+    return report, measured, {"snapshots": [(None, sol.u)]}
 
 
 def legendre_dual_pipeline(cfg: ExperimentConfig):
@@ -216,9 +209,8 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
     _, traj = _run_flow(cfg)
     if corrupt:
-        traj = Trajectory(state=traj.state,
-                          snapshots=[(t, u.with_values(1.1 * u.values))
-                                     for t, u in traj.snapshots])
+        traj = dataclasses.replace(traj, snapshots=[(t, u.with_values(1.1 * u.values))
+                                                    for t, u in traj.snapshots])
     paths = mcf.integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
     rep = mcf.verify_mcf(paths)
     report = {

@@ -3,14 +3,17 @@
 The right-hand side is F_tau(D2u) = (tau/n) ln det D2u + (1 - tau) trace D2u,
 which is the heat equation at tau = 0 and the logarithmic gradient flow
 du/dt = (1/n) ln det D2u at tau = 1.  The box is truncated, so the outermost
-node layer is owned by a boundary model; everything inside evolves by the
-discretised equation with forward Euler or explicit midpoint (RK2) stepping
-under a parabolic CFL limit derived from the linearised operator.  Each
-iterate's Hessian is assembled once and shared by the step acceptance, the
-step limit, F_tau and the monitors; its eigenvalue bounds and its convexity
-verdict are computed once per region, and its determinant once, for both
-the verdict and F_tau.  A quadratic far field keeps the time-independent
-part of its ring values per domain and adds t * rate per call.
+node layer (the ring) takes the values of the initial-data family's closure:
+a quadratic far field or a closed-form reference, which
+:func:`logflow.presets.make_initial_data` builds with the data.  Everything
+inside evolves by the discretised equation with forward Euler or explicit
+midpoint (RK2) stepping under a parabolic CFL limit derived from the
+linearised operator.  Each iterate's Hessian is assembled once and shared
+by the step acceptance, the step limit, F_tau and the monitors; its
+eigenvalue bounds and its convexity verdict are computed once per region,
+and its determinant once, for both the verdict and F_tau.  A quadratic far
+field keeps the time-independent part of its ring values per domain and
+adds t * rate per call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
 __all__ = [
     "QuadraticFarField",
     "ReferenceSolution",
-    "Frozen",
     "FlowState",
     "MonitorRecord",
     "Trajectory",
@@ -95,21 +97,6 @@ class QuadraticFarField:
         quad = 0.5 * np.einsum("ki,ij,kj->k", pts, self.A, pts)
         return quad + pts @ self.b + self.c
 
-    @classmethod
-    def fit_corner(cls, u0: GridFunction) -> "QuadraticFarField":
-        """Fit A, b, c from the Hessian/gradient/value at a corner interior node."""
-        dom = u0.domain
-        k = dom.margin + 1
-        idx = (k,) * dom.n
-        H = hessian(u0)
-        A = np.ascontiguousarray(H.mats[idx])
-        g = gradient(u0)
-        x0 = np.array([dom.axis[k]] * dom.n)
-        Du = np.array([g[(i,) + idx] for i in range(dom.n)])
-        b = Du - A @ x0
-        c = float(u0.values[idx] - 0.5 * x0 @ A @ x0 - b @ x0)
-        return cls(A=A, b=b, c=c)
-
 
 @dataclass(frozen=True)
 class ReferenceSolution:
@@ -124,12 +111,7 @@ class ReferenceSolution:
         return self.values_at(_ring_info(domain)[1], t, tau, domain.n)
 
 
-@dataclass(frozen=True)
-class Frozen:
-    """Boundary ring stays at its initial values."""
-
-
-BoundaryModel = QuadraticFarField | ReferenceSolution | Frozen
+BoundaryModel = QuadraticFarField | ReferenceSolution
 
 STEPPERS = ("euler", "rk2")
 
@@ -143,15 +125,9 @@ def _ring_info(domain: BoxDomain):
 
 
 def apply_boundary(values: np.ndarray, domain: BoxDomain, model: BoundaryModel,
-                   t: float, tau: float, u0_ring: np.ndarray | None = None) -> None:
-    """Write the model's ring values at time t; a frozen ring gets ``u0_ring``."""
-    idx = _ring_info(domain)[0]
-    if isinstance(model, Frozen):
-        if u0_ring is None:
-            return
-        values[idx] = u0_ring
-    else:
-        values[idx] = model.ring_values(domain, t, tau)
+                   t: float, tau: float) -> None:
+    """Write the model's ring values at time t."""
+    values[_ring_info(domain)[0]] = model.ring_values(domain, t, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +161,6 @@ class FlowState:
     tau: float
     boundary: BoundaryModel
     step_count: int = 0
-    monitor_log: list = field(default_factory=list)
 
     @cached_property
     def H(self) -> HessianField:
@@ -199,14 +174,12 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus the final state of one integration."""
+    """Snapshots, monitor records and the final state of one integration; a
+    trajectory read back from a run directory has no state."""
 
-    state: FlowState
+    state: FlowState | None
     snapshots: list  # list of (t, GridFunction)
-
-    @property
-    def monitors(self) -> list:
-        return self.state.monitor_log
+    monitors: list = field(default_factory=list)  # list of MonitorRecord
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +225,19 @@ def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
     """One tentative step (may raise NonConvexityError)."""
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
-    ring0 = u.values[_ring_info(dom)[0]] if isinstance(boundary, Frozen) else None
     k1 = state.F
     if stepper == "euler":
         new = u.values + dt * k1
     elif stepper == "rk2":
         mid = u.values + 0.5 * dt * k1
-        apply_boundary(mid, dom, boundary, t + 0.5 * dt, tau, u0_ring=ring0)
+        apply_boundary(mid, dom, boundary, t + 0.5 * dt, tau)
         k2 = _ftau(hessian(u.with_values(mid)), tau)
         new = u.values + dt * k2
     else:
         raise ValueError(f"unknown stepper {stepper!r}")
-    apply_boundary(new, dom, boundary, t + dt, tau, u0_ring=ring0)
+    apply_boundary(new, dom, boundary, t + dt, tau)
     trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=boundary,
-                      step_count=state.step_count + 1, monitor_log=state.monitor_log)
+                      step_count=state.step_count + 1)
     # the new state must itself be convex when tau > 0, else F_tau raises
     # and the step is rejected
     trial.F
@@ -296,21 +268,21 @@ def _monitor(state: FlowState, dt: float, residual: float, window: tuple) -> Mon
                          grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=residual)
 
 
-def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
-        boundary: BoundaryModel | None = None,
+def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryModel,
         stepper: str = "rk2", safety: float = 0.5, max_dt: float | None = None,
         snapshot_times: Sequence[float] = (), store_every: int = 0,
         monitor_every: int = 1, monitor_window: float | None = None,
         max_halvings: int = 20) -> Trajectory:
     """Integrate to t_end with adaptive steps, exact snapshot landings and monitors.
 
-    The initial data is checked for strict convexity on the grid when tau > 0
-    (a warning, not an error: the continuum statement guarantees preservation,
-    the discrete run enforces it step by step).  Reference boundaries must
-    match the initial data within 10 percent or the run refuses to start.
-    A config's flow section is passed here as keyword arguments, so these
-    defaults are the flow defaults (:data:`FLOW_KEYS`); JSON numbers of either
-    kind are accepted for the float and integer parameters.
+    ``boundary`` supplies the ring values at every time.  The initial data is
+    checked for strict convexity on the grid when tau > 0 (a warning, not an
+    error: the continuum statement guarantees preservation, the discrete run
+    enforces it step by step).  Reference boundaries must match the initial
+    data within 10 percent or the run refuses to start.  A config's flow
+    section is passed here as keyword arguments, so these defaults are the
+    flow defaults (:data:`FLOW_KEYS`); JSON numbers of either kind are
+    accepted for the float and integer parameters.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)
@@ -318,8 +290,6 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     dom = u0.domain
-    if boundary is None:
-        boundary = QuadraticFarField.fit_corner(u0)
     if isinstance(boundary, ReferenceSolution):
         ref0 = boundary.values_at(dom.points(), 0.0, tau, dom.n).reshape(dom.shape)
         scale = max(1.0, float(np.max(np.abs(ref0))))
@@ -338,6 +308,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
     window = dom.window(monitor_window) if monitor_window is not None else inner
     targets = sorted({float(s) for s in snapshot_times if 0.0 <= s <= t_end + 1e-12})
     snapshots: list = []
+    monitors: list = []
 
     def _maybe_snapshot():
         if (targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0])):
@@ -347,7 +318,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
             snapshots.append((state.t, state.u.copy()))
 
     state.F  # non-convex initial data fails here, before the first step
-    state.monitor_log.append(_monitor(state, 0.0, 0.0, window))
+    monitors.append(_monitor(state, 0.0, 0.0, window))
     _maybe_snapshot()
 
     while state.t < t_end - 1e-12:
@@ -359,20 +330,22 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float,
         dt = min(dt, t_end - state.t)
         new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings)
         taken = new_state.t - state.t
-        resid = float(np.abs(
-            (new_state.u.values[inner] - state.u.values[inner]) / taken
-            - 0.5 * (state.F[inner] + new_state.F[inner])).max())
-        state = new_state
+        monitored = monitor_every and new_state.step_count % monitor_every == 0
+        if monitored:  # only a monitor record reads the step residual
+            resid = float(np.abs(
+                (new_state.u.values[inner] - state.u.values[inner]) / taken
+                - 0.5 * (state.F[inner] + new_state.F[inner])).max())
+        state = new_state  # the previous iterate is released here
         # snap exactly onto targets to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
             state.t = targets[0]
-        if monitor_every and state.step_count % monitor_every == 0:
-            state.monitor_log.append(_monitor(state, taken, resid, window))
+        if monitored:
+            monitors.append(_monitor(state, taken, resid, window))
         _maybe_snapshot()
 
     if not snapshots or snapshots[-1][0] < state.t - 1e-12:
         snapshots.append((state.t, state.u.copy()))
-    return Trajectory(state=state, snapshots=snapshots)
+    return Trajectory(state=state, snapshots=snapshots, monitors=monitors)
 
 
 # the keys a config's flow section may set, each with its default: every

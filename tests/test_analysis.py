@@ -207,7 +207,9 @@ def test_plane_convergence_on_decaying_gradient_data():
 
 def test_plane_convergence_flags_unbounded_gradient():
     dom = BoxDomain(n=1, half_width=4.0, m=65)
-    traj = run(iso_quad(dom), tau=0.0, t_end=0.5, snapshot_times=[0.5], max_dt=0.01)
+    traj = run(iso_quad(dom), tau=0.0, t_end=0.5,
+               boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
+               snapshot_times=[0.5], max_dt=0.01)
     rep = plane_convergence(traj, window_half=1.0)
     assert not rep.hypothesis_ok
     assert rep.measured() == {"hypothesis_ok": False, "decreasing": False,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from logflow.errors import AbortedNonConvex, BoundaryInconsistency, NonConvexityError
-from logflow.flow import (FlowState, Frozen, QuadraticFarField,
-                          ReferenceSolution, dt_stable, pde_residual, run,
-                          step_explicit)
+from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution,
+                          dt_stable, pde_residual, run, step_explicit)
 from logflow.grid import BoxDomain, GridFunction, coincident_index_sets, hessian
 
 
@@ -24,6 +23,11 @@ def quad(domain, A, b=None, c=0.0, label="quad"):
     return GridFunction(domain, vals, label=label)
 
 
+def unit_far_field(n):
+    """The exact far field of quad(domain, I) and of bump_quad."""
+    return QuadraticFarField(np.eye(n), np.zeros(n))
+
+
 def bump_quad(domain, amp=0.1, width=1.0):
     grids = domain.meshgrid()
     r2 = sum(g ** 2 for g in grids)
@@ -36,7 +40,7 @@ def bump_quad(domain, amp=0.1, width=1.0):
 # ---------------------------------------------------------------------------
 
 def rhs(u, tau):
-    return FlowState(u=u, t=0.0, tau=tau, boundary=Frozen()).F
+    return FlowState(u=u, t=0.0, tau=tau, boundary=unit_far_field(u.domain.n)).F
 
 
 def test_rhs_identity_quadratic_is_stationary():
@@ -65,19 +69,20 @@ def test_rhs_mixed_tau_value():
 
 def test_dt_stable_log_flow_identity():
     dom = BoxDomain(n=2, half_width=0.4, m=9)  # h = 0.1
-    st_ = FlowState(u=quad(dom, np.eye(2)), t=0.0, tau=1.0, boundary=Frozen())
+    st_ = FlowState(u=quad(dom, np.eye(2)), t=0.0, tau=1.0, boundary=unit_far_field(2))
     assert dt_stable(st_) == pytest.approx(0.0025, rel=1e-9)
 
 
 def test_dt_stable_heat():
     dom = BoxDomain(n=1, half_width=0.4, m=9)
-    st_ = FlowState(u=quad(dom, np.eye(1)), t=0.0, tau=0.0, boundary=Frozen())
+    st_ = FlowState(u=quad(dom, np.eye(1)), t=0.0, tau=0.0, boundary=unit_far_field(1))
     assert dt_stable(st_) == pytest.approx(0.0025, rel=1e-9)
 
 
 def test_dt_stable_guards_degenerate_convexity():
     dom = BoxDomain(n=1, half_width=1.0, m=9)
-    st_ = FlowState(u=quad(dom, np.eye(1) * 1e-9), t=0.0, tau=1.0, boundary=Frozen())
+    st_ = FlowState(u=quad(dom, np.eye(1) * 1e-9), t=0.0, tau=1.0,
+                    boundary=unit_far_field(1))
     assert dt_stable(st_) < 1e-10  # dt -> 0 as lambda_min -> 0
 
 
@@ -115,7 +120,7 @@ def test_far_field_rate_reads_determinant_and_trace_computed_once(monkeypatch):
 def test_identity_quadratic_is_a_fixed_point():
     dom = BoxDomain(n=2, half_width=1.0, m=17)
     u0 = quad(dom, np.eye(2))
-    traj = run(u0, tau=1.0, t_end=0.5)
+    traj = run(u0, tau=1.0, t_end=0.5, boundary=unit_far_field(2))
     for rec in traj.monitors:
         assert rec.lambda_min == pytest.approx(1.0, abs=1e-9)
         assert rec.lambda_max == pytest.approx(1.0, abs=1e-9)
@@ -125,7 +130,7 @@ def test_identity_quadratic_is_a_fixed_point():
 def test_heat_run_matches_closed_form_on_quadratic():
     dom = BoxDomain(n=2, half_width=1.0, m=17)
     u0 = quad(dom, np.eye(2))
-    traj = run(u0, tau=0.0, t_end=0.3)
+    traj = run(u0, tau=0.0, t_end=0.3, boundary=unit_far_field(2))
     assert np.max(np.abs(traj.state.u.values - (u0.values + 2.0 * 0.3))) < 1e-12
 
 
@@ -136,7 +141,7 @@ def test_heat_run_matches_closed_form_on_quadratic():
 def test_hessian_bounds_preserved_n2():
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     u0 = bump_quad(dom)
-    traj = run(u0, tau=1.0, t_end=0.2)
+    traj = run(u0, tau=1.0, t_end=0.2, boundary=unit_far_field(2))
     lam0 = traj.monitors[0].lambda_min
     Lam0 = traj.monitors[0].lambda_max
     under = max(0.0, max(lam0 - r.lambda_min for r in traj.monitors))
@@ -170,7 +175,7 @@ def test_step_halves_dt_until_convex():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
-    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=QuadraticFarField.fit_corner(u0))
+    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     big = 100.0 * dt_stable(state)
     new = step_explicit(state, big, stepper="euler")
     assert new.t - state.t < big  # at least one halving happened
@@ -181,7 +186,7 @@ def test_abort_after_exhausted_halvings():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
-    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=QuadraticFarField.fit_corner(u0))
+    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     with pytest.raises(AbortedNonConvex) as exc:
         step_explicit(state, 100.0 * dt_stable(state), stepper="euler", max_halvings=0)
     assert exc.value.state is state
@@ -210,7 +215,7 @@ def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     monkeypatch.setattr(HessianField, "_sylvester", counting_sylvester)
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     traj = run(bump_quad(dom), tau=1.0, t_end=0.05, stepper=stepper,
-               boundary=QuadraticFarField(np.eye(2), np.zeros(2)))
+               boundary=unit_far_field(2))
     steps = traj.state.step_count
     assert steps >= 2
     assert len(calls) == 1 + per_step * steps
@@ -231,33 +236,10 @@ def test_eigen_screen_runs_once_per_n3_hessian(monkeypatch):
     monkeypatch.setattr(grid, "_screen_sym3", counting_screen)
     dom = BoxDomain(n=3, half_width=3.0, m=13)
     traj = run(bump_quad(dom), tau=1.0, t_end=0.1,
-               boundary=QuadraticFarField(np.eye(3), np.zeros(3)))
+               boundary=unit_far_field(3))
     steps = traj.state.step_count
     assert steps >= 2 and len(traj.monitors) == steps + 1
     assert screened == [dom.shape + (3, 3)] * (steps + 1)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_fit_corner_bits_match_c_order_hessian_reference(n):
-    # the corner matrix is read from component-major storage; the fit must
-    # give the bits of a C-order matrix (a strided one moves b and c on some
-    # of these fields)
-    from logflow.grid import gradient
-    dom = BoxDomain(n=n, half_width=2.2, m=15)
-    k = dom.margin + 1
-    idx = (k,) * n
-    x0 = np.full(n, dom.axis[k])
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        B = rng.normal(size=(n, n))
-        u = bump_quad(dom).with_values(bump_quad(dom).values
-                                       + quad(dom, B @ B.T, rng.normal(size=n)).values)
-        A = np.ascontiguousarray(hessian(u).mats[idx])
-        g = gradient(u)
-        b = np.array([g[(i,) + idx] for i in range(n)]) - A @ x0
-        c = float(u.values[idx] - 0.5 * x0 @ A @ x0 - b @ x0)
-        fit = QuadraticFarField.fit_corner(u)
-        assert (fit.A.tobytes(), fit.b.tobytes(), fit.c) == (A.tobytes(), b.tobytes(), c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -295,7 +277,8 @@ def test_reference_boundary_mismatch_refused():
 def _final_values(stepper, max_dt, m=33):
     dom = BoxDomain(n=1, half_width=3.0, m=m)
     u0 = bump_quad(dom)
-    traj = run(u0, tau=1.0, t_end=0.1, stepper=stepper, max_dt=max_dt)
+    traj = run(u0, tau=1.0, t_end=0.1, boundary=unit_far_field(1), stepper=stepper,
+               max_dt=max_dt)
     return traj.state.u.values
 
 
@@ -313,8 +296,7 @@ def test_tau_continuity_is_lipschitz():
     u0 = bump_quad(dom)
 
     def final(tau):
-        return run(u0, tau=tau, t_end=0.25,
-                   boundary=QuadraticFarField(np.eye(1), np.zeros(1))).state.u.values
+        return run(u0, tau=tau, t_end=0.25, boundary=unit_far_field(1)).state.u.values
 
     base, d02, d01 = final(0.4), final(0.6), final(0.5)
     gap_02 = np.max(np.abs(d02 - base))
@@ -354,7 +336,7 @@ def test_pde_residual_zero_on_exact_quadratic_family():
 
 def test_snapshot_times_hit_exactly():
     dom = BoxDomain(n=1, half_width=2.0, m=17)
-    traj = run(quad(dom, np.eye(1)), tau=1.0, t_end=0.5,
+    traj = run(quad(dom, np.eye(1)), tau=1.0, t_end=0.5, boundary=unit_far_field(1),
                snapshot_times=[0.1, 0.25, 0.5])
     assert [t for t, _ in traj.snapshots] == [0.1, 0.25, 0.5]
 
@@ -362,6 +344,6 @@ def test_snapshot_times_hit_exactly():
 def test_runs_are_deterministic():
     dom = BoxDomain(n=1, half_width=3.0, m=33)
     u0 = bump_quad(dom)
-    a = run(u0, tau=1.0, t_end=0.1).state.u.values
-    b = run(u0, tau=1.0, t_end=0.1).state.u.values
+    a = run(u0, tau=1.0, t_end=0.1, boundary=unit_far_field(1)).state.u.values
+    b = run(u0, tau=1.0, t_end=0.1, boundary=unit_far_field(1)).state.u.values
     assert a.tobytes() == b.tobytes()
