@@ -11,9 +11,11 @@ keys, the other sections what the pipeline table in
 :mod:`logflow.experiments` declares; a pipeline that evolves no initial data
 takes neither ``flow`` nor ``initial``, and one that does needs
 ``flow.t_end``.  A key's default sets the type of its value (a number, null
-or a number, a list of numbers).  Loading fills ``check``, ``expander``,
-``mcf`` and ``analysis`` from the pipeline table, so ``config.json`` records
-the thresholds and parameters the run used.
+or a number, a list of numbers); a ``[lo, hi]`` check bound takes two
+numbers with ``lo <= hi``, ``expander.times`` at least one positive time and
+``mcf.t_start`` a time in ``[0, flow.t_end)``.  Loading fills ``check``,
+``expander``, ``mcf`` and ``analysis`` from the pipeline table, so
+``config.json`` records the thresholds and parameters the run used.
 """
 
 from __future__ import annotations
@@ -139,6 +141,19 @@ class ExperimentConfig:
         if spec.evolves and not _number(self.flow.get("t_end")):
             raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs "
                               f"a number flow.t_end, got {self.flow.get('t_end')!r}")
+        t_start = self.mcf.get("t_start")
+        if t_start is not None and not 0.0 <= t_start < self.flow["t_end"]:
+            raise ConfigError(f"mcf.t_start must lie in [0, flow.t_end) = "
+                              f"[0, {self.flow['t_end']}), got {t_start}")
+        times = self.expander.get("times")
+        if times is not None and (not times or min(times) <= 0.0):
+            raise ConfigError(f"expander.times must be a non-empty list of "
+                              f"positive times, got {times}")
+        for key, bound in spec.check.items():
+            value = self.check[key]
+            if isinstance(bound, list) and (len(value) != 2 or value[0] > value[1]):
+                raise ConfigError(f"check.{key} must be [lo, hi] with lo <= hi, "
+                                  f"got {value}")
         if "seeds" in self.mcf:
             shape = _shape(self.mcf["seeds"]) or ()
             if len(shape) != 2 or shape[0] == 0 or shape[1] != n:

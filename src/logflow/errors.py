@@ -57,7 +57,8 @@ class WindowEscape(LogFlowError):
 
 
 class InsufficientSamples(LogFlowError):
-    """Rate fitting needs at least five geometric time samples."""
+    """Too few samples: rate fitting needs at least five geometric time
+    samples, particle transport three stored snapshots in its window."""
 
 
 class MissingArtifact(LogFlowError):

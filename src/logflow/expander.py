@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import spsolve
 
 from .errors import (BlowupError, EmptyCoincidenceError, NewtonStall,
                      NonConvexityError, SingularStartError)
@@ -116,6 +113,7 @@ def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
         return f(r, y)[1] - 1e-12
     too_flat.terminal = True
 
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(f, (r0, r_max), [u_start, du_start], method="RK45",
                     rtol=_RTOL, atol=_ATOL, dense_output=True,
                     events=[too_steep, too_flat])
@@ -146,6 +144,7 @@ def line_profile(a: float, slope0: float, half_width: float):
     yields the genuinely non-quadratic (asymmetric) solutions whose far-field
     curvatures differ on the two sides.  Returns a vectorised callable u(x).
     """
+    from scipy.integrate import solve_ivp
     f = _radial_rhs(1, a)
     r0 = 1e-6
     c0 = math.exp(a)
@@ -207,8 +206,9 @@ class ExpanderSolution:
             raise NonConvexityError("certified solutions must be strictly convex")
 
 
-def _assemble_jacobian(H: HessianField, w: np.ndarray) -> sparse.csr_matrix:
-    """Jacobian of the discrete residual with respect to the non-ring unknowns.
+def _assemble_jacobian(H: HessianField, w: np.ndarray):
+    """Jacobian of the discrete residual with respect to the non-ring
+    unknowns, as a CSR matrix.
 
     d(det D2u)[v] = det(D2u) u^{ij} v_ij,
     d(exp(n w))[v] = exp(n w) n (v - <x, Dv>/2).
@@ -266,6 +266,7 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray) -> sparse.csr_matrix:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
+    from scipy import sparse
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
 
 
@@ -280,6 +281,7 @@ def newton_solve(u_init: GridFunction,
     :class:`NewtonStall`.  Each iterate's Hessian and w field are evaluated
     once and shared by its residual and its Jacobian.
     """
+    from scipy.sparse.linalg import spsolve
     tol, max_iter, min_step = 1e-10, 50, 2.0 ** -20
     dom = u_init.domain
     ring = dom.ring_mask()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyCoincidenceError, NonConvexityError
 
@@ -549,6 +548,7 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
     if (np.abs(pts) > domain.half_width + 1e-9).any():
         raise ValueError("sample point outside the computational box")
     coords = (pts + domain.half_width) / domain.h  # index space
+    from scipy import ndimage
     return ndimage.map_coordinates(values, coords.T, order=order, mode="nearest")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EscapeError, NonConvexityError
+from .errors import EscapeError, InsufficientSamples, NonConvexityError
 from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
 
 __all__ = [
@@ -86,7 +86,8 @@ def _escape_guard(dom: BoxDomain, pts: np.ndarray):
 def integrate_particles(trajectory, seeds,
                         t_start: float | None = None) -> list[ParticlePath]:
     """Advect seeds through the time-dependent velocity field of a trajectory,
-    from the first stored snapshot at or after ``t_start`` to the last one.
+    from the first stored snapshot at or after ``t_start`` to the last one;
+    a window with fewer than three snapshots raises :class:`InsufficientSamples`.
 
     Each stored snapshot's Hessian, mean curvature field and gradient are
     evaluated once, snapshot by snapshot; particles take one explicit
@@ -101,7 +102,9 @@ def integrate_particles(trajectory, seeds,
     lo = 0 if t_start is None else int(np.searchsorted(times, t_start - 1e-12))
     hi = len(snaps) - 1
     if hi - lo < 2:
-        raise ValueError("need at least three stored snapshots in the window")
+        window = "" if t_start is None else f" at or after t = {t_start:g}"
+        raise InsufficientSamples(f"particle transport needs at least three stored "
+                                  f"snapshots{window}, found {hi - lo + 1}")
     seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
     dom = snaps[0][1].domain
     n = dom.n

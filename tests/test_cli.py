@@ -248,6 +248,14 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", 'flow.snapshot_times = ["a"]', "flow.snapshot_times"),
     ("expander-stationarity", "expander.times = x", "expander.times"),
     ("expander-stationarity", 'expander.times = [1.0, "b"]', "expander.times"),
+    # the residual times must exist and be positive
+    ("expander-stationarity", "expander.times = []", "expander.times"),
+    ("expander-stationarity", "expander.times = [-1.0]", "expander.times"),
+    # a [lo, hi] bound takes two ordered numbers
+    ("decay-rates", "check.exponent3 = [1.0]", "check.exponent3"),
+    ("decay-rates", "check.exponent3 = [-0.7, -1.3]", "check.exponent3"),
+    # particle transport starts inside the run
+    ("mcf-correspondence", "mcf.t_start = 5.0", "mcf.t_start"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
     # a good config listed first does not run either
@@ -530,7 +538,7 @@ def test_emit_requires_artifacts(tmp_path):
         emit_plotdata(tmp_path)
 
 
-def test_mcf_reconstruct_cli(tmp_path):
+def test_mcf_reconstruct_cli(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "pipeline": "flow",
         "grid": {"n": 1, "L": 3.0, "m": 33},
@@ -546,6 +554,12 @@ def test_mcf_reconstruct_cli(tmp_path):
                  "--seeds", str(seeds)]) == 0
     assert (tmp_path / "run" / "paths.csv").exists()
     assert (tmp_path / "run" / "mcf_report.json").exists()
+    # a window past the last snapshot is a numerical abort with one line
+    capsys.readouterr()
+    assert main(["mcf", "reconstruct", "--trajectory", str(tmp_path / "run"),
+                 "--seeds", str(seeds), "--t-start", "5.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "three stored snapshots" in err
 
 
 def test_heat_solve_cli(tmp_path):

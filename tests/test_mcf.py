@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logflow.errors import EscapeError
+from logflow.errors import EscapeError, InsufficientSamples
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction, hessian
 from logflow.mcf import integrate_particles, mean_curvature_fields, verify_mcf
@@ -150,6 +150,12 @@ def test_escape_guard():
     traj = _bump_trajectory(m=33, t_end=0.05)
     with pytest.raises(EscapeError):
         integrate_particles(traj, [[3.9]])
+
+
+def test_window_past_last_snapshot():
+    traj = _bump_trajectory(m=33, t_end=0.05)
+    with pytest.raises(InsufficientSamples, match="three stored snapshots"):
+        integrate_particles(traj, [[0.0]], t_start=1.0)
 
 
 def test_paths_do_not_cross():
