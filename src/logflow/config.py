@@ -11,11 +11,14 @@ keys, the other sections what the pipeline table in
 :mod:`logflow.experiments` declares; a pipeline that evolves no initial data
 takes neither ``flow`` nor ``initial``, and one that does needs
 ``flow.t_end``.  A key's default sets the type of its value (a number, null
-or a number, a list of numbers); a ``[lo, hi]`` check bound takes two
-numbers with ``lo <= hi``, ``expander.times`` at least one positive time and
-``mcf.t_start`` a time in ``[0, flow.t_end)``.  Loading fills ``check``,
-``expander``, ``mcf`` and ``analysis`` from the pipeline table, so
-``config.json`` records the thresholds and parameters the run used.
+or a number, a list of numbers), and one table of ranges bounds the
+numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
+are positive (``expander.times`` a non-empty list of positive times), step
+counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
+numbers with ``lo <= hi`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
+Loading fills ``check``, ``expander``, ``mcf`` and ``analysis`` from the
+pipeline table, so ``config.json`` records the thresholds and parameters the
+run used.
 """
 
 from __future__ import annotations
@@ -67,6 +70,36 @@ def _reject_mistyped(section: str, values: dict, defaults: dict) -> None:
         else:
             continue
         if not ok:
+            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+
+
+# the range of each bounded key, by section, as (test, description): a list
+# takes a non-empty list with every entry in range, null stays admitted where
+# the default is None, and the counts admit 0 (store_every = 0 and
+# monitor_every = 0 switch storing and monitoring off)
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_COUNT = (lambda v: v >= 0 and float(v).is_integer(), "a nonnegative integer")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_RANGES = {
+    "flow": {"tau": _UNIT, "t_end": _POSITIVE, "safety": _POSITIVE, "max_dt": _POSITIVE,
+             "store_every": _COUNT, "monitor_every": _COUNT,
+             "monitor_window": _POSITIVE, "max_halvings": _COUNT},
+    "initial": {"width": _POSITIVE, "c_minus": _POSITIVE, "c_plus": _POSITIVE},
+    "expander": {"r_max": _POSITIVE, "dt_probe": _POSITIVE, "times": _POSITIVE},
+    "analysis": {"window": _POSITIVE, "monotone_from": _COUNT},
+}
+
+
+def _reject_out_of_range(section: str, values: dict) -> None:
+    for key, (test, what) in _RANGES[section].items():
+        value = values.get(key)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            if not value or not all(map(test, value)):
+                raise ConfigError(f"{section}.{key} must be a non-empty list, "
+                                  f"each entry {what}, got {value!r}")
+        elif not test(value):
             raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
 
 
@@ -141,14 +174,12 @@ class ExperimentConfig:
         if spec.evolves and not _number(self.flow.get("t_end")):
             raise ConfigError(f"pipeline {self.pipeline!r} runs the flow and needs "
                               f"a number flow.t_end, got {self.flow.get('t_end')!r}")
+        for section in _RANGES:
+            _reject_out_of_range(section, getattr(self, section))
         t_start = self.mcf.get("t_start")
         if t_start is not None and not 0.0 <= t_start < self.flow["t_end"]:
             raise ConfigError(f"mcf.t_start must lie in [0, flow.t_end) = "
                               f"[0, {self.flow['t_end']}), got {t_start}")
-        times = self.expander.get("times")
-        if times is not None and (not times or min(times) <= 0.0):
-            raise ConfigError(f"expander.times must be a non-empty list of "
-                              f"positive times, got {times}")
         for key, bound in spec.check.items():
             value = self.check[key]
             if isinstance(bound, list) and (len(value) != 2 or value[0] > value[1]):
@@ -166,8 +197,6 @@ class ExperimentConfig:
         if self.expander.get("slope0", 0.0) != 0.0 and n > 1:
             raise ConfigError("expander.slope0 != 0 selects the line expander; "
                               "at n >= 2 the profile is radial and needs slope0 = 0")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError("flow.tau must lie in [0, 1]")
         if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
             raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
         if self.snapshot_format not in ("binary", "csv"):

@@ -9,6 +9,7 @@ from logflow.analysis import (blowdown_convergence, check_condition_A,
                               check_condition_B, fit_decay, plane_convergence)
 from logflow.flow import QuadraticFarField, ReferenceSolution, pde_residual, run
 from logflow.grid import BoxDomain, GridFunction, coincident_index_sets
+from logflow.presets import make_initial_data
 
 
 def iso_quad(domain, scale=1.0, const=0.0):
@@ -185,18 +186,11 @@ def test_blowdown_bump_converges():
 # plane convergence
 # ---------------------------------------------------------------------------
 
-def _erf_solution(pts, t, amp=0.1, width=1.0):
-    from scipy.special import erf
-    s = np.sqrt(width ** 2 + 4.0 * t)
-    return amp * width * np.sqrt(np.pi) / 2.0 * erf(pts[:, 0] / s)
-
-
 def test_plane_convergence_on_decaying_gradient_data():
     dom = BoxDomain(n=1, half_width=8.0, m=129)
-    pts = dom.points()
-    u0 = GridFunction(dom, _erf_solution(pts, 0.0).reshape(dom.shape))
-    traj = run(u0, tau=0.0, t_end=8.0,
-               boundary=ReferenceSolution(_erf_solution),
+    u0, boundary = make_initial_data(
+        dom, {"kind": "linear_plus_bump", "amplitude": 0.1, "width": 1.0}, 0.0)
+    traj = run(u0, tau=0.0, t_end=8.0, boundary=boundary,
                snapshot_times=[0.5, 1.0, 2.0, 4.0, 8.0])
     rep = plane_convergence(traj, window_half=2.0)
     assert rep.hypothesis_ok and rep.decreasing

@@ -121,6 +121,24 @@ def test_settable_surface_is_pinned():
         "store_every", "monitor_every", "monitor_window", "max_halvings"]
 
 
+def test_range_table_bounds_declared_keys_and_admits_their_defaults():
+    # a mistyped entry in the table of ranges would bound nothing
+    from logflow.config import _RANGES
+    from logflow.presets import INITIAL_FAMILIES
+    declared = {"flow": [FLOW_KEYS], "initial": list(INITIAL_FAMILIES.values()),
+                "expander": [p.expander for p in PIPELINES.values()],
+                "analysis": [p.analysis for p in PIPELINES.values()]}
+    for section, ranges in _RANGES.items():
+        for key, (test, _) in ranges.items():
+            defaults = [table[key] for table in declared[section] if key in table]
+            assert defaults, f"{section}.{key} is declared nowhere"
+            for value in defaults:
+                if isinstance(value, (int, float)):
+                    assert test(value), f"{section}.{key} = {value}"
+                elif isinstance(value, list):
+                    assert value and all(map(test, value)), f"{section}.{key} = {value}"
+
+
 def _arithmetic_literal(node) -> bool:
     """A number, or arithmetic or a call on one (``10 * x``, ``max(x / 3, y)``);
     an index such as ``a[0]`` is not one."""
@@ -256,6 +274,15 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("decay-rates", "check.exponent3 = [-0.7, -1.3]", "check.exponent3"),
     # particle transport starts inside the run
     ("mcf-correspondence", "mcf.t_start = 5.0", "mcf.t_start"),
+    # numbers out of their key's range: positive, nonnegative integer, [0, 1]
+    ("blowdown-convergence", "analysis.window = -1.0", "analysis.window"),
+    ("heat-oracle", "flow.t_end = 0.0", "flow.t_end"),
+    ("condition-b-preservation", "flow.t_end = -1.0", "flow.t_end"),
+    ("expander-stationarity", "expander.dt_probe = -1e-3", "expander.dt_probe"),
+    ("condition-b-preservation", "flow.safety = -1.0", "flow.safety"),
+    ("condition-b-preservation", "flow.store_every = -3", "flow.store_every"),
+    ("condition-b-preservation", "flow.monitor_every = 2.5", "flow.monitor_every"),
+    ("condition-b-preservation", "flow.tau = 1.5", "flow.tau"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
     # a good config listed first does not run either

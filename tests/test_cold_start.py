@@ -1,13 +1,12 @@
 """The package starts without scipy.
 
-scipy serves three side computations: cubic sampling (``grid.sample``), the
-expander solvers and the ``linear_plus_bump`` data.  Each imports its scipy
-submodule inside the function that calls it, so ``import logflow.cli`` and
-every run that reaches none of them load numpy only.
+scipy serves two side computations: cubic sampling (``grid.sample``) and the
+expander solvers.  Each imports its scipy submodule inside the function that
+calls it, so ``import logflow.cli``, loading any config, building any initial
+data and every run that reaches neither load numpy only.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,17 +45,43 @@ import sys
 import logflow
 from logflow.cli import main
 code = main(["flow", "run", "--config", "presets/legendre-duality.json",
-             "presets/heat-oracle.json", "--outdir", sys.argv[1]])
+             "presets/heat-oracle.json", "presets/plane-convergence.json",
+             "--outdir", sys.argv[1]])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_flow_runs_load_no_scipy(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", _PROBE, str(tmp_path / "out")],
+def _fresh_interpreter(env: dict, probe: str, *args: str) -> str:
+    """The last line a probe prints in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-c", probe, *args],
                          cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
-    assert (tmp_path / "out" / "legendre-duality" / "report.json").exists()
-    assert (tmp_path / "out" / "heat-oracle" / "report.json").exists()
+    return out.stdout.splitlines()[-1]
+
+
+def test_flow_runs_load_no_scipy(tmp_path, src_env):
+    assert _fresh_interpreter(src_env, _PROBE, str(tmp_path / "out")) == "0 []"
+    for name in ("legendre-duality", "heat-oracle", "plane-convergence"):
+        assert (tmp_path / "out" / name / "report.json").exists()
+
+
+# what a benchmark's set-up does: load every preset and build its initial data
+_SETUP_PROBE = """
+import sys
+from pathlib import Path
+import numpy as np
+from logflow.config import load_config
+from logflow.presets import make_initial_data
+built = 0
+for path in sorted(Path("presets").glob("*.json")):
+    cfg = load_config(path)
+    if cfg.initial:
+        make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
+                          np.random.default_rng(cfg.seed))
+        built += 1
+print(built, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_preset_setup_loads_no_scipy(src_env):
+    # eight presets evolve initial data; the two expander presets have none
+    assert _fresh_interpreter(src_env, _SETUP_PROBE) == "8 []"

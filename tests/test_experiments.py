@@ -120,7 +120,7 @@ def test_omitted_section_keys_take_the_table_defaults(tmp_path, preset):
     assert out["omitted"] == out["spelled"]
 
 
-def test_worker_pool_runs_multiple_configs(tmp_path):
+def test_worker_pool_runs_multiple_configs(tmp_path, src_env):
     cfgs = []
     for k in (1, 2):
         p = tmp_path / f"c{k}.json"
@@ -133,7 +133,7 @@ def test_worker_pool_runs_multiple_configs(tmp_path):
         }))
         cfgs.append(str(p))
     proc = subprocess.run([sys.executable, "-m", "logflow.cli", "flow", "run",
-                           "--config", *cfgs], capture_output=True)
+                           "--config", *cfgs], env=src_env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     for k in (1, 2):
         assert (tmp_path / f"run{k}" / "report.json").exists()

@@ -9,6 +9,7 @@ from logflow.errors import AbortedNonConvex, BoundaryInconsistency, NonConvexity
 from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution,
                           dt_stable, pde_residual, run, step_explicit)
 from logflow.grid import BoxDomain, GridFunction, coincident_index_sets, hessian
+from logflow.presets import make_initial_data
 
 
 def quad(domain, A, b=None, c=0.0, label="quad"):
@@ -310,12 +311,9 @@ def test_tau_continuity_is_lipschitz():
 # ---------------------------------------------------------------------------
 
 def test_window_gradient_monitor_nonincreasing():
-    from scipy.special import erf
     dom = BoxDomain(n=1, half_width=6.0, m=97)
-    x = dom.axis
-    u0 = GridFunction(dom, 0.1 * np.sqrt(np.pi) / 2 * erf(x))
-    ref = ReferenceSolution(lambda pts, t: 0.1 * np.sqrt(np.pi) / 2
-                            * erf(pts[:, 0] / np.sqrt(1 + 4 * t)))
+    u0, ref = make_initial_data(
+        dom, {"kind": "linear_plus_bump", "amplitude": 0.1, "width": 1.0}, 0.0)
     traj = run(u0, tau=0.0, t_end=0.5, boundary=ref, monitor_window=2.0)
     vals = [rec.grad_sq_window for rec in traj.monitors]
     for a, b in zip(vals, vals[1:]):
