@@ -156,7 +156,8 @@ def blowdown_convergence(trajectory, U1: Callable,
     For each snapshot time the rescaled solution is cubically sampled on the
     fixed window and compared against U1, a function of the (k, n) array of
     window points.  ``monotone`` says whether the errors decrease strictly
-    from index ``monotone_from`` on.
+    from index ``monotone_from`` on; an index that leaves no pair to compare
+    raises :class:`InsufficientSamples`.
     """
     dom = trajectory.snapshots[0][1].domain
     margin_limit = dom.half_width - (dom.margin + 1) * dom.h
@@ -176,6 +177,10 @@ def blowdown_convergence(trajectory, U1: Callable,
         vals = sample(u.values, dom, np.sqrt(t) * pts, order=3) / t
         times.append(t)
         errors.append(float(np.max(np.abs(vals - target))))
+    if monotone_from > len(errors) - 2:
+        raise InsufficientSamples(
+            f"monotone_from = {monotone_from} leaves no pair of the "
+            f"{len(errors)} blow-down errors to compare")
     monotone = all(errors[k + 1] < errors[k]
                    for k in range(monotone_from, len(errors) - 1))
     fit = None

@@ -15,7 +15,10 @@ or a number, a list of numbers), and one table of ranges bounds the
 numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
 are positive (``expander.times`` a non-empty list of positive times), step
 counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
-numbers with ``lo <= hi`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
+numbers with ``lo <= hi``, ``flow.snapshot_times`` times in
+``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
+Without ``flow.store_every`` the snapshot times fix the number of blow-down
+errors, and ``analysis.monotone_from`` must leave a pair of them to compare.
 Loading fills ``check``, ``expander``, ``mcf`` and ``analysis`` from the
 pipeline table, so ``config.json`` records the thresholds and parameters the
 run used.
@@ -176,10 +179,22 @@ class ExperimentConfig:
                               f"a number flow.t_end, got {self.flow.get('t_end')!r}")
         for section in _RANGES:
             _reject_out_of_range(section, getattr(self, section))
+        t_end = self.flow.get("t_end")
+        times = self.flow.get("snapshot_times", ())
+        if not all(0.0 <= t <= t_end for t in times):
+            raise ConfigError(f"flow.snapshot_times must lie in [0, flow.t_end] = "
+                              f"[0, {t_end}], got {times}")
         t_start = self.mcf.get("t_start")
-        if t_start is not None and not 0.0 <= t_start < self.flow["t_end"]:
+        if t_start is not None and not 0.0 <= t_start < t_end:
             raise ConfigError(f"mcf.t_start must lie in [0, flow.t_end) = "
-                              f"[0, {self.flow['t_end']}), got {t_start}")
+                              f"[0, {t_end}), got {t_start}")
+        if "monotone_from" in self.analysis and not self.flow.get("store_every"):
+            # one blow-down error per positive snapshot time, t_end included
+            errors = len({float(t) for t in times if t > 0.0} | {float(t_end)})
+            if self.analysis["monotone_from"] > errors - 2:
+                raise ConfigError(f"analysis.monotone_from must leave a pair of the "
+                                  f"{errors} blow-down errors to compare, so at most "
+                                  f"{errors - 2}, got {self.analysis['monotone_from']}")
         for key, bound in spec.check.items():
             value = self.check[key]
             if isinstance(bound, list) and (len(value) != 2 or value[0] > value[1]):

@@ -29,7 +29,7 @@ class TailError(LogFlowError):
 
 
 class BlowupError(LogFlowError):
-    """Radial profile curvature left the admissible range (0, 1e6)."""
+    """Radial profile curvature left the admissible range (1e-12, 1e6)."""
 
 
 class SingularStartError(LogFlowError):
@@ -58,7 +58,8 @@ class WindowEscape(LogFlowError):
 
 class InsufficientSamples(LogFlowError):
     """Too few samples: rate fitting needs at least five geometric time
-    samples, particle transport three stored snapshots in its window."""
+    samples, particle transport three stored snapshots in its window, the
+    blow-down monotonicity verdict a pair of errors to compare."""
 
 
 class MissingArtifact(LogFlowError):

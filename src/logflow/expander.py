@@ -7,7 +7,14 @@ The stationary profile of a self-similarly expanding flow solves
 Two independent routes are implemented: radial shooting of the reduced ODE
 u'' = (u'/r)^{1-n} exp(n (u - r u'/2)) from a regular series start at the
 origin, and a damped Newton iteration on the discretised equation with
-Dirichlet data on the boundary ring.  Certification reports Hessian bounds,
+Dirichlet data on the boundary ring.  The shoot steps with a private adaptive
+Dormand-Prince 5(4) pair on Python floats (the ODE has two unknowns): the
+tableau, error estimate and step control of scipy's RK45, with the RMS error
+norm over rtol = 1e-10, atol = 1e-12, safety 0.9 and step factors in
+[0.2, 10].  Its dense output is the pair's own quartic interpolant
+(Shampine's coefficients), fifth-order accurate between steps; a cubic
+Hermite interpolant is not accurate enough for the stationarity refinement
+check.  Certification reports Hessian bounds,
 the degree-2 homogeneity defect of the profile's blow-down against its own
 far-field quadratic, and the residual of the Bernstein-type identity
 u^{ij} w_ij = <x, Dw>/2 for w = u - <x, Du>/2 (w is constant exactly on
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BlowupError, EmptyCoincidenceError, NewtonStall,
+from .errors import (BlowupError, ConfigError, EmptyCoincidenceError, NewtonStall,
                      NonConvexityError, SingularStartError)
 from .grid import (BoxDomain, GridFunction, HessianField, coincident_index_sets,
                    gradient, hessian)
@@ -36,8 +43,124 @@ __all__ = [
     "CertificationReport",
 ]
 
-_CURVATURE_CAP = 1e6
+_CURVATURE_FLOOR, _CURVATURE_CAP = 1e-12, 1e6   # the shoot's admissible u''
 _RTOL, _ATOL = 1e-10, 1e-12   # tolerances of the ODE integrations
+
+
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) stepper
+# ---------------------------------------------------------------------------
+
+# Dormand & Prince, J. Comput. Appl. Math. 6 (1980): nodes, stages, the
+# fifth-order weights and the weights of the embedded error estimate; the
+# last error weight multiplies the first-same-as-last stage f(t + h, y_new)
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Shampine, Math. Comp. 46 (1986): the quartic dense output
+# y(t + x h) = y + h sum_k (K P)_k x^(k+1), one row per stage
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+
+
+def _dot(weights, stages) -> float:
+    return sum(w * k for w, k in zip(weights, stages))
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+def _dopri45(f, t0: float, y0, t_end: float, check=None):
+    """Integrate y' = f(t, y) for two unknowns from t0 to t_end > t0.
+
+    The first step is chosen as scipy's ``select_initial_step`` chooses it; a
+    step is accepted when the RMS norm of the error estimate, scaled by
+    ``_ATOL + _RTOL * max(|y|, |y_new|)``, is below 1, and the next step
+    grows or shrinks by ``0.9 * err^(-1/5)`` clipped to [0.2, 10] (at most 1
+    after a rejection).  ``check(t, dydt)`` sees each accepted step's end and
+    its derivative, and may raise.  A step below ten float spacings of t
+    raises :class:`BlowupError`.  Returns the dense solution: a callable
+    taking a 1-D array of times in [t0, t_end] to the (2, N) array of y.
+    """
+    u, v = y0
+    fu, fv = f(t0, (u, v))
+    su, sv = _ATOL + abs(u) * _RTOL, _ATOL + abs(v) * _RTOL
+    d0, d1 = _rms(u / su, v / sv), _rms(fu / su, fv / sv)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t0)
+    gu, gv = f(t0 + h0, (u + h0 * fu, v + h0 * fv))
+    d2 = _rms((gu - fu) / su, (gv - fv) / sv) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs = min(100.0 * h0, h1, t_end - t0)
+
+    t = t0
+    knots, starts, stages = [t0], [], []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise BlowupError(f"step size fell below {min_step:.3g} at r = {t:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h_abs = h = t_new - t
+            ku, kv = [fu], [fv]
+            for c, a in zip(_C, _A):
+                ku_s, kv_s = f(t + c * h, (u + h * _dot(a, ku), v + h * _dot(a, kv)))
+                ku.append(ku_s)
+                kv.append(kv_s)
+            u_new, v_new = u + h * _dot(_B, ku), v + h * _dot(_B, kv)
+            fu_new, fv_new = f(t_new, (u_new, v_new))
+            ku.append(fu_new)
+            kv.append(fv_new)
+            err = _rms(h * _dot(_E, ku) / (_ATOL + max(abs(u), abs(u_new)) * _RTOL),
+                       h * _dot(_E, kv) / (_ATOL + max(abs(v), abs(v_new)) * _RTOL))
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # NaN compares false, so a NaN error shrinks the step by 0.2
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        knots.append(t_new)
+        starts.append((u, v))
+        stages.append((ku, kv))
+        t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
+        if check is not None:
+            check(t, (fu, fv))
+
+    knots = np.array(knots)
+    widths = np.diff(knots)
+    starts = np.array(starts)
+    coeffs = np.array(stages) @ _P   # (steps, 2, 4)
+
+    def dense(times: np.ndarray) -> np.ndarray:
+        # a time on a knot reads the step that ends there
+        seg = np.clip(np.searchsorted(knots, times) - 1, 0, len(widths) - 1)
+        x = ((times - knots[seg]) / widths[seg])[:, None]
+        q = coeffs[seg]
+        poly = q[..., 3]
+        for k in (2, 1, 0):
+            poly = q[..., k] + x * poly
+        return (starts[seg] + widths[seg][:, None] * x * poly).T
+
+    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +196,7 @@ def _radial_rhs(n: int, a: float):
     def f(r, y):
         u, du = y
         w = n * (u - 0.5 * r * du)
-        w = min(w, 700.0)  # keep exp finite; the blow-up event fires first
+        w = min(w, 700.0)  # keep exp finite; the curvature check fires first
         if n == 1:
             d2 = math.exp(w)
         else:
@@ -89,13 +212,17 @@ def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
     """Integrate the radial profile from u(0) = a, u'(0) = 0 to r_max.
 
     Regularity at the origin forces u''(0) = exp(a); the integration starts at
-    r0 = 1e-4 from the quadratic series.  Off-centre solutions on the line
-    (u'(0) != 0) come from :func:`line_profile`.
+    r0 = 1e-4 from the quadratic series.  The curvature u'' must lie in
+    (1e-12, 1e6) at the start and at the end of every accepted step; leaving
+    that range raises :class:`BlowupError` with the radius.  Off-centre
+    solutions on the line (u'(0) != 0) come from :func:`line_profile`.
     """
     c0 = math.exp(a)
-    if not 0.0 < c0 < _CURVATURE_CAP:
-        raise BlowupError(f"starting curvature exp(a) = {c0:.3g} outside (0, 1e6)")
+    if not _CURVATURE_FLOOR < c0 < _CURVATURE_CAP:
+        raise BlowupError(f"starting curvature exp(a) = {c0:.3g} outside (1e-12, 1e6)")
     r0 = 1e-4
+    if not r_max > r0:
+        raise ConfigError(f"r_max = {r_max:.3g} must exceed the series start r0 = {r0:g}")
     u_start = a + 0.5 * c0 * r0 ** 2
     du_start = c0 * r0
 
@@ -105,27 +232,15 @@ def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
         raise SingularStartError(
             f"series start inconsistent: u''(r0) = {d2_start:.6g}, expected {c0:.6g}")
 
-    def too_steep(r, y):
-        return f(r, y)[1] - _CURVATURE_CAP
-    too_steep.terminal = True
+    def curvature_in_range(r, dydt):
+        if not _CURVATURE_FLOOR < dydt[1] < _CURVATURE_CAP:
+            raise BlowupError(f"curvature left (1e-12, 1e6) at r = {r:.6g}")
 
-    def too_flat(r, y):
-        return f(r, y)[1] - 1e-12
-    too_flat.terminal = True
-
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(f, (r0, r_max), [u_start, du_start], method="RK45",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True,
-                    events=[too_steep, too_flat])
-    if sol.status == 1:
-        raise BlowupError(f"curvature left (0, 1e6) at r = {sol.t[-1]:.6g}")
-    if not sol.success:
-        raise BlowupError(f"radial integration failed: {sol.message}")
-
+    sol = _dopri45(f, r0, (u_start, du_start), r_max, check=curvature_in_range)
     r = np.linspace(r0, r_max, 513)
-    y = sol.sol(r)
+    y = sol(r)
     d2 = np.array([f(rk, yk)[1] for rk, yk in zip(r, y.T)])
-    return RadialProfile(n=n, a=a, r=r, u=y[0], du=y[1], d2u=d2, _sol=sol.sol)
+    return RadialProfile(n=n, a=a, r=r, u=y[0], du=y[1], d2u=d2, _sol=sol)
 
 
 def profile_to_grid(profile: RadialProfile, domain: BoxDomain,
@@ -144,20 +259,19 @@ def line_profile(a: float, slope0: float, half_width: float):
     yields the genuinely non-quadratic (asymmetric) solutions whose far-field
     curvatures differ on the two sides.  Returns a vectorised callable u(x).
     """
-    from scipy.integrate import solve_ivp
     f = _radial_rhs(1, a)
     r0 = 1e-6
     c0 = math.exp(a)
+    if not half_width > r0:
+        raise ConfigError(f"half_width = {half_width:.3g} must exceed r0 = {r0:g}")
 
-    def shoot(sign):
-        start = [a + slope0 * sign * r0 + 0.5 * c0 * r0 ** 2, slope0 + sign * c0 * r0]
-        sol = solve_ivp(f, (sign * r0, sign * half_width), start, method="RK45",
-                        rtol=_RTOL, atol=_ATOL, dense_output=True)
-        if not sol.success:
-            raise BlowupError(f"line integration failed: {sol.message}")
-        return sol.sol
+    # x -> -x maps the equation to itself and u'(0) to -u'(0), so the left
+    # half-line is the right one of the mirrored start
+    def shoot(slope):
+        start = (a + slope * r0 + 0.5 * c0 * r0 ** 2, slope + c0 * r0)
+        return _dopri45(f, r0, start, half_width)
 
-    right, left = shoot(+1), shoot(-1)
+    right, left = shoot(slope0), shoot(-slope0)
 
     def u(x):
         x = np.asarray(x, dtype=np.float64)
@@ -170,7 +284,7 @@ def line_profile(a: float, slope0: float, half_width: float):
         if np.any(pos):
             out[pos] = right(flat[pos])[0]
         if np.any(neg):
-            out[neg] = left(flat[neg])[0]
+            out[neg] = left(-flat[neg])[0]
         return out.reshape(x.shape)
 
     return u

@@ -159,6 +159,20 @@ def test_blowdown_stationary_expander_is_exact():
     assert max(rep.errors) < 1e-9
 
 
+def test_blowdown_monotone_needs_a_pair_of_errors():
+    dom = BoxDomain(n=1, half_width=4.0, m=33)
+    traj = run(iso_quad(dom), tau=1.0, t_end=2.0,
+               boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
+               snapshot_times=[1.0, 2.0], max_dt=0.1)
+    # two errors make one pair, compared from index 0 only
+    rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
+                               monotone_from=0)
+    assert len(rep.errors) == 2
+    with pytest.raises(InsufficientSamples, match="no pair"):
+        blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
+                             monotone_from=1)
+
+
 def test_blowdown_window_escape():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     traj = run(iso_quad(dom), tau=1.0, t_end=16.0,

@@ -274,6 +274,10 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("decay-rates", "check.exponent3 = [-0.7, -1.3]", "check.exponent3"),
     # particle transport starts inside the run
     ("mcf-correspondence", "mcf.t_start = 5.0", "mcf.t_start"),
+    # snapshots lie inside the run, and the blow-down verdict has a pair to compare
+    ("condition-b-preservation", "flow.snapshot_times = [-1.0, 99.0]",
+     "flow.snapshot_times"),
+    ("blowdown-convergence", "analysis.monotone_from = 40", "analysis.monotone_from"),
     # numbers out of their key's range: positive, nonnegative integer, [0, 1]
     ("blowdown-convergence", "analysis.window = -1.0", "analysis.window"),
     ("heat-oracle", "flow.t_end = 0.0", "flow.t_end"),

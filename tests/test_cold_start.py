@@ -1,9 +1,11 @@
 """The package starts without scipy.
 
-scipy serves two side computations: cubic sampling (``grid.sample``) and the
-expander solvers.  Each imports its scipy submodule inside the function that
-calls it, so ``import logflow.cli``, loading any config, building any initial
-data and every run that reaches neither load numpy only.
+scipy serves two side computations: cubic sampling (``grid.sample``, through
+``scipy.ndimage``) and the Newton solve of the expander (``scipy.sparse``).
+Each imports its scipy submodule inside the function that calls it, so
+``import logflow.cli``, loading any config, building any initial data and
+every run that reaches neither load numpy only; the expander shoot steps on
+its own and loads no scipy, and no module imports ``scipy.integrate``.
 """
 
 import ast
@@ -24,12 +26,18 @@ def _import_time_nodes(node: ast.AST):
         yield from _import_time_nodes(child)
 
 
-def _imports_scipy(node: ast.AST) -> bool:
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The modules an import names: ``from scipy import integrate`` names
+    ``scipy`` and ``scipy.integrate``."""
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "scipy" for a in node.names)
-    if isinstance(node, ast.ImportFrom):
-        return node.level == 0 and (node.module or "").split(".")[0] == "scipy"
-    return False
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    return any(name.split(".")[0] == "scipy" for name in _imported_modules(node))
 
 
 def test_no_module_level_scipy_import():
@@ -40,13 +48,23 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
+def test_no_module_imports_scipy_integrate():
+    # anywhere, function bodies included: the shoot has its own stepper
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in _imported_modules(node)
+             if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    assert found == []
+
+
 _PROBE = """
 import sys
 import logflow
 from logflow.cli import main
 code = main(["flow", "run", "--config", "presets/legendre-duality.json",
              "presets/heat-oracle.json", "presets/plane-convergence.json",
-             "--outdir", sys.argv[1]])
+             "presets/expander-stationarity.json", "--outdir", sys.argv[1]])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -60,8 +78,26 @@ def _fresh_interpreter(env: dict, probe: str, *args: str) -> str:
 
 def test_flow_runs_load_no_scipy(tmp_path, src_env):
     assert _fresh_interpreter(src_env, _PROBE, str(tmp_path / "out")) == "0 []"
-    for name in ("legendre-duality", "heat-oracle", "plane-convergence"):
+    for name in ("legendre-duality", "heat-oracle", "plane-convergence",
+                 "expander-stationarity"):
         assert (tmp_path / "out" / name / "report.json").exists()
+
+
+_CROSS_PROBE = """
+import sys
+from logflow.cli import main
+code = main(["flow", "run", "--config", "presets/expander-cross-validation.json",
+             "--outdir", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "special"], ["scipy", "optimize"])))
+"""
+
+
+def test_expander_cross_validation_loads_no_integrate_special_optimize(tmp_path, src_env):
+    # the Newton solve needs scipy.sparse (and with it scipy.linalg) only
+    out = tmp_path / "out"
+    assert _fresh_interpreter(src_env, _CROSS_PROBE, str(out)) == "0 []"
+    assert (out / "report.json").exists()   # one config runs in outdir itself
 
 
 # what a benchmark's set-up does: load every preset and build its initial data

@@ -97,6 +97,68 @@ def test_shoot_blowup_guard():
         radial_shoot(n=1, a=20.0, r_max=1.0)
 
 
+# between steps both sides evaluate the same quartic interpolant of the same
+# steps, so they agree to rounding; a cubic Hermite interpolant through the
+# step ends misses the reference by 2e-11 to 6e-10 at these points
+_DENSE_TOL = 1e-12
+
+
+def _solve_ivp_reference(f, t0, y0, t_end):
+    """scipy's RK45 at the stepper's tolerances, with its dense output."""
+    from scipy.integrate import solve_ivp
+    from logflow.expander import _ATOL, _RTOL
+    sol = solve_ivp(f, (t0, t_end), y0, method="RK45", rtol=_RTOL, atol=_ATOL,
+                    dense_output=True)
+    assert sol.success
+    # the reference's step midpoints lie between the stepper's steps too
+    return sol.sol, 0.5 * (sol.t[1:] + sol.t[:-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_shoot_matches_solve_ivp_reference(n):
+    from logflow.expander import _radial_rhs
+    a, r_max, r0 = -0.1, 3.5, 1e-4
+    c0 = np.exp(a)
+    ref, mids = _solve_ivp_reference(_radial_rhs(n, a), r0,
+                                     [a + 0.5 * c0 * r0 ** 2, c0 * r0], r_max)
+    prof = radial_shoot(n=n, a=a, r_max=r_max)
+    assert prof.r.size == 513
+    y = ref(prof.r)
+    assert np.max(np.abs(prof.u - y[0])) < 1e-9
+    assert np.max(np.abs(prof.du - y[1])) < 1e-9
+    # dense evaluation off the samples and between the steps
+    assert mids.size > 50
+    assert np.max(np.abs(prof(mids) - ref(mids)[0])) < _DENSE_TOL
+
+
+def test_line_profile_matches_solve_ivp_reference():
+    from logflow.expander import _radial_rhs
+    a, slope0, half_width, r0 = 0.0, 0.5, 2.5, 1e-6
+    f = _radial_rhs(1, a)
+    right, mid_r = _solve_ivp_reference(
+        f, r0, [a + slope0 * r0 + 0.5 * r0 ** 2, slope0 + r0], half_width)
+    left, mid_l = _solve_ivp_reference(
+        f, -r0, [a - slope0 * r0 + 0.5 * r0 ** 2, slope0 - r0], -half_width)
+    u = line_profile(a=a, slope0=slope0, half_width=half_width)
+    x = np.linspace(-half_width, half_width, 513)
+    x = x[np.abs(x) >= r0]
+    for side, pts, mids in ((right, x[x > 0], mid_r), (left, x[x < 0], mid_l)):
+        assert np.max(np.abs(u(pts) - side(pts)[0])) < 1e-9
+        assert np.max(np.abs(u(mids) - side(mids)[0])) < _DENSE_TOL
+
+
+def test_shoot_refuses_starting_curvature_below_floor():
+    # exp(-30) = 9.4e-14 lies below the curvature floor 1e-12 of every step
+    with pytest.raises(BlowupError, match="starting curvature"):
+        radial_shoot(n=2, a=-30.0, r_max=2.0)
+
+
+def test_shoot_refuses_r_max_inside_series_start():
+    from logflow.errors import ConfigError
+    with pytest.raises(ConfigError, match="r_max"):
+        radial_shoot(n=1, a=0.0, r_max=1e-5)
+
+
 def test_off_centre_line_profile_is_not_quadratic():
     # a nonzero starting slope genuinely breaks the quadratic rigidity: the
     # centred profiles keep w = u - x u' / 2 constant, this one does not
