@@ -23,7 +23,9 @@ a refined pipeline's finer level and judges the wall time.  Several configs
 run one after another in this process, each into its own directory; every
 preset at once is ``logflow flow run --config presets/*.json --outdir out``.
 A ``--trajectory`` command reads a run directory's snapshots, not its
-monitors or final flow state.
+monitors or final flow state; ``mcf reconstruct`` needs a run that stored
+every state (``flow.store_every = 1``), which the mcf pipeline, streaming
+its particles through the flow, does not.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from pathlib import Path
 
 from . import analysis, expander, legendre, mcf
 from .config import ExperimentConfig, load_config
-from .errors import (AbortedNonConvex, ConfigError, LogFlowError, MissingArtifact)
+from .errors import (AbortedNonConvex, ConfigError, InsufficientSamples, LogFlowError,
+                     MissingArtifact)
 from .experiments import PIPELINES, finer_level, gate, judge, run_pipeline
 from .flow import FLOW_KEYS, MonitorRecord, Trajectory
 from .grid import gradient, hessian
@@ -315,7 +318,12 @@ def _cmd_legendre_checkdual(args) -> int:
 def _cmd_mcf_reconstruct(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
     seeds = json.loads(Path(args.seeds).read_text())
-    paths = mcf.integrate_particles(traj, seeds, t_start=args.t_start)
+    try:
+        paths = mcf.integrate_particles(traj, seeds, t_start=args.t_start)
+    except InsufficientSamples as exc:
+        # a run stores every state only when asked: the mcf pipeline streams
+        raise InsufficientSamples(f"{exc}; re-run the flow with flow.store_every = 1 "
+                                  f"to store every state") from exc
     rep = mcf.verify_mcf(paths)
     outdir = Path(args.trajectory)
     _write_paths_csv(outdir / "paths.csv", paths)

@@ -45,6 +45,10 @@ __all__ = [
 
 _CURVATURE_FLOOR, _CURVATURE_CAP = 1e-12, 1e6   # the shoot's admissible u''
 _RTOL, _ATOL = 1e-10, 1e-12   # tolerances of the ODE integrations
+# step budget of one integration: the presets' shoots take 62-184 steps and a
+# shoot from exp(a) = exp(10) takes 38098; a stiff start near the curvature
+# cap would take about 1e6
+_MAX_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +98,9 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
     ``_ATOL + _RTOL * max(|y|, |y_new|)``, is below 1, and the next step
     grows or shrinks by ``0.9 * err^(-1/5)`` clipped to [0.2, 10] (at most 1
     after a rejection).  ``check(t, dydt)`` sees each accepted step's end and
-    its derivative, and may raise.  A step below ten float spacings of t
-    raises :class:`BlowupError`.  Returns the dense solution: a callable
+    its derivative, and may raise.  A step below ten float spacings of t, or
+    a step past the budget of ``_MAX_STEPS`` accepted steps, raises
+    :class:`BlowupError`.  Returns the dense solution: a callable
     taking a 1-D array of times in [t0, t_end] to the (2, N) array of y.
     """
     u, v = y0
@@ -112,6 +117,8 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
     t = t0
     knots, starts, stages = [t0], [], []
     while t < t_end:
+        if len(starts) == _MAX_STEPS:
+            raise BlowupError(f"no end after {_MAX_STEPS} accepted steps, at r = {t:.6g}")
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False

@@ -34,12 +34,13 @@ __all__ = ["run_pipeline", "gate", "judge", "finer_level", "refinement_check",
            "PIPELINES", "Refinement"]
 
 
-def _run_flow(cfg: ExperimentConfig) -> tuple[GridFunction, Trajectory]:
+def _run_flow(cfg: ExperimentConfig, observe=None) -> tuple[GridFunction, Trajectory]:
     """The initial data and its trajectory under the config's flow section;
-    the ring follows the closure built with the data."""
+    the ring follows the closure built with the data, and ``observe`` sees
+    every state (:func:`~logflow.flow.run`)."""
     u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
                                      np.random.default_rng(cfg.seed))
-    return u0, run(u0, boundary=boundary, **cfg.flow)
+    return u0, run(u0, boundary=boundary, observe=observe, **cfg.flow)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +208,18 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
 
 
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
-    _, traj = _run_flow(cfg)
-    if corrupt:
-        traj = dataclasses.replace(traj, snapshots=[(t, u.with_values(1.1 * u.values))
-                                                    for t, u in traj.snapshots])
-    paths = mcf.integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
+    # the particles ride the flow: each state is pushed as the run accepts
+    # it, with the Hessian the step already built, and none is stored
+    transport = mcf.ParticleTransport(cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
+
+    def observe(s):
+        if corrupt:  # every state scaled by 1.1, its Hessian assembled anew
+            transport.push(s.t, s.u.with_values(1.1 * s.u.values))
+        else:
+            transport.push(s.t, s.u, s.H)
+
+    _, traj = _run_flow(cfg, observe)
+    paths = transport.paths()
     rep = mcf.verify_mcf(paths)
     report = {
         "pipeline": "mcf_verify",

@@ -272,7 +272,8 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         stepper: str = "rk2", safety: float = 0.5, max_dt: float | None = None,
         snapshot_times: Sequence[float] = (), store_every: int = 0,
         monitor_every: int = 1, monitor_window: float | None = None,
-        max_halvings: int = 20) -> Trajectory:
+        max_halvings: int = 20,
+        observe: Callable[[FlowState], None] | None = None) -> Trajectory:
     """Integrate to t_end with adaptive steps, exact snapshot landings and monitors.
 
     ``boundary`` supplies the ring values at every time.  The initial data is
@@ -282,7 +283,10 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     data within 10 percent or the run refuses to start.  A config's flow
     section is passed here as keyword arguments, so these defaults are the
     flow defaults (:data:`FLOW_KEYS`); JSON numbers of either kind are
-    accepted for the float and integer parameters.
+    accepted for the float and integer parameters.  ``observe``, when given,
+    sees the initial state and every accepted state, after the landing on a
+    snapshot time: the states ``store_every = 1`` would store, handed over
+    one at a time instead of kept.  It is not a config key.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)
@@ -320,6 +324,8 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     state.F  # non-convex initial data fails here, before the first step
     monitors.append(_monitor(state, 0.0, 0.0, window))
     _maybe_snapshot()
+    if observe is not None:
+        observe(state)
 
     while state.t < t_end - 1e-12:
         dt = dt_stable(state, safety)
@@ -339,6 +345,8 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         # snap exactly onto targets to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
             state.t = targets[0]
+        if observe is not None:
+            observe(state)
         if monitored:
             monitors.append(_monitor(state, taken, resid, window))
         _maybe_snapshot()
@@ -349,9 +357,10 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
 
 
 # the keys a config's flow section may set, each with its default: every
-# keyword argument of run except the boundary model (t_end has no default)
+# keyword argument of run except the boundary model and the observer (t_end
+# has no default)
 FLOW_KEYS = {name: p.default for name, p in inspect.signature(run).parameters.items()
-             if p.kind is p.KEYWORD_ONLY and name != "boundary"}
+             if p.kind is p.KEYWORD_ONLY and name not in ("boundary", "observe")}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ runs once per Hessian on all nodes and every region reads its slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import EmptyCoincidenceError, NonConvexityError
@@ -535,21 +537,90 @@ def derivative_sup_norm(u: GridFunction, order: int) -> float:
 # off-node sampling and coincident-node bookkeeping
 # ---------------------------------------------------------------------------
 
+# scipy.ndimage pads this many edge nodes before its cubic prefilter in mode
+# "nearest"; the sampler pads the same, so both agree to rounding
+_SPLINE_PAD = 12
+
+
+@lru_cache(maxsize=16)
+def _prefilter(m: int) -> np.ndarray:
+    """(m + 24, m) matrix taking m nodal values to the cubic B-spline
+    coefficients of their edge-padded extension.
+
+    The coefficients c solve (c[k-1] + 4 c[k] + c[k+1]) / 6 = v[k] on the
+    padded nodes, with the half-sample symmetric ends c[-1] = c[0] and
+    c[M] = c[M-1] of ``spline_filter(mode="nearest")``.
+    """
+    M = m + 2 * _SPLINE_PAD
+    k = np.arange(M)
+    A = np.zeros((M, M))
+    A[k, k] = 4.0 / 6.0
+    A[k[1:], k[:-1]] = A[k[:-1], k[1:]] = 1.0 / 6.0
+    A[0, 0] = A[-1, -1] = 5.0 / 6.0
+    pad = np.zeros((M, m))
+    pad[k, np.clip(k - _SPLINE_PAD, 0, m - 1)] = 1.0
+    out = np.linalg.solve(A, pad)
+    out.flags.writeable = False
+    return out
+
+
+def _axis_weights(x: np.ndarray, m: int, order: int) -> np.ndarray:
+    """(p, m) weights of one axis at index coordinates ``x``: the sampled
+    value along that axis is the weights times the nodal values."""
+    if order == 1:
+        # a point past an end takes the end value, as in mode "nearest"
+        x = np.minimum(np.maximum(x, 0.0), m - 1.0)
+        base = np.minimum(np.floor(x), m - 2.0)
+        t = x - base
+        base = base.astype(np.intp)
+        w = np.zeros((x.size, m))
+        rows = np.arange(x.size)
+        w[rows, base] = 1.0 - t
+        w[rows, base + 1] = t
+        return w
+    base = np.floor(x)
+    t = x - base
+    base = base.astype(np.intp)
+    s = 1.0 - t
+    b = np.stack([s * s * s, 4.0 - 6.0 * t * t + 3.0 * t * t * t,
+                  1.0 + 3.0 * t + 3.0 * t * t - 3.0 * t * t * t, t * t * t],
+                 axis=-1) / 6.0
+    rows = _prefilter(m)[(base + _SPLINE_PAD - 1)[:, None] + np.arange(4)]
+    return np.einsum("pk,pkj->pj", b, rows)
+
+
 def sample(values: np.ndarray, domain: BoxDomain, points,
            order: int = 3) -> np.ndarray:
-    """Interpolate a nodal array at arbitrary points inside the box.
+    """Interpolate nodal arrays at arbitrary points inside the box.
 
+    ``values`` has shape ``(*lead, *domain.shape)``: every leading index is
+    one field, and the result has shape ``(*lead, len(points))``.
     ``order=3`` is cubic-spline interpolation (used wherever off-node values
-    feed second-order comparisons), ``order=1`` is multilinear.
+    feed second-order comparisons) and agrees to rounding with
+    ``scipy.ndimage.map_coordinates(order=3, mode="nearest")``; ``order=1``
+    is multilinear.  Each axis is contracted with a (points, m) weight
+    matrix, so a stack of fields costs one call; the cubic weights are the
+    B-spline weights times a prefilter matrix cached per m.
     """
+    if order not in (1, 3):
+        raise ValueError(f"sampling order must be 1 or 3, got {order}")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[-1] != domain.n:
-        raise ValueError(f"points must have {domain.n} coordinates")
+    n, m = domain.n, domain.m
+    if pts.shape[-1] != n:
+        raise ValueError(f"points must have {n} coordinates")
     if (np.abs(pts) > domain.half_width + 1e-9).any():
         raise ValueError("sample point outside the computational box")
+    vals = np.asarray(values, dtype=np.float64)
+    lead = vals.shape[:vals.ndim - n]
+    if vals.shape[vals.ndim - n:] != domain.shape:
+        raise ValueError(f"values must end in the grid shape {domain.shape}")
     coords = (pts + domain.half_width) / domain.h  # index space
-    from scipy import ndimage
-    return ndimage.map_coordinates(values, coords.T, order=order, mode="nearest")
+    p = len(pts)
+    out = _axis_weights(coords[:, 0], m, order) @ vals.reshape(-1, m, m ** (n - 1))
+    for ax in range(1, n):
+        out = np.einsum("lpir,pi->lpr", out.reshape(-1, p, m, m ** (n - 1 - ax)),
+                        _axis_weights(coords[:, ax], m, order))
+    return out.reshape(*lead, p)
 
 
 def coincident_index_sets(domain: BoxDomain, R: float):

@@ -14,9 +14,11 @@ Hessian itself.   With g = det D2u, the mean curvature vector is
 
 whose x-part is the velocity field of the diffeomorphisms that turn a
 potential trajectory into a solution of dF/dt = H.  Particle transport
-evaluates each stored snapshot's Hessian and curvature field once and
-records the curvature vector and the induced metric along every path, which
-is what the dF/dt = H check compares against.
+takes the states of a flow one at a time, streamed from a running flow or
+read from stored snapshots, evaluates each state's curvature field once
+(reusing the flow's Hessian when it is handed over) and records the
+curvature vector and the induced metric along every path, which is what the
+dF/dt = H check compares against.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EscapeError, InsufficientSamples, NonConvexityError
-from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
+from .grid import (BoxDomain, GridFunction, HessianField, axis_diff, gradient,
+                   hessian, sample)
 
 __all__ = [
     "mean_curvature_fields",
     "ParticlePath",
+    "ParticleTransport",
     "integrate_particles",
     "verify_mcf",
     "McfReport",
@@ -83,73 +87,88 @@ def _escape_guard(dom: BoxDomain, pts: np.ndarray):
         raise EscapeError("particle left the trustworthy interior margin")
 
 
+class ParticleTransport:
+    """Seeds advected through a stream of states of one flow.
+
+    :meth:`push` takes the states in time order; those before ``t_start``
+    are skipped, the first one in the window places the seeds, and each
+    later one moves the particles over the interval since the previous one.
+    Only the previous state's curvature field is kept, so a flow can push
+    its states as it produces them (``flow.run(observe=...)``) instead of
+    storing them.  Particles take one explicit midpoint step per interval
+    with multilinear spatial sampling and linear-in-time field
+    interpolation.  The embedding F = (r, Du(r)), the curvature vector and
+    the induced metric along each path use cubic sampling, so that time
+    differences of F stay within the second-order error budget and
+    :func:`verify_mcf` needs no field of its own.
+    """
+
+    def __init__(self, seeds, t_start: float | None = None):
+        self.seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
+        self.t_start = t_start
+        self._times: list = []
+        self._pos: list = []       # (particles, n) per pushed state
+        self._samples: list = []   # (fields, particles): Du, H, then D2u
+        self._curv = None          # curvature field of the last pushed state
+
+    def push(self, t: float, u: GridFunction, H: HessianField | None = None) -> None:
+        """Advance the particles to the state ``u`` at time ``t``; ``H`` is
+        its Hessian field when the caller already has it."""
+        if self.t_start is not None and t < self.t_start - 1e-12:
+            return
+        dom = u.domain
+        n = dom.n
+        Hess = hessian(u) if H is None else H
+        curv = mean_curvature_fields(Hess)
+        if not self._times:
+            x = self.seeds
+            _escape_guard(dom, x)
+        else:
+            x, dt = self._pos[-1], t - self._times[-1]
+            xm = x + 0.5 * dt * sample(self._curv[:n], dom, x, order=1).T
+            _escape_guard(dom, xm)
+            vm = sample(0.5 * (self._curv[:n] + curv[:n]), dom, xm, order=1).T
+            x = x + dt * vm
+            _escape_guard(dom, x)
+        # the Hessian buffer is component-major: its n^2 entry fields are one block
+        entries = np.moveaxis(Hess.mats, (-2, -1), (0, 1)).reshape((n * n,) + dom.shape)
+        self._samples.append(sample(np.concatenate([gradient(u), curv, entries]),
+                                    dom, x, order=3))
+        self._times.append(t)
+        self._pos.append(x)
+        self._curv = curv
+
+    def paths(self) -> list[ParticlePath]:
+        """The paths so far; a window with fewer than three states raises
+        :class:`InsufficientSamples`."""
+        k = len(self._times)
+        if k < 3:
+            window = "" if self.t_start is None else f" at or after t = {self.t_start:g}"
+            raise InsufficientSamples(f"particle transport needs at least three stored "
+                                      f"snapshots{window}, found {k}")
+        n = self.seeds.shape[1]
+        tt = np.array(self._times)
+        pos = np.stack(self._pos)                            # (k, particles, n)
+        vals = np.stack(self._samples).transpose(0, 2, 1)    # (k, particles, fields)
+        F = np.concatenate([pos, vals[..., :n]], axis=-1)
+        Hv = vals[..., n:3 * n]
+        U = vals[..., 3 * n:].reshape(pos.shape + (n,))
+        return [ParticlePath(x0=self.seeds[p], times=tt.copy(), positions=pos[:, p].copy(),
+                             F=F[:, p].copy(), H=Hv[:, p].copy(), metric=U[:, p].copy())
+                for p in range(len(self.seeds))]
+
+
 def integrate_particles(trajectory, seeds,
                         t_start: float | None = None) -> list[ParticlePath]:
-    """Advect seeds through the time-dependent velocity field of a trajectory,
-    from the first stored snapshot at or after ``t_start`` to the last one;
-    a window with fewer than three snapshots raises :class:`InsufficientSamples`.
-
-    Each stored snapshot's Hessian, mean curvature field and gradient are
-    evaluated once, snapshot by snapshot; particles take one explicit
-    midpoint step per snapshot interval with multilinear spatial sampling and
-    linear-in-time field interpolation.  The embedding F = (r, Du(r)), the
-    curvature vector and the induced metric along each path use cubic
-    sampling, so that time differences of F stay within the second-order
-    error budget and :func:`verify_mcf` needs no field of its own.
+    """Advect seeds through the stored snapshots of a trajectory, from the
+    first one at or after ``t_start`` to the last one: a
+    :class:`ParticleTransport` fed every snapshot in turn.  A window with
+    fewer than three snapshots raises :class:`InsufficientSamples`.
     """
-    snaps = trajectory.snapshots
-    times = np.array([t for t, _ in snaps])
-    lo = 0 if t_start is None else int(np.searchsorted(times, t_start - 1e-12))
-    hi = len(snaps) - 1
-    if hi - lo < 2:
-        window = "" if t_start is None else f" at or after t = {t_start:g}"
-        raise InsufficientSamples(f"particle transport needs at least three stored "
-                                  f"snapshots{window}, found {hi - lo + 1}")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
-    dom = snaps[0][1].domain
-    n = dom.n
-    _escape_guard(dom, seeds)
-
-    def fields(k):
-        u = snaps[k][1]
-        Hess = hessian(u)
-        return Hess.mats, mean_curvature_fields(Hess), gradient(u)
-
-    tt = times[lo:hi + 1]
-    k_steps = len(tt) - 1
-    npart = seeds.shape[0]
-    pos = np.empty((k_steps + 1, npart, n))
-    F = np.empty((k_steps + 1, npart, 2 * n))
-    Hv = np.empty((k_steps + 1, npart, 2 * n))
-    U = np.empty((k_steps + 1, npart, n, n))
-    pos[0] = seeds
-    mats, curv, grad = fields(lo)
-    for k in range(k_steps + 1):
-        x = pos[k]
-        F[k, :, :n] = x
-        for i in range(n):
-            F[k, :, n + i] = sample(grad[i], dom, x, order=3)
-        for c in range(2 * n):
-            Hv[k, :, c] = sample(curv[c], dom, x, order=3)
-        for a_ in range(n):
-            for b_ in range(n):
-                U[k, :, a_, b_] = sample(mats[..., a_, b_], dom, x, order=3)
-        if k == k_steps:
-            break
-        mats, curv_next, grad = fields(lo + k + 1)
-        dt = tt[k + 1] - tt[k]
-        v1 = np.stack([sample(curv[i], dom, x, order=1) for i in range(n)], axis=-1)
-        xm = x + 0.5 * dt * v1
-        _escape_guard(dom, xm)
-        vm = np.stack([sample(0.5 * (curv[i] + curv_next[i]), dom, xm, order=1)
-                       for i in range(n)], axis=-1)
-        pos[k + 1] = x + dt * vm
-        _escape_guard(dom, pos[k + 1])
-        curv = curv_next
-
-    return [ParticlePath(x0=seeds[p], times=tt.copy(), positions=pos[:, p].copy(),
-                         F=F[:, p].copy(), H=Hv[:, p].copy(), metric=U[:, p].copy())
-            for p in range(npart)]
+    transport = ParticleTransport(seeds, t_start)
+    for t, u in trajectory.snapshots:
+        transport.push(t, u)
+    return transport.paths()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +193,7 @@ def verify_mcf(paths: list) -> McfReport:
     The motion is purely normal in the continuum, so the tangential part of
     dF/dt (split through the frames at the sampled point) must vanish to
     discretisation accuracy while the full vector matches H.  The curvature
-    vector and the metric are the ones :func:`integrate_particles` sampled
+    vector and the metric are the ones :class:`ParticleTransport` sampled
     along each path; the paths must share one time grid.
     """
     tt = paths[0].times

@@ -185,8 +185,7 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "mcf_verify",
         "grid": {"n": 1, "L": 4.0, "m": 129},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 1.0, "store_every": 1,
-                 "monitor_every": 25},
+        "flow": {"tau": 1.0, "t_end": 1.0, "monitor_every": 25},
         "mcf": {"seeds": [[-0.8], [-0.6], [-0.4], [-0.2], [0.0],
                           [0.2], [0.4], [0.6], [0.8]],
                 "t_start": 0.1},

@@ -322,10 +322,12 @@ def test_unknown_stepper_exit_code(tmp_path):
     ("condition-b-preservation", "grid.margn = 2"),
     ("expander-stationarity", "flow.t_end = 5.0"),
     ("expander-cross-validation", "initial.kind = quadratic"),
+    ("mcf-correspondence", "flow.observe = 1"),
 ], ids=lambda v: v.split(" ")[0] if "=" in v else None)
 def test_unknown_flow_key_exit_code(tmp_path, preset, line):
-    # one mistyped key per section, and a section the expander pipelines do
-    # not read; each is a configuration error
+    # one mistyped key per section, a section the expander pipelines do not
+    # read, and run's observer, which is no config key; each is a
+    # configuration error
     p = tmp_path / "cfg.txt"
     p.write_text(f"preset = {preset}\n{line}\noutdir = {tmp_path / 'run'}\n")
     assert main(["flow", "run", "--config", str(p)]) == 2
@@ -591,6 +593,7 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
                  "--seeds", str(seeds), "--t-start", "5.0"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "three stored snapshots" in err
+    assert "re-run the flow with flow.store_every = 1" in err
 
 
 def test_heat_solve_cli(tmp_path):

@@ -1,11 +1,11 @@
 """The package starts without scipy.
 
-scipy serves two side computations: cubic sampling (``grid.sample``, through
-``scipy.ndimage``) and the Newton solve of the expander (``scipy.sparse``).
-Each imports its scipy submodule inside the function that calls it, so
-``import logflow.cli``, loading any config, building any initial data and
-every run that reaches neither load numpy only; the expander shoot steps on
-its own and loads no scipy, and no module imports ``scipy.integrate``.
+scipy serves one side computation, the Newton solve of the expander
+(``scipy.sparse``), imported inside the function that calls it, so ``import
+logflow.cli``, loading any config, building any initial data and every run
+but the Newton solve load numpy only.  The expander shoot steps on its own,
+so no module imports ``scipy.integrate``; ``grid.sample`` interpolates on its
+own, so no module imports ``scipy.ndimage``.
 """
 
 import ast
@@ -48,14 +48,24 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
+def _imports_anywhere(banned: str) -> list[str]:
+    """Every import of ``banned`` or a submodule of it under ``src``,
+    function bodies included."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in _imported_modules(node)
+            if name == banned or name.startswith(banned + ".")]
+
+
 def test_no_module_imports_scipy_integrate():
-    # anywhere, function bodies included: the shoot has its own stepper
-    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
-             for path in sorted((ROOT / "src").rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             for name in _imported_modules(node)
-             if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
-    assert found == []
+    # the shoot has its own stepper
+    assert _imports_anywhere("scipy.integrate") == []
+
+
+def test_no_module_imports_scipy_ndimage():
+    # the sampler has its own cubic spline, with no fallback
+    assert _imports_anywhere("scipy.ndimage") == []
 
 
 _PROBE = """
@@ -64,7 +74,8 @@ import logflow
 from logflow.cli import main
 code = main(["flow", "run", "--config", "presets/legendre-duality.json",
              "presets/heat-oracle.json", "presets/plane-convergence.json",
-             "presets/expander-stationarity.json", "--outdir", sys.argv[1]])
+             "presets/expander-stationarity.json", "presets/mcf-correspondence.json",
+             "presets/blowdown-convergence.json", "--outdir", sys.argv[1]])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -79,7 +90,7 @@ def _fresh_interpreter(env: dict, probe: str, *args: str) -> str:
 def test_flow_runs_load_no_scipy(tmp_path, src_env):
     assert _fresh_interpreter(src_env, _PROBE, str(tmp_path / "out")) == "0 []"
     for name in ("legendre-duality", "heat-oracle", "plane-convergence",
-                 "expander-stationarity"):
+                 "expander-stationarity", "mcf-correspondence", "blowdown-convergence"):
         assert (tmp_path / "out" / name / "report.json").exists()
 
 

@@ -153,6 +153,18 @@ def test_shoot_refuses_starting_curvature_below_floor():
         radial_shoot(n=2, a=-30.0, r_max=2.0)
 
 
+def test_shoot_step_budget(monkeypatch):
+    # a stiff start near the curvature cap (exp(13) = 4.4e5) would take about
+    # 1e6 steps; past the budget the shoot stops with the radius reached.
+    # The preset shoot takes 62-184 steps, so a budget of 50 stops it early
+    import logflow.expander as expander
+    assert expander._MAX_STEPS == 100_000
+    radial_shoot(n=1, a=-0.1, r_max=2.0)
+    monkeypatch.setattr(expander, "_MAX_STEPS", 50)
+    with pytest.raises(BlowupError, match=r"no end after 50 accepted steps, at r = 1\.5"):
+        radial_shoot(n=1, a=-0.1, r_max=2.0)
+
+
 def test_shoot_refuses_r_max_inside_series_start():
     from logflow.errors import ConfigError
     with pytest.raises(ConfigError, match="r_max"):

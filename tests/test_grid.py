@@ -532,6 +532,34 @@ def test_cubic_sampling_accuracy():
     assert np.max(np.abs(got - np.sin(pts[:, 0]))) < 1e-7
 
 
+@pytest.mark.parametrize("n, m", [(1, 5), (1, 129), (2, 10), (2, 33), (3, 7), (3, 13)])
+@pytest.mark.parametrize("order", [1, 3])
+def test_sampling_matches_map_coordinates_nearest(n, m, order):
+    # the reference the sampler replaced: scipy's spline interpolation with
+    # edge-value extension; a stack of fields equals the per-field calls
+    from scipy import ndimage
+    dom = BoxDomain(n=n, half_width=2.0, m=m, margin=0)
+    rng = np.random.default_rng(10 * n + m)
+    fields = 5.0 * rng.standard_normal((2, 3) + dom.shape)
+    pts = np.concatenate([rng.uniform(-2.0, 2.0, size=(30, n)),
+                          np.full((1, n), 2.0), np.full((1, n), -2.0 - 1e-10)])
+    got = sample(fields, dom, pts, order=order)
+    assert got.shape == (2, 3, len(pts))
+    coords = ((pts + dom.half_width) / dom.h).T
+    for idx in np.ndindex(2, 3):
+        ref = ndimage.map_coordinates(fields[idx], coords, order=order, mode="nearest")
+        assert np.max(np.abs(got[idx] - ref)) <= 1e-13 * np.max(np.abs(fields[idx]))
+        assert got[idx].tobytes() == sample(fields[idx], dom, pts, order=order).tobytes()
+
+
+def test_sampling_refuses_other_orders_and_shapes():
+    dom = BoxDomain(n=2, half_width=1.0, m=9)
+    with pytest.raises(ValueError, match="order"):
+        sample(np.zeros(dom.shape), dom, [[0.0, 0.0]], order=2)
+    with pytest.raises(ValueError, match="grid shape"):
+        sample(np.zeros((9, 8)), dom, [[0.0, 0.0]])
+
+
 def test_coincident_sets_share_values():
     dom = BoxDomain(n=2, half_width=2.0, m=9)
     x1, x2 = dom.meshgrid()

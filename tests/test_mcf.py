@@ -230,9 +230,9 @@ def test_verify_mcf_matches_per_time_reference_bit_for_bit(n):
         assert np.array(mine).tobytes() == ref.tobytes()
 
 
-def test_mcf_pipeline_assembles_one_hessian_per_snapshot(monkeypatch):
-    # particle transport and the dF/dt = H check share each snapshot's
-    # Hessian and curvature field
+def test_mcf_pipeline_transport_assembles_no_hessian(monkeypatch):
+    # the pipeline hands the transport the Hessian each flow step already
+    # built; reading stored snapshots back assembles one per snapshot
     import logflow.mcf as mcf
     from logflow.config import load_config
     from logflow.experiments import run_pipeline
@@ -246,7 +246,34 @@ def test_mcf_pipeline_assembles_one_hessian_per_snapshot(monkeypatch):
     monkeypatch.setattr(mcf, "hessian", counting_hessian)
     cfg = load_config({"preset": "mcf-correspondence", "grid": {"m": 65},
                        "flow": {"t_end": 0.3}})
-    report, artifacts = run_pipeline(cfg)
-    used = [u for t, u in artifacts["trajectory"].snapshots if t >= 0.1 - 1e-12]
+    report, _ = run_pipeline(cfg)
     assert report["passed"]
-    assert len(calls) == len({id(u) for u in calls}) == len(used)
+    assert calls == []
+    traj = _bump_trajectory(m=33, t_end=0.02)
+    integrate_particles(traj, [[0.1]])
+    assert len(calls) == len({id(u) for u in calls}) == len(traj.snapshots)
+
+
+@pytest.mark.parametrize("grid, seeds", [
+    ({"m": 65}, [[-0.4], [0.0], [0.6]]),
+    ({"n": 2, "L": 2.0, "m": 17}, [[0.2, -0.1], [0.0, 0.3]]),
+], ids=["n1", "n2"])
+def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
+    # the pipeline pushes each state as the flow accepts it and stores none;
+    # transport over a store_every = 1 trajectory must give the same bits
+    from logflow.config import load_config
+    from logflow.experiments import run_pipeline
+    data = {"preset": "mcf-correspondence", "grid": grid, "flow": {"t_end": 0.1},
+            "mcf": {"seeds": seeds, "t_start": 0.02}}
+    _, streamed = run_pipeline(load_config(data))
+    assert len(streamed["trajectory"].snapshots) == 1     # the final state only
+    data["flow"] = {"t_end": 0.1, "store_every": 1}
+    cfg = load_config(data)
+    _, stored = run_pipeline(cfg)
+    traj = stored["trajectory"]
+    assert len(traj.snapshots) == traj.state.step_count + 1
+    paths = integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
+    assert len(paths) == len(streamed["paths"]) and len(paths[0].times) >= 3
+    for mine, ref in zip(streamed["paths"], paths):
+        for key in ("times", "positions", "F", "H", "metric"):
+            assert getattr(mine, key).tobytes() == getattr(ref, key).tobytes(), key
