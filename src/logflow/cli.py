@@ -319,7 +319,8 @@ def _cmd_mcf_reconstruct(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
     seeds = json.loads(Path(args.seeds).read_text())
     try:
-        paths = mcf.integrate_particles(traj, seeds, t_start=args.t_start)
+        transport = mcf.ParticleTransport(seeds, t_start=args.t_start)
+        paths = mcf.integrate_particles(transport, traj.snapshots).paths()
     except InsufficientSamples as exc:
         # a run stores every state only when asked: the mcf pipeline streams
         raise InsufficientSamples(f"{exc}; re-run the flow with flow.store_every = 1 "

@@ -208,15 +208,16 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
 
 
 def mcf_verify_pipeline(cfg: ExperimentConfig, corrupt: bool = False):
-    # the particles ride the flow: each state is pushed as the run accepts
-    # it, with the Hessian the step already built, and none is stored
+    # the particles ride the flow: each state is handed over as the run
+    # accepts it, with the Hessian the step already built, and none is stored
     transport = mcf.ParticleTransport(cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
 
     def observe(s):
         if corrupt:  # every state scaled by 1.1, its Hessian assembled anew
-            transport.push(s.t, s.u.with_values(1.1 * s.u.values))
+            state = (s.t, s.u.with_values(1.1 * s.u.values))
         else:
-            transport.push(s.t, s.u, s.H)
+            state = (s.t, s.u, s.H)
+        mcf.integrate_particles(transport, [state])
 
     _, traj = _run_flow(cfg, observe)
     paths = transport.paths()

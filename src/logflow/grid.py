@@ -541,6 +541,9 @@ def derivative_sup_norm(u: GridFunction, order: int) -> float:
 # "nearest"; the sampler pads the same, so both agree to rounding
 _SPLINE_PAD = 12
 
+# most stencil values one gather of the sampler holds (512 KB)
+_GATHER = 1 << 16
+
 
 @lru_cache(maxsize=16)
 def _prefilter(m: int) -> np.ndarray:
@@ -564,29 +567,24 @@ def _prefilter(m: int) -> np.ndarray:
     return out
 
 
-def _axis_weights(x: np.ndarray, m: int, order: int) -> np.ndarray:
-    """(p, m) weights of one axis at index coordinates ``x``: the sampled
-    value along that axis is the weights times the nodal values."""
+def _axis_taps(x: np.ndarray, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taps of one axis at index coordinates ``x``: the (p, k) weights of k
+    consecutive taps (2 multilinear, 4 cubic) and the (p,) index of the
+    first tap, a node for ``order=1`` and a padded B-spline coefficient for
+    ``order=3``."""
     if order == 1:
         # a point past an end takes the end value, as in mode "nearest"
         x = np.minimum(np.maximum(x, 0.0), m - 1.0)
         base = np.minimum(np.floor(x), m - 2.0)
         t = x - base
-        base = base.astype(np.intp)
-        w = np.zeros((x.size, m))
-        rows = np.arange(x.size)
-        w[rows, base] = 1.0 - t
-        w[rows, base + 1] = t
-        return w
+        return np.stack([1.0 - t, t], axis=-1), base.astype(np.intp)
     base = np.floor(x)
     t = x - base
-    base = base.astype(np.intp)
     s = 1.0 - t
-    b = np.stack([s * s * s, 4.0 - 6.0 * t * t + 3.0 * t * t * t,
+    w = np.stack([s * s * s, 4.0 - 6.0 * t * t + 3.0 * t * t * t,
                   1.0 + 3.0 * t + 3.0 * t * t - 3.0 * t * t * t, t * t * t],
                  axis=-1) / 6.0
-    rows = _prefilter(m)[(base + _SPLINE_PAD - 1)[:, None] + np.arange(4)]
-    return np.einsum("pk,pkj->pj", b, rows)
+    return w, base.astype(np.intp) + (_SPLINE_PAD - 1)
 
 
 def sample(values: np.ndarray, domain: BoxDomain, points,
@@ -598,9 +596,12 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
     ``order=3`` is cubic-spline interpolation (used wherever off-node values
     feed second-order comparisons) and agrees to rounding with
     ``scipy.ndimage.map_coordinates(order=3, mode="nearest")``; ``order=1``
-    is multilinear.  Each axis is contracted with a (points, m) weight
-    matrix, so a stack of fields costs one call; the cubic weights are the
-    B-spline weights times a prefilter matrix cached per m.
+    is multilinear.  The cubic B-spline coefficients come from the
+    prefilter matrix cached per m, applied along each axis to the rows the
+    points reach (at most 4 per point, and m + 3 in all); each point then
+    sums its 4^n (2^n multilinear) neighbouring coefficients.  Work is
+    O(m^n) per field and row plus O(4^n) per point and field, and a stack
+    of fields costs one call.
     """
     if order not in (1, 3):
         raise ValueError(f"sampling order must be 1 or 3, got {order}")
@@ -616,10 +617,38 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
         raise ValueError(f"values must end in the grid shape {domain.shape}")
     coords = (pts + domain.half_width) / domain.h  # index space
     p = len(pts)
-    out = _axis_weights(coords[:, 0], m, order) @ vals.reshape(-1, m, m ** (n - 1))
-    for ax in range(1, n):
-        out = np.einsum("lpir,pi->lpr", out.reshape(-1, p, m, m ** (n - 1 - ax)),
-                        _axis_weights(coords[:, ax], m, order))
+    coef = vals.reshape((-1,) + domain.shape)      # (fields, *grid)
+    flat = np.zeros(p, dtype=np.intp)              # first tap, row-major
+    offsets = np.zeros(1, dtype=np.intp)           # the other taps from it
+    weights = []
+    for ax in range(n):
+        w, first = _axis_taps(coords[:, ax], m, order)
+        k = w.shape[1]
+        if order == 3:
+            # the coefficient rows the taps reach, at most m + 3 of them
+            hit = np.bincount(first, minlength=m + 2 * _SPLINE_PAD) > 0
+            rows = np.flatnonzero(np.convolve(hit, np.ones(k))[:len(hit)])
+            done = coef.shape[:ax + 1]
+            coef = np.matmul(_prefilter(m)[rows], coef.reshape(-1, m, m ** (n - 1 - ax)))
+            coef = coef.reshape(done + (len(rows),) + (m,) * (n - 1 - ax))
+            first = np.searchsorted(rows, first)
+        size = coef.shape[ax + 1]
+        flat = flat * size + first
+        offsets = (offsets[:, None] * size + np.arange(k)).ravel()
+        weights.append(w)
+    coef = coef.reshape(len(coef), -1)
+    out = np.empty((len(coef), p))
+    # the stencils are gathered in slices of at most _GATHER values and
+    # summed field by field, so a field's bits do not depend on its stack
+    step = max(1, _GATHER // len(offsets))
+    for lo in range(0, p, step):
+        part = slice(lo, lo + step)
+        taps = flat[part, None] + offsets
+        w = weights[0][part]
+        for ax in range(1, n):
+            w = (w[:, :, None] * weights[ax][part, None, :]).reshape(len(w), -1)
+        for f, c in enumerate(coef):
+            out[f, part] = np.einsum("pk,pk->p", c[taps], w)
     return out.reshape(*lead, p)
 
 

@@ -90,66 +90,34 @@ def _escape_guard(dom: BoxDomain, pts: np.ndarray):
 class ParticleTransport:
     """Seeds advected through a stream of states of one flow.
 
-    :meth:`push` takes the states in time order; those before ``t_start``
-    are skipped, the first one in the window places the seeds, and each
-    later one moves the particles over the interval since the previous one.
-    Only the previous state's curvature field is kept, so a flow can push
-    its states as it produces them (``flow.run(observe=...)``) instead of
-    storing them.  Particles take one explicit midpoint step per interval
-    with multilinear spatial sampling and linear-in-time field
-    interpolation.  The embedding F = (r, Du(r)), the curvature vector and
-    the induced metric along each path use cubic sampling, so that time
-    differences of F stay within the second-order error budget and
-    :func:`verify_mcf` needs no field of its own.
+    :func:`integrate_particles` feeds it the states in time order; those
+    before ``t_start`` are skipped, the first one in the window places the
+    seeds, and each later one moves the particles over the interval since
+    the previous one.  Only the previous state's velocity field is kept, so
+    a flow can hand over its states as it produces them
+    (``flow.run(observe=...)``) instead of storing them.
     """
 
     def __init__(self, seeds, t_start: float | None = None):
         self.seeds = np.atleast_2d(np.asarray(seeds, dtype=np.float64))
         self.t_start = t_start
-        self._times: list = []
-        self._pos: list = []       # (particles, n) per pushed state
-        self._samples: list = []   # (fields, particles): Du, H, then D2u
-        self._curv = None          # curvature field of the last pushed state
-
-    def push(self, t: float, u: GridFunction, H: HessianField | None = None) -> None:
-        """Advance the particles to the state ``u`` at time ``t``; ``H`` is
-        its Hessian field when the caller already has it."""
-        if self.t_start is not None and t < self.t_start - 1e-12:
-            return
-        dom = u.domain
-        n = dom.n
-        Hess = hessian(u) if H is None else H
-        curv = mean_curvature_fields(Hess)
-        if not self._times:
-            x = self.seeds
-            _escape_guard(dom, x)
-        else:
-            x, dt = self._pos[-1], t - self._times[-1]
-            xm = x + 0.5 * dt * sample(self._curv[:n], dom, x, order=1).T
-            _escape_guard(dom, xm)
-            vm = sample(0.5 * (self._curv[:n] + curv[:n]), dom, xm, order=1).T
-            x = x + dt * vm
-            _escape_guard(dom, x)
-        # the Hessian buffer is component-major: its n^2 entry fields are one block
-        entries = np.moveaxis(Hess.mats, (-2, -1), (0, 1)).reshape((n * n,) + dom.shape)
-        self._samples.append(sample(np.concatenate([gradient(u), curv, entries]),
-                                    dom, x, order=3))
-        self._times.append(t)
-        self._pos.append(x)
-        self._curv = curv
+        self.times: list = []
+        self.positions: list = []   # (particles, n) per state
+        self.samples: list = []     # (fields, particles): Du, H, then D2u
+        self.velocity = None        # particle velocity field of the last state
 
     def paths(self) -> list[ParticlePath]:
         """The paths so far; a window with fewer than three states raises
         :class:`InsufficientSamples`."""
-        k = len(self._times)
+        k = len(self.times)
         if k < 3:
             window = "" if self.t_start is None else f" at or after t = {self.t_start:g}"
             raise InsufficientSamples(f"particle transport needs at least three stored "
                                       f"snapshots{window}, found {k}")
         n = self.seeds.shape[1]
-        tt = np.array(self._times)
-        pos = np.stack(self._pos)                            # (k, particles, n)
-        vals = np.stack(self._samples).transpose(0, 2, 1)    # (k, particles, fields)
+        tt = np.array(self.times)
+        pos = np.stack(self.positions)                       # (k, particles, n)
+        vals = np.stack(self.samples).transpose(0, 2, 1)     # (k, particles, fields)
         F = np.concatenate([pos, vals[..., :n]], axis=-1)
         Hv = vals[..., n:3 * n]
         U = vals[..., 3 * n:].reshape(pos.shape + (n,))
@@ -158,17 +126,45 @@ class ParticleTransport:
                 for p in range(len(self.seeds))]
 
 
-def integrate_particles(trajectory, seeds,
-                        t_start: float | None = None) -> list[ParticlePath]:
-    """Advect seeds through the stored snapshots of a trajectory, from the
-    first one at or after ``t_start`` to the last one: a
-    :class:`ParticleTransport` fed every snapshot in turn.  A window with
-    fewer than three snapshots raises :class:`InsufficientSamples`.
+def integrate_particles(transport: ParticleTransport, states) -> ParticleTransport:
+    """Advance the transport through ``states`` and return it.
+
+    Each state is ``(t, u)`` or ``(t, u, H)``, with ``H`` the Hessian field
+    of ``u`` when the caller already has it: the stored snapshots of a
+    trajectory, or one state at a time as a flow accepts it.  Particles
+    take one explicit midpoint step per interval with multilinear spatial
+    sampling and linear-in-time field interpolation.  The embedding
+    F = (r, Du(r)), the curvature vector and the induced metric along each
+    path use cubic sampling, so that time differences of F stay within the
+    second-order error budget and :func:`verify_mcf` needs no field of its
+    own.
     """
-    transport = ParticleTransport(seeds, t_start)
-    for t, u in trajectory.snapshots:
-        transport.push(t, u)
-    return transport.paths()
+    tr = transport
+    for t, u, *known in states:
+        if tr.t_start is not None and t < tr.t_start - 1e-12:
+            continue
+        dom = u.domain
+        n = dom.n
+        Hess = known[0] if known else hessian(u)
+        curv = mean_curvature_fields(Hess)
+        if not tr.times:
+            x = tr.seeds
+            _escape_guard(dom, x)
+        else:
+            x, dt = tr.positions[-1], t - tr.times[-1]
+            xm = x + 0.5 * dt * sample(tr.velocity, dom, x, order=1).T
+            _escape_guard(dom, xm)
+            vm = sample(0.5 * (tr.velocity + curv[:n]), dom, xm, order=1).T
+            x = x + dt * vm
+            _escape_guard(dom, x)
+        # the Hessian buffer is component-major: its n^2 entry fields are one block
+        entries = np.moveaxis(Hess.mats, (-2, -1), (0, 1)).reshape((n * n,) + dom.shape)
+        tr.samples.append(sample(np.concatenate([gradient(u), curv, entries]),
+                                 dom, x, order=3))
+        tr.times.append(t)
+        tr.positions.append(x)
+        tr.velocity = curv[:n]
+    return tr
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +189,7 @@ def verify_mcf(paths: list) -> McfReport:
     The motion is purely normal in the continuum, so the tangential part of
     dF/dt (split through the frames at the sampled point) must vanish to
     discretisation accuracy while the full vector matches H.  The curvature
-    vector and the metric are the ones :class:`ParticleTransport` sampled
+    vector and the metric are the ones :func:`integrate_particles` sampled
     along each path; the paths must share one time grid.
     """
     tt = paths[0].times

@@ -552,6 +552,33 @@ def test_sampling_matches_map_coordinates_nearest(n, m, order):
         assert got[idx].tobytes() == sample(fields[idx], dom, pts, order=order).tobytes()
 
 
+@pytest.mark.parametrize("m, half", [(33, 1.0), (49, None)], ids=["window", "seeds"])
+def test_sampling_n3_caller_sizes_in_small_memory(m, half):
+    # the blow-down check samples every node of its window (33^3 points
+    # here); the transport samples a few seeds far apart, whose stencils
+    # reach disjoint coefficient rows.  Dense (points, m) weights per axis
+    # would hold 300 MB for the window.
+    import tracemalloc
+    from scipy import ndimage
+    dom = BoxDomain(n=3, half_width=4.0, m=m)
+    rng = np.random.default_rng(m)
+    field = rng.standard_normal(dom.shape)
+    if half is None:
+        pts = np.array([[-3.1, 0.2, 2.9], [0.05, -2.7, 0.4], [3.3, 3.0, -3.4]])
+    else:
+        pts = BoxDomain(n=3, half_width=half, m=m, margin=0).points()
+    tracemalloc.start()
+    try:
+        got = sample(field, dom, pts, order=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    ref = ndimage.map_coordinates(field, ((pts + dom.half_width) / dom.h).T,
+                                  order=3, mode="nearest")
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(field))
+
+
 def test_sampling_refuses_other_orders_and_shapes():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
     with pytest.raises(ValueError, match="order"):

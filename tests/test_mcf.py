@@ -6,7 +6,8 @@ import pytest
 from logflow.errors import EscapeError, InsufficientSamples
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction, hessian
-from logflow.mcf import integrate_particles, mean_curvature_fields, verify_mcf
+from logflow.mcf import (ParticleTransport, integrate_particles, mean_curvature_fields,
+                        verify_mcf)
 
 
 def bump(domain, amp=0.1, width=1.0):
@@ -107,6 +108,11 @@ def test_curvature_grid_convergence_against_analytic():
 # particle transport
 # ---------------------------------------------------------------------------
 
+def _paths(traj, seeds, t_start=None):
+    """Paths of the seeds carried through every stored snapshot of traj."""
+    return integrate_particles(ParticleTransport(seeds, t_start), traj.snapshots).paths()
+
+
 def _bump_trajectory(m=65, t_end=0.5, store_every=1):
     dom = BoxDomain(n=1, half_width=4.0, m=m)
     u0 = bump(dom)
@@ -121,7 +127,7 @@ def test_quadratic_trajectory_has_stationary_particles():
     traj = run(quad(dom, A), tau=1.0, t_end=0.05,
                boundary=QuadraticFarField(A, np.zeros(2)), store_every=1)
     seeds = np.array([[0.3, -0.2], [0.0, 0.5]])
-    paths = integrate_particles(traj, seeds)
+    paths = _paths(traj, seeds)
     for p in paths:
         assert np.max(np.abs(p.positions - p.x0)) < 1e-10
         assert np.max(np.abs(p.F[:, 2:] - p.F[0, 2:])) < 1e-9
@@ -131,11 +137,11 @@ def test_path_self_convergence_under_snapshot_refinement():
     # oversampled reference: the full snapshot cadence; paths rebuilt on 2x and
     # 4x coarser cadences must approach it at second order in the step
     traj = _bump_trajectory(m=65, t_end=0.3)
-    fine = integrate_particles(traj, [[0.3]])
+    fine = _paths(traj, [[0.3]])
 
     def end_gap(stride):
         sub = type(traj)(state=traj.state, snapshots=traj.snapshots[::stride])
-        path = integrate_particles(sub, [[0.3]])[0]
+        path = _paths(sub, [[0.3]])[0]
         t_last = path.times[-1]
         k = int(np.argmin(np.abs(fine[0].times - t_last)))
         assert abs(fine[0].times[k] - t_last) < 1e-12
@@ -149,19 +155,19 @@ def test_path_self_convergence_under_snapshot_refinement():
 def test_escape_guard():
     traj = _bump_trajectory(m=33, t_end=0.05)
     with pytest.raises(EscapeError):
-        integrate_particles(traj, [[3.9]])
+        _paths(traj, [[3.9]])
 
 
 def test_window_past_last_snapshot():
     traj = _bump_trajectory(m=33, t_end=0.05)
     with pytest.raises(InsufficientSamples, match="three stored snapshots"):
-        integrate_particles(traj, [[0.0]], t_start=1.0)
+        _paths(traj, [[0.0]], t_start=1.0)
 
 
 def test_paths_do_not_cross():
     traj = _bump_trajectory(m=65, t_end=0.5)
     seeds = np.linspace(-0.8, 0.8, 9)[:, None]
-    paths = integrate_particles(traj, seeds)
+    paths = _paths(traj, seeds)
     final = np.array([p.positions[-1, 0] for p in paths])
     d0 = np.min(np.diff(seeds[:, 0]))
     assert np.min(np.diff(final)) >= 0.5 * d0
@@ -176,7 +182,7 @@ def test_verify_mcf_quadratic_is_exact():
     A = np.eye(1) * 2.0
     traj = run(quad(dom, A), tau=1.0, t_end=0.05,
                boundary=QuadraticFarField(A, np.zeros(1)), store_every=1)
-    paths = integrate_particles(traj, [[0.2], [-0.4]])
+    paths = _paths(traj, [[0.2], [-0.4]])
     rep = verify_mcf(paths)
     assert rep.max_deviation < 1e-10
 
@@ -184,7 +190,7 @@ def test_verify_mcf_quadratic_is_exact():
 def test_verify_mcf_bump_within_budget_and_detects_corruption():
     traj = _bump_trajectory(m=65, t_end=0.4)
     seeds = np.linspace(-0.6, 0.6, 5)[:, None]
-    paths = integrate_particles(traj, seeds, t_start=0.1)
+    paths = _paths(traj, seeds, t_start=0.1)
     rep = verify_mcf(paths)
     assert rep.max_deviation < 5e-3
     assert rep.tangential_ratio < 0.10
@@ -193,7 +199,7 @@ def test_verify_mcf_bump_within_budget_and_detects_corruption():
     corrupted = type(traj)(
         state=traj.state,
         snapshots=[(t, u.with_values(1.1 * u.values)) for t, u in traj.snapshots])
-    paths_bad = integrate_particles(corrupted, seeds, t_start=0.1)
+    paths_bad = _paths(corrupted, seeds, t_start=0.1)
     rep_bad = verify_mcf(paths_bad)
     assert rep_bad.max_deviation > 10 * rep.max_deviation
 
@@ -223,7 +229,7 @@ def test_verify_mcf_matches_per_time_reference_bit_for_bit(n):
     traj = run(bump(dom, amp=0.1), tau=1.0, t_end=0.15,
                boundary=QuadraticFarField(np.eye(n), np.zeros(n)), store_every=1)
     seeds = np.random.default_rng(n).uniform(-0.5, 0.5, size=(4, n))
-    paths = integrate_particles(traj, seeds)
+    paths = _paths(traj, seeds)
     rep = verify_mcf(paths)
     got = [[q[k] for q in rep.per_path] for k in ("deviation", "tangential", "normal")]
     for mine, ref in zip(got, _verify_per_time(paths)):
@@ -231,26 +237,33 @@ def test_verify_mcf_matches_per_time_reference_bit_for_bit(n):
 
 
 def test_mcf_pipeline_transport_assembles_no_hessian(monkeypatch):
-    # the pipeline hands the transport the Hessian each flow step already
-    # built; reading stored snapshots back assembles one per snapshot
+    # the pipeline hands each accepted state to integrate_particles with the
+    # Hessian its flow step already built; reading stored snapshots back
+    # assembles one per snapshot
     import logflow.mcf as mcf
     from logflow.config import load_config
     from logflow.experiments import run_pipeline
     from logflow.grid import hessian
-    calls = []
+    calls, handed = [], []
 
     def counting_hessian(u):
         calls.append(u)
         return hessian(u)
 
+    def counting_transport(transport, states):
+        handed.append(len(states))
+        return integrate_particles(transport, states)
+
     monkeypatch.setattr(mcf, "hessian", counting_hessian)
+    monkeypatch.setattr(mcf, "integrate_particles", counting_transport)
     cfg = load_config({"preset": "mcf-correspondence", "grid": {"m": 65},
                        "flow": {"t_end": 0.3}})
-    report, _ = run_pipeline(cfg)
+    report, art = run_pipeline(cfg)
     assert report["passed"]
     assert calls == []
+    assert handed == [1] * (art["trajectory"].state.step_count + 1)
     traj = _bump_trajectory(m=33, t_end=0.02)
-    integrate_particles(traj, [[0.1]])
+    _paths(traj, [[0.1]])
     assert len(calls) == len({id(u) for u in calls}) == len(traj.snapshots)
 
 
@@ -272,7 +285,7 @@ def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
     _, stored = run_pipeline(cfg)
     traj = stored["trajectory"]
     assert len(traj.snapshots) == traj.state.step_count + 1
-    paths = integrate_particles(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
+    paths = _paths(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
     assert len(paths) == len(streamed["paths"]) and len(paths[0].times) >= 3
     for mine, ref in zip(streamed["paths"], paths):
         for key in ("times", "positions", "F", "H", "metric"):
