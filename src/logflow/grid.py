@@ -568,23 +568,27 @@ def _prefilter(m: int) -> np.ndarray:
 
 
 def _axis_taps(x: np.ndarray, m: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Taps of one axis at index coordinates ``x``: the (p, k) weights of k
-    consecutive taps (2 multilinear, 4 cubic) and the (p,) index of the
-    first tap, a node for ``order=1`` and a padded B-spline coefficient for
-    ``order=3``."""
+    """The (p,) index of the first of ``order + 1`` consecutive taps of one
+    axis at index coordinates ``x``, a node for ``order=1`` and a padded
+    B-spline coefficient for ``order=3``, and the (p,) fraction of the cell
+    each point lies in."""
     if order == 1:
         # a point past an end takes the end value, as in mode "nearest"
         x = np.minimum(np.maximum(x, 0.0), m - 1.0)
         base = np.minimum(np.floor(x), m - 2.0)
-        t = x - base
-        return np.stack([1.0 - t, t], axis=-1), base.astype(np.intp)
+        return base.astype(np.intp), x - base
     base = np.floor(x)
-    t = x - base
+    return base.astype(np.intp) + (_SPLINE_PAD - 1), x - base
+
+
+def _tap_weights(t: np.ndarray, order: int) -> np.ndarray:
+    """(p, order + 1) weights of the taps at cell fractions ``t``."""
+    if order == 1:
+        return np.stack([1.0 - t, t], axis=-1)
     s = 1.0 - t
-    w = np.stack([s * s * s, 4.0 - 6.0 * t * t + 3.0 * t * t * t,
-                  1.0 + 3.0 * t + 3.0 * t * t - 3.0 * t * t * t, t * t * t],
-                 axis=-1) / 6.0
-    return w, base.astype(np.intp) + (_SPLINE_PAD - 1)
+    return np.stack([s * s * s, 4.0 - 6.0 * t * t + 3.0 * t * t * t,
+                     1.0 + 3.0 * t + 3.0 * t * t - 3.0 * t * t * t, t * t * t],
+                    axis=-1) / 6.0
 
 
 def sample(values: np.ndarray, domain: BoxDomain, points,
@@ -597,11 +601,13 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
     feed second-order comparisons) and agrees to rounding with
     ``scipy.ndimage.map_coordinates(order=3, mode="nearest")``; ``order=1``
     is multilinear.  The cubic B-spline coefficients come from the
-    prefilter matrix cached per m, applied along each axis to the rows the
-    points reach (at most 4 per point, and m + 3 in all); each point then
-    sums its 4^n (2^n multilinear) neighbouring coefficients.  Work is
-    O(m^n) per field and row plus O(4^n) per point and field, and a stack
-    of fields costs one call.
+    prefilter matrix cached per m, applied one axis at a time and only to
+    the coefficient rows the points reach (at most 4 per point and m + 3
+    in all); each point then sums its 4^n neighbouring coefficients (2^n
+    node values when multilinear).  Work per field is O(m^n) per row
+    reached on the first axis plus O(4^n) per point, memory O(m^n) plus
+    O(n) per point, and a stack of fields costs one call whose values
+    equal the per-field calls bit for bit.
     """
     if order not in (1, 3):
         raise ValueError(f"sampling order must be 1 or 3, got {order}")
@@ -618,12 +624,12 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
     coords = (pts + domain.half_width) / domain.h  # index space
     p = len(pts)
     coef = vals.reshape((-1,) + domain.shape)      # (fields, *grid)
+    k = order + 1                                  # taps per axis
     flat = np.zeros(p, dtype=np.intp)              # first tap, row-major
     offsets = np.zeros(1, dtype=np.intp)           # the other taps from it
-    weights = []
+    fractions = []
     for ax in range(n):
-        w, first = _axis_taps(coords[:, ax], m, order)
-        k = w.shape[1]
+        first, t = _axis_taps(coords[:, ax], m, order)
         if order == 3:
             # the coefficient rows the taps reach, at most m + 3 of them
             hit = np.bincount(first, minlength=m + 2 * _SPLINE_PAD) > 0
@@ -635,20 +641,22 @@ def sample(values: np.ndarray, domain: BoxDomain, points,
         size = coef.shape[ax + 1]
         flat = flat * size + first
         offsets = (offsets[:, None] * size + np.arange(k)).ravel()
-        weights.append(w)
+        fractions.append(t)
     coef = coef.reshape(len(coef), -1)
     out = np.empty((len(coef), p))
     # the stencils are gathered in slices of at most _GATHER values and
-    # summed field by field, so a field's bits do not depend on its stack
+    # summed field by field, one axis at a time from the last, so a
+    # field's bits do not depend on its stack
     step = max(1, _GATHER // len(offsets))
     for lo in range(0, p, step):
         part = slice(lo, lo + step)
         taps = flat[part, None] + offsets
-        w = weights[0][part]
-        for ax in range(1, n):
-            w = (w[:, :, None] * weights[ax][part, None, :]).reshape(len(w), -1)
+        weights = [_tap_weights(t[part], order) for t in fractions]
         for f, c in enumerate(coef):
-            out[f, part] = np.einsum("pk,pk->p", c[taps], w)
+            acc = c[taps]
+            for w in reversed(weights):
+                acc = np.einsum("pak,pk->pa", acc.reshape(len(acc), -1, k), w)
+            out[f, part] = acc[:, 0]
     return out.reshape(*lead, p)
 
 
