@@ -272,7 +272,7 @@ def test_mcf_pipeline_transport_assembles_no_hessian(monkeypatch):
     ({"n": 2, "L": 2.0, "m": 17}, [[0.2, -0.1], [0.0, 0.3]]),
 ], ids=["n1", "n2"])
 def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
-    # the pipeline pushes each state as the flow accepts it and stores none;
+    # the pipeline hands over each state as the flow accepts it and stores none;
     # transport over a store_every = 1 trajectory must give the same bits
     from logflow.config import load_config
     from logflow.experiments import run_pipeline
