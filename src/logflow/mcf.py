@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EscapeError, InsufficientSamples, NonConvexityError
-from .grid import (BoxDomain, GridFunction, HessianField, axis_diff, gradient,
-                   hessian, sample)
+from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
 
 __all__ = [
     "mean_curvature_fields",
