@@ -7,7 +7,8 @@ The stationary profile of a self-similarly expanding flow solves
 Two independent routes are implemented: radial shooting of the reduced ODE
 u'' = (u'/r)^{1-n} exp(n (u - r u'/2)) from a regular series start at the
 origin, and a damped Newton iteration on the discretised equation with
-Dirichlet data on the boundary ring.  The shoot steps with a private adaptive
+Dirichlet data on the boundary ring, whose block-tridiagonal Jacobian is
+eliminated block by block with numpy.  The shoot steps with a private adaptive
 Dormand-Prince 5(4) pair on Python floats (the ODE has two unknowns): the
 tableau, error estimate and step control of scipy's RK45, with the RMS error
 norm over rtol = 1e-10, atol = 1e-12, safety 0.9 and step factors in
@@ -49,6 +50,10 @@ _RTOL, _ATOL = 1e-10, 1e-12   # tolerances of the ODE integrations
 # shoot from exp(a) = exp(10) takes 38098; a stiff start near the curvature
 # cap would take about 1e6
 _MAX_STEPS = 100_000
+# a block of the Newton solve's elimination takes whole slices along axis 0,
+# as many as fit in this many unknowns: below about 32 unknowns numpy's
+# per-call cost outweighs a dense block's cubic cost (timed at n = 1 and 2)
+_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +334,16 @@ class ExpanderSolution:
 
 def _assemble_jacobian(H: HessianField, w: np.ndarray):
     """Jacobian of the discrete residual with respect to the non-ring
-    unknowns, as a CSR matrix.
+    unknowns, numbered lexicographically over the (m-2)^n non-ring nodes.
 
     d(det D2u)[v] = det(D2u) u^{ij} v_ij,
     d(exp(n w))[v] = exp(n w) n (v - <x, Dv>/2).
+
+    The 3^n stencil couples each slice of unknowns along axis 0 only to the
+    slices next to it, so the matrix is block tridiagonal.  Returns its
+    entries as ``(rows, cols, vals)`` sorted by row; a row lists its
+    neighbours in stencil order, and neighbours on the ring, which carry
+    fixed Dirichlet data, are left out.
     """
     dom = H.domain
     n, h, m = dom.n, dom.h, dom.m
@@ -343,20 +354,15 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
 
     inner = dom.nonring()
     idx_map = -np.ones(dom.shape, dtype=np.int64)
-    n_unknown = int(np.prod([m - 2] * n))
+    n_unknown = (m - 2) ** n
     idx_map[inner] = np.arange(n_unknown).reshape([m - 2] * n)
 
-    rows, cols, vals = [], [], []
-    interior_idx = idx_map[inner].ravel()
+    cols, vals = [], []
 
     def add(offset, weight):
         # weight: array over the inner block; neighbour at node+offset
-        nb = tuple(slice(1 + o, m - 1 + o) for o in offset)
-        nb_idx = idx_map[nb].ravel()
-        keep = nb_idx >= 0  # ring neighbours carry fixed Dirichlet data
-        rows.append(interior_idx[keep])
-        cols.append(nb_idx[keep])
-        vals.append(weight.ravel()[keep])
+        cols.append(idx_map[tuple(slice(1 + o, m - 1 + o) for o in offset)])
+        vals.append(weight)
 
     det_i = det[inner]
     expE_i = expE[inner]
@@ -365,15 +371,15 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
     centre = -expE_i * n
     for i in range(n):
         centre = centre + det_i * inv_i[..., i, i] * (-2.0 / h ** 2)
-    add(tuple([0] * n), centre)
+    add((0,) * n, centre)
 
     for i in range(n):
         for s in (+1, -1):
             o = [0] * n
             o[i] = s
-            w = det_i * inv_i[..., i, i] / h ** 2
-            w = w + expE_i * n * s * grids[i][inner] / (4.0 * h)
-            add(tuple(o), w)
+            wt = det_i * inv_i[..., i, i] / h ** 2
+            wt = wt + expE_i * n * s * grids[i][inner] / (4.0 * h)
+            add(tuple(o), wt)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -381,14 +387,51 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
                 for sj in (+1, -1):
                     o = [0] * n
                     o[i], o[j] = si, sj
-                    w = det_i * 2.0 * inv_i[..., i, j] * (si * sj) / (4.0 * h ** 2)
-                    add(tuple(o), w)
+                    add(tuple(o), det_i * 2.0 * inv_i[..., i, j] * (si * sj) / (4.0 * h ** 2))
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    from scipy import sparse
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
+    # one row per unknown, its stencil entries in order along the row
+    cols = np.stack(cols, axis=-1).reshape(n_unknown, -1)
+    vals = np.stack(vals, axis=-1).reshape(n_unknown, -1)
+    keep = cols >= 0
+    rows = np.broadcast_to(np.arange(n_unknown)[:, None], cols.shape)
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _block_solve(jac, rhs: np.ndarray, slice_size: int) -> np.ndarray:
+    """Solve J x = rhs for the block-tridiagonal Jacobian of
+    :func:`_assemble_jacobian` by block Thomas elimination.
+
+    A block holds whole slices of ``slice_size`` unknowns, as many as fit in
+    ``_BLOCK`` unknowns and at least one.  Block row k is made dense when it
+    is eliminated: ``D_k - L_k C_{k-1}`` is solved by LU with partial
+    pivoting (``np.linalg.solve``) against ``[U_k | r_k - L_k y_{k-1}]``,
+    giving ``C_k`` and ``y_k``; only the ``C_k`` and ``y_k`` are kept for the
+    back substitution ``x_k = y_k - C_k x_{k+1}``.  A singular block raises
+    ``np.linalg.LinAlgError``.
+    """
+    rows, cols, vals = jac
+    size = slice_size * max(1, _BLOCK // slice_size)
+    edges = list(range(0, rhs.size, size)) + [rhs.size]
+    cuts = np.searchsorted(rows, edges)
+    C, y = [], []
+    for k in range(len(edges) - 1):
+        a, b = edges[k], edges[k + 1]
+        c0, c1 = edges[max(k - 1, 0)], edges[min(k + 2, len(edges) - 1)]
+        part = slice(cuts[k], cuts[k + 1])
+        strip = np.zeros((b - a, c1 - c0))
+        strip[rows[part] - a, cols[part] - c0] = vals[part]
+        lower, diag, upper = strip[:, :a - c0], strip[:, a - c0:b - c0], strip[:, b - c0:]
+        r = rhs[a:b]
+        if k:
+            diag -= lower @ C[-1]
+            r = r - lower @ y[-1]
+        sol = np.linalg.solve(diag, np.column_stack((upper, r)))
+        C.append(sol[:, :-1])
+        y.append(sol[:, -1])
+    x = [y.pop()]
+    while y:
+        x.append(y.pop() - C[len(y)] @ x[-1])
+    return np.concatenate(x[::-1])
 
 
 def newton_solve(u_init: GridFunction,
@@ -397,12 +440,14 @@ def newton_solve(u_init: GridFunction,
 
     ``dirichlet`` supplies the fixed ring values (defaults to the ring of the
     initial guess).  The iteration stops at a residual of 1e-10 or after 50
-    steps.  The line search backtracks until the iterate stays strictly
-    convex and the residual decreases; a step below 2^-20 raises
-    :class:`NewtonStall`.  Each iterate's Hessian and w field are evaluated
-    once and shared by its residual and its Jacobian.
+    steps.  Each Newton direction solves the block-tridiagonal Jacobian by
+    block Thomas elimination (:func:`_block_solve`); a singular block or a
+    non-finite direction raises :class:`NewtonStall`.  The line search
+    backtracks until the iterate stays strictly convex and the residual
+    decreases; a step below 2^-20 raises :class:`NewtonStall`.  Each
+    iterate's Hessian and w field are evaluated once and shared by its
+    residual and its Jacobian.
     """
-    from scipy.sparse.linalg import spsolve
     tol, max_iter, min_step = 1e-10, 50, 2.0 ** -20
     dom = u_init.domain
     ring = dom.ring_mask()
@@ -423,8 +468,16 @@ def newton_solve(u_init: GridFunction,
             lo, hi = H.eigen_bounds("interior")
             return ExpanderSolution(u=u, residual_norm=rnorm, iterations=it - 1,
                                     condition_B=(lo, hi))
-        J = _assemble_jacobian(H, w)
-        delta = spsolve(J, -R.ravel()).reshape(R.shape)
+        try:
+            delta = _block_solve(_assemble_jacobian(H, w), -R.ravel(),
+                                 (dom.m - 2) ** (dom.n - 1))
+        except np.linalg.LinAlgError as exc:
+            raise NewtonStall(f"singular Jacobian at iteration {it} "
+                              f"(residual {rnorm:.3e})") from exc
+        if not np.isfinite(delta).all():
+            raise NewtonStall(f"non-finite Newton direction at iteration {it} "
+                              f"(residual {rnorm:.3e})")
+        delta = delta.reshape(R.shape)
         step = 1.0
         while True:
             trial = u.values.copy()

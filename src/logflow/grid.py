@@ -192,8 +192,9 @@ class HessianField:
     and every nodewise formula below reads contiguous memory.  Any layout
     gives the same values.  Regions are named: "interior", "nonring" or
     "all" (see :class:`BoxDomain`).  The determinant is evaluated once and
-    kept, as are the n = 3 eigenvalue screen, the eigenvalue bounds and the
-    convexity verdict of each region.
+    kept, as are the n = 3 eigenvalue screen, the n = 3 Jacobi eigenvalues of
+    each swept node, the eigenvalue bounds and the convexity verdict of each
+    region.
     """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
@@ -201,6 +202,8 @@ class HessianField:
         self.mats = mats  # shape (*grid_shape, n, n)
         self._det = None
         self._screen = None
+        self._slot = None   # n = 3: 1 + each swept node's row of _eigvals, else 0
+        self._eigvals = None
         self._bounds: dict = {}
         self._convex: dict = {}
 
@@ -261,7 +264,8 @@ class HessianField:
         more extreme computed value, because delta far exceeds Jacobi's
         stopping error (1e-14 times the entry scale) plus rounding in the
         screen.  A NaN or inf entry makes delta non-finite, which keeps
-        every node.
+        every node.  Each node's Jacobi eigenvalues are kept, so a node
+        that several regions send to Jacobi is swept once per field.
         """
         sl = self._region(region)
         a = self.mats[sl]
@@ -275,13 +279,31 @@ class HessianField:
         if self._screen is None:
             self._screen = _screen_sym3(self.mats)
         lo, hi = self._screen[0][sl], self._screen[1][sl]
-        seeds = [np.unravel_index(np.argmin(lo), lo.shape),
-                 np.unravel_index(np.argmax(hi), hi.shape)]
-        ev = _jacobi_eigvals_sym3(np.stack([a[k] for k in seeds]))
+        k_lo = np.unravel_index(np.argmin(lo), lo.shape)
+        k_hi = np.unravel_index(np.argmax(hi), hi.shape)
+        seeds = np.zeros(lo.shape, dtype=bool)
+        seeds[k_lo] = seeds[k_hi] = True
+        slot = self._jacobi(sl, seeds)
+        lmin, lmax = self._eigvals[slot[k_lo] - 1, 0], self._eigvals[slot[k_hi] - 1, 2]
         delta = 1e-10 * np.max(np.abs(a))
-        keep = ~((lo > ev[0, 0] + delta) & (hi < ev[1, 2] - delta))
-        ev = _jacobi_eigvals_sym3(a[keep])
+        keep = ~((lo > lmin + delta) & (hi < lmax - delta))
+        slot = self._jacobi(sl, keep)
+        ev = self._eigvals[slot[keep] - 1]
         return ev[:, 0], ev[:, 2]
+
+    def _jacobi(self, sl: tuple, wanted: np.ndarray) -> np.ndarray:
+        """Sweep the ``wanted`` nodes of region ``sl`` not swept before, and
+        return the region's view of ``_slot``."""
+        if self._slot is None:
+            self._slot = np.zeros(self.domain.shape, dtype=np.int32)
+            self._eigvals = np.empty((0, 3))
+        slot = self._slot[sl]
+        new = wanted & (slot == 0)
+        if new.any():
+            ev = _jacobi_eigvals_sym3(self.mats[sl][new])
+            slot[new] = len(self._eigvals) + 1 + np.arange(len(ev), dtype=np.int32)
+            self._eigvals = np.concatenate((self._eigvals, ev))
+        return slot
 
     def eigen_bounds(self, region: str = "interior") -> tuple[float, float]:
         """(min lambda_min, max lambda_max) over the region."""

@@ -1,11 +1,10 @@
-"""The package starts without scipy.
+"""The package runs without scipy.
 
-scipy serves one side computation, the Newton solve of the expander
-(``scipy.sparse``), imported inside the function that calls it, so ``import
-logflow.cli``, loading any config, building any initial data and every run
-but the Newton solve load numpy only.  The expander shoot steps on its own,
-so no module imports ``scipy.integrate``; ``grid.sample`` interpolates on its
-own, so no module imports ``scipy.ndimage``.
+No module under ``src`` imports scipy: the expander shoot steps on its own,
+``grid.sample`` interpolates on its own and the Newton solve eliminates its
+block-tridiagonal Jacobian with numpy.  So ``import logflow.cli``, loading
+any config, building any initial data and every preset's run load numpy
+only.  The tests use scipy as a reference.
 """
 
 import ast
@@ -48,34 +47,22 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
-def _imports_anywhere(banned: str) -> list[str]:
-    """Every import of ``banned`` or a submodule of it under ``src``,
-    function bodies included."""
-    return [f"{path.relative_to(ROOT)}:{node.lineno}"
-            for path in sorted((ROOT / "src").rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            for name in _imported_modules(node)
-            if name == banned or name.startswith(banned + ".")]
-
-
-def test_no_module_imports_scipy_integrate():
-    # the shoot has its own stepper
-    assert _imports_anywhere("scipy.integrate") == []
-
-
-def test_no_module_imports_scipy_ndimage():
-    # the sampler has its own cubic spline, with no fallback
-    assert _imports_anywhere("scipy.ndimage") == []
+def test_no_module_imports_scipy():
+    # function bodies included: no scipy import anywhere under src
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _imports_scipy(node)]
+    assert found == []
 
 
 _PROBE = """
 import sys
+from pathlib import Path
 import logflow
 from logflow.cli import main
-code = main(["flow", "run", "--config", "presets/legendre-duality.json",
-             "presets/heat-oracle.json", "presets/plane-convergence.json",
-             "presets/expander-stationarity.json", "presets/mcf-correspondence.json",
-             "presets/blowdown-convergence.json", "--outdir", sys.argv[1]])
+code = main(["flow", "run", "--config", *sorted(map(str, Path("presets").glob("*.json"))),
+             "--outdir", sys.argv[1]])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -88,27 +75,12 @@ def _fresh_interpreter(env: dict, probe: str, *args: str) -> str:
 
 
 def test_flow_runs_load_no_scipy(tmp_path, src_env):
+    # all ten presets, the Newton solve of expander-cross-validation included
     assert _fresh_interpreter(src_env, _PROBE, str(tmp_path / "out")) == "0 []"
-    for name in ("legendre-duality", "heat-oracle", "plane-convergence",
-                 "expander-stationarity", "mcf-correspondence", "blowdown-convergence"):
+    names = sorted(path.stem for path in (ROOT / "presets").glob("*.json"))
+    assert len(names) == 10
+    for name in names:
         assert (tmp_path / "out" / name / "report.json").exists()
-
-
-_CROSS_PROBE = """
-import sys
-from logflow.cli import main
-code = main(["flow", "run", "--config", "presets/expander-cross-validation.json",
-             "--outdir", sys.argv[1]])
-print(code, sorted(m for m in sys.modules if m.split(".")[:2] in (
-    ["scipy", "integrate"], ["scipy", "special"], ["scipy", "optimize"])))
-"""
-
-
-def test_expander_cross_validation_loads_no_integrate_special_optimize(tmp_path, src_env):
-    # the Newton solve needs scipy.sparse (and with it scipy.linalg) only
-    out = tmp_path / "out"
-    assert _fresh_interpreter(src_env, _CROSS_PROBE, str(out)) == "0 []"
-    assert (out / "report.json").exists()   # one config runs in outdir itself
 
 
 # what a benchmark's set-up does: load every preset and build its initial data

@@ -1,5 +1,7 @@
 """Self-expander equation: shooting vs Newton vs closed forms, certification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,117 @@ def test_newton_stalls_on_inconsistent_boundary():
     bad = GridFunction(dom, -0.5 * dom.axis ** 2)  # concave ring data
     with pytest.raises((NewtonStall, NonConvexityError)):
         newton_solve(start, dirichlet=bad)
+
+
+def _cross_validation_start(n, m):
+    """The expander-cross-validation start on [-1.5, 1.5]^n: the radial
+    a = -0.1 profile plus 5e-3 cos(2 sum x) off the ring, and the profile."""
+    dom = BoxDomain(n=n, half_width=1.5, m=m)
+    target = profile_to_grid(radial_shoot(n=n, a=-0.1, r_max=1.5 * np.sqrt(n) + 0.5), dom)
+    start = target.values + 5e-3 * np.cos(2.0 * sum(dom.meshgrid()))
+    start[dom.ring_mask()] = target.values[dom.ring_mask()]
+    return GridFunction(dom, start), target
+
+
+def _reference_jacobian(H, w):
+    """The Jacobian as a scipy CSR matrix, assembled offset by offset."""
+    from scipy import sparse
+    dom = H.domain
+    n, h, m = dom.n, dom.h, dom.m
+    det, inv, expE, grids = H.det(), H.inverse(), np.exp(n * w), dom.meshgrid()
+    inner = dom.nonring()
+    idx_map = -np.ones(dom.shape, dtype=np.int64)
+    idx_map[inner] = np.arange((m - 2) ** n).reshape([m - 2] * n)
+    rows, cols, vals = [], [], []
+    det_i, expE_i, inv_i = det[inner], expE[inner], inv[inner]
+
+    def add(offset, weight):
+        nb_idx = idx_map[tuple(slice(1 + o, m - 1 + o) for o in offset)].ravel()
+        keep = nb_idx >= 0
+        rows.append(idx_map[inner].ravel()[keep])
+        cols.append(nb_idx[keep])
+        vals.append(weight.ravel()[keep])
+
+    centre = -expE_i * n
+    for i in range(n):
+        centre = centre + det_i * inv_i[..., i, i] * (-2.0 / h ** 2)
+    add((0,) * n, centre)
+    for i in range(n):
+        for s in (+1, -1):
+            o = [0] * n
+            o[i] = s
+            add(o, det_i * inv_i[..., i, i] / h ** 2
+                + expE_i * n * s * grids[i][inner] / (4.0 * h))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (+1, -1):
+                for sj in (+1, -1):
+                    o = [0] * n
+                    o[i], o[j] = si, sj
+                    add(o, det_i * 2.0 * inv_i[..., i, j] * (si * sj) / (4.0 * h ** 2))
+    size = (m - 2) ** n
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(size, size))
+
+
+@pytest.mark.parametrize("n, m", [(1, 129), (2, 21), (3, 13)])
+def test_block_solve_matches_spsolve_on_newton_jacobians(n, m):
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    from logflow.expander import _assemble_jacobian, _block_solve, _residual, _w_field
+    from logflow.grid import hessian
+    u, _ = _cross_validation_start(n, m)
+    H, w = hessian(u), _w_field(u)
+    rhs = -_residual(H, w)[u.domain.nonring()].ravel()
+    jac = _assemble_jacobian(H, w)
+    reference = _reference_jacobian(H, w)
+    size = (m - 2) ** n
+    assert (sparse.csr_matrix((jac[2], (jac[0], jac[1])), shape=(size, size))
+            != reference).nnz == 0
+    x = _block_solve(jac, rhs, (m - 2) ** (n - 1))
+    x_ref = spsolve(reference, rhs)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+def test_newton_converges_at_n3():
+    u, target = _cross_validation_start(3, 13)
+    sol = newton_solve(u, dirichlet=target)
+    assert sol.residual_norm <= 1e-10
+    assert sol.iterations <= 6
+    assert np.max(np.abs(sol.u.values - target.values)) < 1e-4
+
+
+@pytest.mark.parametrize("n, m", [(1, 65), (2, 21)])
+@pytest.mark.parametrize("plant", ["zero row", "nan entry"])
+def test_singular_newton_step_stalls(monkeypatch, n, m, plant):
+    # the last row: its block is eliminated after the others
+    from logflow import expander
+    assemble = expander._assemble_jacobian
+
+    def planted(H, w):
+        rows, cols, vals = assemble(H, w)
+        vals = np.where(rows == rows[-1], 0.0 if plant == "zero row" else np.nan, vals)
+        return rows, cols, vals
+
+    monkeypatch.setattr(expander, "_assemble_jacobian", planted)
+    u, target = _cross_validation_start(n, m)
+    with pytest.raises(NewtonStall, match="at iteration 1"):
+        newton_solve(u, dirichlet=target)
+
+
+def test_singular_newton_step_exits_3(monkeypatch, tmp_path):
+    from logflow import expander
+    from logflow.cli import main
+    assemble = expander._assemble_jacobian
+
+    def zero_row(H, w):
+        rows, cols, vals = assemble(H, w)
+        return rows, cols, np.where(rows == 40, 0.0, vals)
+
+    monkeypatch.setattr(expander, "_assemble_jacobian", zero_row)
+    preset = Path(__file__).resolve().parents[1] / "presets" / "expander-cross-validation.json"
+    assert main(["flow", "run", "--config", str(preset), "--outdir", str(tmp_path / "out")]) == 3
 
 
 # ---------------------------------------------------------------------------

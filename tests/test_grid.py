@@ -461,7 +461,7 @@ def _hessian_batch(rng, kind, dom):
        m=st.integers(7, 11),
        order=st.permutations(["interior", "nonring", "all"]))
 def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m, order):
-    # the screen is kept from the first region requested, so the order varies
+    # the screen and the swept nodes are kept across regions, so the order varies
     from logflow.grid import HessianField, _jacobi_eigvals_sym3
     dom = BoxDomain(n=3, half_width=2.0, m=m)
     H = HessianField(dom, _hessian_batch(np.random.default_rng(seed), kind, dom))
@@ -474,7 +474,8 @@ def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m, order):
 
 
 def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
-    # the flow-3d initial data: the condition-B preset's quadratic plus bump
+    # the flow-3d initial data: the condition-B preset's quadratic plus bump;
+    # a flow state reads the bounds of both regions from one Hessian
     import logflow.grid as grid
     from logflow.presets import experiment_preset, make_initial_data
     swept = []
@@ -489,11 +490,15 @@ def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
     u0, _ = make_initial_data(dom, experiment_preset("condition-b-preservation")["initial"],
                               tau=1.0)
     H = hessian(u0)
+    bounds = {}
     for region in ("nonring", "interior"):
-        swept.clear()
-        H.eigen_bounds(region)
-        nodes = H.mats[H._region(region)].size // 9
-        assert 0 < sum(swept) < 0.05 * nodes
+        before = sum(swept)
+        bounds[region] = H.eigen_bounds(region)
+        assert sum(swept) - before < 0.05 * (H.mats[H._region(region)].size // 9)
+    # every sweep went to a node not swept before
+    assert 0 < sum(swept) == int((H._slot > 0).sum()) == len(H._eigvals)
+    fresh = hessian(u0)
+    assert {region: fresh.eigen_bounds(region) for region in ("interior", "nonring")} == bounds
 
 
 # ---------------------------------------------------------------------------
