@@ -47,13 +47,29 @@ def test_no_module_level_scipy_import():
     assert found == []
 
 
+def _imports_anywhere(banned: str) -> list[str]:
+    """Every import of ``banned`` or a submodule of it under ``src``,
+    function bodies included."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in _imported_modules(node)
+            if name == banned or name.startswith(banned + ".")]
+
+
 def test_no_module_imports_scipy():
     # function bodies included: no scipy import anywhere under src
-    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
-             for path in sorted((ROOT / "src").rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if _imports_scipy(node)]
-    assert found == []
+    assert _imports_anywhere("scipy") == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # the shoot has its own stepper
+    assert _imports_anywhere("scipy.integrate") == []
+
+
+def test_no_module_imports_scipy_ndimage():
+    # the sampler has its own cubic spline, with no fallback
+    assert _imports_anywhere("scipy.ndimage") == []
 
 
 _PROBE = """
@@ -81,6 +97,23 @@ def test_flow_runs_load_no_scipy(tmp_path, src_env):
     assert len(names) == 10
     for name in names:
         assert (tmp_path / "out" / name / "report.json").exists()
+
+
+_CROSS_PROBE = """
+import sys
+from logflow.cli import main
+code = main(["flow", "run", "--config", "presets/expander-cross-validation.json",
+             "--outdir", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "special"], ["scipy", "optimize"])))
+"""
+
+
+def test_expander_cross_validation_loads_no_integrate_special_optimize(tmp_path, src_env):
+    # the Newton solve on its own: its numpy elimination pulls in none of these
+    out = tmp_path / "out"
+    assert _fresh_interpreter(src_env, _CROSS_PROBE, str(out)) == "0 []"
+    assert (out / "report.json").exists()   # one config runs in outdir itself
 
 
 # what a benchmark's set-up does: load every preset and build its initial data
