@@ -2,11 +2,11 @@
 its heat-equation deformation, self-expanding stationary profiles, convex
 duality, and the associated spacelike graph flow in split-signature space."""
 
-from .errors import (AbortedNonConvex, BlowupError, BoundaryInconsistency,
-                     ConfigError, EmptyCoincidenceError, EscapeError,
-                     InsufficientSamples, LogFlowError, MissingArtifact,
-                     NewtonStall, NonConvexityError, RangeError,
-                     SingularStartError, TailError, WindowEscape)
+from .errors import (AbortedNonConvex, BlowupError, ConfigError,
+                     EmptyCoincidenceError, EscapeError, InsufficientSamples,
+                     LogFlowError, MissingArtifact, NewtonStall,
+                     NonConvexityError, RangeError, SingularStartError,
+                     TailError, WindowEscape)
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
                    third_derivative_norm)
 from .flow import (FlowState, MonitorRecord, QuadraticFarField,

@@ -1,16 +1,14 @@
 """Command-line entry point.
 
-One binary, one subcommand per module::
+One binary: ``flow run`` runs every pipeline, whichever its config names, and
+the other commands work on one snapshot or run directory::
 
     logflow flow run --config cfg.json [--check]
-    logflow heat solve --config cfg.json
     logflow expander shoot --n 1 --a -0.1 --rmax 2.0 --out dir
-    logflow expander newton --config cfg.json
     logflow expander certify --input snapshot.snap
     logflow legendre transform --input u.snap --output ustar.snap
     logflow legendre check-dual --trajectory rundir
     logflow mcf reconstruct --trajectory rundir --seeds seeds.json
-    logflow analyze blowdown --config cfg.json
     logflow analyze decay --trajectory rundir --order 3
     logflow analyze plane --trajectory rundir
     logflow analyze condition --input u.snap --lambda 0.5 --Lambda 2.0
@@ -397,19 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def config_runner(sub, name):
-        p = command(sub, name, _cmd_run_configs)
-        p.add_argument("--config", nargs="+", required=True)
-        p.add_argument("--check", action="store_true",
-                       help="run the refinement pair too; exit 4 when a check "
-                            "or the wall-time bound fails")
-        p.add_argument("--outdir", default=None)
-
     flow = top.add_parser("flow").add_subparsers(dest="sub", required=True)
-    config_runner(flow, "run")
-
-    heat_p = top.add_parser("heat").add_subparsers(dest="sub", required=True)
-    config_runner(heat_p, "solve")
+    run = command(flow, "run", _cmd_run_configs)
+    run.add_argument("--config", nargs="+", required=True)
+    run.add_argument("--check", action="store_true",
+                     help="run the refinement pair too; exit 4 when a check "
+                          "or the wall-time bound fails")
+    run.add_argument("--outdir", default=None)
 
     exp = top.add_parser("expander").add_subparsers(dest="sub", required=True)
     shoot = command(exp, "shoot", _cmd_expander_shoot)
@@ -417,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     shoot.add_argument("--a", type=float, required=True)
     shoot.add_argument("--rmax", type=float, required=True)
     shoot.add_argument("--out", default="out")
-    config_runner(exp, "newton")
     cert = command(exp, "certify", _cmd_expander_certify)
     cert.add_argument("--input", required=True)
     cert.add_argument("--output", default=None)
@@ -436,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--t-start", type=float, default=None)
 
     an = top.add_parser("analyze").add_subparsers(dest="sub", required=True)
-    config_runner(an, "blowdown")
     dec = command(an, "decay", _cmd_analyze_decay)
     dec.add_argument("--trajectory", required=True)
     dec.add_argument("--order", type=int, default=3)

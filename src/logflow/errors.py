@@ -20,10 +20,6 @@ class AbortedNonConvex(LogFlowError):
         self.state = state
 
 
-class BoundaryInconsistency(LogFlowError):
-    """Reference boundary data disagrees with the initial interior values."""
-
-
 class TailError(LogFlowError):
     """Gaussian quadrature mass leaks outside the truncated box (t too large for L)."""
 
@@ -41,7 +37,8 @@ class NewtonStall(LogFlowError):
 
 
 class RangeError(LogFlowError):
-    """Requested dual point lies outside the sampled gradient range."""
+    """A requested point lies outside the sampled range: a dual point outside
+    the sampled gradient range, or a radius past an expander profile's end."""
 
 
 class EscapeError(LogFlowError):

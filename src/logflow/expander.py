@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlowupError, ConfigError, EmptyCoincidenceError, NewtonStall,
-                     NonConvexityError, SingularStartError)
+                     NonConvexityError, RangeError, SingularStartError)
 from .grid import (BoxDomain, GridFunction, HessianField, coincident_index_sets,
                    gradient, hessian)
 
@@ -106,7 +106,8 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
     its derivative, and may raise.  A step below ten float spacings of t, or
     a step past the budget of ``_MAX_STEPS`` accepted steps, raises
     :class:`BlowupError`.  Returns the dense solution: a callable
-    taking a 1-D array of times in [t0, t_end] to the (2, N) array of y.
+    taking a 1-D array of times in [t0, t_end] to the (2, N) array of y; a
+    time past t_end raises :class:`RangeError`.
     """
     u, v = y0
     fu, fv = f(t0, (u, v))
@@ -163,6 +164,9 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
     coeffs = np.array(stages) @ _P   # (steps, 2, 4)
 
     def dense(times: np.ndarray) -> np.ndarray:
+        if times.size and times.max() > t_end:
+            raise RangeError(f"profile read at r = {times.max():.6g}, "
+                             f"past its end r_max = {t_end:.6g}")
         # a time on a knot reads the step that ends there
         seg = np.clip(np.searchsorted(knots, times) - 1, 0, len(widths) - 1)
         x = ((times - knots[seg]) / widths[seg])[:, None]
@@ -192,7 +196,8 @@ class RadialProfile:
     _sol: object = None
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
-        """Profile values at arbitrary radii in [0, r_max]."""
+        """Profile values at arbitrary radii in [0, r_max]; a radius past
+        r_max raises :class:`RangeError`."""
         radii = np.asarray(radii, dtype=np.float64)
         flat = np.abs(radii).ravel()
         out = np.empty_like(flat)
@@ -269,7 +274,8 @@ def line_profile(a: float, slope0: float, half_width: float):
     On the line the stationary equation u'' = exp(u - x u'/2) is regular away
     from nothing, so both half-lines are integrated directly; a nonzero slope
     yields the genuinely non-quadratic (asymmetric) solutions whose far-field
-    curvatures differ on the two sides.  Returns a vectorised callable u(x).
+    curvatures differ on the two sides.  Returns a vectorised callable u(x)
+    for |x| <= half_width; a point past it raises :class:`RangeError`.
     """
     f = _radial_rhs(1, a)
     r0 = 1e-6

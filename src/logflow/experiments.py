@@ -27,7 +27,7 @@ from . import analysis, expander, heat, legendre, mcf
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .flow import QuadraticFarField, Trajectory, pde_residual, run
-from .grid import BoxDomain, GridFunction
+from .grid import GridFunction
 from .presets import make_initial_data
 
 __all__ = ["run_pipeline", "gate", "judge", "finer_level", "refinement_check",
@@ -41,6 +41,20 @@ def _run_flow(cfg: ExperimentConfig, observe=None) -> tuple[GridFunction, Trajec
     u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
                                      np.random.default_rng(cfg.seed))
     return u0, run(u0, boundary=boundary, observe=observe, **cfg.flow)
+
+
+def _profile_end(cfg: ExperimentConfig, reach: float, margin: float) -> float:
+    """The radius an expander profile is integrated to: ``expander.r_max``,
+    by default ``reach`` (the largest radius the pipeline reads) plus
+    ``margin``.  A profile read past its end raises, so an explicit r_max
+    short of ``reach`` is refused before the shoot."""
+    r_max = cfg.expander["r_max"]
+    if r_max is None:
+        return reach + margin
+    if r_max < reach:
+        raise ConfigError(f"expander.r_max = {r_max:g} is short of radius {reach:.6g}, "
+                          "the largest the pipeline reads")
+    return float(r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +74,6 @@ def flow_pipeline(cfg: ExperimentConfig):
         "snapshots": [t for t, _ in traj.snapshots],
     }
     return report, {}, {"trajectory": traj}
-
-
-def heat_pipeline(cfg: ExperimentConfig):
-    u0, boundary = make_initial_data(cfg.domain(), cfg.initial, cfg.tau,
-                                     np.random.default_rng(cfg.seed))
-    if not isinstance(boundary, QuadraticFarField):
-        raise ConfigError("the Gaussian-convolution pipeline needs a quadratic far field")
-    t = float(cfg.flow["t_end"])
-    out = heat.heat_solve(u0, t, boundary)
-    return {"pipeline": "heat", "t": t}, {}, {"snapshots": [(t, out)], "trajectory": None}
 
 
 def quadratic_exact_pipeline(cfg: ExperimentConfig):
@@ -122,8 +126,12 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
     ex = cfg.expander
     a = float(ex["a"])
     slope0 = float(ex["slope0"])
-    r_max = float(2.0 + domain.half_width if ex["r_max"] is None else ex["r_max"])
     dt_probe = float(ex["dt_probe"])
+    grids = domain.meshgrid()
+    radii = np.sqrt(sum(g ** 2 for g in grids)) if domain.n > 1 else grids[0]
+    # family(t) reads the profile at radii / sqrt(t), widest at the smallest t
+    reach = float(np.max(np.abs(radii)) / np.sqrt(min(1.0, *ex["times"])))
+    r_max = _profile_end(cfg, reach, 2.0)
     if slope0 != 0.0:
         # genuinely non-quadratic stationary solution on the line (loading
         # refuses slope0 != 0 at n >= 2)
@@ -132,8 +140,6 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
     else:
         prof = expander.radial_shoot(domain.n, a, r_max)
         prof_fn = lambda radii: prof(np.abs(radii))
-    grids = domain.meshgrid()
-    radii = np.sqrt(sum(g ** 2 for g in grids)) if domain.n > 1 else grids[0]
 
     def family(t):
         return GridFunction(domain, t * prof_fn(radii / np.sqrt(t)),
@@ -162,11 +168,12 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 def expander_cross_pipeline(cfg: ExperimentConfig):
     domain = cfg.domain()
     ex = cfg.expander
-    r_max = float(domain.half_width + 0.5 if ex["r_max"] is None else ex["r_max"])
-    prof = expander.radial_shoot(domain.n, float(ex["a"]), r_max)
+    grids = domain.meshgrid()
+    reach = float(np.sqrt(sum(g ** 2 for g in grids)).max())  # the box corners
+    prof = expander.radial_shoot(domain.n, float(ex["a"]), _profile_end(cfg, reach, 0.5))
     target = expander.profile_to_grid(prof, domain)
     pert = float(ex["perturbation"])
-    start_vals = target.values + pert * np.cos(2.0 * sum(domain.meshgrid()))
+    start_vals = target.values + pert * np.cos(2.0 * sum(grids))
     sol = expander.newton_solve(GridFunction(domain, start_vals), dirichlet=target)
     gap = float(np.max(np.abs(sol.u.values - target.values)))
     measured = {"profile_gap": gap, "newton_residual": sol.residual_norm,
@@ -177,17 +184,6 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
 
 
 def legendre_dual_pipeline(cfg: ExperimentConfig):
-    # closed-form anisotropic quadratic trajectory first
-    qdom = BoxDomain(n=2, half_width=2.0, m=65)
-    g1, g2 = qdom.meshgrid()
-    rate = 0.5 * np.log(4.0)
-
-    def quad_at(t):
-        return GridFunction(qdom, 0.5 * (2 * g1 ** 2 + 2 * g2 ** 2) + rate * t)
-
-    quad_res, _ = legendre.dual_flow_check(
-        [(t, quad_at(t)) for t in (0.45, 0.5, 0.55)])
-
     _, traj = _run_flow(cfg)
     if len(traj.snapshots) < 3:
         raise ConfigError("duality check needs three snapshot times")
@@ -197,12 +193,11 @@ def legendre_dual_pipeline(cfg: ExperimentConfig):
     swap_gaps = [max(legendre.eigenvalue_swap_gap(H, H_star)) for H, H_star in pairs]
     report = {
         "pipeline": "legendre_dual",
-        "quadratic_residual": quad_res,
         "bump_residual": bump_res,
         "eigen_swap_gaps": swap_gaps,
     }
     # the swap gaps vanish to O(h): the bound is the grid's, not the table's
-    measured = {"quadratic_residual": quad_res, "bump_residual": bump_res,
+    measured = {"bump_residual": bump_res,
                 "swap_gaps_within_h": bool(max(swap_gaps) <= snaps[-1][1].domain.h)}
     return report, measured, {"trajectory": traj}
 
@@ -296,13 +291,13 @@ class Pipeline(NamedTuple):
 
 
 # the keys both expander pipelines read: the value a = u(0) of the profile and
-# the radius it is integrated to (L + 2 for stationarity, L + 0.5 for cross)
+# the radius it is integrated to (by default the largest radius read, plus 2
+# for stationarity and 0.5 for cross)
 _EXPANDER = {"a": -0.1, "r_max": None}
 
 
 PIPELINES = {
     "flow": Pipeline(flow_pipeline),
-    "heat": Pipeline(heat_pipeline),
     "quadratic_exact": Pipeline(quadratic_exact_pipeline,
                                 {"sup_error": 1e-8, "runtime_s": 10.0}),
     "condition_b": Pipeline(condition_b_pipeline, {"drift": 5e-3},
@@ -319,7 +314,7 @@ PIPELINES = {
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
         evolves=False, expander={**_EXPANDER, "perturbation": 5e-3}),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
-                              {"quadratic_residual": 1e-8, "bump_residual": 1e-2},
+                              {"bump_residual": 1e-2},
                               refinement=Refinement("bump_residual", 3.0, 0.0,
                                                     halves_spacing=True)),
     "mcf_verify": Pipeline(mcf_verify_pipeline,

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AbortedNonConvex, BoundaryInconsistency, NonConvexityError)
+from .errors import AbortedNonConvex, NonConvexityError
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
                    third_derivative_norm)
 
@@ -279,11 +279,10 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     ``boundary`` supplies the ring values at every time.  The initial data is
     checked for strict convexity on the grid when tau > 0 (a warning, not an
     error: the continuum statement guarantees preservation, the discrete run
-    enforces it step by step).  Reference boundaries must match the initial
-    data within 10 percent or the run refuses to start.  A config's flow
-    section is passed here as keyword arguments, so these defaults are the
-    flow defaults (:data:`FLOW_KEYS`); JSON numbers of either kind are
-    accepted for the float and integer parameters.  ``observe``, when given,
+    enforces it step by step).  A config's flow section is passed here as
+    keyword arguments, so these defaults are the flow defaults
+    (:data:`FLOW_KEYS`); JSON numbers of either kind are accepted for the
+    float and integer parameters.  ``observe``, when given,
     sees the initial state and every accepted state, after the landing on a
     snapshot time: the states ``store_every = 1`` would store, handed over
     one at a time instead of kept.  It is not a config key.
@@ -294,13 +293,6 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     dom = u0.domain
-    if isinstance(boundary, ReferenceSolution):
-        ref0 = boundary.values_at(dom.points(), 0.0, tau, dom.n).reshape(dom.shape)
-        scale = max(1.0, float(np.max(np.abs(ref0))))
-        gap = float(np.max(np.abs(ref0 - u0.values)))
-        if gap > 0.1 * scale:
-            raise BoundaryInconsistency(
-                f"reference disagrees with initial data by {gap:.3g} (>10%)")
     state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
     if tau > 0.0:
         lmin0, _ = state.H.eigen_bounds("nonring")

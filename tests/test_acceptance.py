@@ -11,7 +11,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines.
 import json
 from pathlib import Path
 
-from logflow.cli import EXIT_OK, main
+from logflow.cli import EXIT_OK, EXIT_THRESHOLD, main
 from logflow.config import load_config
 from logflow.experiments import judge, mcf_verify_pipeline
 
@@ -43,6 +43,19 @@ def _row(tmp_path, criterion: int, name: str, preset: str, **overrides) -> dict:
     return report
 
 
+def _fault(tmp_path, criterion: int, name: str, preset: str, **overrides) -> None:
+    """A planted fault: ``flow run --check`` on the preset with the fault's
+    overrides, which move no bound, must fail a check and exit 4."""
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps({"preset": preset, **overrides}))
+    code = main(["flow", "run", "--check", "--config", str(path),
+                 "--outdir", str(tmp_path / "fault")])
+    report = json.loads((tmp_path / "fault" / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["ok"]]
+    _report(criterion, f"{name}, planted fault", code == EXIT_THRESHOLD,
+            f"{overrides}: exit {code}; failed {_detail(failed)}")
+
+
 # ---------------------------------------------------------------------------
 # criteria: one row each
 # ---------------------------------------------------------------------------
@@ -53,6 +66,8 @@ def test_criterion_01_exact_quadratic_evolution(tmp_path):
 
 def test_criterion_02_hessian_bound_preservation(tmp_path):
     _row(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation")
+    _fault(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation",
+           flow={"safety": 1.2})
 
 
 def test_criterion_03_heat_oracle_agreement(tmp_path):
@@ -69,6 +84,8 @@ def test_criterion_05_expander_cross_validation(tmp_path):
 
 def test_criterion_06_legendre_self_duality(tmp_path):
     _row(tmp_path, 6, "Legendre self-duality", "legendre-duality")
+    # duality holds only at tau = 1
+    _fault(tmp_path, 6, "Legendre self-duality", "legendre-duality", flow={"tau": 0.9})
 
 
 def test_criterion_06_legendre_self_duality_2d(tmp_path):

@@ -1,5 +1,6 @@
 """Configuration loading, the command-line surface, artifact round trips."""
 
+import argparse
 import ast
 import dataclasses
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logflow.cli import emit_plotdata, load_trajectory_dir, main
+from logflow.cli import build_parser, emit_plotdata, load_trajectory_dir, main
 from logflow.config import ExperimentConfig, load_config, parse_keyvalue
 from logflow.errors import ConfigError, MissingArtifact
 from logflow.experiments import PIPELINES, finer_level
@@ -69,7 +70,7 @@ FROZEN_THRESHOLDS = {
     "expander-stationarity": {"residual": 0.05},
     "expander-cross-validation": {"profile_gap": 1e-4, "newton_residual": 1e-10,
                                   "newton_iterations": 15},
-    "legendre-duality": {"quadratic_residual": 1e-8, "bump_residual": 1e-2},
+    "legendre-duality": {"bump_residual": 1e-2},
     "mcf-correspondence": {"deviation": 5e-3, "tangential_ratio": 0.10},
     "decay-rates": {"exponent3": [-1.3, -0.7], "exponent4": [-2.4, -1.6],
                     "runtime_s": 120.0},
@@ -111,14 +112,33 @@ def test_refinement_pairs_are_pinned():
     assert fine.flow["t_end"] == 0.5025
 
 
+def _leaf_commands(parser, prefix=()):
+    """The command lines ``build_parser()`` accepts, such as ``flow run``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix)
+
+
 def test_settable_surface_is_pinned():
-    # adding or removing a top-level config key or a flow key shows up here
+    # adding or removing a top-level config key, a flow key, a pipeline or a
+    # command shows up here
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
         "pipeline", "grid", "initial", "flow", "expander", "mcf", "analysis",
         "check", "seed", "snapshot_format", "outdir", "preset"]
     assert list(FLOW_KEYS) == [
         "tau", "t_end", "stepper", "safety", "max_dt", "snapshot_times",
         "store_every", "monitor_every", "monitor_window", "max_halvings"]
+    assert list(PIPELINES) == [
+        "flow", "quadratic_exact", "condition_b", "heat_oracle",
+        "expander_stationarity", "expander_cross", "legendre_dual", "mcf_verify",
+        "decay", "blowdown", "plane"]
+    assert list(_leaf_commands(build_parser())) == [
+        "flow run", "expander shoot", "expander certify", "legendre transform",
+        "legendre check-dual", "mcf reconstruct", "analyze decay", "analyze plane",
+        "analyze condition", "emit"]
 
 
 def test_range_table_bounds_declared_keys_and_admits_their_defaults():
@@ -155,15 +175,16 @@ def _arithmetic_literal(node) -> bool:
 
 def test_the_gate_holds_no_threshold_literal():
     # every bound the gate applies comes from the pipeline table (pinned
-    # above); a number inside a comparison, or a float or a check override
-    # among a row's overrides, would be a second copy
+    # above); a number inside a comparison, a float among a row's overrides
+    # or a check override in a row or a planted fault would be a second copy
     path = Path(__file__).with_name("test_acceptance.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    rows = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Name) and n.func.id == "_row"]
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name) and n.func.id in ("_row", "_fault")]
+    rows = [n for n in calls if n.func.id == "_row"]
     floats = [c.lineno for row in rows for c in ast.walk(row)
               if isinstance(c, ast.Constant) and isinstance(c.value, float)]
-    overrides = [k.arg for row in rows for k in row.keywords if k.arg == "check"]
+    overrides = [k.arg for call in calls for k in call.keywords if k.arg == "check"]
     compared = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Compare)
                 and any(map(_arithmetic_literal, (n.left, *n.comparators)))]
     assert rows and floats == [] and overrides == [] and compared == []
@@ -347,6 +368,24 @@ def test_bad_boundary_rejected_before_any_run(tmp_path, capsys):
     assert not runs.exists()
 
 
+# the radial stationarity residual at n = 2 is roundoff on an exact parabola,
+# so only a plain run of it can pass: its refinement clause cannot
+@pytest.mark.parametrize("pipeline, flags", [("expander_cross", ["--check"]),
+                                             ("expander_stationarity", [])])
+def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, flags):
+    # at n = 2, L = 1.5 the corners lie at radius 2.12: an explicit r_max of 2
+    # would leave them past the profile's end; the default reaches them
+    cfg = {"pipeline": pipeline, "grid": {"n": 2, "L": 1.5, "m": 17},
+           "outdir": str(tmp_path / "run")}
+    short = _write_cfg(tmp_path, {**cfg, "expander": {"r_max": 2.0}})
+    assert main(["flow", "run", *flags, "--config", str(short)]) == 2
+    assert "expander.r_max = 2 is short of radius 2.12132" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    default = _write_cfg(tmp_path, cfg)
+    assert main(["flow", "run", *flags, "--config", str(default)]) == 0
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["passed"]
+
+
 def test_missing_t_end_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "pipeline": "condition_b",
@@ -359,15 +398,16 @@ def test_missing_t_end_exit_code(tmp_path, capsys):
 
 
 def test_missing_t_end_rejected_before_any_run(tmp_path, capsys):
-    # the heat pipeline needs flow.t_end like every pipeline that evolves data
+    # the oracle pipeline needs flow.t_end like every pipeline that evolves data
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"preset": "heat-oracle"}))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"pipeline": "heat", "grid": {"n": 1, "L": 4.0, "m": 33},
+    bad.write_text(json.dumps({"pipeline": "heat_oracle",
+                               "grid": {"n": 1, "L": 4.0, "m": 33},
                                "initial": {"kind": "quadratic_plus_bump", "A": 1.0},
                                "flow": {"tau": 0.0}}))
     runs = tmp_path / "runs"
-    assert main(["heat", "solve", "--config", str(good), str(bad),
+    assert main(["flow", "run", "--config", str(good), str(bad),
                  "--outdir", str(runs)]) == 2
     assert "flow.t_end" in capsys.readouterr().err
     assert not runs.exists()
@@ -594,19 +634,6 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "three stored snapshots" in err
     assert "re-run the flow with flow.store_every = 1" in err
-
-
-def test_heat_solve_cli(tmp_path):
-    cfg = _write_cfg(tmp_path, {
-        "pipeline": "heat",
-        "grid": {"n": 1, "L": 4.0, "m": 33},
-        "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
-                    "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 0.0, "t_end": 0.05},
-        "outdir": str(tmp_path / "heat"),
-    })
-    assert main(["heat", "solve", "--config", str(cfg)]) == 0
-    assert list((tmp_path / "heat").glob("aux_snapshot_*.snap"))
 
 
 def test_numerical_abort_exit_code_and_last_good_state(tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logflow.errors import BlowupError, NewtonStall, NonConvexityError
+from logflow.errors import BlowupError, NewtonStall, NonConvexityError, RangeError
 from logflow.expander import (certify, line_profile, newton_solve, profile_to_grid,
                               radial_shoot)
 from logflow.flow import run
@@ -171,6 +171,21 @@ def test_shoot_refuses_r_max_inside_series_start():
     from logflow.errors import ConfigError
     with pytest.raises(ConfigError, match="r_max"):
         radial_shoot(n=1, a=0.0, r_max=1e-5)
+
+
+def test_profiles_refuse_points_past_their_end():
+    # read past r_max, the dense output would extrapolate silently: at r = 2.6
+    # it misses the exact parabola a + e^a r^2 / 2 by 2.6e-6
+    prof = radial_shoot(n=2, a=-0.1, r_max=2.0)
+    assert np.max(np.abs(prof(np.array([0.0, 1.0, 2.0])) - (-0.1 + 0.5 * np.exp(-0.1)
+                                                           * np.array([0.0, 1.0, 4.0])))) < 1e-8
+    with pytest.raises(RangeError, match="past its end r_max = 2"):
+        prof(np.array([1.0, 2.6]))
+    u = line_profile(a=0.0, slope0=0.5, half_width=2.0)
+    assert np.all(np.isfinite(u(np.array([-2.0, 2.0]))))
+    for x in (-2.1, 2.1):
+        with pytest.raises(RangeError, match="past its end"):
+            u(np.array([0.0, x]))
 
 
 def test_off_centre_line_profile_is_not_quadratic():

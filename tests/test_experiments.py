@@ -35,21 +35,6 @@ def test_flow_pipeline_report_fields():
     assert artifacts["trajectory"].state.t == pytest.approx(0.05)
 
 
-def test_heat_pipeline_produces_snapshot():
-    cfg = load_config({
-        "pipeline": "heat",
-        "grid": {"n": 2, "L": 3.0, "m": 17},
-        "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
-                    "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 0.0, "t_end": 0.05},
-    })
-    report, artifacts = run_pipeline(cfg)
-    assert report["checks"] == [] and report["passed"] is True
-    t, out = artifacts["snapshots"][0]
-    assert t == 0.05
-    assert out.values.shape == (17, 17)
-
-
 def test_stationarity_certifies_non_quadratic():
     report, _ = run_pipeline(load_config({"preset": "expander-stationarity"}))
     assert not report["certification"]["is_quadratic"]
@@ -205,8 +190,8 @@ def test_benchmark_tracer_records_flow_3d_layers(monkeypatch):
 
 
 def test_legendre_dual_pipeline_conjugates_each_field_once(monkeypatch):
-    # six primal fields (three quadratic, three bump snapshots): one
-    # transform each, and no field's Hessian or gradient taken twice
+    # three primal fields (the bump snapshots): one transform each, and no
+    # field's Hessian or gradient taken twice
     from logflow import legendre
 
     def counting(fn, seen):
@@ -220,15 +205,15 @@ def test_legendre_dual_pipeline_conjugates_each_field_once(monkeypatch):
         monkeypatch.setattr(legendre, name, counting(getattr(legendre, name), seen))
     report, _ = run_pipeline(load_config({"preset": "legendre-duality"}))
     assert report["passed"]
-    assert len(calls["legendre_transform"]) == 6
-    assert len(calls["gradient"]) == 6 and len(calls["hessian"]) == 12
+    assert len(calls["legendre_transform"]) == 3
+    assert len(calls["gradient"]) == 3 and len(calls["hessian"]) == 6
     for seen in calls.values():
         assert len({id(v) for v in seen}) == len(seen)
 
 
 def test_benchmark_tracer_counts_duality_2d_transforms(monkeypatch):
     # the reduced duality-2d entry of the benchmark: each pass conjugates its
-    # six primal fields once
+    # three primal fields once
     from logflow import experiments
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spans
@@ -243,6 +228,6 @@ def test_benchmark_tracer_counts_duality_2d_transforms(monkeypatch):
         tracer.uninstall()
     assert report["passed"]
     names = [s[0] for s in tracer.spans]
-    assert names.count("legendre.legendre_transform") == 6
-    assert names.count("legendre.dual_flow_check") == 2
+    assert names.count("legendre.legendre_transform") == 3
+    assert names.count("legendre.dual_flow_check") == 1
     spans.check_tree(tracer.spans)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from logflow.errors import AbortedNonConvex, BoundaryInconsistency, NonConvexityError
-from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution,
-                          dt_stable, pde_residual, run, step_explicit)
+from logflow.errors import AbortedNonConvex, NonConvexityError
+from logflow.flow import (FlowState, QuadraticFarField, dt_stable, pde_residual,
+                          run, step_explicit)
 from logflow.grid import BoxDomain, GridFunction, coincident_index_sets, hessian
 from logflow.presets import make_initial_data
 
@@ -261,14 +261,6 @@ def test_ring_values_equal_far_field_values_bit_for_bit(n):
                 assert model.values_at(pts, t, tau, n).tobytes() == ref.tobytes()
                 assert vals[dom.ring_mask()].tobytes() == ref.tobytes()
                 assert not vals[dom.nonring()].any()
-
-
-def test_reference_boundary_mismatch_refused():
-    dom = BoxDomain(n=1, half_width=2.0, m=17)
-    u0 = quad(dom, np.eye(1))
-    ref = ReferenceSolution(lambda pts, t: np.full(pts.shape[0], 99.0))
-    with pytest.raises(BoundaryInconsistency):
-        run(u0, tau=0.0, t_end=0.1, boundary=ref)
 
 
 # ---------------------------------------------------------------------------

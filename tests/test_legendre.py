@@ -296,10 +296,11 @@ def test_eigenvalue_swap():
     assert gap_hi <= dom.h
 
 
-def test_dual_flow_check_quadratic_trajectory():
+@pytest.mark.parametrize("m", [33, 65])
+def test_dual_flow_check_quadratic_trajectory(m):
     # closed-form trajectory: u = x'Ax/2 + t ln det(A)/n, conjugate solves the
     # same equation, residual at machine precision
-    dom = BoxDomain(n=2, half_width=2.0, m=33)
+    dom = BoxDomain(n=2, half_width=2.0, m=m)
     A = np.diag([2.0, 2.0])
     rate = 0.5 * np.log(4.0)
     snaps = [(t, quad(dom, A, c=rate * t)) for t in (0.45, 0.5, 0.55)]
