@@ -282,10 +282,10 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     enforces it step by step).  A config's flow section is passed here as
     keyword arguments, so these defaults are the flow defaults
     (:data:`FLOW_KEYS`); JSON numbers of either kind are accepted for the
-    float and integer parameters.  ``observe``, when given,
-    sees the initial state and every accepted state, after the landing on a
-    snapshot time: the states ``store_every = 1`` would store, handed over
-    one at a time instead of kept.  It is not a config key.
+    float and integer parameters.  ``observe``, when given, sees the initial
+    state and every accepted state, after the landing on a snapshot time:
+    the states ``store_every = 1`` would store, handed over one at a time
+    instead of kept.  It is not a config key.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)

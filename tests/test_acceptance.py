@@ -29,28 +29,30 @@ def _detail(checks) -> str:
     return "; ".join(f"{c['key']}={c['measured']} (bound {c['bound']})" for c in checks)
 
 
-def _row(tmp_path, criterion: int, name: str, preset: str, **overrides) -> dict:
-    """One row of the gate: ``flow run --check`` on the preset's file (or on
-    the preset with overrides); print its line and return its report."""
+def _check_run(tmp_path, tag: str, preset: str, overrides: dict) -> tuple[int, dict]:
+    """``flow run --check`` on the preset's file (or on the preset with
+    overrides) into ``tmp_path / tag``: its exit code and report."""
     path = PRESETS / f"{preset}.json"
     if overrides:
-        path = tmp_path / "cfg.json"
+        path = tmp_path / f"{tag}.json"
         path.write_text(json.dumps({"preset": preset, **overrides}))
     code = main(["flow", "run", "--check", "--config", str(path),
-                 "--outdir", str(tmp_path / "run")])
-    report = json.loads((tmp_path / "run" / "report.json").read_text())
+                 "--outdir", str(tmp_path / tag)])
+    return code, json.loads((tmp_path / tag / "report.json").read_text())
+
+
+def _row(tmp_path, criterion: int, name: str, preset: str, **overrides) -> dict:
+    """One row of the gate: the run must pass; print its line and return its
+    report."""
+    code, report = _check_run(tmp_path, "run", preset, overrides)
     _report(criterion, name, code == EXIT_OK, f"exit {code}; {_detail(report['checks'])}")
     return report
 
 
 def _fault(tmp_path, criterion: int, name: str, preset: str, **overrides) -> None:
-    """A planted fault: ``flow run --check`` on the preset with the fault's
-    overrides, which move no bound, must fail a check and exit 4."""
-    path = tmp_path / "fault.json"
-    path.write_text(json.dumps({"preset": preset, **overrides}))
-    code = main(["flow", "run", "--check", "--config", str(path),
-                 "--outdir", str(tmp_path / "fault")])
-    report = json.loads((tmp_path / "fault" / "report.json").read_text())
+    """A planted fault: with the fault's overrides, which move no bound, the
+    run must fail a check and exit 4."""
+    code, report = _check_run(tmp_path, "fault", preset, overrides)
     failed = [c for c in report["checks"] if not c["ok"]]
     _report(criterion, f"{name}, planted fault", code == EXIT_THRESHOLD,
             f"{overrides}: exit {code}; failed {_detail(failed)}")
