@@ -23,7 +23,8 @@ preset at once is ``logflow flow run --config presets/*.json --outdir out``.
 A ``--trajectory`` command reads a run directory's snapshots, not its
 monitors or final flow state; ``mcf reconstruct`` needs a run that stored
 every state (``flow.store_every = 1``), which the mcf pipeline, streaming
-its particles through the flow, does not.
+its particles through the flow, does not.  Every command that writes into a
+run directory rewrites its ``manifest.json`` afterwards.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ def emit_plotdata(artifact_dir) -> Path:
         writer = csv.writer(f)
         writer.writerow(["quantity", "t", "value"])
         writer.writerows(rows)
+    _write_manifest(outdir)
     return target
 
 
@@ -252,6 +254,7 @@ def _run_one(cfg: ExperimentConfig, check: bool) -> int:
                            t=exc.state.t, tau=exc.state.tau)
         (outdir / "report.json").write_text(json.dumps(
             {"error": str(exc), "aborted": True}, indent=2))
+        _write_manifest(outdir)
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     persist_run(outdir, cfg, report, artifacts)
@@ -331,6 +334,7 @@ def _cmd_mcf_reconstruct(args) -> int:
         "max_tangential": rep.max_tangential,
         "max_normal": rep.max_normal,
         "per_path": rep.per_path}, indent=2))
+    _write_manifest(outdir)
     print(json.dumps({"max_deviation": rep.max_deviation,
                       "tangential_ratio": rep.tangential_ratio}, indent=2))
     return EXIT_OK
@@ -341,6 +345,7 @@ def _cmd_analyze_decay(args) -> int:
     fit = analysis.fit_decay(traj, order=args.order)
     out = Path(args.trajectory) / "ratefit.json"
     out.write_text(json.dumps([fit.to_dict()], indent=2))
+    _write_manifest(out.parent)
     print(json.dumps(fit.to_dict(), indent=2))
     return EXIT_OK
 
@@ -353,6 +358,7 @@ def _cmd_analyze_plane(args) -> int:
               "passed": all(c["ok"] for c in checks)}
     out = Path(args.trajectory) / "plane_report.json"
     out.write_text(json.dumps(result, indent=2))
+    _write_manifest(out.parent)
     print(json.dumps({k: v for k, v in result.items()
                       if not isinstance(v, list)}, indent=2))
     return EXIT_OK

@@ -2,13 +2,16 @@
 
 The stationary profile of a self-similarly expanding flow solves
 
-    det D2u = exp( n (u - <x, Du>/2) )
+    (1/n) ln det D2u = u - <x, Du>/2,
 
-Two independent routes are implemented: radial shooting of the reduced ODE
+the steady state of the rescaled logarithmic gradient flow.  Two independent
+routes are implemented: radial shooting of the reduced ODE
 u'' = (u'/r)^{1-n} exp(n (u - r u'/2)) from a regular series start at the
 origin, and a damped Newton iteration on the discretised equation with
-Dirichlet data on the boundary ring, whose block-tridiagonal Jacobian is
-eliminated block by block with numpy.  The shoot steps with a private adaptive
+Dirichlet data on the boundary ring.  Newton's left side is the flow's own
+operator, F_1 of :func:`logflow.flow._ftau`, so the grid equation it solves
+is the one the flow integrates; its block-tridiagonal Jacobian is eliminated
+block by block with numpy.  The shoot steps with a private adaptive
 Dormand-Prince 5(4) pair on Python floats (the ODE has two unknowns): the
 tableau, error estimate and step control of scipy's RK45, with the RMS error
 norm over rtol = 1e-10, atol = 1e-12, safety 0.9 and step factors in
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import (BlowupError, ConfigError, EmptyCoincidenceError, NewtonStall,
                      NonConvexityError, RangeError, SingularStartError)
+from .flow import _ftau
 from .grid import (BoxDomain, GridFunction, HessianField, coincident_index_sets,
                    gradient, hessian)
 
@@ -313,15 +317,11 @@ def line_profile(a: float, slope0: float, half_width: float):
 # ---------------------------------------------------------------------------
 
 def _w_field(u: GridFunction) -> np.ndarray:
-    """w = u - <x, Du>/2; the expander equation reads det D2u = exp(n w)."""
+    """w = u - <x, Du>/2; the expander equation reads F_1(D2u) = w, with
+    F_1 = (1/n) ln det the flow operator at tau = 1 (:func:`_ftau`)."""
     g = gradient(u)
     grids = u.domain.meshgrid()
     return u.values - 0.5 * sum(grids[i] * g[i] for i in range(u.domain.n))
-
-
-def _residual(H: HessianField, w: np.ndarray) -> np.ndarray:
-    """Nodewise det D2u - exp(n w)."""
-    return H.det() - np.exp(H.domain.n * w)
 
 
 @dataclass
@@ -338,14 +338,17 @@ class ExpanderSolution:
             raise NonConvexityError("certified solutions must be strictly convex")
 
 
-def _assemble_jacobian(H: HessianField, w: np.ndarray):
-    """Jacobian of the discrete residual with respect to the non-ring
-    unknowns, numbered lexicographically over the (m-2)^n non-ring nodes.
+def _assemble_jacobian(H: HessianField):
+    """Jacobian of the discrete residual F_1(D2u) - w with respect to the
+    non-ring unknowns, numbered lexicographically over the (m-2)^n non-ring
+    nodes.
 
-    d(det D2u)[v] = det(D2u) u^{ij} v_ij,
-    d(exp(n w))[v] = exp(n w) n (v - <x, Dv>/2).
+    d(F_1(D2u))[v] = (1/n) u^{ij} v_ij,
+    dw[v] = v - <x, Dv>/2,
 
-    The 3^n stencil couples each slice of unknowns along axis 0 only to the
+    so the 3^n stencil has the coefficient u^{ij}/n on the second
+    differences, drift weights +-x_i/(4h) on the axis neighbours and -1 at
+    the centre.  It couples each slice of unknowns along axis 0 only to the
     slices next to it, so the matrix is block tridiagonal.  Returns its
     entries as ``(rows, cols, vals)`` sorted by row; a row lists its
     neighbours in stencil order, and neighbours on the ring, which carry
@@ -353,15 +356,13 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
     """
     dom = H.domain
     n, h, m = dom.n, dom.h, dom.m
-    det = H.det()
-    inv = H.inverse()
-    expE = np.exp(n * w)
     grids = dom.meshgrid()
 
     inner = dom.nonring()
     idx_map = -np.ones(dom.shape, dtype=np.int64)
     n_unknown = (m - 2) ** n
     idx_map[inner] = np.arange(n_unknown).reshape([m - 2] * n)
+    coef = H.inverse()[inner] / n
 
     cols, vals = [], []
 
@@ -370,22 +371,16 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
         cols.append(idx_map[tuple(slice(1 + o, m - 1 + o) for o in offset)])
         vals.append(weight)
 
-    det_i = det[inner]
-    expE_i = expE[inner]
-    inv_i = inv[inner]
-
-    centre = -expE_i * n
+    centre = -1.0
     for i in range(n):
-        centre = centre + det_i * inv_i[..., i, i] * (-2.0 / h ** 2)
+        centre = centre - 2.0 * coef[..., i, i] / h ** 2
     add((0,) * n, centre)
 
     for i in range(n):
         for s in (+1, -1):
             o = [0] * n
             o[i] = s
-            wt = det_i * inv_i[..., i, i] / h ** 2
-            wt = wt + expE_i * n * s * grids[i][inner] / (4.0 * h)
-            add(tuple(o), wt)
+            add(tuple(o), coef[..., i, i] / h ** 2 + s * grids[i][inner] / (4.0 * h))
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -393,7 +388,7 @@ def _assemble_jacobian(H: HessianField, w: np.ndarray):
                 for sj in (+1, -1):
                     o = [0] * n
                     o[i], o[j] = si, sj
-                    add(tuple(o), det_i * 2.0 * inv_i[..., i, j] * (si * sj) / (4.0 * h ** 2))
+                    add(tuple(o), coef[..., i, j] * (si * sj) / (2.0 * h ** 2))
 
     # one row per unknown, its stencil entries in order along the row
     cols = np.stack(cols, axis=-1).reshape(n_unknown, -1)
@@ -442,7 +437,8 @@ def _block_solve(jac, rhs: np.ndarray, slice_size: int) -> np.ndarray:
 
 def newton_solve(u_init: GridFunction,
                  dirichlet: GridFunction | None = None) -> ExpanderSolution:
-    """Damped Newton iteration for the discrete self-expander equation.
+    """Damped Newton iteration for the discrete self-expander equation
+    F_1(D2u) = u - <x, Du>/2, with F_1 the flow operator at tau = 1.
 
     ``dirichlet`` supplies the fixed ring values (defaults to the ring of the
     initial guess).  The iteration stops at a residual of 1e-10 or after 50
@@ -451,8 +447,8 @@ def newton_solve(u_init: GridFunction,
     non-finite direction raises :class:`NewtonStall`.  The line search
     backtracks until the iterate stays strictly convex and the residual
     decreases; a step below 2^-20 raises :class:`NewtonStall`.  Each
-    iterate's Hessian and w field are evaluated once and shared by its
-    residual and its Jacobian.
+    iterate's Hessian is evaluated once and shared by its convexity test,
+    its residual and its Jacobian.
     """
     tol, max_iter, min_step = 1e-10, 50, 2.0 ** -20
     dom = u_init.domain
@@ -462,12 +458,12 @@ def newton_solve(u_init: GridFunction,
         vals[ring] = dirichlet.values[ring]
     u = u_init.with_values(vals)
 
-    H, w = hessian(u), _w_field(u)
+    H = hessian(u)
     if not H.is_strictly_convex("nonring"):
         raise NonConvexityError("initial guess is not strictly convex")
 
     inner = dom.nonring()
-    R = _residual(H, w)[inner]
+    R = (_ftau(H, 1.0) - _w_field(u))[inner]
     rnorm = float(np.max(np.abs(R)))
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
@@ -475,7 +471,7 @@ def newton_solve(u_init: GridFunction,
             return ExpanderSolution(u=u, residual_norm=rnorm, iterations=it - 1,
                                     condition_B=(lo, hi))
         try:
-            delta = _block_solve(_assemble_jacobian(H, w), -R.ravel(),
+            delta = _block_solve(_assemble_jacobian(H), -R.ravel(),
                                  (dom.m - 2) ** (dom.n - 1))
         except np.linalg.LinAlgError as exc:
             raise NewtonStall(f"singular Jacobian at iteration {it} "
@@ -491,8 +487,7 @@ def newton_solve(u_init: GridFunction,
             u_try = u.with_values(trial)
             H_try = hessian(u_try)
             if H_try.is_strictly_convex("nonring"):
-                w_try = _w_field(u_try)
-                R_try = _residual(H_try, w_try)[inner]
+                R_try = (_ftau(H_try, 1.0) - _w_field(u_try))[inner]
                 r_try = float(np.max(np.abs(R_try)))
                 if r_try < rnorm * (1.0 - 1e-4 * step) or r_try <= tol:
                     break
@@ -500,7 +495,7 @@ def newton_solve(u_init: GridFunction,
             if step < min_step:
                 raise NewtonStall(
                     f"line search stalled at iteration {it} (residual {rnorm:.3e})")
-        u, H, w, R, rnorm = u_try, H_try, w_try, R_try, r_try
+        u, H, R, rnorm = u_try, H_try, R_try, r_try
 
     if rnorm <= tol:
         lo, hi = H.eigen_bounds("interior")
@@ -561,7 +556,9 @@ def certify(u_or_solution) -> CertificationReport:
     The blow-down defect compares R^{-2} u(Rx) at coincident nodes, R = 2
     and 4, against the homogeneous quadratic x'Ax/2 with A the Hessian at a
     corner of the monitored interior; it vanishes for quadratic solutions.
-    The candidate's Hessian and w field are evaluated once.
+    A bare grid function's ``residual_norm`` is the interior sup of
+    F_1(D2u) - w, the residual Newton drives to zero.  The candidate's
+    Hessian and w field are evaluated once.
     """
     if isinstance(u_or_solution, ExpanderSolution):
         u, residual_norm = u_or_solution.u, u_or_solution.residual_norm
@@ -572,7 +569,7 @@ def certify(u_or_solution) -> CertificationReport:
     if residual_norm is None:
         if not H.is_strictly_convex("nonring"):
             raise NonConvexityError("expander residual needs strict convexity")
-        residual_norm = float(np.max(np.abs(_residual(H, w)[dom.interior()])))
+        residual_norm = float(np.max(np.abs((_ftau(H, 1.0) - w)[dom.interior()])))
 
     cond_b = H.eigen_bounds("interior")
     if cond_b[0] <= 0.0:

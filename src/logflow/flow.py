@@ -188,7 +188,9 @@ class Trajectory:
 
 def _ftau(H: HessianField, tau: float) -> np.ndarray:
     """F_tau(D2u) on every node where the Hessian is defined; convexity is
-    enforced on the non-ring nodes whenever tau > 0."""
+    enforced on the non-ring nodes whenever tau > 0.  The one discretisation
+    of the operator: at tau = 1 it is also the left side of the expander's
+    Newton residual and of Legendre's dual residual."""
     n = H.domain.n
     # einsum's trace adds to 0.0, which turns -0.0 into +0.0; so does "+ 0.0"
     trace = H.mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", H.mats)

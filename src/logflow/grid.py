@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyCoincidenceError, NonConvexityError
+from .errors import EmptyCoincidenceError
 
 __all__ = [
     "BoxDomain",
@@ -320,20 +320,6 @@ class HessianField:
             self._convex[region] = self._sylvester(self.mats[sl]) and not (
                 self.det()[sl] <= 0.0).any()
         return self._convex[region]
-
-    def log_det(self, region: str = "all") -> np.ndarray:
-        """Nodewise (1/n) ln det.
-
-        Raises :class:`NonConvexityError` if the field fails strict positive
-        definiteness anywhere in ``region`` (Sylvester minors); values outside
-        the region are still filled wherever the determinant is positive, and
-        are 0 elsewhere.
-        """
-        if not self.is_strictly_convex(region):
-            raise NonConvexityError(f"det D2u <= 0 or lambda_min <= 0 on region {region!r}")
-        det = self.det()
-        vals = np.log(np.where(det > 0.0, det, np.nan)) / self.domain.n
-        return np.where(np.isfinite(vals), vals, 0.0)
 
     def _sylvester(self, a: np.ndarray) -> bool:
         """Positivity of the leading minors below order n; the caller tests det."""

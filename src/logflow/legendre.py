@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvexityError, RangeError
+from .flow import _ftau
 from .grid import (BoxDomain, GridFunction, HessianField, _third_differences, gradient,
                    hessian)
 
@@ -161,7 +162,9 @@ def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple
     trajectory, not necessarily equally spaced.  Each snapshot is conjugated
     once onto one common dual box, by default the middle snapshot's
     automatic box at shrink 0.75.  Returns the interior sup of
-    d(u*)/dt - (1/n) ln det D2u* at the middle time, with the time
+    d(u*)/dt - F_1(D2u*) at the middle time, F_1 = (1/n) ln det the flow
+    operator at tau = 1 (:func:`~logflow.flow._ftau`, which refuses a
+    conjugate that is not strictly convex off the dual ring), with the time
     derivative taken by the second-order three-point formula, and the
     ``(H, H_star)`` Hessian pair of each snapshot and its conjugate, for
     :func:`eigenvalue_swap_gap`.
@@ -181,6 +184,5 @@ def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple
     dstar_dt = (-hb / (ha * (ha + hb)) * stars[0].values
                 + (hb - ha) / (ha * hb) * stars[1].values
                 + ha / (hb * (ha + hb)) * stars[2].values)
-    logdet = hess_star[1].log_det("interior")
-    resid = dstar_dt - logdet
+    resid = dstar_dt - _ftau(hess_star[1], 1.0)
     return float(np.max(np.abs(resid[y_domain.interior()]))), list(zip(hess, hess_star))

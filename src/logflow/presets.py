@@ -172,7 +172,7 @@ _PRESETS: dict[str, dict] = {
     "expander-cross-validation": {
         "pipeline": "expander_cross",
         "grid": {"n": 1, "L": 1.5, "m": 129},
-        "expander": {"a": -0.1, "r_max": 2.0, "perturbation": 5e-3},
+        "expander": {"a": -0.1, "perturbation": 5e-3},
     },
     "legendre-duality": {
         "pipeline": "legendre_dual",

@@ -84,6 +84,11 @@ def test_criterion_05_expander_cross_validation(tmp_path):
     _row(tmp_path, 5, "expander solver cross-validation", "expander-cross-validation")
 
 
+def test_criterion_05_expander_cross_validation_2d(tmp_path):
+    _row(tmp_path, 5, "expander solver cross-validation, n = 2",
+         "expander-cross-validation", grid={"n": 2, "m": 65})
+
+
 def test_criterion_06_legendre_self_duality(tmp_path):
     _row(tmp_path, 6, "Legendre self-duality", "legendre-duality")
     # duality holds only at tau = 1

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -386,6 +387,15 @@ def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, fl
     assert json.loads((tmp_path / "run" / "report.json").read_text())["passed"]
 
 
+def test_cross_validation_preset_runs_at_n2(tmp_path):
+    # the preset pins no r_max, so at n = 2 its profile reaches the corners
+    cfg = _write_cfg(tmp_path, {"preset": "expander-cross-validation", "grid": {"n": 2},
+                                "outdir": str(tmp_path / "run")})
+    assert main(["flow", "run", "--check", "--config", str(cfg)]) == 0
+    written = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert written["expander"]["r_max"] is None
+
+
 def test_missing_t_end_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {
         "pipeline": "condition_b",
@@ -636,6 +646,44 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
     assert "re-run the flow with flow.store_every = 1" in err
 
 
+def _manifest_mismatches(rundir: Path) -> dict:
+    """Each file of a run directory whose sha256 the manifest does not
+    list, mapped to (listed, actual); the manifest lists itself as nothing."""
+    listed = {e["name"]: e["sha256"] for e in
+              json.loads((rundir / "manifest.json").read_text())["files"]}
+    actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in rundir.iterdir() if p.name != "manifest.json"}
+    return {name: (listed.get(name), actual.get(name))
+            for name in listed.keys() | actual.keys()
+            if listed.get(name) != actual.get(name)}
+
+
+def test_commands_writing_into_a_run_directory_rewrite_its_manifest(tmp_path):
+    cfg = _write_cfg(tmp_path, {
+        "pipeline": "flow",
+        "grid": {"n": 1, "L": 3.0, "m": 33},
+        "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
+                    "amplitude": 0.1, "width": 1.0},
+        "flow": {"tau": 1.0, "t_end": 0.5, "store_every": 1},
+        "outdir": str(tmp_path / "run"),
+    })
+    rundir = tmp_path / "run"
+    assert main(["flow", "run", "--config", str(cfg)]) == 0
+    assert _manifest_mismatches(rundir) == {}
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[[0.2], [-0.3]]")
+    for argv in (["analyze", "decay", "--trajectory", str(rundir), "--order", "3"],
+                 ["analyze", "plane", "--trajectory", str(rundir)],
+                 ["mcf", "reconstruct", "--trajectory", str(rundir), "--seeds", str(seeds)],
+                 ["emit", str(rundir)]):
+        assert main(argv) == 0
+        assert _manifest_mismatches(rundir) == {}, argv
+    written = {"ratefit.json", "plane_report.json", "paths.csv", "mcf_report.json",
+               "plotdata.csv"}
+    assert written <= {e["name"] for e in
+                       json.loads((rundir / "manifest.json").read_text())["files"]}
+
+
 def test_numerical_abort_exit_code_and_last_good_state(tmp_path):
     # a reckless safety factor forces step rejection; with no halvings allowed
     # the run aborts, exits 3 and persists the last accepted state
@@ -652,6 +700,7 @@ def test_numerical_abort_exit_code_and_last_good_state(tmp_path):
     assert (tmp_path / "abort" / "last_good.snap").exists()
     report = json.loads((tmp_path / "abort" / "report.json").read_text())
     assert report["aborted"]
+    assert _manifest_mismatches(tmp_path / "abort") == {}
 
 
 def test_nonconvex_initial_data_exits_numerical(tmp_path):

@@ -19,7 +19,7 @@ def iso_quad(domain, scale=1.0, const=0.0):
 
 
 # ---------------------------------------------------------------------------
-# pointwise residual det D2u - exp(n w), read as certify's interior sup
+# pointwise residual F_1(D2u) - w, read as certify's interior sup
 # ---------------------------------------------------------------------------
 
 def test_residual_zero_on_isotropic_quadratic():
@@ -29,17 +29,17 @@ def test_residual_zero_on_isotropic_quadratic():
 
 
 def test_residual_of_anisotropic_quadratic():
-    # det = 4 but the exponent vanishes for any quadratic: residual = 3 everywhere
+    # det = 4 but w vanishes for any quadratic: residual = (1/2) ln 4 everywhere
     dom = BoxDomain(n=2, half_width=1.0, m=17)
     x1, x2 = dom.meshgrid()
     u = GridFunction(dom, 0.5 * (2 * x1 ** 2 + 2 * x2 ** 2))
-    assert certify(u).residual_norm == pytest.approx(3.0, abs=1e-9)
+    assert certify(u).residual_norm == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 def test_residual_of_stretched_parabola_1d():
     dom = BoxDomain(n=1, half_width=1.0, m=17)
     u = GridFunction(dom, 0.6 * dom.axis ** 2)
-    assert certify(u).residual_norm == pytest.approx(0.2, abs=1e-9)
+    assert certify(u).residual_norm == pytest.approx(np.log(1.2), abs=1e-9)
 
 
 def test_residual_requires_convexity():
@@ -236,53 +236,45 @@ def test_newton_stalls_on_inconsistent_boundary():
 
 def _cross_validation_start(n, m):
     """The expander-cross-validation start on [-1.5, 1.5]^n: the radial
-    a = -0.1 profile plus 5e-3 cos(2 sum x) off the ring, and the profile."""
+    a = -0.1 profile plus 5e-3 cos(2 sum x), tapered by prod(1 - (x_i/L)^2)
+    to vanish on the ring, and the profile."""
     dom = BoxDomain(n=n, half_width=1.5, m=m)
+    grids = dom.meshgrid()
     target = profile_to_grid(radial_shoot(n=n, a=-0.1, r_max=1.5 * np.sqrt(n) + 0.5), dom)
-    start = target.values + 5e-3 * np.cos(2.0 * sum(dom.meshgrid()))
+    taper = np.prod([1.0 - (g / 1.5) ** 2 for g in grids], axis=0)
+    start = target.values + 5e-3 * taper * np.cos(2.0 * sum(grids))
     start[dom.ring_mask()] = target.values[dom.ring_mask()]
     return GridFunction(dom, start), target
 
 
-def _reference_jacobian(H, w):
-    """The Jacobian as a scipy CSR matrix, assembled offset by offset."""
-    from scipy import sparse
-    dom = H.domain
-    n, h, m = dom.n, dom.h, dom.m
-    det, inv, expE, grids = H.det(), H.inverse(), np.exp(n * w), dom.meshgrid()
-    inner = dom.nonring()
-    idx_map = -np.ones(dom.shape, dtype=np.int64)
-    idx_map[inner] = np.arange((m - 2) ** n).reshape([m - 2] * n)
-    rows, cols, vals = [], [], []
-    det_i, expE_i, inv_i = det[inner], expE[inner], inv[inner]
+def _newton_residual(u):
+    """Newton's residual F_1(D2u) - w on the non-ring nodes, flattened."""
+    from logflow.expander import _w_field
+    from logflow.flow import _ftau
+    from logflow.grid import hessian
+    return (_ftau(hessian(u), 1.0) - _w_field(u))[u.domain.nonring()].ravel()
 
-    def add(offset, weight):
-        nb_idx = idx_map[tuple(slice(1 + o, m - 1 + o) for o in offset)].ravel()
-        keep = nb_idx >= 0
-        rows.append(idx_map[inner].ravel()[keep])
-        cols.append(nb_idx[keep])
-        vals.append(weight.ravel()[keep])
 
-    centre = -expE_i * n
-    for i in range(n):
-        centre = centre + det_i * inv_i[..., i, i] * (-2.0 / h ** 2)
-    add((0,) * n, centre)
-    for i in range(n):
-        for s in (+1, -1):
-            o = [0] * n
-            o[i] = s
-            add(o, det_i * inv_i[..., i, i] / h ** 2
-                + expE_i * n * s * grids[i][inner] / (4.0 * h))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (+1, -1):
-                for sj in (+1, -1):
-                    o = [0] * n
-                    o[i], o[j] = si, sj
-                    add(o, det_i * 2.0 * inv_i[..., i, j] * (si * sj) / (4.0 * h ** 2))
-    size = (m - 2) ** n
-    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(size, size))
+@pytest.mark.parametrize("n, m", [(1, 33), (2, 17), (3, 9)])
+def test_jacobian_matches_finite_differences_of_the_residual(n, m):
+    # the assembled Jacobian against central differences of the residual
+    # along random directions of the non-ring unknowns
+    from logflow.expander import _assemble_jacobian
+    from logflow.grid import hessian
+    u, _ = _cross_validation_start(n, m)
+    rows, cols, vals = _assemble_jacobian(hessian(u))
+    inner = u.domain.nonring()
+    eps = 1e-6
+    for seed in range(3):
+        v = np.random.default_rng(seed).standard_normal((m - 2) ** n)
+        jv = np.zeros_like(v)
+        np.add.at(jv, rows, vals * v[cols])
+        plus, minus = u.values.copy(), u.values.copy()
+        plus[inner] += eps * v.reshape([m - 2] * n)
+        minus[inner] -= eps * v.reshape([m - 2] * n)
+        fd = (_newton_residual(u.with_values(plus))
+              - _newton_residual(u.with_values(minus))) / (2.0 * eps)
+        assert np.max(np.abs(fd - jv)) <= 1e-6 * np.max(np.abs(jv))
 
 
 @pytest.mark.parametrize("n, m", [(1, 129), (2, 21), (3, 13)])
@@ -290,18 +282,14 @@ def test_block_solve_matches_spsolve_on_newton_jacobians(n, m):
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
-    from logflow.expander import _assemble_jacobian, _block_solve, _residual, _w_field
+    from logflow.expander import _assemble_jacobian, _block_solve
     from logflow.grid import hessian
     u, _ = _cross_validation_start(n, m)
-    H, w = hessian(u), _w_field(u)
-    rhs = -_residual(H, w)[u.domain.nonring()].ravel()
-    jac = _assemble_jacobian(H, w)
-    reference = _reference_jacobian(H, w)
+    rhs = -_newton_residual(u)
+    jac = _assemble_jacobian(hessian(u))
     size = (m - 2) ** n
-    assert (sparse.csr_matrix((jac[2], (jac[0], jac[1])), shape=(size, size))
-            != reference).nnz == 0
     x = _block_solve(jac, rhs, (m - 2) ** (n - 1))
-    x_ref = spsolve(reference, rhs)
+    x_ref = spsolve(sparse.csr_matrix((jac[2], (jac[0], jac[1])), shape=(size, size)), rhs)
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
@@ -320,8 +308,8 @@ def test_singular_newton_step_stalls(monkeypatch, n, m, plant):
     from logflow import expander
     assemble = expander._assemble_jacobian
 
-    def planted(H, w):
-        rows, cols, vals = assemble(H, w)
+    def planted(H):
+        rows, cols, vals = assemble(H)
         vals = np.where(rows == rows[-1], 0.0 if plant == "zero row" else np.nan, vals)
         return rows, cols, vals
 
@@ -336,8 +324,8 @@ def test_singular_newton_step_exits_3(monkeypatch, tmp_path):
     from logflow.cli import main
     assemble = expander._assemble_jacobian
 
-    def zero_row(H, w):
-        rows, cols, vals = assemble(H, w)
+    def zero_row(H):
+        rows, cols, vals = assemble(H)
         return rows, cols, np.where(rows == 40, 0.0, vals)
 
     monkeypatch.setattr(expander, "_assemble_jacobian", zero_row)
@@ -375,7 +363,8 @@ def test_certify_refuses_non_solutions():
     x1, x2 = dom.meshgrid()
     u = GridFunction(dom, 0.5 * (2 * x1 ** 2 + 2 * x2 ** 2))
     rep = certify(u)
-    assert rep.residual_norm > 1.0  # certification reports the failure loudly
+    # certification reports the failure: ln 2 where a solution reads 0
+    assert rep.residual_norm == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 def test_flow_snapshot_of_homogeneous_data_is_an_expander():
@@ -430,7 +419,8 @@ def test_certify_bits_match_c_order_hessian_reference(n, m, amp):
     # the Hessian's storage order must not move a bit of the contractions;
     # on these off-centre bumps an einsum over the component-major fields
     # moves the interior sup of the Bernstein residual
-    from logflow.expander import _bernstein_residual, _residual, _w_field
+    from logflow.expander import _bernstein_residual, _w_field
+    from logflow.flow import _ftau
     from logflow.grid import gradient, hessian
     dom = BoxDomain(n=n, half_width=2.0, m=m)
     grids = dom.meshgrid()
@@ -443,7 +433,7 @@ def test_certify_bits_match_c_order_hessian_reference(n, m, amp):
     lhs = np.einsum("...ij,...ij->...", H.inverse(), _c_order_hessian(wf).mats)
     drift = 0.5 * n * sum(x * g for x, g in zip(grids, gradient(wf)))
     bern = float(np.max(np.abs((lhs + drift)[dom.interior()])))
-    resid = float(np.max(np.abs(_residual(H, w)[dom.interior()])))
+    resid = float(np.max(np.abs((_ftau(H, 1.0) - w)[dom.interior()])))
     assert _bernstein_residual(hessian(u), w) == bern
     rep = certify(u)
     assert (rep.bernstein_residual, rep.residual_norm) == (bern, resid)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logflow.errors import EmptyCoincidenceError, NonConvexityError
+from logflow.flow import _ftau
 from logflow.grid import (BoxDomain, GridFunction, coincident_index_sets,
                           derivative_sup_norm, gradient, hessian, sample,
                           third_derivative_norm)
@@ -502,27 +503,27 @@ def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# log det
+# log det: the flow operator (1/n) ln det D2u at tau = 1
 # ---------------------------------------------------------------------------
 
 def test_log_det_identity_zero():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
-    v = hessian(quad_field(dom, np.eye(2))).log_det()
+    v = _ftau(hessian(quad_field(dom, np.eye(2))), 1.0)
     assert np.max(np.abs(v)) < 1e-12
 
 
 def test_log_det_values():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
-    v = hessian(quad_field(dom, np.diag([2.0, 2.0]))).log_det()
+    v = _ftau(hessian(quad_field(dom, np.diag([2.0, 2.0]))), 1.0)
     assert np.max(np.abs(v - np.log(2.0))) < 1e-10
-    v = hessian(quad_field(dom, np.diag([2.0, 0.5]))).log_det()
+    v = _ftau(hessian(quad_field(dom, np.diag([2.0, 0.5]))), 1.0)
     assert np.max(np.abs(v)) < 1e-10
 
 
 def test_log_det_raises_on_concave_data():
     dom = BoxDomain(n=2, half_width=1.0, m=9)
     with pytest.raises(NonConvexityError):
-        hessian(quad_field(dom, -np.eye(2))).log_det()
+        _ftau(hessian(quad_field(dom, -np.eye(2))), 1.0)
 
 
 # ---------------------------------------------------------------------------
