@@ -23,8 +23,10 @@ preset at once is ``logflow flow run --config presets/*.json --outdir out``.
 A ``--trajectory`` command reads a run directory's snapshots, not its
 monitors or final flow state; ``mcf reconstruct`` needs a run that stored
 every state (``flow.store_every = 1``), which the mcf pipeline, streaming
-its particles through the flow, does not.  Every command that writes into a
-run directory rewrites its ``manifest.json`` afterwards.
+its particles through the flow, does not.  ``analyze decay`` merges its fit
+into the run's ``ratefit.json`` by quantity, keeping the other fits.  Every
+command that writes into a run directory rewrites its ``manifest.json``
+afterwards.
 """
 
 from __future__ import annotations
@@ -341,10 +343,19 @@ def _cmd_mcf_reconstruct(args) -> int:
 
 
 def _cmd_analyze_decay(args) -> int:
+    """Fit the order's decay and merge it into ``ratefit.json`` by quantity:
+    a fit of the same quantity is replaced in place, the others are kept."""
     traj, tau = load_trajectory_dir(args.trajectory)
     fit = analysis.fit_decay(traj, order=args.order)
     out = Path(args.trajectory) / "ratefit.json"
-    out.write_text(json.dumps([fit.to_dict()], indent=2))
+    fits = {}
+    if out.exists():
+        try:
+            fits = {f["quantity"]: f for f in json.loads(out.read_text())}
+        except (ValueError, TypeError, KeyError) as exc:
+            raise MissingArtifact(f"{out} is not a list of rate fits: {exc}") from exc
+    fits[fit.quantity] = fit.to_dict()
+    out.write_text(json.dumps(list(fits.values()), indent=2))
     _write_manifest(out.parent)
     print(json.dumps(fit.to_dict(), indent=2))
     return EXIT_OK

@@ -14,7 +14,8 @@ takes neither ``flow`` nor ``initial``, and one that does needs
 or a number, a list of numbers), and one table of ranges bounds the
 numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
 are positive (``expander.times`` a non-empty list of positive times), step
-counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
+counts are nonnegative integers.  ``flow.stepper = "rkc"`` needs
+``flow.max_dt``, the step it takes.  A ``[lo, hi]`` check bound takes two
 numbers with ``lo <= hi``, ``flow.snapshot_times`` times in
 ``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
 Without ``flow.store_every`` the snapshot times fix the number of blow-down
@@ -212,8 +213,11 @@ class ExperimentConfig:
         if self.expander.get("slope0", 0.0) != 0.0 and n > 1:
             raise ConfigError("expander.slope0 != 0 selects the line expander; "
                               "at n >= 2 the profile is radial and needs slope0 = 0")
-        if self.flow.get("stepper", FLOW_KEYS["stepper"]) not in STEPPERS:
+        stepper = self.flow.get("stepper", FLOW_KEYS["stepper"])
+        if stepper not in STEPPERS:
             raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
+        if stepper == "rkc" and self.flow.get("max_dt") is None:
+            raise ConfigError("flow.stepper = 'rkc' steps by flow.max_dt, which is not set")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

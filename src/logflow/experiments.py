@@ -397,11 +397,14 @@ def refinement_check(ref: Refinement, coarse, fine, level: str) -> dict:
 def run_pipeline(cfg: ExperimentConfig):
     """Run and judge cfg's pipeline: ``(report, artifacts)``.  The report
     gains ``checks`` (:func:`judge` over the runner's measured values),
-    ``passed`` (their conjunction) and ``runtime_s`` (the runner's wall time,
-    which no verdict here reads)."""
+    ``passed`` (their conjunction), ``runtime_s`` (the runner's wall time,
+    which no verdict here reads) and, for a pipeline with a trajectory,
+    ``counters`` (:meth:`~logflow.flow.FlowState.run_counters`)."""
     tic = time.perf_counter()
     report, measured, artifacts = PIPELINES[cfg.pipeline].runner(cfg)
     report["runtime_s"] = time.perf_counter() - tic
+    if "trajectory" in artifacts:
+        report["counters"] = artifacts["trajectory"].state.run_counters()
     report["checks"] = judge(cfg.check, measured)
     report["passed"] = all(c["ok"] for c in report["checks"])
     return report, artifacts

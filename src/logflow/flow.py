@@ -6,14 +6,22 @@ du/dt = (1/n) ln det D2u at tau = 1.  The box is truncated, so the outermost
 node layer (the ring) takes the values of the initial-data family's closure:
 a quadratic far field or a closed-form reference, which
 :func:`logflow.presets.make_initial_data` builds with the data.  Everything
-inside evolves by the discretised equation with forward Euler or explicit
-midpoint (RK2) stepping under a parabolic CFL limit derived from the
-linearised operator.  Each iterate's Hessian is assembled once and shared
-by the step acceptance, the step limit, F_tau and the monitors; its
-eigenvalue bounds and its convexity verdict are computed once per region,
-and its determinant once, for both the verdict and F_tau.  A quadratic far
-field keeps the time-independent part of its ring values per domain and
-adds t * rate per call.
+inside evolves by the discretised equation with one of three explicit
+steppers.  Forward Euler and explicit midpoint (RK2) take the parabolic CFL
+limit derived from the linearised operator, dt ~ h^2.  Damped second-order
+Runge-Kutta-Chebyshev (RKC; Sommeijer, Shampine & Verwer, J. Comput. Appl.
+Math. 88, 1998) takes the caller's ``max_dt``, of order h, and spends as
+many stages s as the stability interval beta(s) ~ 0.65 s^2 needs to cover it:
+each stage is one evaluation of F_tau, with no Jacobian and no solve, and
+writes the ring at its own time.  Every stepper checks convexity at every
+F_tau evaluation, and a step whose stage or result loses it is retried at
+half the step.  Each iterate's Hessian is assembled once and shared by the
+step acceptance, the step limit, F_tau and the monitors; its eigenvalue
+bounds and its convexity verdict are computed once per region, and its
+determinant once, for both the verdict and F_tau.  A quadratic far field
+keeps the time-independent part of its ring values per domain and adds
+t * rate per call.  A run counts its rejected trials, the steps it had to
+halve and its F_tau evaluations in :class:`RunCounters`.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "QuadraticFarField",
     "ReferenceSolution",
     "FlowState",
+    "RunCounters",
     "MonitorRecord",
     "Trajectory",
     "dt_stable",
@@ -113,7 +122,7 @@ class ReferenceSolution:
 
 BoundaryModel = QuadraticFarField | ReferenceSolution
 
-STEPPERS = ("euler", "rk2")
+STEPPERS = ("euler", "rk2", "rkc")
 
 
 @lru_cache(maxsize=32)
@@ -153,14 +162,27 @@ class MonitorRecord:
 
 
 @dataclass
+class RunCounters:
+    """What one integration spent beyond its accepted steps: trial steps
+    rejected for convexity, accepted steps taken at a halved dt, and F_tau
+    evaluations, those of rejected trials included (one per Hessian)."""
+
+    rejected_trials: int = 0
+    halved_steps: int = 0
+    f_evals: int = 0
+
+
+@dataclass
 class FlowState:
-    """One iterate; its Hessian and F_tau values are evaluated on first use and kept."""
+    """One iterate; its Hessian and F_tau values are evaluated on first use and
+    kept.  The states of one run share one :class:`RunCounters`."""
 
     u: GridFunction
     t: float
     tau: float
     boundary: BoundaryModel
     step_count: int = 0
+    counters: RunCounters = field(default_factory=RunCounters)
 
     @cached_property
     def H(self) -> HessianField:
@@ -169,7 +191,12 @@ class FlowState:
     @cached_property
     def F(self) -> np.ndarray:
         """F_tau(D2u); shared by every reader, so never written to."""
+        self.counters.f_evals += 1
         return _ftau(self.H, self.tau)
+
+    def run_counters(self) -> dict:
+        """The run's counters up to this state, accepted steps included."""
+        return {"accepted_steps": self.step_count, **vars(self.counters)}
 
 
 @dataclass
@@ -223,7 +250,79 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
+# RKC damping: away from z = 0 the stability polynomial stays below about
+# 1 - eps / 3 in modulus over its interval, which eps shortens by 2 eps / 15
+_RKC_EPS = 2.0 / 13.0
+
+
+@lru_cache(maxsize=128)
+def _rkc_coefficients(s: int) -> tuple:
+    """Damped second-order RKC with s stages: ``(beta, mu~_1, stages)``.
+
+    beta is the real stability interval and mu~_1 the first stage's F
+    weight; ``stages`` holds, for j = 2..s, the weights ``(mu, nu, mu~,
+    gamma~)`` of Y_j and the time fraction c_{j-1} of the stage Y_{j-1} it
+    reads.  All come from the Chebyshev polynomials T_j and their first two
+    derivatives at w0 = 1 + eps / s^2 (Sommeijer, Shampine & Verwer 1998),
+    computed on first use for each s.
+    """
+    w0 = 1.0 + _RKC_EPS / s ** 2
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * w0 * dT[j - 1] - dT[j - 2] + 2.0 * T[j - 1])
+        d2T.append(2.0 * w0 * d2T[j - 1] - d2T[j - 2] + 4.0 * dT[j - 1])
+    w1 = dT[s] / d2T[s]
+    # b_j = T_j'' / T_j'^2 for j >= 2, and b_0 = b_1 = b_2
+    b = [d2T[2] / dT[2] ** 2] * 2 + [d2T[j] / dT[j] ** 2 for j in range(2, s + 1)]
+    mu1 = b[1] * w1
+    c = [0.0, mu1]
+    stages = []
+    for j in range(2, s + 1):
+        mu = 2.0 * w0 * b[j] / b[j - 1]
+        nu = -b[j] / b[j - 2]
+        mu_t = 2.0 * w1 * b[j] / b[j - 1]
+        a_prev = 1.0 - b[j - 1] * T[j - 1]
+        stages.append((mu, nu, mu_t, -a_prev * mu_t, c[j - 1]))
+        c.append(mu * c[j - 1] + nu * c[j - 2] + mu_t * (1.0 - a_prev))
+    return (w0 + 1.0) / w1, mu1, tuple(stages)
+
+
+def _rkc_stages(need: float) -> int:
+    """The smallest s >= 2 whose stability interval beta(s) reaches ``need``.
+    Damping keeps beta(s) below the undamped 2 (s^2 - 1) / 3, so no s under
+    sqrt(1.5 need + 1) can reach it."""
+    s = max(2, math.ceil(math.sqrt(1.5 * need + 1.0)))
+    while _rkc_coefficients(s)[0] < need:
+        s += 1
+    return s
+
+
+def _rkc_values(state: FlowState, dt: float, safety: float) -> np.ndarray:
+    """The last stage Y_s of one damped RKC step, its ring not yet written.
+
+    Explicit Euler is stable up to ``dt_stable(state, 1)``, which puts the
+    spectral radius at 2 / dt_stable(state, 1); s stages cover dt when
+    ``dt <= beta(s) / 2 * dt_stable(state, safety)``, so ``safety`` is the
+    fraction of the stability interval in use, as for the other steppers.
+    F0 is the state's own F, so a step evaluates F_tau s times, counting
+    its result's.
+    """
+    u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
+    dom = u.domain
+    _, mu1, stages = _rkc_coefficients(_rkc_stages(2.0 * dt / dt_stable(state, safety)))
+    y0, f0 = u.values, state.F
+    prev2, prev = y0, y0 + mu1 * dt * f0
+    for mu, nu, mu_t, gamma_t, c_prev in stages:
+        apply_boundary(prev, dom, boundary, t + c_prev * dt, tau)
+        state.counters.f_evals += 1
+        f = _ftau(hessian(u.with_values(prev)), tau)
+        prev2, prev = prev, ((1.0 - mu - nu) * y0 + mu * prev + nu * prev2
+                             + mu_t * dt * f + gamma_t * dt * f0)
+    return prev
+
+
+def _advance(state: FlowState, dt: float, stepper: str, safety: float) -> FlowState:
     """One tentative step (may raise NonConvexityError)."""
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
@@ -233,13 +332,16 @@ def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
     elif stepper == "rk2":
         mid = u.values + 0.5 * dt * k1
         apply_boundary(mid, dom, boundary, t + 0.5 * dt, tau)
+        state.counters.f_evals += 1
         k2 = _ftau(hessian(u.with_values(mid)), tau)
         new = u.values + dt * k2
+    elif stepper == "rkc":
+        new = _rkc_values(state, dt, safety)
     else:
         raise ValueError(f"unknown stepper {stepper!r}")
     apply_boundary(new, dom, boundary, t + dt, tau)
     trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=boundary,
-                      step_count=state.step_count + 1)
+                      step_count=state.step_count + 1, counters=state.counters)
     # the new state must itself be convex when tau > 0, else F_tau raises
     # and the step is rejected
     trial.F
@@ -247,16 +349,21 @@ def _advance(state: FlowState, dt: float, stepper: str) -> FlowState:
 
 
 def step_explicit(state: FlowState, dt: float, stepper: str = "rk2",
-                  max_halvings: int = 20) -> FlowState:
-    """Advance one accepted step; on convexity failure halve dt and retry."""
+                  max_halvings: int = 20, safety: float = 0.5) -> FlowState:
+    """Advance one accepted step; on convexity failure halve dt and retry.
+    ``safety`` sets the stage count of ``rkc`` (see :func:`run`)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     trial_dt = dt
     for _ in range(max_halvings + 1):
         try:
-            return _advance(state, trial_dt, stepper)
+            trial = _advance(state, trial_dt, stepper, safety)
         except NonConvexityError:
+            state.counters.rejected_trials += 1
             trial_dt *= 0.5
+            continue
+        state.counters.halved_steps += trial_dt < dt
+        return trial
     raise AbortedNonConvex(
         f"step rejected after {max_halvings} halvings at t={state.t:.6g}", state=state)
 
@@ -288,12 +395,20 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     state and every accepted state, after the landing on a snapshot time:
     the states ``store_every = 1`` would store, handed over one at a time
     instead of kept.  It is not a config key.
+
+    ``euler`` and ``rk2`` step by ``dt_stable(state, safety)``, capped by
+    ``max_dt`` when given.  ``rkc`` needs ``max_dt`` and steps by it, and
+    ``safety`` is then the fraction of its stability interval in use: the
+    stage count grows with ``max_dt / dt_stable``.  Every stepper shortens
+    a step to land on the next snapshot time and on ``t_end``.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)
     max_halvings = int(max_halvings)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
+    if stepper == "rkc" and max_dt is None:
+        raise ValueError("the rkc stepper steps by max_dt, which is not set")
     dom = u0.domain
     state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
     if tau > 0.0:
@@ -322,13 +437,14 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         observe(state)
 
     while state.t < t_end - 1e-12:
-        dt = dt_stable(state, safety)
+        dt = max_dt if stepper == "rkc" else dt_stable(state, safety)
         if max_dt is not None:
             dt = min(dt, max_dt)
         if targets:
             dt = min(dt, targets[0] - state.t)
         dt = min(dt, t_end - state.t)
-        new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings)
+        new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings,
+                                  safety=safety)
         taken = new_state.t - state.t
         monitored = monitor_every and new_state.step_count % monitor_every == 0
         if monitored:  # only a monitor record reads the step residual

@@ -142,12 +142,13 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
 # the unit quadratic with a small Gaussian dent, shared by five presets
 _BUMP = {"kind": "quadratic_plus_bump", "A": 1.0, "amplitude": 0.1, "width": 1.0}
 
+# the presets on the rkc stepper step by their grid spacing h (max_dt)
 _PRESETS: dict[str, dict] = {
     "quadratic-exact": {
         "pipeline": "quadratic_exact",
         "grid": {"n": 2, "L": 2.0, "m": 65},
         "initial": {"kind": "quadratic", "A": [[2.0, 0.0], [0.0, 2.0]]},
-        "flow": {"tau": 1.0, "t_end": 1.0, "stepper": "rk2"},
+        "flow": {"tau": 1.0, "t_end": 1.0, "stepper": "rkc", "max_dt": 0.0625},
     },
     "condition-b-preservation": {
         "pipeline": "condition_b",
@@ -201,8 +202,8 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "blowdown",
         "grid": {"n": 1, "L": 8.0, "m": 129},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 16.0, "monitor_every": 10,
-                 "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
+        "flow": {"tau": 1.0, "t_end": 16.0, "stepper": "rkc", "max_dt": 0.125,
+                 "monitor_every": 10, "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
         "analysis": {"window": 1.0, "monotone_from": 2},
     },
     "plane-convergence": {
@@ -210,8 +211,8 @@ _PRESETS: dict[str, dict] = {
         "grid": {"n": 1, "L": 8.0, "m": 129},
         "initial": {"kind": "linear_plus_bump", "b": [0.0],
                     "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 0.0, "t_end": 8.0, "monitor_every": 10,
-                 "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
+        "flow": {"tau": 0.0, "t_end": 8.0, "stepper": "rkc", "max_dt": 0.125,
+                 "monitor_every": 10, "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
         "analysis": {"window": 2.0},
     },
 }

@@ -334,6 +334,17 @@ def test_unknown_stepper_exit_code(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("data", [
+    {"preset": "condition-b-preservation", "flow": {"stepper": "rkc"}},
+    {"preset": "quadratic-exact", "flow": {"max_dt": None}},
+])
+def test_rkc_without_max_dt_exit_code(tmp_path, capsys, data):
+    cfg = _write_cfg(tmp_path, {**data, "outdir": str(tmp_path / "run")})
+    assert main(["flow", "run", "--config", str(cfg)]) == 2
+    assert "flow.max_dt" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("preset, line", [
     ("condition-b-preservation", "flow.t_ned = 1"),
     ("condition-b-preservation", "check.drfit = 1e-30"),
@@ -682,6 +693,28 @@ def test_commands_writing_into_a_run_directory_rewrite_its_manifest(tmp_path):
                "plotdata.csv"}
     assert written <= {e["name"] for e in
                        json.loads((rundir / "manifest.json").read_text())["files"]}
+
+
+def test_analyze_decay_merges_its_fit_into_the_pipeline_fits(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {
+        "preset": "decay-rates", "grid": {"m": 65},
+        "flow": {"t_end": 4.0, "snapshot_times": [0.25, 0.5, 1.0, 2.0, 4.0]},
+        "outdir": str(tmp_path / "run")})
+    rundir = tmp_path / "run"
+    assert main(["flow", "run", "--config", str(cfg)]) == 0
+    before = json.loads((rundir / "ratefit.json").read_text())
+    assert [f["quantity"] for f in before] == ["D3norm2", "D4norm2"]
+    capsys.readouterr()
+    assert main(["analyze", "decay", "--trajectory", str(rundir), "--order", "3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    after = json.loads((rundir / "ratefit.json").read_text())
+    assert [f["quantity"] for f in after] == ["D3norm2", "D4norm2"]
+    assert after == [printed, before[1]]
+    assert _manifest_mismatches(rundir) == {}
+    # a ratefit.json that is not a list of fits is refused, not overwritten
+    (rundir / "ratefit.json").write_text('{"D3norm2": 1}')
+    assert main(["analyze", "decay", "--trajectory", str(rundir)]) == 3
+    assert "not a list of rate fits" in capsys.readouterr().err
 
 
 def test_numerical_abort_exit_code_and_last_good_state(tmp_path):

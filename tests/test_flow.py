@@ -102,6 +102,24 @@ def test_quadratic_data_evolves_exactly(stepper):
     assert np.max(np.abs(traj.state.u.values - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("n, m", [(1, 33), (2, 21), (3, 11)])
+def test_rkc_quadratic_data_evolves_exactly(n, m):
+    # steps of h, well past the explicit limit, with a tilted, sheared quadratic
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    A = B @ B.T / n + np.eye(n)
+    b = rng.normal(size=n)
+    dom = BoxDomain(n=n, half_width=1.0, m=m)
+    u0 = quad(dom, A, b, c=0.3)
+    far = QuadraticFarField(A, b, 0.3)
+    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=far)
+    assert dom.h >= 4.0 * dt_stable(state)
+    traj = run(u0, tau=1.0, t_end=0.5, boundary=far, stepper="rkc", max_dt=dom.h)
+    expected = u0.values + 0.5 * far.rate(1.0, n)
+    assert traj.state.step_count == math.ceil(0.5 / dom.h)
+    assert np.max(np.abs(traj.state.u.values - expected)) < 1e-12
+
+
 def test_far_field_rate_reads_determinant_and_trace_computed_once(monkeypatch):
     A = np.array([[2.0, 0.3], [0.3, 1.5]])
     ff = QuadraticFarField(A, np.zeros(2))
@@ -183,6 +201,36 @@ def test_step_halves_dt_until_convex():
     assert hessian(new.u).is_strictly_convex("nonring")
 
 
+def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
+    # twice the stability interval (safety 3 against rkc's own 1.5 margin):
+    # a stage, not only a step's result, loses convexity, and the step is
+    # retried at half the size instead of aborting
+    import sys
+    import logflow.flow as flow
+    dom = BoxDomain(n=1, half_width=2.0, m=33)
+    x = dom.axis
+    u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
+    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
+    failed = []
+    ftau = flow._ftau
+
+    def recording_ftau(H, tau):
+        try:
+            return ftau(H, tau)
+        except NonConvexityError:
+            failed.append(sys._getframe(1).f_code.co_name)
+            raise
+
+    monkeypatch.setattr(flow, "_ftau", recording_ftau)
+    new = step_explicit(state, 0.1, stepper="rkc", safety=3.0)
+    assert failed and failed[0] == "_rkc_values"
+    assert hessian(new.u).is_strictly_convex("nonring")
+    taken = new.t - state.t
+    assert taken < 0.1 and math.log2(0.1 / taken).is_integer()
+    assert state.counters.rejected_trials == len(failed)
+    assert state.counters.halved_steps == 1 and new.counters is state.counters
+
+
 def test_abort_after_exhausted_halvings():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
@@ -193,16 +241,18 @@ def test_abort_after_exhausted_halvings():
     assert exc.value.state is state
 
 
-@pytest.mark.parametrize("stepper, per_step", [("rk2", 2), ("euler", 1)])
+@pytest.mark.parametrize("stepper, per_step", [("rk2", 2), ("euler", 1), ("rkc", "s")])
 def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     # one Hessian for u0, then per step the accepted iterate's (plus the
-    # midpoint's for rk2); the step limit, acceptance, F_tau and monitors share
-    # it, and each Hessian's convexity verdict is evaluated once: the step
-    # acceptance's is reused by the next step's F_tau
+    # midpoint's for rk2, and the s - 1 inner stages' for rkc); the step
+    # limit, acceptance, F_tau and monitors share it, and each Hessian's
+    # convexity verdict is evaluated once: the step acceptance's is reused by
+    # the next step's F_tau
     import logflow.flow as flow
     from logflow.grid import HessianField
-    calls, checked = [], []
+    calls, checked, stages = [], [], []
     sylvester = HessianField._sylvester
+    choose = flow._rkc_stages
 
     def counting_hessian(u):
         calls.append(u)
@@ -214,13 +264,20 @@ def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
 
     monkeypatch.setattr(flow, "hessian", counting_hessian)
     monkeypatch.setattr(HessianField, "_sylvester", counting_sylvester)
+    monkeypatch.setattr(flow, "_rkc_stages",
+                        lambda need: stages.append(choose(need)) or stages[-1])
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     traj = run(bump_quad(dom), tau=1.0, t_end=0.05, stepper=stepper,
-               boundary=unit_far_field(2))
+               max_dt=0.025 if stepper == "rkc" else None, boundary=unit_far_field(2))
     steps = traj.state.step_count
     assert steps >= 2
-    assert len(calls) == 1 + per_step * steps
-    assert len(checked) == len({id(H) for H in checked}) == 1 + per_step * steps
+    if stepper == "rkc":
+        assert len(stages) == steps and min(stages) >= 3
+        hessians = 1 + sum(stages)
+    else:
+        hessians = 1 + per_step * steps
+    assert len(calls) == traj.state.counters.f_evals == hessians
+    assert len(checked) == len({id(H) for H in checked}) == hessians
 
 
 def test_eigen_screen_runs_once_per_n3_hessian(monkeypatch):
@@ -275,13 +332,61 @@ def _final_values(stepper, max_dt, m=33):
     return traj.state.u.values
 
 
-@pytest.mark.parametrize("stepper,lo,hi", [("euler", 1.5, 3.0), ("rk2", 2.6, 6.5)])
+@pytest.mark.parametrize("stepper,lo,hi", [("euler", 1.5, 3.0), ("rk2", 2.6, 6.5),
+                                           ("rkc", 2.6, 6.5)])
 def test_step_size_convergence_order(stepper, lo, hi):
-    dt0 = 5e-4
+    # rkc at 2.8 times rk2's step limit, so that 4, 3 and 2 stages converge
+    dt0 = 2e-2 if stepper == "rkc" else 5e-4
     ref = _final_values(stepper, dt0 / 8)
     e1 = np.max(np.abs(_final_values(stepper, dt0) - ref))
     e2 = np.max(np.abs(_final_values(stepper, dt0 / 2) - ref))
     assert lo <= e1 / e2 <= hi
+
+
+def test_rkc_stable_at_ten_times_the_explicit_limit():
+    # 10x rk2's step at n = 2: 8 steps of up to 6 stages stay within 2e-4 of
+    # rk2's 69 steps, reject nothing and keep the Hessian bounds
+    dom = BoxDomain(n=2, half_width=4.0, m=33)
+    u0 = bump_quad(dom)
+    limit = dt_stable(FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(2)))
+    ref = run(u0, tau=1.0, t_end=1.0, boundary=unit_far_field(2))
+    traj = run(u0, tau=1.0, t_end=1.0, boundary=unit_far_field(2), stepper="rkc",
+               max_dt=10.0 * limit)
+    assert traj.state.step_count == math.ceil(1.0 / (10.0 * limit))
+    assert traj.state.run_counters()["rejected_trials"] == 0
+    assert np.max(np.abs(traj.state.u.values - ref.state.u.values)) < 2e-4
+    lam0, Lam0 = traj.monitors[0].lambda_min, traj.monitors[0].lambda_max
+    assert all(lam0 - 1e-2 <= r.lambda_min and r.lambda_max <= Lam0 + 1e-2
+               for r in traj.monitors)
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 10, 40])
+def test_rkc_stability_polynomial(s):
+    # the stage recursion on y' = z y gives P(z): second order at 0, within
+    # [-1, 1] over the whole stability interval, which the stage count covers
+    # with the fewest stages
+    from logflow.flow import _rkc_coefficients, _rkc_stages
+    beta, mu1, stages = _rkc_coefficients(s)
+
+    def P(z):
+        prev2, prev = np.ones_like(z), 1.0 + mu1 * z
+        for mu, nu, mu_t, gamma_t, _ in stages:
+            prev2, prev = prev, ((1.0 - mu - nu) + mu * prev + nu * prev2
+                                 + mu_t * z * prev + gamma_t * z)
+        return prev
+
+    z = np.array([-1e-2, -5e-3])
+    err = np.abs(P(z) - np.exp(z))
+    assert err[0] / err[1] == pytest.approx(8.0, rel=0.05)
+    assert np.abs(P(np.linspace(-beta, 0.0, 20 * s * s))).max() <= 1.0 + 1e-12
+    assert 0.49 * s * s < beta < 2.0 * (s * s - 1) / 3.0
+    assert _rkc_stages(beta) == s and _rkc_stages(beta * (1 + 1e-12)) == s + 1
+
+
+def test_rkc_needs_max_dt():
+    dom = BoxDomain(n=1, half_width=2.0, m=17)
+    with pytest.raises(ValueError, match="max_dt"):
+        run(quad(dom, np.eye(1)), t_end=0.1, boundary=unit_far_field(1), stepper="rkc")
 
 
 def test_tau_continuity_is_lipschitz():
