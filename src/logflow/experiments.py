@@ -93,11 +93,13 @@ def quadratic_exact_pipeline(cfg: ExperimentConfig):
 
 
 def condition_b_pipeline(cfg: ExperimentConfig):
-    _, traj = _run_flow(cfg)
-    recs = traj.monitors
-    lam0, Lam0 = recs[0].lambda_min, recs[0].lambda_max
-    undershoot = max(0.0, max(lam0 - r.lambda_min for r in recs))
-    overshoot = max(0.0, max(r.lambda_max - Lam0 for r in recs))
+    # the interior bounds of every accepted state, whatever flow.monitor_every
+    # records; each state's Hessian keeps them, so its monitor reads the same
+    bounds = []
+    _, traj = _run_flow(cfg, lambda s: bounds.append(s.H.eigen_bounds("interior")))
+    lam0, Lam0 = bounds[0]
+    undershoot = max(0.0, max(lam0 - lo for lo, _ in bounds))
+    overshoot = max(0.0, max(hi - Lam0 for _, hi in bounds))
     drift = max(undershoot, overshoot)
     report = {
         "pipeline": "condition_b",

@@ -399,8 +399,12 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     ``euler`` and ``rk2`` step by ``dt_stable(state, safety)``, capped by
     ``max_dt`` when given.  ``rkc`` needs ``max_dt`` and steps by it, and
     ``safety`` is then the fraction of its stability interval in use: the
-    stage count grows with ``max_dt / dt_stable``.  Every stepper shortens
-    a step to land on the next snapshot time and on ``t_end``.
+    stage count grows with ``max_dt / dt_stable``.  The fewest stages s with
+    ``beta(s) >= need = 2 dt / dt_stable(state, safety)`` leave the fraction
+    in use at ``safety * need / beta(s) <= safety``; rounding s up can
+    bring a ``safety`` slightly above 1 back under 1, so such a step may
+    stay stable.  Every stepper shortens a step to land on the next snapshot
+    time and on ``t_end``.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)

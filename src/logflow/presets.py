@@ -154,7 +154,7 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "condition_b",
         "grid": {"n": 1, "L": 6.0, "m": 65},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 2.0, "stepper": "rk2"},
+        "flow": {"tau": 1.0, "t_end": 2.0, "stepper": "rkc", "max_dt": 0.1875},
     },
     "heat-oracle": {
         "pipeline": "heat_oracle",

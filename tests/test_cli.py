@@ -13,7 +13,7 @@ import pytest
 from logflow.cli import build_parser, emit_plotdata, load_trajectory_dir, main
 from logflow.config import ExperimentConfig, load_config, parse_keyvalue
 from logflow.errors import ConfigError, MissingArtifact
-from logflow.experiments import PIPELINES, finer_level
+from logflow.experiments import PIPELINES, finer_level, run_pipeline
 from logflow.flow import FLOW_KEYS
 from logflow.presets import experiment_preset, preset_names
 
@@ -326,6 +326,19 @@ def test_config_error_exit_code(tmp_path):
     assert main(["flow", "run", "--config", str(cfg)]) == 2
 
 
+def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path):
+    # criterion 2's rk2 fault with no monitor record after t = 0: the drift
+    # is read from every accepted state, so it still fails, with the bits of
+    # a run that records every state
+    fault = {"preset": "condition-b-preservation",
+             "flow": {"stepper": "rk2", "safety": 1.2, "monitor_every": 0}}
+    cfg = _write_cfg(tmp_path, {**fault, "outdir": str(tmp_path / "run")})
+    assert main(["flow", "run", "--check", "--config", str(cfg)]) == 4
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    fault["flow"]["monitor_every"] = 1
+    assert report["drift"] == run_pipeline(load_config(fault))[0]["drift"]
+
+
 def test_unknown_stepper_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation",
                                 "flow": {"stepper": "rk3"},
@@ -335,7 +348,7 @@ def test_unknown_stepper_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("data", [
-    {"preset": "condition-b-preservation", "flow": {"stepper": "rkc"}},
+    {"preset": "mcf-correspondence", "flow": {"stepper": "rkc"}},
     {"preset": "quadratic-exact", "flow": {"max_dt": None}},
 ])
 def test_rkc_without_max_dt_exit_code(tmp_path, capsys, data):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from logflow.errors import AbortedNonConvex, NonConvexityError
-from logflow.flow import (FlowState, QuadraticFarField, dt_stable, pde_residual,
-                          run, step_explicit)
+from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution, dt_stable,
+                          pde_residual, run, step_explicit)
 from logflow.grid import BoxDomain, GridFunction, coincident_index_sets, hessian
 from logflow.presets import make_initial_data
 
@@ -167,6 +167,28 @@ def test_hessian_bounds_preserved_n2():
     over = max(0.0, max(r.lambda_max - Lam0 for r in traj.monitors))
     assert under <= 1e-2
     assert over <= 1e-2
+
+
+@pytest.mark.parametrize("stepper", ["rk2", "rkc"])
+def test_rotated_kink_overshoot_shows_on_accepted_states(stepper):
+    # u0 = c xi^2/2 + eta^2/2 in axes rotated by pi/4, with c = 0.25 for
+    # xi < 0 and 4 otherwise, sits on both Hessian bounds, and the central
+    # mixed stencil is not monotone: lambda_max overshoots its initial bound
+    # by 1.18e-2 over rk2's 23 steps and by 1.78e-2 in rkc's one step of h
+    dom = BoxDomain(n=2, half_width=3.0, m=33)
+    r = math.sqrt(0.5)
+
+    def exact(pts, t):  # per side, the quadratic plus t (1/n) ln c
+        xi, eta = r * (pts[:, 0] + pts[:, 1]), r * (pts[:, 1] - pts[:, 0])
+        c = np.where(xi < 0, 0.25, 4.0)
+        return 0.5 * c * xi ** 2 + 0.5 * eta ** 2 + 0.5 * t * np.log(c)
+
+    u0 = GridFunction(dom, exact(dom.points(), 0.0).reshape(dom.shape))
+    bounds = []
+    run(u0, tau=1.0, t_end=0.05, boundary=ReferenceSolution(exact), stepper=stepper,
+        max_dt=dom.h, observe=lambda s: bounds.append(s.H.eigen_bounds("interior")))
+    lam0, Lam0 = bounds[0]
+    assert max(max(lam0 - lo, hi - Lam0) for lo, hi in bounds) > 5e-3
 
 
 def test_scaling_invariance_of_quadratic_solutions():
