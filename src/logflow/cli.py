@@ -21,9 +21,11 @@ a refined pipeline's finer level and judges the wall time.  Several configs
 run one after another in this process, each into its own directory; every
 preset at once is ``logflow flow run --config presets/*.json --outdir out``.
 A ``--trajectory`` command reads a run directory's snapshots, not its
-monitors or final flow state; ``mcf reconstruct`` needs a run that stored
-every state (``flow.store_every = 1``), which the mcf pipeline, streaming
-its particles through the flow, does not.  ``analyze decay`` merges its fit
+monitors or final flow state.  ``mcf reconstruct`` needs densely sampled
+states, and a run's error-controlled steps are few (``flow.store_every = 1``
+stores a few dozen), so give the run a uniform grid of
+``flow.snapshot_times``; the mcf pipeline, streaming its particles through
+the flow, stores none.  ``analyze decay`` merges its fit
 into the run's ``ratefit.json`` by quantity, keeping the other fits.  Every
 command that writes into a run directory rewrites its ``manifest.json``
 afterwards.
@@ -325,9 +327,9 @@ def _cmd_mcf_reconstruct(args) -> int:
         transport = mcf.ParticleTransport(seeds, t_start=args.t_start)
         paths = mcf.integrate_particles(transport, traj.snapshots).paths()
     except InsufficientSamples as exc:
-        # a run stores every state only when asked: the mcf pipeline streams
-        raise InsufficientSamples(f"{exc}; re-run the flow with flow.store_every = 1 "
-                                  f"to store every state") from exc
+        # a run stores only what it is asked for, and its steps adapt
+        raise InsufficientSamples(f"{exc}; re-run the flow with a uniform grid of "
+                                  f"flow.snapshot_times for dense samples") from exc
     rep = mcf.verify_mcf(paths)
     outdir = Path(args.trajectory)
     _write_paths_csv(outdir / "paths.csv", paths)
@@ -468,9 +470,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AbortedNonConvex as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except LogFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

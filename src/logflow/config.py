@@ -14,8 +14,7 @@ takes neither ``flow`` nor ``initial``, and one that does needs
 or a number, a list of numbers), and one table of ranges bounds the
 numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
 are positive (``expander.times`` a non-empty list of positive times), step
-counts are nonnegative integers.  ``flow.stepper = "rkc"`` needs
-``flow.max_dt``, the step it takes.  A ``[lo, hi]`` check bound takes two
+counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
 numbers with ``lo <= hi``, ``flow.snapshot_times`` times in
 ``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
 Without ``flow.store_every`` the snapshot times fix the number of blow-down
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .flow import FLOW_KEYS, STEPPERS
+from .flow import FLOW_KEYS
 from .presets import INITIAL_FAMILIES, experiment_preset
 
 __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
@@ -85,7 +84,7 @@ _POSITIVE = (lambda v: v > 0.0, "positive")
 _COUNT = (lambda v: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _RANGES = {
-    "flow": {"tau": _UNIT, "t_end": _POSITIVE, "safety": _POSITIVE, "max_dt": _POSITIVE,
+    "flow": {"tau": _UNIT, "t_end": _POSITIVE, "safety": _POSITIVE,
              "store_every": _COUNT, "monitor_every": _COUNT,
              "monitor_window": _POSITIVE, "max_halvings": _COUNT},
     "initial": {"width": _POSITIVE, "c_minus": _POSITIVE, "c_plus": _POSITIVE},
@@ -213,11 +212,6 @@ class ExperimentConfig:
         if self.expander.get("slope0", 0.0) != 0.0 and n > 1:
             raise ConfigError("expander.slope0 != 0 selects the line expander; "
                               "at n >= 2 the profile is radial and needs slope0 = 0")
-        stepper = self.flow.get("stepper", FLOW_KEYS["stepper"])
-        if stepper not in STEPPERS:
-            raise ConfigError(f"flow.stepper must be one of {STEPPERS}")
-        if stepper == "rkc" and self.flow.get("max_dt") is None:
-            raise ConfigError("flow.stepper = 'rkc' steps by flow.max_dt, which is not set")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

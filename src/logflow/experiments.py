@@ -63,9 +63,11 @@ def _profile_end(cfg: ExperimentConfig, reach: float, margin: float) -> float:
 # ---------------------------------------------------------------------------
 
 def flow_pipeline(cfg: ExperimentConfig):
-    _, traj = _run_flow(cfg)
-    lo = min(r.lambda_min for r in traj.monitors)
-    hi = max(r.lambda_max for r in traj.monitors)
+    # the interior bounds of every accepted state, as condition B reads them
+    bounds = []
+    _, traj = _run_flow(cfg, lambda s: bounds.append(s.H.eigen_bounds("interior")))
+    lo = min(lo for lo, _ in bounds)
+    hi = max(hi for _, hi in bounds)
     report = {
         "pipeline": "flow",
         "t_end": traj.state.t,

@@ -6,22 +6,24 @@ du/dt = (1/n) ln det D2u at tau = 1.  The box is truncated, so the outermost
 node layer (the ring) takes the values of the initial-data family's closure:
 a quadratic far field or a closed-form reference, which
 :func:`logflow.presets.make_initial_data` builds with the data.  Everything
-inside evolves by the discretised equation with one of three explicit
-steppers.  Forward Euler and explicit midpoint (RK2) take the parabolic CFL
-limit derived from the linearised operator, dt ~ h^2.  Damped second-order
-Runge-Kutta-Chebyshev (RKC; Sommeijer, Shampine & Verwer, J. Comput. Appl.
-Math. 88, 1998) takes the caller's ``max_dt``, of order h, and spends as
-many stages s as the stability interval beta(s) ~ 0.65 s^2 needs to cover it:
-each stage is one evaluation of F_tau, with no Jacobian and no solve, and
-writes the ring at its own time.  Every stepper checks convexity at every
-F_tau evaluation, and a step whose stage or result loses it is retried at
-half the step.  Each iterate's Hessian is assembled once and shared by the
-step acceptance, the step limit, F_tau and the monitors; its eigenvalue
-bounds and its convexity verdict are computed once per region, and its
-determinant once, for both the verdict and F_tau.  A quadratic far field
-keeps the time-independent part of its ring values per domain and adds
-t * rate per call.  A run counts its rejected trials, the steps it had to
-halve and its F_tau evaluations in :class:`RunCounters`.
+inside evolves by the discretised equation with one stepper, damped
+second-order Runge-Kutta-Chebyshev (RKC; Sommeijer, Shampine & Verwer,
+J. Comput. Appl. Math. 88, 1998).  A step spends as many stages s as the
+stability interval beta(s) ~ 0.65 s^2 needs to cover it: each stage is one
+evaluation of F_tau, with no Jacobian and no solve, and writes the ring at its
+own time.  The step size comes from RKC's embedded error estimate, which
+costs no further F_tau evaluation: a step is accepted when the estimate's
+interior RMS is at most a tolerance of order h^3, and the next step scales
+with the cube root of the ratio.  The first step is the parabolic limit
+:func:`dt_stable`.  Every F_tau evaluation checks convexity, and a step whose
+stage or result loses it is retried at half the step.  Each iterate's Hessian
+is assembled once and shared by the step acceptance, the stage count, F_tau
+and the monitors; its eigenvalue bounds and its convexity verdict are
+computed once per region, and its determinant once, for both the verdict and
+F_tau.  A quadratic far field keeps the time-independent part of its ring
+values per domain and adds t * rate per call.  A run counts its rejected
+trials, the steps that needed one and its F_tau evaluations in
+:class:`RunCounters`.
 """
 
 from __future__ import annotations
@@ -122,8 +124,6 @@ class ReferenceSolution:
 
 BoundaryModel = QuadraticFarField | ReferenceSolution
 
-STEPPERS = ("euler", "rk2", "rkc")
-
 
 @lru_cache(maxsize=32)
 def _ring_info(domain: BoxDomain):
@@ -164,8 +164,9 @@ class MonitorRecord:
 @dataclass
 class RunCounters:
     """What one integration spent beyond its accepted steps: trial steps
-    rejected for convexity, accepted steps taken at a halved dt, and F_tau
-    evaluations, those of rejected trials included (one per Hessian)."""
+    rejected for convexity or for their error estimate, accepted steps taken
+    shorter than first tried, and F_tau evaluations, those of rejected trials
+    included (one per Hessian)."""
 
     rejected_trials: int = 0
     halved_steps: int = 0
@@ -175,7 +176,10 @@ class RunCounters:
 @dataclass
 class FlowState:
     """One iterate; its Hessian and F_tau values are evaluated on first use and
-    kept.  The states of one run share one :class:`RunCounters`."""
+    kept.  The states of one run share one :class:`RunCounters`.  ``err`` and
+    ``residual`` describe the step that produced the state (both 0 at the
+    start): its error estimate over the tolerance, and the interior sup of
+    ``(u - u_prev) / dt - (F + F_prev) / 2``."""
 
     u: GridFunction
     t: float
@@ -183,6 +187,8 @@ class FlowState:
     boundary: BoundaryModel
     step_count: int = 0
     counters: RunCounters = field(default_factory=RunCounters)
+    err: float = 0.0
+    residual: float = 0.0
 
     @cached_property
     def H(self) -> HessianField:
@@ -231,7 +237,9 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
 
 
 def dt_stable(state: FlowState, safety: float = 0.5) -> float:
-    """Parabolic step limit safety * h^2 / (2 n mu_max).
+    """Parabolic step limit safety * h^2 / (2 n mu_max): forward Euler's
+    stable step at ``safety = 1``, which sets RKC's stage count, and the
+    first step of a run.
 
     mu_max bounds the largest diffusion coefficient of the linearised operator
     (tau/n) u^{ij} d_ij + (1 - tau) Laplacian over the non-ring nodes.
@@ -253,6 +261,11 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
 # RKC damping: away from z = 0 the stability polynomial stays below about
 # 1 - eps / 3 in modulus over its interval, which eps shortens by 2 eps / 15
 _RKC_EPS = 2.0 / 13.0
+
+# error control: a step is accepted when the interior RMS of its error
+# estimate is at most _ERROR_TOL * h^3.  Per-step control leaves a global
+# time error of order tol^(2/3), so h^3 keeps it O(h^2) under refinement.
+_ERROR_TOL = 1e-2
 
 
 @lru_cache(maxsize=128)
@@ -298,15 +311,14 @@ def _rkc_stages(need: float) -> int:
     return s
 
 
-def _rkc_values(state: FlowState, dt: float, safety: float) -> np.ndarray:
-    """The last stage Y_s of one damped RKC step, its ring not yet written.
+def _advance(state: FlowState, dt: float, safety: float) -> FlowState:
+    """One tentative damped RKC step (may raise NonConvexityError).
 
     Explicit Euler is stable up to ``dt_stable(state, 1)``, which puts the
     spectral radius at 2 / dt_stable(state, 1); s stages cover dt when
     ``dt <= beta(s) / 2 * dt_stable(state, safety)``, so ``safety`` is the
-    fraction of the stability interval in use, as for the other steppers.
-    F0 is the state's own F, so a step evaluates F_tau s times, counting
-    its result's.
+    fraction of the stability interval in use.  F0 is the state's own F, so
+    a step evaluates F_tau s times, counting its result's.
     """
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
@@ -319,28 +331,8 @@ def _rkc_values(state: FlowState, dt: float, safety: float) -> np.ndarray:
         f = _ftau(hessian(u.with_values(prev)), tau)
         prev2, prev = prev, ((1.0 - mu - nu) * y0 + mu * prev + nu * prev2
                              + mu_t * dt * f + gamma_t * dt * f0)
-    return prev
-
-
-def _advance(state: FlowState, dt: float, stepper: str, safety: float) -> FlowState:
-    """One tentative step (may raise NonConvexityError)."""
-    u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
-    dom = u.domain
-    k1 = state.F
-    if stepper == "euler":
-        new = u.values + dt * k1
-    elif stepper == "rk2":
-        mid = u.values + 0.5 * dt * k1
-        apply_boundary(mid, dom, boundary, t + 0.5 * dt, tau)
-        state.counters.f_evals += 1
-        k2 = _ftau(hessian(u.with_values(mid)), tau)
-        new = u.values + dt * k2
-    elif stepper == "rkc":
-        new = _rkc_values(state, dt, safety)
-    else:
-        raise ValueError(f"unknown stepper {stepper!r}")
-    apply_boundary(new, dom, boundary, t + dt, tau)
-    trial = FlowState(u=u.with_values(new), t=t + dt, tau=tau, boundary=boundary,
+    apply_boundary(prev, dom, boundary, t + dt, tau)
+    trial = FlowState(u=u.with_values(prev), t=t + dt, tau=tau, boundary=boundary,
                       step_count=state.step_count + 1, counters=state.counters)
     # the new state must itself be convex when tau > 0, else F_tau raises
     # and the step is rejected
@@ -348,42 +340,64 @@ def _advance(state: FlowState, dt: float, stepper: str, safety: float) -> FlowSt
     return trial
 
 
-def step_explicit(state: FlowState, dt: float, stepper: str = "rk2",
-                  max_halvings: int = 20, safety: float = 0.5) -> FlowState:
-    """Advance one accepted step; on convexity failure halve dt and retry.
-    ``safety`` sets the stage count of ``rkc`` (see :func:`run`)."""
+def _resize(err: float) -> float:
+    """The factor from a step whose error ratio is ``err`` to the next."""
+    return min(10.0, max(0.1, 0.8 * max(err, 1e-12) ** (-1.0 / 3.0)))
+
+
+def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
+                  safety: float = 0.5, tol: float = math.inf) -> FlowState:
+    """Advance one accepted RKC step of at most dt.
+
+    A trial whose stage or result loses convexity is retried at half the
+    step.  RKC's embedded estimate of the step's error is ``-0.8 dt r`` with
+    ``r = (Y1 - Y0) / dt - (F0 + F1) / 2``; a trial whose estimate has an
+    interior RMS above ``tol`` is retried at the step :func:`_resize` gives.
+    Both kinds of retry count as rejected trials and draw on
+    ``max_halvings``.  The default ``tol`` accepts every convex trial, so dt
+    is then a fixed step.  ``safety`` sets the stage count (see :func:`run`).
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    inner = state.u.domain.interior()
     trial_dt = dt
     for _ in range(max_halvings + 1):
         try:
-            trial = _advance(state, trial_dt, stepper, safety)
+            trial = _advance(state, trial_dt, safety)
         except NonConvexityError:
             state.counters.rejected_trials += 1
             trial_dt *= 0.5
             continue
+        r = ((trial.u.values[inner] - state.u.values[inner]) / trial_dt
+             - 0.5 * (state.F[inner] + trial.F[inner]))
+        trial.err = 0.8 * trial_dt * math.sqrt(float(np.mean(r * r))) / tol
+        if trial.err > 1.0:
+            state.counters.rejected_trials += 1
+            trial_dt *= _resize(trial.err)
+            continue
+        trial.residual = float(np.abs(r).max())
         state.counters.halved_steps += trial_dt < dt
         return trial
     raise AbortedNonConvex(
-        f"step rejected after {max_halvings} halvings at t={state.t:.6g}", state=state)
+        f"step rejected after {max_halvings} retries at t={state.t:.6g}", state=state)
 
 
-def _monitor(state: FlowState, dt: float, residual: float, window: tuple) -> MonitorRecord:
+def _monitor(state: FlowState, dt: float, window: tuple) -> MonitorRecord:
     lmin, lmax = state.H.eigen_bounds("interior")
     g = gradient(state.u)
     gsq = float(np.sum(g * g, axis=0)[window].max())
     d3 = third_derivative_norm(state.H)
     return MonitorRecord(t=state.t, lambda_min=lmin, lambda_max=lmax,
-                         grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=residual)
+                         grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=state.residual)
 
 
 def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryModel,
-        stepper: str = "rk2", safety: float = 0.5, max_dt: float | None = None,
-        snapshot_times: Sequence[float] = (), store_every: int = 0,
+        safety: float = 0.5, snapshot_times: Sequence[float] = (), store_every: int = 0,
         monitor_every: int = 1, monitor_window: float | None = None,
         max_halvings: int = 20,
         observe: Callable[[FlowState], None] | None = None) -> Trajectory:
-    """Integrate to t_end with adaptive steps, exact snapshot landings and monitors.
+    """Integrate to t_end with error-controlled RKC steps, exact snapshot
+    landings and monitors.
 
     ``boundary`` supplies the ring values at every time.  The initial data is
     checked for strict convexity on the grid when tau > 0 (a warning, not an
@@ -396,23 +410,21 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     the states ``store_every = 1`` would store, handed over one at a time
     instead of kept.  It is not a config key.
 
-    ``euler`` and ``rk2`` step by ``dt_stable(state, safety)``, capped by
-    ``max_dt`` when given.  ``rkc`` needs ``max_dt`` and steps by it, and
-    ``safety`` is then the fraction of its stability interval in use: the
-    stage count grows with ``max_dt / dt_stable``.  The fewest stages s with
-    ``beta(s) >= need = 2 dt / dt_stable(state, safety)`` leave the fraction
-    in use at ``safety * need / beta(s) <= safety``; rounding s up can
-    bring a ``safety`` slightly above 1 back under 1, so such a step may
-    stay stable.  Every stepper shortens a step to land on the next snapshot
-    time and on ``t_end``.
+    The first step is :func:`dt_stable` of the initial state.  Each accepted
+    step's error estimate, over the tolerance ``_ERROR_TOL * h^3``, sets the
+    next step (:func:`step_explicit`), and a step is shortened to land on the
+    next snapshot time and on ``t_end``.  ``safety`` is the fraction of RKC's
+    stability interval in use: the fewest stages s with ``beta(s) >= need =
+    2 dt / dt_stable(state, safety)`` leave it at ``safety * need / beta(s)
+    <= safety``.  Rounding s up can bring a ``safety`` slightly above 1 back
+    under 1, and the error control rejects the steps an unstable fraction
+    spoils, so such a run may stay stable.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
     store_every, monitor_every = int(store_every), int(monitor_every)
     max_halvings = int(max_halvings)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    if stepper == "rkc" and max_dt is None:
-        raise ValueError("the rkc stepper steps by max_dt, which is not set")
     dom = u0.domain
     state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
     if tau > 0.0:
@@ -421,9 +433,9 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
             warnings.warn("initial data is not strictly convex on the grid "
                           f"(lambda_min = {lmin0:.3g})", stacklevel=2)
 
-    inner = dom.interior()
-    window = dom.window(monitor_window) if monitor_window is not None else inner
+    window = dom.window(monitor_window) if monitor_window is not None else dom.interior()
     targets = sorted({float(s) for s in snapshot_times if 0.0 <= s <= t_end + 1e-12})
+    tol = _ERROR_TOL * dom.h ** 3
     snapshots: list = []
     monitors: list = []
 
@@ -435,34 +447,27 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
             snapshots.append((state.t, state.u.copy()))
 
     state.F  # non-convex initial data fails here, before the first step
-    monitors.append(_monitor(state, 0.0, 0.0, window))
+    monitors.append(_monitor(state, 0.0, window))
     _maybe_snapshot()
     if observe is not None:
         observe(state)
 
+    dt = dt_stable(state, safety)
     while state.t < t_end - 1e-12:
-        dt = max_dt if stepper == "rkc" else dt_stable(state, safety)
-        if max_dt is not None:
-            dt = min(dt, max_dt)
+        step = min(dt, t_end - state.t)
         if targets:
-            dt = min(dt, targets[0] - state.t)
-        dt = min(dt, t_end - state.t)
-        new_state = step_explicit(state, dt, stepper=stepper, max_halvings=max_halvings,
-                                  safety=safety)
+            step = min(step, targets[0] - state.t)
+        new_state = step_explicit(state, step, max_halvings, safety, tol)
         taken = new_state.t - state.t
-        monitored = monitor_every and new_state.step_count % monitor_every == 0
-        if monitored:  # only a monitor record reads the step residual
-            resid = float(np.abs(
-                (new_state.u.values[inner] - state.u.values[inner]) / taken
-                - 0.5 * (state.F[inner] + new_state.F[inner])).max())
+        dt = taken * _resize(new_state.err)
         state = new_state  # the previous iterate is released here
         # snap exactly onto targets to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
             state.t = targets[0]
         if observe is not None:
             observe(state)
-        if monitored:
-            monitors.append(_monitor(state, taken, resid, window))
+        if monitor_every and state.step_count % monitor_every == 0:
+            monitors.append(_monitor(state, taken, window))
         _maybe_snapshot()
 
     if not snapshots or snapshots[-1][0] < state.t - 1e-12:

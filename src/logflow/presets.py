@@ -142,25 +142,24 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
 # the unit quadratic with a small Gaussian dent, shared by five presets
 _BUMP = {"kind": "quadratic_plus_bump", "A": 1.0, "amplitude": 0.1, "width": 1.0}
 
-# the presets on the rkc stepper step by their grid spacing h (max_dt)
 _PRESETS: dict[str, dict] = {
     "quadratic-exact": {
         "pipeline": "quadratic_exact",
         "grid": {"n": 2, "L": 2.0, "m": 65},
         "initial": {"kind": "quadratic", "A": [[2.0, 0.0], [0.0, 2.0]]},
-        "flow": {"tau": 1.0, "t_end": 1.0, "stepper": "rkc", "max_dt": 0.0625},
+        "flow": {"tau": 1.0, "t_end": 1.0},
     },
     "condition-b-preservation": {
         "pipeline": "condition_b",
         "grid": {"n": 1, "L": 6.0, "m": 65},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 2.0, "stepper": "rkc", "max_dt": 0.1875},
+        "flow": {"tau": 1.0, "t_end": 2.0},
     },
     "heat-oracle": {
         "pipeline": "heat_oracle",
         "grid": {"n": 1, "L": 4.0, "m": 65},
         "initial": _BUMP,
-        "flow": {"tau": 0.0, "t_end": 0.1, "stepper": "rk2"},
+        "flow": {"tau": 0.0, "t_end": 0.1},
     },
     "expander-stationarity": {
         "pipeline": "expander_stationarity",
@@ -202,7 +201,7 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "blowdown",
         "grid": {"n": 1, "L": 8.0, "m": 129},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 16.0, "stepper": "rkc", "max_dt": 0.125,
+        "flow": {"tau": 1.0, "t_end": 16.0,
                  "monitor_every": 10, "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
         "analysis": {"window": 1.0, "monotone_from": 2},
     },
@@ -211,7 +210,7 @@ _PRESETS: dict[str, dict] = {
         "grid": {"n": 1, "L": 8.0, "m": 129},
         "initial": {"kind": "linear_plus_bump", "b": [0.0],
                     "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 0.0, "t_end": 8.0, "stepper": "rkc", "max_dt": 0.125,
+        "flow": {"tau": 0.0, "t_end": 8.0,
                  "monitor_every": 10, "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
         "analysis": {"window": 2.0},
     },

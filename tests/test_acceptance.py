@@ -49,11 +49,10 @@ def _row(tmp_path, criterion: int, name: str, preset: str, **overrides) -> dict:
     return report
 
 
-def _fault(tmp_path, criterion: int, name: str, preset: str, tag: str = "fault",
-           **overrides) -> None:
+def _fault(tmp_path, criterion: int, name: str, preset: str, **overrides) -> None:
     """A planted fault: with the fault's overrides, which move no bound, the
     run must fail a check and exit 4."""
-    code, report = _check_run(tmp_path, tag, preset, overrides)
+    code, report = _check_run(tmp_path, "fault", preset, overrides)
     failed = [c for c in report["checks"] if not c["ok"]]
     _report(criterion, f"{name}, planted fault", code == EXIT_THRESHOLD,
             f"{overrides}: exit {code}; failed {_detail(failed)}")
@@ -67,15 +66,14 @@ def test_criterion_01_exact_quadratic_evolution(tmp_path):
     _row(tmp_path, 1, "exact quadratic evolution", "quadratic-exact")
 
 
-def test_criterion_02_hessian_bound_preservation(tmp_path):
+def test_criterion_02_hessian_bound_preservation(tmp_path, monkeypatch):
     _row(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation")
-    # one unstable step fraction per stepper: rk2 at 1.2 reads drift 0.0695;
-    # rkc rounds its stage count up, which absorbs 1.1-1.3 at m = 65, and
-    # reads 0.194 at 1.4
-    _fault(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation",
-           flow={"stepper": "rk2", "safety": 1.2})
-    _fault(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation",
-           tag="fault-rkc", flow={"safety": 1.4})
+    # the error control rejects the steps an unstable stage count spoils
+    # (drift 0.0 at safety 1.2, 1.4 and 3.0), so the fault also loosens the
+    # tolerance to 1e3 h^3: safety 1.4 then reads drift 0.323 at m = 65
+    monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
+    _fault(tmp_path, 2, "Hessian bound preservation, tolerance 1e3 h^3",
+           "condition-b-preservation", flow={"safety": 1.4})
 
 
 def test_criterion_03_heat_oracle_agreement(tmp_path):

@@ -110,7 +110,7 @@ def test_fit_decay_identically_zero_on_quadratic():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     traj = run(iso_quad(dom), tau=1.0, t_end=8.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[0.25 * 2 ** k for k in range(6)], max_dt=0.05)
+               snapshot_times=[0.25 * 2 ** k for k in range(6)])
     fit = fit_decay(traj, order=3)
     assert fit.identically_zero
 
@@ -119,7 +119,7 @@ def test_fit_decay_needs_five_samples():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     traj = run(iso_quad(dom), tau=1.0, t_end=1.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[0.5, 1.0], max_dt=0.05)
+               snapshot_times=[0.5, 1.0])
     with pytest.raises(InsufficientSamples):
         fit_decay(traj, order=3)
 
@@ -153,7 +153,7 @@ def test_blowdown_stationary_expander_is_exact():
     dom = BoxDomain(n=1, half_width=4.0, m=65)
     traj = run(iso_quad(dom), tau=1.0, t_end=4.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[1.0, 2.0, 4.0], max_dt=0.05)
+               snapshot_times=[1.0, 2.0, 4.0])
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2,
                                window_half=1.0, monotone_from=0)
     assert max(rep.errors) < 1e-9
@@ -163,7 +163,7 @@ def test_blowdown_monotone_needs_a_pair_of_errors():
     dom = BoxDomain(n=1, half_width=4.0, m=33)
     traj = run(iso_quad(dom), tau=1.0, t_end=2.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[1.0, 2.0], max_dt=0.1)
+               snapshot_times=[1.0, 2.0])
     # two errors make one pair, compared from index 0 only
     rep = blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
                                monotone_from=0)
@@ -177,7 +177,7 @@ def test_blowdown_window_escape():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     traj = run(iso_quad(dom), tau=1.0, t_end=16.0,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[16.0], max_dt=0.5)
+               snapshot_times=[16.0])
     with pytest.raises(WindowEscape):
         blowdown_convergence(traj, lambda p: 0.5 * p[:, 0] ** 2, window_half=1.0,
                              monotone_from=2)
@@ -217,7 +217,7 @@ def test_plane_convergence_flags_unbounded_gradient():
     dom = BoxDomain(n=1, half_width=4.0, m=65)
     traj = run(iso_quad(dom), tau=0.0, t_end=0.5,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               snapshot_times=[0.5], max_dt=0.01)
+               snapshot_times=[0.5])
     rep = plane_convergence(traj, window_half=1.0)
     assert not rep.hypothesis_ok
     assert rep.measured() == {"hypothesis_ok": False, "decreasing": False,

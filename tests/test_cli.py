@@ -130,8 +130,8 @@ def test_settable_surface_is_pinned():
         "pipeline", "grid", "initial", "flow", "expander", "mcf", "analysis",
         "check", "seed", "snapshot_format", "outdir", "preset"]
     assert list(FLOW_KEYS) == [
-        "tau", "t_end", "stepper", "safety", "max_dt", "snapshot_times",
-        "store_every", "monitor_every", "monitor_window", "max_halvings"]
+        "tau", "t_end", "safety", "snapshot_times", "store_every",
+        "monitor_every", "monitor_window", "max_halvings"]
     assert list(PIPELINES) == [
         "flow", "quadratic_exact", "condition_b", "heat_oracle",
         "expander_stationarity", "expander_cross", "legendre_dual", "mcf_verify",
@@ -279,7 +279,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
     ("condition-b-preservation", "flow.t_end = soon", "flow.t_end"),
     # a key whose default is None takes null or a number
-    ("condition-b-preservation", "flow.max_dt = x", "flow.max_dt"),
     ("blowdown-convergence", "flow.monitor_window = x", "flow.monitor_window"),
     ("mcf-correspondence", "mcf.t_start = x", "mcf.t_start"),
     ("expander-cross-validation", "expander.r_max = x", "expander.r_max"),
@@ -326,12 +325,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["flow", "run", "--config", str(cfg)]) == 2
 
 
-def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path):
-    # criterion 2's rk2 fault with no monitor record after t = 0: the drift
-    # is read from every accepted state, so it still fails, with the bits of
-    # a run that records every state
+def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path, monkeypatch):
+    # criterion 2's planted fault (an unstable step fraction under a loose
+    # error tolerance) with no monitor record after t = 0: the drift is read
+    # from every accepted state, so it still fails, with the bits of a run
+    # that records every state
+    monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
     fault = {"preset": "condition-b-preservation",
-             "flow": {"stepper": "rk2", "safety": 1.2, "monitor_every": 0}}
+             "flow": {"safety": 1.4, "monitor_every": 0}}
     cfg = _write_cfg(tmp_path, {**fault, "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--check", "--config", str(cfg)]) == 4
     report = json.loads((tmp_path / "run" / "report.json").read_text())
@@ -339,22 +340,14 @@ def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path):
     assert report["drift"] == run_pipeline(load_config(fault))[0]["drift"]
 
 
-def test_unknown_stepper_exit_code(tmp_path):
-    cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation",
-                                "flow": {"stepper": "rk3"},
+@pytest.mark.parametrize("flow", [{"stepper": "rkc"}, {"max_dt": 0.125}],
+                         ids=["stepper", "max_dt"])
+def test_stepper_and_max_dt_are_no_flow_keys(tmp_path, capsys, flow):
+    # one error-controlled stepper: neither the stepper nor its step is set
+    cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation", "flow": flow,
                                 "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--config", str(cfg)]) == 2
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("data", [
-    {"preset": "mcf-correspondence", "flow": {"stepper": "rkc"}},
-    {"preset": "quadratic-exact", "flow": {"max_dt": None}},
-])
-def test_rkc_without_max_dt_exit_code(tmp_path, capsys, data):
-    cfg = _write_cfg(tmp_path, {**data, "outdir": str(tmp_path / "run")})
-    assert main(["flow", "run", "--config", str(cfg)]) == 2
-    assert "flow.max_dt" in capsys.readouterr().err
+    assert "unknown flow keys" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -651,7 +644,8 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
         "grid": {"n": 1, "L": 3.0, "m": 33},
         "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
                     "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 1.0, "t_end": 0.05, "store_every": 1},
+        "flow": {"tau": 1.0, "t_end": 0.05,
+                 "snapshot_times": np.linspace(0.0, 0.05, 11).tolist()},
         "outdir": str(tmp_path / "run"),
     })
     assert main(["flow", "run", "--config", str(cfg)]) == 0
@@ -667,7 +661,7 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
                  "--seeds", str(seeds), "--t-start", "5.0"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "three stored snapshots" in err
-    assert "re-run the flow with flow.store_every = 1" in err
+    assert "re-run the flow with a uniform grid of flow.snapshot_times" in err
 
 
 def _manifest_mismatches(rundir: Path) -> dict:
@@ -688,7 +682,8 @@ def test_commands_writing_into_a_run_directory_rewrite_its_manifest(tmp_path):
         "grid": {"n": 1, "L": 3.0, "m": 33},
         "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
                     "amplitude": 0.1, "width": 1.0},
-        "flow": {"tau": 1.0, "t_end": 0.5, "store_every": 1},
+        "flow": {"tau": 1.0, "t_end": 0.5,
+                 "snapshot_times": np.linspace(0.0, 0.5, 51).tolist()},
         "outdir": str(tmp_path / "run"),
     })
     rundir = tmp_path / "run"
@@ -738,8 +733,7 @@ def test_numerical_abort_exit_code_and_last_good_state(tmp_path):
         "grid": {"n": 1, "L": 3.0, "m": 33},
         "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
                     "amplitude": 0.12, "width": 0.7},
-        "flow": {"tau": 1.0, "t_end": 1.0, "stepper": "euler",
-                 "safety": 200.0, "max_halvings": 0},
+        "flow": {"tau": 1.0, "t_end": 1.0, "safety": 200.0, "max_halvings": 0},
         "outdir": str(tmp_path / "abort"),
     })
     assert main(["flow", "run", "--config", str(cfg)]) == 3

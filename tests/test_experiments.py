@@ -13,8 +13,8 @@ import pytest
 from logflow import experiments
 from logflow.cli import persist_run
 from logflow.config import load_config
-from logflow.experiments import (PIPELINES, Refinement, judge, refinement_check,
-                                 run_pipeline)
+from logflow.experiments import (PIPELINES, Refinement, finer_level, judge,
+                                 refinement_check, run_pipeline)
 from logflow.presets import experiment_preset
 from logflow.flow import QuadraticFarField, run
 from logflow.grid import BoxDomain, GridFunction
@@ -33,6 +33,31 @@ def test_flow_pipeline_report_fields():
     assert report["checks"] == [] and report["passed"] is True
     assert report["steps"] > 0
     assert artifacts["trajectory"].state.t == pytest.approx(0.05)
+
+
+def test_flow_pipeline_extremes_read_every_accepted_state(monkeypatch):
+    # criterion 2's planted fault run as the flow pipeline: its Hessian bounds
+    # move, and the overall extremes do not depend on which states a monitor
+    # record keeps
+    monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
+    reports = []
+    for every in (1, 7, 0):
+        report, art = run_pipeline(load_config({
+            "preset": "condition-b-preservation", "pipeline": "flow",
+            "flow": {"safety": 1.4, "monitor_every": every}}))
+        reports.append((report["lambda_min_overall"], report["lambda_max_overall"]))
+    assert reports[0] == reports[1] == reports[2]
+    assert len(art["trajectory"].monitors) == 1
+    assert reports[0][1] > art["trajectory"].monitors[0].lambda_max + 0.1
+
+
+def test_refinement_level_steps_follow_the_spacing():
+    # the error tolerance scales with h^3, so the finer level of condition B
+    # takes more steps rather than the coarse level's time error
+    cfg = load_config({"preset": "condition-b-preservation"})
+    coarse, _ = run_pipeline(cfg)
+    fine, _ = run_pipeline(finer_level(cfg))
+    assert fine["counters"]["accepted_steps"] >= 1.5 * coarse["counters"]["accepted_steps"]
 
 
 def test_stationarity_certifies_non_quadratic():

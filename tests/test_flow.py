@@ -91,20 +91,10 @@ def test_dt_stable_guards_degenerate_convexity():
 # exact quadratic trajectories
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("stepper", ["euler", "rk2"])
-def test_quadratic_data_evolves_exactly(stepper):
-    dom = BoxDomain(n=2, half_width=1.0, m=21)
-    A = np.diag([2.0, 2.0])
-    u0 = quad(dom, A)
-    traj = run(u0, tau=1.0, t_end=0.25, boundary=QuadraticFarField(A, np.zeros(2)),
-               stepper=stepper)
-    expected = u0.values + 0.25 * np.log(2.0)
-    assert np.max(np.abs(traj.state.u.values - expected)) < 1e-10
-
-
 @pytest.mark.parametrize("n, m", [(1, 33), (2, 21), (3, 11)])
 def test_rkc_quadratic_data_evolves_exactly(n, m):
-    # steps of h, well past the explicit limit, with a tilted, sheared quadratic
+    # a tilted, sheared quadratic: each step's error estimate is roundoff, so
+    # from the explicit limit on every step grows tenfold until t_end
     rng = np.random.default_rng(n)
     B = rng.normal(size=(n, n))
     A = B @ B.T / n + np.eye(n)
@@ -113,10 +103,12 @@ def test_rkc_quadratic_data_evolves_exactly(n, m):
     u0 = quad(dom, A, b, c=0.3)
     far = QuadraticFarField(A, b, 0.3)
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=far)
-    assert dom.h >= 4.0 * dt_stable(state)
-    traj = run(u0, tau=1.0, t_end=0.5, boundary=far, stepper="rkc", max_dt=dom.h)
+    traj = run(u0, tau=1.0, t_end=0.5, boundary=far)
     expected = u0.values + 0.5 * far.rate(1.0, n)
-    assert traj.state.step_count == math.ceil(0.5 / dom.h)
+    steps = [r.dt for r in traj.monitors[1:]]
+    assert steps[0] == dt_stable(state) and traj.state.step_count <= 4
+    assert steps[1] == pytest.approx(10.0 * steps[0], rel=1e-12)
+    assert traj.state.run_counters()["rejected_trials"] == 0
     assert np.max(np.abs(traj.state.u.values - expected)) < 1e-12
 
 
@@ -169,12 +161,11 @@ def test_hessian_bounds_preserved_n2():
     assert over <= 1e-2
 
 
-@pytest.mark.parametrize("stepper", ["rk2", "rkc"])
-def test_rotated_kink_overshoot_shows_on_accepted_states(stepper):
+def test_rotated_kink_overshoot_shows_on_accepted_states():
     # u0 = c xi^2/2 + eta^2/2 in axes rotated by pi/4, with c = 0.25 for
     # xi < 0 and 4 otherwise, sits on both Hessian bounds, and the central
     # mixed stencil is not monotone: lambda_max overshoots its initial bound
-    # by 1.18e-2 over rk2's 23 steps and by 1.78e-2 in rkc's one step of h
+    # by 1.2e-2 over six error-controlled steps
     dom = BoxDomain(n=2, half_width=3.0, m=33)
     r = math.sqrt(0.5)
 
@@ -185,8 +176,8 @@ def test_rotated_kink_overshoot_shows_on_accepted_states(stepper):
 
     u0 = GridFunction(dom, exact(dom.points(), 0.0).reshape(dom.shape))
     bounds = []
-    run(u0, tau=1.0, t_end=0.05, boundary=ReferenceSolution(exact), stepper=stepper,
-        max_dt=dom.h, observe=lambda s: bounds.append(s.H.eigen_bounds("interior")))
+    run(u0, tau=1.0, t_end=0.05, boundary=ReferenceSolution(exact),
+        observe=lambda s: bounds.append(s.H.eigen_bounds("interior")))
     lam0, Lam0 = bounds[0]
     assert max(max(lam0 - lo, hi - Lam0) for lo, hi in bounds) > 5e-3
 
@@ -212,13 +203,14 @@ def test_scaling_invariance_of_quadratic_solutions():
 # ---------------------------------------------------------------------------
 
 def test_step_halves_dt_until_convex():
-    # a huge requested step destroys convexity; halving must rescue it
+    # a huge requested step with too few stages (safety 3) destroys
+    # convexity; halving must rescue it
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     big = 100.0 * dt_stable(state)
-    new = step_explicit(state, big, stepper="euler")
+    new = step_explicit(state, big, safety=3.0)
     assert new.t - state.t < big  # at least one halving happened
     assert hessian(new.u).is_strictly_convex("nonring")
 
@@ -244,8 +236,8 @@ def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
             raise
 
     monkeypatch.setattr(flow, "_ftau", recording_ftau)
-    new = step_explicit(state, 0.1, stepper="rkc", safety=3.0)
-    assert failed and failed[0] == "_rkc_values"
+    new = step_explicit(state, 0.1, safety=3.0)
+    assert failed and failed[0] == "_advance"
     assert hessian(new.u).is_strictly_convex("nonring")
     taken = new.t - state.t
     assert taken < 0.1 and math.log2(0.1 / taken).is_integer()
@@ -259,17 +251,34 @@ def test_abort_after_exhausted_halvings():
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     with pytest.raises(AbortedNonConvex) as exc:
-        step_explicit(state, 100.0 * dt_stable(state), stepper="euler", max_halvings=0)
+        step_explicit(state, 100.0 * dt_stable(state), max_halvings=0, safety=3.0)
     assert exc.value.state is state
 
 
-@pytest.mark.parametrize("stepper, per_step", [("rk2", 2), ("euler", 1), ("rkc", "s")])
-def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
-    # one Hessian for u0, then per step the accepted iterate's (plus the
-    # midpoint's for rk2, and the s - 1 inner stages' for rkc); the step
-    # limit, acceptance, F_tau and monitors share it, and each Hessian's
-    # convexity verdict is evaluated once: the step acceptance's is reused by
-    # the next step's F_tau
+def test_error_control_rejects_and_aborts_after_exhausted_retries():
+    # a trial whose error estimate exceeds the tolerance is retried smaller,
+    # and each retry draws on the same budget as a halving
+    import logflow.flow as flow
+    dom = BoxDomain(n=1, half_width=2.0, m=33)
+    x = dom.axis
+    u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
+    state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
+    tol = flow._ERROR_TOL * dom.h ** 3  # what run asks for at this spacing
+    new = step_explicit(state, 0.05, tol=tol)  # 57 times the explicit limit
+    assert new.t - state.t < 0.05 and new.err <= 1.0
+    assert state.counters.rejected_trials >= 1 and state.counters.halved_steps == 1
+    rejected = state.counters.rejected_trials
+    with pytest.raises(AbortedNonConvex) as exc:
+        step_explicit(state, 0.05, max_halvings=2, tol=1e-30)
+    assert exc.value.state is state
+    assert state.counters.rejected_trials == rejected + 3
+
+
+def test_each_iterate_hessian_assembled_once(monkeypatch):
+    # one Hessian for u0, then per trial step the s - 1 inner stages' and the
+    # result's; the stage count, acceptance, F_tau and monitors share it,
+    # and each Hessian's convexity verdict is evaluated once: the step
+    # acceptance's is reused by the next step's F_tau
     import logflow.flow as flow
     from logflow.grid import HessianField
     calls, checked, stages = [], [], []
@@ -289,15 +298,12 @@ def test_each_iterate_hessian_assembled_once(monkeypatch, stepper, per_step):
     monkeypatch.setattr(flow, "_rkc_stages",
                         lambda need: stages.append(choose(need)) or stages[-1])
     dom = BoxDomain(n=2, half_width=4.0, m=33)
-    traj = run(bump_quad(dom), tau=1.0, t_end=0.05, stepper=stepper,
-               max_dt=0.025 if stepper == "rkc" else None, boundary=unit_far_field(2))
+    traj = run(bump_quad(dom), tau=1.0, t_end=0.05, boundary=unit_far_field(2))
     steps = traj.state.step_count
     assert steps >= 2
-    if stepper == "rkc":
-        assert len(stages) == steps and min(stages) >= 3
-        hessians = 1 + sum(stages)
-    else:
-        hessians = 1 + per_step * steps
+    assert len(stages) == steps + traj.state.counters.rejected_trials
+    assert min(stages) >= 3
+    hessians = 1 + sum(stages)
     assert len(calls) == traj.state.counters.f_evals == hessians
     assert len(checked) == len({id(H) for H in checked}) == hessians
 
@@ -346,40 +352,45 @@ def test_ring_values_equal_far_field_values_bit_for_bit(n):
 # convergence in dt, continuity in tau
 # ---------------------------------------------------------------------------
 
-def _final_values(stepper, max_dt, m=33):
-    dom = BoxDomain(n=1, half_width=3.0, m=m)
-    u0 = bump_quad(dom)
-    traj = run(u0, tau=1.0, t_end=0.1, boundary=unit_far_field(1), stepper=stepper,
-               max_dt=max_dt)
-    return traj.state.u.values
+def _fixed_steps(u0, dt, t_end):
+    """The states of RKC steps of a fixed dt from u0 (tau = 1, unit far
+    field), the last step shortened to land on t_end."""
+    states = [FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(u0.domain.n))]
+    while states[-1].t < t_end - 1e-12:
+        states.append(step_explicit(states[-1], min(dt, t_end - states[-1].t)))
+    return states
 
 
-@pytest.mark.parametrize("stepper,lo,hi", [("euler", 1.5, 3.0), ("rk2", 2.6, 6.5),
-                                           ("rkc", 2.6, 6.5)])
-def test_step_size_convergence_order(stepper, lo, hi):
-    # rkc at 2.8 times rk2's step limit, so that 4, 3 and 2 stages converge
-    dt0 = 2e-2 if stepper == "rkc" else 5e-4
-    ref = _final_values(stepper, dt0 / 8)
-    e1 = np.max(np.abs(_final_values(stepper, dt0) - ref))
-    e2 = np.max(np.abs(_final_values(stepper, dt0 / 2) - ref))
-    assert lo <= e1 / e2 <= hi
+def test_step_size_convergence_order():
+    # fixed steps at 2.8 times the explicit limit, so that 4, 3 and 2 stages
+    # converge at second order
+    u0 = bump_quad(BoxDomain(n=1, half_width=3.0, m=33))
+
+    def final(dt):
+        return _fixed_steps(u0, dt, 0.1)[-1].u.values
+
+    dt0 = 2e-2
+    ref = final(dt0 / 8)
+    e1 = np.max(np.abs(final(dt0) - ref))
+    e2 = np.max(np.abs(final(dt0 / 2) - ref))
+    assert 2.6 <= e1 / e2 <= 6.5
 
 
 def test_rkc_stable_at_ten_times_the_explicit_limit():
-    # 10x rk2's step at n = 2: 8 steps of up to 6 stages stay within 2e-4 of
-    # rk2's 69 steps, reject nothing and keep the Hessian bounds
+    # fixed steps of 10x the explicit limit at n = 2: 8 steps of up to 6
+    # stages stay within 2e-4 of 80 steps at the limit, reject nothing and
+    # keep the Hessian bounds
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     u0 = bump_quad(dom)
     limit = dt_stable(FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(2)))
-    ref = run(u0, tau=1.0, t_end=1.0, boundary=unit_far_field(2))
-    traj = run(u0, tau=1.0, t_end=1.0, boundary=unit_far_field(2), stepper="rkc",
-               max_dt=10.0 * limit)
-    assert traj.state.step_count == math.ceil(1.0 / (10.0 * limit))
-    assert traj.state.run_counters()["rejected_trials"] == 0
-    assert np.max(np.abs(traj.state.u.values - ref.state.u.values)) < 2e-4
-    lam0, Lam0 = traj.monitors[0].lambda_min, traj.monitors[0].lambda_max
-    assert all(lam0 - 1e-2 <= r.lambda_min and r.lambda_max <= Lam0 + 1e-2
-               for r in traj.monitors)
+    ref = _fixed_steps(u0, limit, 1.0)[-1]
+    states = _fixed_steps(u0, 10.0 * limit, 1.0)
+    assert len(states) - 1 == math.ceil(1.0 / (10.0 * limit))
+    assert states[-1].run_counters()["rejected_trials"] == 0
+    assert np.max(np.abs(states[-1].u.values - ref.u.values)) < 2e-4
+    bounds = [s.H.eigen_bounds("interior") for s in states]
+    lam0, Lam0 = bounds[0]
+    assert all(lam0 - 1e-2 <= lo and hi <= Lam0 + 1e-2 for lo, hi in bounds)
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 10, 40])
@@ -403,12 +414,6 @@ def test_rkc_stability_polynomial(s):
     assert np.abs(P(np.linspace(-beta, 0.0, 20 * s * s))).max() <= 1.0 + 1e-12
     assert 0.49 * s * s < beta < 2.0 * (s * s - 1) / 3.0
     assert _rkc_stages(beta) == s and _rkc_stages(beta * (1 + 1e-12)) == s + 1
-
-
-def test_rkc_needs_max_dt():
-    dom = BoxDomain(n=1, half_width=2.0, m=17)
-    with pytest.raises(ValueError, match="max_dt"):
-        run(quad(dom, np.eye(1)), t_end=0.1, boundary=unit_far_field(1), stepper="rkc")
 
 
 def test_tau_continuity_is_lipschitz():

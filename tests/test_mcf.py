@@ -113,12 +113,14 @@ def _paths(traj, seeds, t_start=None):
     return integrate_particles(ParticleTransport(seeds, t_start), traj.snapshots).paths()
 
 
-def _bump_trajectory(m=65, t_end=0.5, store_every=1):
+def _bump_trajectory(m=65, t_end=0.5, samples=40):
+    """A bump run stored at samples + 1 uniform times: error-controlled steps
+    are too few to sample a path densely."""
     dom = BoxDomain(n=1, half_width=4.0, m=m)
     u0 = bump(dom)
     return run(u0, tau=1.0, t_end=t_end,
                boundary=QuadraticFarField(np.eye(1), np.zeros(1)),
-               store_every=store_every)
+               snapshot_times=np.linspace(0.0, t_end, samples + 1))
 
 
 def test_quadratic_trajectory_has_stationary_particles():
@@ -136,7 +138,7 @@ def test_quadratic_trajectory_has_stationary_particles():
 def test_path_self_convergence_under_snapshot_refinement():
     # oversampled reference: the full snapshot cadence; paths rebuilt on 2x and
     # 4x coarser cadences must approach it at second order in the step
-    traj = _bump_trajectory(m=65, t_end=0.3)
+    traj = _bump_trajectory(m=65, t_end=0.3, samples=100)
     fine = _paths(traj, [[0.3]])
 
     def end_gap(stride):
@@ -272,15 +274,18 @@ def test_mcf_pipeline_transport_assembles_no_hessian(monkeypatch):
     ({"n": 2, "L": 2.0, "m": 17}, [[0.2, -0.1], [0.0, 0.3]]),
 ], ids=["n1", "n2"])
 def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
-    # the pipeline hands over each state as the flow accepts it and stores none;
-    # transport over a store_every = 1 trajectory must give the same bits
+    # the pipeline hands over each state as the flow accepts it and stores
+    # only the snapshot times; transport over a store_every = 1 trajectory
+    # must give the same bits.  The uniform times keep the steps dense.
     from logflow.config import load_config
     from logflow.experiments import run_pipeline
-    data = {"preset": "mcf-correspondence", "grid": grid, "flow": {"t_end": 0.1},
+    times = np.linspace(0.0, 0.1, 11).tolist()
+    data = {"preset": "mcf-correspondence", "grid": grid,
+            "flow": {"t_end": 0.1, "snapshot_times": times},
             "mcf": {"seeds": seeds, "t_start": 0.02}}
     _, streamed = run_pipeline(load_config(data))
-    assert len(streamed["trajectory"].snapshots) == 1     # the final state only
-    data["flow"] = {"t_end": 0.1, "store_every": 1}
+    assert [t for t, _ in streamed["trajectory"].snapshots] == times
+    data["flow"] = {"t_end": 0.1, "snapshot_times": times, "store_every": 1}
     cfg = load_config(data)
     _, stored = run_pipeline(cfg)
     traj = stored["trajectory"]
