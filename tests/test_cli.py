@@ -340,11 +340,14 @@ def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path, monkeypatc
     assert report["drift"] == run_pipeline(load_config(fault))[0]["drift"]
 
 
-@pytest.mark.parametrize("flow", [{"stepper": "rkc"}, {"max_dt": 0.125}],
-                         ids=["stepper", "max_dt"])
-def test_stepper_and_max_dt_are_no_flow_keys(tmp_path, capsys, flow):
+@pytest.mark.parametrize("preset, flow", [
+    ("condition-b-preservation", {"stepper": "rk3"}),
+    ("mcf-correspondence", {"stepper": "rkc"}),
+    ("condition-b-preservation", {"max_dt": 0.125}),
+], ids=["stepper-rk3", "stepper-rkc", "max_dt"])
+def test_stepper_and_max_dt_are_no_flow_keys(tmp_path, capsys, preset, flow):
     # one error-controlled stepper: neither the stepper nor its step is set
-    cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation", "flow": flow,
+    cfg = _write_cfg(tmp_path, {"preset": preset, "flow": flow,
                                 "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--config", str(cfg)]) == 2
     assert "unknown flow keys" in capsys.readouterr().err

@@ -91,6 +91,18 @@ def test_dt_stable_guards_degenerate_convexity():
 # exact quadratic trajectories
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("tau", [1.0, 0.0], ids=["log", "heat"])
+def test_quadratic_data_evolves_exactly(tau):
+    # isotropic data under the log flow and the heat flow, adaptive steps
+    dom = BoxDomain(n=2, half_width=1.0, m=21)
+    A = np.diag([2.0, 2.0])
+    u0 = quad(dom, A)
+    far = QuadraticFarField(A, np.zeros(2))
+    traj = run(u0, tau=tau, t_end=0.25, boundary=far)
+    expected = u0.values + 0.25 * far.rate(tau, 2)
+    assert np.max(np.abs(traj.state.u.values - expected)) < 1e-10
+
+
 @pytest.mark.parametrize("n, m", [(1, 33), (2, 21), (3, 11)])
 def test_rkc_quadratic_data_evolves_exactly(n, m):
     # a tilted, sheared quadratic: each step's error estimate is roundoff, so
