@@ -11,19 +11,23 @@ second-order Runge-Kutta-Chebyshev (RKC; Sommeijer, Shampine & Verwer,
 J. Comput. Appl. Math. 88, 1998).  A step spends as many stages s as the
 stability interval beta(s) ~ 0.65 s^2 needs to cover it: each stage is one
 evaluation of F_tau, with no Jacobian and no solve, and writes the ring at its
-own time.  The step size comes from RKC's embedded error estimate, which
-costs no further F_tau evaluation: a step is accepted when the estimate's
-interior RMS is at most a tolerance of order h^3, and the next step scales
-with the cube root of the ratio.  The first step is the parabolic limit
-:func:`dt_stable`.  Every F_tau evaluation checks convexity, and a step whose
-stage or result loses it is retried at half the step.  Each iterate's Hessian
-is assembled once and shared by the step acceptance, the stage count, F_tau
-and the monitors; its eigenvalue bounds and its convexity verdict are
-computed once per region, and its determinant once, for both the verdict and
-F_tau.  A quadratic far field keeps the time-independent part of its ring
-values per domain and adds t * rate per call.  A run counts its rejected
-trials, the steps that needed one and its F_tau evaluations in
-:class:`RunCounters`.
+own time.  An inner stage forms only the Hessian entries of the non-ring
+block, by the central differences the whole-field Hessian takes there, so
+its F_tau and its convexity verdict are bit for bit the whole field's; it
+is combined with the earlier stages on that block alone.  The step size
+comes from RKC's embedded error estimate, which costs no further F_tau
+evaluation: a step is accepted when the estimate's interior RMS is at most
+a tolerance of order h^3, and the next step scales with the cube root of
+the ratio.  The first step is the parabolic limit :func:`dt_stable`.  Every
+F_tau evaluation checks convexity, and a step whose stage or result loses
+it is retried at half the step.  Each iterate's Hessian (a trial step's
+result included) is assembled once and shared by the step acceptance, the
+stage count, F_tau and the monitors; its eigenvalue bounds and its
+convexity verdict are computed once per region, and its determinant once,
+for both the verdict and F_tau.  A quadratic far field keeps the
+time-independent part of its ring values per domain and adds t * rate per
+call.  A run counts its rejected trials, the steps that needed one and its
+F_tau evaluations in :class:`RunCounters`.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AbortedNonConvex, NonConvexityError
-from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
-                   third_derivative_norm)
+from .grid import (BoxDomain, GridFunction, HessianField, _det, _nonring_hessian,
+                   _require_finite, _sylvester, gradient, hessian, third_derivative_norm)
 
 __all__ = [
     "QuadraticFarField",
@@ -219,21 +223,55 @@ class Trajectory:
 # spatial operator
 # ---------------------------------------------------------------------------
 
+_CONVEXITY_LOST = "strict convexity lost while evaluating the flow operator"
+
+
 def _ftau(H: HessianField, tau: float) -> np.ndarray:
     """F_tau(D2u) on every node where the Hessian is defined; convexity is
     enforced on the non-ring nodes whenever tau > 0.  The one discretisation
     of the operator: at tau = 1 it is also the left side of the expander's
     Newton residual and of Legendre's dual residual."""
-    n = H.domain.n
+    if tau == 0.0:
+        return _ftau_of(H.mats, tau, None)
+    if not H.is_strictly_convex("nonring"):
+        raise NonConvexityError(_CONVEXITY_LOST)
+    return _ftau_of(H.mats, tau, H.det())
+
+
+def _stage_ftau(values: np.ndarray, domain: BoxDomain, tau: float) -> np.ndarray:
+    """F_tau of an RKC stage's values on the (m-2)^n non-ring block.
+
+    Bit for bit ``_ftau(hessian(u), tau)[nonring]`` with its checks: the
+    values are those of a valid grid function, ring included (else
+    ValueError), and, when tau > 0, every non-ring node's Hessian is
+    strictly convex (else NonConvexityError).  No ring node's entry is
+    formed (see :func:`~logflow.grid._nonring_hessian`).
+    """
+    _require_finite(values)
+    mats = _nonring_hessian(values, domain.h)
+    if tau == 0.0:
+        return _ftau_of(mats, tau, None)
+    det = _det(mats)
+    if not _sylvester(mats) or (det <= 0.0).any():
+        raise NonConvexityError(_CONVEXITY_LOST)
+    return _ftau_of(mats, tau, det)
+
+
+def _ftau_of(mats: np.ndarray, tau: float, det: np.ndarray | None) -> np.ndarray:
+    """F_tau of the symmetric matrices ``mats`` (..., n, n), of determinants
+    ``det`` (unread at tau = 0): the operator's formula, which reads the
+    diagonal and, through ``det``, the upper triangle."""
+    n = mats.shape[-1]
     # einsum's trace adds to 0.0, which turns -0.0 into +0.0; so does "+ 0.0"
-    trace = H.mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", H.mats)
+    trace = mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", mats)
     if tau == 0.0:
         return trace
-    if not H.is_strictly_convex("nonring"):
-        raise NonConvexityError("strict convexity lost while evaluating the flow operator")
-    det = H.det()
-    # ring one-sided values may misbehave; they are unused
-    return tau / n * np.log(np.where(det > 0.0, det, 1.0)) + (1.0 - tau) * trace
+    # convexity is enforced off the ring only: a ring node's one-sided
+    # Hessian may have det <= 0 and gets a finite value no reader uses
+    f = np.log(np.where(det > 0.0, det, 1.0))
+    f *= tau / n
+    f += np.multiply(trace, 1.0 - tau, out=trace)
+    return f
 
 
 def dt_stable(state: FlowState, safety: float = 0.5) -> float:
@@ -312,32 +350,44 @@ def _rkc_stages(need: float) -> int:
 
 
 def _advance(state: FlowState, dt: float, safety: float) -> FlowState:
-    """One tentative damped RKC step (may raise NonConvexityError).
+    """One tentative damped RKC step; its result's F_tau is not yet evaluated.
 
     Explicit Euler is stable up to ``dt_stable(state, 1)``, which puts the
     spectral radius at 2 / dt_stable(state, 1); s stages cover dt when
     ``dt <= beta(s) / 2 * dt_stable(state, safety)``, so ``safety`` is the
     fraction of the stability interval in use.  F0 is the state's own F, so
-    a step evaluates F_tau s times, counting its result's.
+    a step evaluates F_tau s times, counting its result's.  The inner stages
+    evaluate F_tau on the non-ring block only (:func:`_stage_ftau`, which
+    may raise NonConvexityError) and are combined there; each stage's ring
+    takes the boundary values at the stage's time.
     """
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
+    inner = dom.nonring()
     _, mu1, stages = _rkc_coefficients(_rkc_stages(2.0 * dt / dt_stable(state, safety)))
-    y0, f0 = u.values, state.F
+    # the stages live on the non-ring block; each is written into one
+    # whole-grid buffer, with the ring at the stage's time, for F_tau to read
+    y0, f0 = u.values[inner], state.F[inner]
     prev2, prev = y0, y0 + mu1 * dt * f0
+    values = np.empty_like(u.values)
     for mu, nu, mu_t, gamma_t, c_prev in stages:
-        apply_boundary(prev, dom, boundary, t + c_prev * dt, tau)
+        values[inner] = prev
+        apply_boundary(values, dom, boundary, t + c_prev * dt, tau)
         state.counters.f_evals += 1
-        f = _ftau(hessian(u.with_values(prev)), tau)
-        prev2, prev = prev, ((1.0 - mu - nu) * y0 + mu * prev + nu * prev2
-                             + mu_t * dt * f + gamma_t * dt * f0)
-    apply_boundary(prev, dom, boundary, t + dt, tau)
-    trial = FlowState(u=u.with_values(prev), t=t + dt, tau=tau, boundary=boundary,
-                      step_count=state.step_count + 1, counters=state.counters)
-    # the new state must itself be convex when tau > 0, else F_tau raises
-    # and the step is rejected
-    trial.F
-    return trial
+        f = _stage_ftau(values, dom, tau)
+        # (1 - mu - nu) y0 + mu prev + nu prev2 + mu~ dt f + gamma~ dt f0,
+        # summed in that order, on one temporary
+        new = np.multiply(y0, 1.0 - mu - nu)
+        tmp = np.multiply(prev, mu)
+        new += tmp
+        new += np.multiply(prev2, nu, out=tmp)
+        new += np.multiply(f, mu_t * dt, out=f)
+        new += np.multiply(f0, gamma_t * dt, out=tmp)
+        prev2, prev = prev, new
+    values[inner] = prev
+    apply_boundary(values, dom, boundary, t + dt, tau)
+    return FlowState(u=u.with_values(values), t=t + dt, tau=tau, boundary=boundary,
+                     step_count=state.step_count + 1, counters=state.counters)
 
 
 def _resize(err: float) -> float:
@@ -354,19 +404,27 @@ def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
     ``r = (Y1 - Y0) / dt - (F0 + F1) / 2``; a trial whose estimate has an
     interior RMS above ``tol`` is retried at the step :func:`_resize` gives.
     Both kinds of retry count as rejected trials and draw on
-    ``max_halvings``.  The default ``tol`` accepts every convex trial, so dt
-    is then a fixed step.  ``safety`` sets the stage count (see :func:`run`).
+    ``max_halvings``; when it runs out, :class:`AbortedNonConvex` names the
+    last rejection's cause.  The default ``tol`` accepts every convex trial,
+    so dt is then a fixed step.  ``safety`` sets the stage count (see
+    :func:`run`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if max_halvings < 0:
+        raise ValueError("max_halvings must be nonnegative")
     inner = state.u.domain.interior()
     trial_dt = dt
     for _ in range(max_halvings + 1):
+        where = "a stage"
         try:
             trial = _advance(state, trial_dt, safety)
+            where = "the result"
+            trial.F  # when tau > 0 the result must be convex too
         except NonConvexityError:
             state.counters.rejected_trials += 1
             trial_dt *= 0.5
+            last = f"convexity lost in {where}"
             continue
         r = ((trial.u.values[inner] - state.u.values[inner]) / trial_dt
              - 0.5 * (state.F[inner] + trial.F[inner]))
@@ -374,12 +432,13 @@ def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
         if trial.err > 1.0:
             state.counters.rejected_trials += 1
             trial_dt *= _resize(trial.err)
+            last = f"error estimate {trial.err:.3g} times the tolerance"
             continue
         trial.residual = float(np.abs(r).max())
         state.counters.halved_steps += trial_dt < dt
         return trial
-    raise AbortedNonConvex(
-        f"step rejected after {max_halvings} retries at t={state.t:.6g}", state=state)
+    raise AbortedNonConvex(f"step rejected after {max_halvings} retries at "
+                           f"t={state.t:.6g}; the last: {last}", state=state)
 
 
 def _monitor(state: FlowState, dt: float, window: tuple) -> MonitorRecord:

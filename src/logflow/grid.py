@@ -10,9 +10,12 @@ Each Hessian is stored component-major: one (n, n, *grid) buffer seen as
 (*grid, n, n) through a transpose, so every entry field ``mats[..., i, j]``
 is one contiguous array.  First differences are the uniform-spacing
 expressions of ``np.gradient`` with ``edge_order=2``, written out, and each
-consumer computes only the ones it reads.  At n = 3 the eigenvalue bounds
-sweep Jacobi only over the nodes a cheap screen cannot rule out; the screen
-runs once per Hessian on all nodes and every region reads its slice.
+consumer computes only the ones it reads.  Each central expression is
+written once (``_central``, ``_central2``), so the Hessian entries of the
+non-ring block alone are the whole field's bit for bit.  At n = 3 the
+eigenvalue bounds sweep Jacobi only over the nodes a cheap screen cannot
+rule out; the screen runs once per Hessian on all nodes and every region
+reads its slice.
 """
 
 from __future__ import annotations
@@ -129,8 +132,7 @@ class GridFunction:
         if self.values.shape != self.domain.shape:
             raise ValueError(
                 f"values shape {self.values.shape} != domain shape {self.domain.shape}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("grid function contains non-finite values")
+        _require_finite(self.values)
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "GridFunction":
         return GridFunction(self.domain, values, self.label if label is None else label)
@@ -139,9 +141,39 @@ class GridFunction:
         return GridFunction(self.domain, self.values.copy(), self.label)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    """The check every grid function's values pass on construction."""
+    if not np.isfinite(values).all():
+        raise ValueError("grid function contains non-finite values")
+
+
 # ---------------------------------------------------------------------------
 # derivative stencils
 # ---------------------------------------------------------------------------
+
+def _shift(sl: tuple, axis: int, by: int) -> tuple:
+    """``sl`` moved by ``by`` nodes along ``axis``; its bounds there are
+    nonnegative integers."""
+    k = sl[axis]
+    return sl[:axis] + (slice(k.start + by, k.stop + by),) + sl[axis + 1:]
+
+
+def _central(values: np.ndarray, sl: tuple, axis: int, h: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Central first difference along ``axis`` at the nodes ``sl`` selects."""
+    out = np.subtract(values[_shift(sl, axis, 1)], values[_shift(sl, axis, -1)], out=out)
+    return np.divide(out, 2.0 * h, out=out)
+
+
+def _central2(values: np.ndarray, sl: tuple, axis: int, hh: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Central second difference along ``axis`` at the nodes ``sl`` selects,
+    ``hh`` the squared spacing: ``(v[-1] - 2 v[0] + v[1]) / hh`` in that order."""
+    out = np.multiply(values[sl], 2.0, out=out)
+    np.subtract(values[_shift(sl, axis, -1)], out, out=out)
+    np.add(out, values[_shift(sl, axis, 1)], out=out)
+    return np.divide(out, hh, out=out)
+
 
 def axis_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First derivative along one axis, central interior, one-sided O(h^2) ends.
@@ -153,7 +185,7 @@ def axis_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """
     out = np.empty_like(values)
     v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    _central(v, (slice(1, len(v) - 1),), 0, h, out=o[1:-1])
     o[0] = (-1.5 / h) * v[0] + (2.0 / h) * v[1] + (-0.5 / h) * v[2]
     o[-1] = (0.5 / h) * v[-3] + (-2.0 / h) * v[-2] + (1.5 / h) * v[-1]
     return out
@@ -168,7 +200,7 @@ def axis_diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.empty_like(values)
     v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
     hh = h * h
-    o[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / hh
+    _central2(v, (slice(1, len(v) - 1),), 0, hh, out=o[1:-1])
     o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / hh
     o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / hh
     return out
@@ -317,19 +349,9 @@ class HessianField:
         supplies the last leading minor."""
         if region not in self._convex:
             sl = self._region(region)
-            self._convex[region] = self._sylvester(self.mats[sl]) and not (
+            self._convex[region] = _sylvester(self.mats[sl]) and not (
                 self.det()[sl] <= 0.0).any()
         return self._convex[region]
-
-    def _sylvester(self, a: np.ndarray) -> bool:
-        """Positivity of the leading minors below order n; the caller tests det."""
-        n = self.domain.n
-        if n == 1:
-            return True
-        if (a[..., 0, 0] <= 0.0).any():
-            return False
-        return n == 2 or not (
-            (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2) <= 0.0).any()
 
     def _region(self, region: str) -> tuple:
         if region == "interior":
@@ -350,9 +372,34 @@ def _det(a: np.ndarray) -> np.ndarray:
         return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2
     m00, m01, m02 = a[..., 0, 0], a[..., 0, 1], a[..., 0, 2]
     m11, m12, m22 = a[..., 1, 1], a[..., 1, 2], a[..., 2, 2]
-    return (m00 * (m11 * m22 - m12 ** 2)
-            - m01 * (m01 * m22 - m12 * m02)
-            + m02 * (m01 * m12 - m11 * m02))
+    # m00 (m11 m22 - m12^2) - m01 (m01 m22 - m12 m02) + m02 (m01 m12 - m11 m02),
+    # operation for operation, in place on two temporaries
+    out = np.multiply(m11, m22)
+    x = np.square(m12)
+    out -= x
+    out *= m00
+    np.multiply(m01, m22, out=x)
+    y = np.multiply(m12, m02)
+    x -= y
+    x *= m01
+    out -= x
+    np.multiply(m01, m12, out=x)
+    x -= np.multiply(m11, m02, out=y)
+    x *= m02
+    out += x
+    return out
+
+
+def _sylvester(a: np.ndarray) -> bool:
+    """Positivity of the leading minors below order n of the n x n matrices
+    ``a`` (..., n, n), read from the upper triangle; the caller tests det."""
+    n = a.shape[-1]
+    if n == 1:
+        return True
+    if (a[..., 0, 0] <= 0.0).any():
+        return False
+    return n == 2 or not (
+        (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] ** 2) <= 0.0).any()
 
 
 def _screen_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,6 +502,34 @@ def hessian(u: GridFunction) -> HessianField:
     return HessianField(u.domain, comps.transpose(tuple(range(2, n + 2)) + (0, 1)))
 
 
+def _nonring_hessian(values: np.ndarray, h: float) -> np.ndarray:
+    """The upper triangle of :func:`hessian` on the non-ring nodes, bit for bit.
+
+    ``values`` holds one field on the m^n grid.  The result is the
+    (*block, n, n) view of a component-major (n, n, *block) buffer over the
+    (m-2)^n non-ring block; its lower triangle is left unwritten, since the
+    determinant, the leading minors and the trace read only the upper one.
+    At a non-ring node :func:`hessian` evaluates only central expressions:
+    the second difference on the diagonal and, for i < j, the central
+    difference along j of the central difference along i.  The difference
+    along i is taken once, on the non-ring range of the axes up to i and the
+    whole range of the axes after it, which every pair (i, j) reads.
+    """
+    n, m = values.ndim, values.shape[0]
+    inner = (slice(1, m - 1),) * n
+    comps = np.empty((n, n) + (m - 2,) * n)
+    for i in range(n):
+        _central2(values, inner, i, h * h, out=comps[i, i])
+        if i == n - 1:
+            break
+        first = _central(values, inner[:i + 1] + (slice(0, m),) * (n - 1 - i), i, h)
+        # first covers axes up to i on its whole range, the rest one node wider
+        sl = (slice(0, m - 2),) * (i + 1) + inner[i + 1:]
+        for j in range(i + 1, n):
+            _central(first, sl, j, h, out=comps[i, j])
+    return comps.transpose(tuple(range(2, n + 2)) + (0, 1))
+
+
 # ---------------------------------------------------------------------------
 # higher derivatives
 # ---------------------------------------------------------------------------
@@ -467,17 +542,6 @@ def _third_differences(H: HessianField):
             entry = H.mats[..., i, j]
             for l in range(n):
                 yield i, j, l, axis_diff(entry, h, l)
-
-
-def _shift(sl: tuple, axis: int, by: int) -> tuple:
-    """``sl`` moved by ``by`` nodes along ``axis``."""
-    k = sl[axis]
-    return sl[:axis] + (slice(k.start + by, k.stop + by),) + sl[axis + 1:]
-
-
-def _central(values: np.ndarray, sl: tuple, axis: int, h: float) -> np.ndarray:
-    """Central first difference along ``axis`` at the nodes ``sl`` selects."""
-    return (values[_shift(sl, axis, 1)] - values[_shift(sl, axis, -1)]) / (2.0 * h)
 
 
 def third_derivative_norm(H: HessianField) -> float:
@@ -522,8 +586,7 @@ def _fourth_norm(H: HessianField) -> float:
             for k in range(n):
                 for l in range(k, n):
                     if k == l:
-                        d = (entry[_shift(sl, k, -1)] - 2.0 * entry[sl]
-                             + entry[_shift(sl, k, 1)]) / hh
+                        d = _central2(entry, sl, k, hh)
                     else:
                         d = (_central(entry, _shift(sl, l, 1), k, h)
                              - _central(entry, _shift(sl, l, -1), k, h)) / (2.0 * h)

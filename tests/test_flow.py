@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from logflow.errors import AbortedNonConvex, NonConvexityError
 from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution, dt_stable,
@@ -231,25 +232,26 @@ def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
     # twice the stability interval (safety 3 against rkc's own 1.5 margin):
     # a stage, not only a step's result, loses convexity, and the step is
     # retried at half the size instead of aborting
-    import sys
     import logflow.flow as flow
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     failed = []
-    ftau = flow._ftau
 
-    def recording_ftau(H, tau):
-        try:
-            return ftau(H, tau)
-        except NonConvexityError:
-            failed.append(sys._getframe(1).f_code.co_name)
-            raise
+    def recording(fn, where):
+        def wrapper(*args):
+            try:
+                return fn(*args)
+            except NonConvexityError:
+                failed.append(where)
+                raise
+        return wrapper
 
-    monkeypatch.setattr(flow, "_ftau", recording_ftau)
+    monkeypatch.setattr(flow, "_stage_ftau", recording(flow._stage_ftau, "stage"))
+    monkeypatch.setattr(flow, "_ftau", recording(flow._ftau, "result"))
     new = step_explicit(state, 0.1, safety=3.0)
-    assert failed and failed[0] == "_advance"
+    assert failed and failed[0] == "stage"
     assert hessian(new.u).is_strictly_convex("nonring")
     taken = new.t - state.t
     assert taken < 0.1 and math.log2(0.1 / taken).is_integer()
@@ -257,7 +259,8 @@ def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
     assert state.counters.halved_steps == 1 and new.counters is state.counters
 
 
-def test_abort_after_exhausted_halvings():
+def test_abort_after_exhausted_halvings(monkeypatch):
+    import logflow.flow as flow
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
@@ -265,6 +268,17 @@ def test_abort_after_exhausted_halvings():
     with pytest.raises(AbortedNonConvex) as exc:
         step_explicit(state, 100.0 * dt_stable(state), max_halvings=0, safety=3.0)
     assert exc.value.state is state
+    assert str(exc.value).endswith("the last: convexity lost in a stage")
+    with pytest.raises(ValueError, match="max_halvings"):
+        step_explicit(state, dt_stable(state), max_halvings=-1)
+
+    def refuse(H, tau):
+        raise NonConvexityError("refused")
+
+    # every result is refused; the state's own F is kept already
+    monkeypatch.setattr(flow, "_ftau", refuse)
+    with pytest.raises(AbortedNonConvex, match="the last: convexity lost in the result$"):
+        step_explicit(state, dt_stable(state), max_halvings=1)
 
 
 def test_error_control_rejects_and_aborts_after_exhausted_retries():
@@ -280,44 +294,171 @@ def test_error_control_rejects_and_aborts_after_exhausted_retries():
     assert new.t - state.t < 0.05 and new.err <= 1.0
     assert state.counters.rejected_trials >= 1 and state.counters.halved_steps == 1
     rejected = state.counters.rejected_trials
-    with pytest.raises(AbortedNonConvex) as exc:
+    with pytest.raises(AbortedNonConvex, match=r"the last: error estimate \S+ times "
+                       r"the tolerance$") as exc:
         step_explicit(state, 0.05, max_halvings=2, tol=1e-30)
     assert exc.value.state is state
     assert state.counters.rejected_trials == rejected + 3
 
 
 def test_each_iterate_hessian_assembled_once(monkeypatch):
-    # one Hessian for u0, then per trial step the s - 1 inner stages' and the
-    # result's; the stage count, acceptance, F_tau and monitors share it,
-    # and each Hessian's convexity verdict is evaluated once: the step
-    # acceptance's is reused by the next step's F_tau
+    # one Hessian for u0, then per trial step one for its result; the stage
+    # count, acceptance, F_tau and monitors share it, and no inner stage
+    # assembles one.  Each Hessian's convexity verdict is evaluated once
+    # (the step acceptance's is reused by the next step's F_tau) and each
+    # stage makes its own.
     import logflow.flow as flow
-    from logflow.grid import HessianField
-    calls, checked, stages = [], [], []
-    sylvester = HessianField._sylvester
-    choose = flow._rkc_stages
+    import logflow.grid as grid
+    calls, stage_calls, checked, stage_checked, stages = [], [], [], [], []
+    choose, sylvester = flow._rkc_stages, flow._sylvester
 
-    def counting_hessian(u):
-        calls.append(u)
-        return hessian(u)
+    def counting(fn, seen):
+        def wrapper(*args):
+            out = fn(*args)
+            seen.append(out)
+            return out
+        return wrapper
 
-    def counting_sylvester(H, a):
-        checked.append(H)
-        return sylvester(H, a)
-
-    monkeypatch.setattr(flow, "hessian", counting_hessian)
-    monkeypatch.setattr(HessianField, "_sylvester", counting_sylvester)
+    monkeypatch.setattr(flow, "hessian", counting(hessian, calls))
+    monkeypatch.setattr(flow, "_stage_ftau", counting(flow._stage_ftau, stage_calls))
+    monkeypatch.setattr(grid, "_sylvester",
+                        lambda a: checked.append(a.base) or sylvester(a))
+    monkeypatch.setattr(flow, "_sylvester", counting(sylvester, stage_checked))
     monkeypatch.setattr(flow, "_rkc_stages",
                         lambda need: stages.append(choose(need)) or stages[-1])
     dom = BoxDomain(n=2, half_width=4.0, m=33)
     traj = run(bump_quad(dom), tau=1.0, t_end=0.05, boundary=unit_far_field(2))
     steps = traj.state.step_count
-    assert steps >= 2
-    assert len(stages) == steps + traj.state.counters.rejected_trials
-    assert min(stages) >= 3
-    hessians = 1 + sum(stages)
-    assert len(calls) == traj.state.counters.f_evals == hessians
-    assert len(checked) == len({id(H) for H in checked}) == hessians
+    trials = steps + traj.state.counters.rejected_trials
+    assert steps >= 2 and len(stages) == trials and min(stages) >= 3
+    assert len(calls) == 1 + trials
+    assert len(stage_calls) == sum(stages) - trials
+    assert traj.state.counters.f_evals == len(calls) + len(stage_calls)
+    # the verdicts read each Hessian's own buffer, once
+    assert sorted(map(id, checked)) == sorted(id(H.mats.base) for H in calls)
+    assert len(stage_checked) == len(stage_calls)
+
+
+# ---------------------------------------------------------------------------
+# the RKC stage operator against the whole-field Hessian
+# ---------------------------------------------------------------------------
+
+def _off_diagonal(n, off):
+    return np.eye(n) + off * (1.0 - np.eye(n))
+
+
+def _quad_bump(dom, off, amp, width, centre):
+    """x'Ax/2 with A = _off_diagonal(n, off), plus amp exp(-|x - c|^2 / w^2)."""
+    grids = dom.meshgrid()
+    vals = 0.5 * sum(g * g for g in grids)
+    for i in range(dom.n):
+        for j in range(i + 1, dom.n):
+            vals = vals + off * grids[i] * grids[j]
+    r2 = sum((g - centre) ** 2 for g in grids)
+    return GridFunction(dom, vals + amp * np.exp(-r2 / width ** 2))
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except NonConvexityError:
+        return "non-convex"
+
+
+@given(n=st.integers(1, 3), m=st.sampled_from([5, 6, 9, 14]),
+       tau=st.sampled_from([0.0, 0.4, 1.0]), off=st.floats(-0.4, 0.4),
+       amp=st.floats(-2.0, 1.0), width=st.floats(0.5, 1.5), centre=st.floats(-1.0, 1.0))
+def test_stage_operator_equals_ftau_of_hessian_bit_for_bit(n, m, tau, off, amp, width,
+                                                           centre):
+    # the same values, or NonConvexityError on the same data, on the
+    # non-ring block; the stage's upper triangle is hessian's there too
+    from logflow.flow import _ftau, _stage_ftau
+    from logflow.grid import _nonring_hessian
+    dom = BoxDomain(n=n, half_width=2.0, m=m, margin=0)
+    u = _quad_bump(dom, off, amp, width, centre)
+    inner = dom.nonring()
+    want = _outcome(lambda: _ftau(hessian(u), tau)[inner])
+    assert _outcome(lambda: _stage_ftau(u.values, dom, tau)) == want
+    upper = np.triu_indices(n)
+    got = _nonring_hessian(u.values, dom.h)[..., upper[0], upper[1]]
+    assert got.tobytes() == hessian(u).mats[inner][..., upper[0], upper[1]].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stage_operator_raises_where_ftau_does(n):
+    # a bump deep enough to break convexity near its centre fails both ways
+    # at tau > 0 and at neither at tau = 0
+    from logflow.flow import _ftau, _stage_ftau
+    dom = BoxDomain(n=n, half_width=2.0, m=9)
+    u = _quad_bump(dom, 0.0, 1.0, 1.0, 0.0)
+    for tau in (0.4, 1.0):
+        with pytest.raises(NonConvexityError):
+            _ftau(hessian(u), tau)
+        with pytest.raises(NonConvexityError):
+            _stage_ftau(u.values, dom, tau)
+    assert _stage_ftau(u.values, dom, 0.0).tobytes() == \
+        _ftau(hessian(u), 0.0)[dom.nonring()].tobytes()
+
+
+@given(n=st.integers(1, 3), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       at=st.integers(0, 10 ** 6), tau=st.sampled_from([0.0, 1.0]))
+def test_stage_operator_rejects_non_finite_values_like_a_grid_function(n, bad, at, tau):
+    # ring nodes included: a stage's values pass the grid function's check
+    from logflow.flow import _stage_ftau
+    dom = BoxDomain(n=n, half_width=2.0, m=7)
+    values = _quad_bump(dom, 0.1, 0.1, 1.0, 0.0).values.copy()
+    values.flat[at % values.size] = bad
+    with pytest.raises(ValueError) as want:
+        GridFunction(dom, values)
+    with pytest.raises(ValueError) as got:
+        _stage_ftau(values, dom, tau)
+    assert str(got.value) == str(want.value)
+
+
+def _whole_field_advance(state, dt, safety):
+    """The RKC step with each stage's F_tau taken from its whole-field
+    Hessian, every node combined and the ring then overwritten."""
+    import logflow.flow as flow
+    u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
+    dom = u.domain
+    _, mu1, stages = flow._rkc_coefficients(
+        flow._rkc_stages(2.0 * dt / dt_stable(state, safety)))
+    y0, f0 = u.values, state.F
+    prev2, prev = y0, y0 + mu1 * dt * f0
+    for mu, nu, mu_t, gamma_t, c_prev in stages:
+        flow.apply_boundary(prev, dom, boundary, t + c_prev * dt, tau)
+        state.counters.f_evals += 1
+        f = flow._ftau(hessian(u.with_values(prev)), tau)
+        prev2, prev = prev, ((1.0 - mu - nu) * y0 + mu * prev + nu * prev2
+                             + mu_t * dt * f + gamma_t * dt * f0)
+    flow.apply_boundary(prev, dom, boundary, t + dt, tau)
+    return FlowState(u=u.with_values(prev), t=t + dt, tau=tau, boundary=boundary,
+                     step_count=state.step_count + 1, counters=state.counters)
+
+
+@pytest.mark.parametrize("n, m, tau, factor, safety", [
+    (1, 33, 1.0, 100.0, 3.0),   # stage convexity losses, then halvings
+    (2, 21, 0.4, 40.0, 0.5),    # error rejections
+    (3, 13, 1.0, 20.0, 0.5),
+])
+def test_step_equals_whole_field_stage_step_bit_for_bit(monkeypatch, n, m, tau, factor,
+                                                        safety):
+    import logflow.flow as flow
+    dom = BoxDomain(n=n, half_width=2.0, m=m)
+    u0 = _quad_bump(dom, 0.2, 0.1, 1.0, 0.3)
+    far = QuadraticFarField(_off_diagonal(n, 0.2), np.zeros(n))
+
+    def one_step():
+        state = FlowState(u=u0, t=0.0, tau=tau, boundary=far)
+        new = step_explicit(state, factor * dt_stable(state), safety=safety,
+                            tol=flow._ERROR_TOL * dom.h ** 3)
+        return (new.t, new.err, new.residual, new.u.values.tobytes(), new.F.tobytes(),
+                new.run_counters())
+
+    got = one_step()
+    monkeypatch.setattr(flow, "_advance", _whole_field_advance)
+    want = one_step()
+    assert got == want and got[-1]["rejected_trials"] >= 1
 
 
 def test_eigen_screen_runs_once_per_n3_hessian(monkeypatch):
