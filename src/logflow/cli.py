@@ -26,9 +26,10 @@ states, and a run's error-controlled steps are few (``flow.store_every = 1``
 stores a few dozen), so give the run a uniform grid of
 ``flow.snapshot_times``; the mcf pipeline, streaming its particles through
 the flow, stores none.  ``analyze decay`` merges its fit
-into the run's ``ratefit.json`` by quantity, keeping the other fits.  Every
-command that writes into a run directory rewrites its ``manifest.json``
-afterwards.
+into the run's ``ratefit.json`` by quantity, keeping the other fits.
+``legendre check-dual`` prints the residual of the tau = 1 equation, whatever
+the run's tau, and that tau beside it.  Every command that writes into a run
+directory rewrites its ``manifest.json`` afterwards.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def _cmd_legendre_checkdual(args) -> int:
     if len(traj.snapshots) < 3:
         raise ConfigError("need at least three snapshots for the duality check")
     res, _ = legendre.dual_flow_check(traj.snapshots[-3:])
-    print(json.dumps({"dual_residual": res}, indent=2))
+    print(json.dumps({"dual_residual": res, "tau": tau}, indent=2))
     return EXIT_OK
 
 

@@ -235,7 +235,10 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
         return _ftau_of(H.mats, tau, None)
     if not H.is_strictly_convex("nonring"):
         raise NonConvexityError(_CONVEXITY_LOST)
-    return _ftau_of(H.mats, tau, H.det())
+    # convexity is enforced off the ring only: a ring node's one-sided
+    # Hessian may have det <= 0 and gets a finite value no reader uses
+    det = H.det()
+    return _ftau_of(H.mats, tau, np.where(det > 0.0, det, 1.0))
 
 
 def _stage_ftau(values: np.ndarray, domain: BoxDomain, tau: float) -> np.ndarray:
@@ -259,17 +262,20 @@ def _stage_ftau(values: np.ndarray, domain: BoxDomain, tau: float) -> np.ndarray
 
 def _ftau_of(mats: np.ndarray, tau: float, det: np.ndarray | None) -> np.ndarray:
     """F_tau of the symmetric matrices ``mats`` (..., n, n), of determinants
-    ``det`` (unread at tau = 0): the operator's formula, which reads the
-    diagonal and, through ``det``, the upper triangle."""
+    ``det`` > 0 (unread at tau = 0): the operator's formula, which reads the
+    diagonal and, through ``det``, the upper triangle.  At tau = 1 it forms
+    no trace: its term trace * 0.0 is +-0.0 for finite entries, and adding
+    it changes no f, since log never returns -0.0."""
     n = mats.shape[-1]
+    if tau != 0.0:
+        f = np.log(det)
+        f *= tau / n
+        if tau == 1.0:
+            return f
     # einsum's trace adds to 0.0, which turns -0.0 into +0.0; so does "+ 0.0"
     trace = mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", mats)
     if tau == 0.0:
         return trace
-    # convexity is enforced off the ring only: a ring node's one-sided
-    # Hessian may have det <= 0 and gets a finite value no reader uses
-    f = np.log(np.where(det > 0.0, det, 1.0))
-    f *= tau / n
     f += np.multiply(trace, 1.0 - tau, out=trace)
     return f
 

@@ -6,8 +6,10 @@ accuracy (and is exact for quadratic u).  The max over the product grid is
 taken axis by axis as n nested 1-D maxima, last axis first, at a cost of
 O(n m^n m') for m nodes and m' dual nodes per axis; it picks the same node as
 a dense scan of all pairs except at floating-point near-ties.  Each pass
-scores a block of dual indices at a time, so the max holds O(block) scores,
-not a whole pass, with the same bits as scoring the pass at once.
+copies the running maxima once into contiguous lines along the maximised
+axis and scores a block of whole lines at a time against every dual index
+of that axis, so the max holds O(block) scores, not a whole pass, with the
+same bits as scoring the pass at once.
 
 The transform reads the Hessian and gradient of u from its caller, who takes
 them once.  :func:`dual_flow_check` conjugates each snapshot once and hands
@@ -20,6 +22,8 @@ F*(M) = -F(M^{-1}) of F = (1/n) ln det fixes F.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -36,44 +40,54 @@ __all__ = [
 ]
 
 
-_BLOCK = 1 << 14
-"""Scores per block of the max, 128 kB of float64.  At n = 2, m = 97 on a
-2-vCPU x86-64 host the max took 7.5 ms with this block, 13 ms with 1 << 18
-and 18 ms in one block per pass."""
+_BLOCK = 1 << 16
+"""Scores per block of the max, 512 kB of float64.  A block holds whole pass
+lines (m' m scores each), at least one.  On the duality benchmark's t = 0.5
+snapshot (n = 2, m = 97: six lines a block) on a 2-vCPU x86-64 host with
+one BLAS thread the max took 2.1-2.5 ms with this block, 2.2-2.7 ms with
+1 << 17, 2.5-3.0 ms with 1 << 15, 3.2-4.0 ms with 1 << 14 (one line a block)
+and 3.6-3.8 ms with 1 << 18; 1 << 17 also raised that benchmark's peak RSS
+by about 1.4 MB (44.4 against 43.0 MB)."""
 
 
 def _discrete_sup(u: GridFunction, y_domain: BoxDomain) -> tuple[np.ndarray, tuple]:
     """max over nodes x of <x, y> - u(x) for every dual node y, with its arg-max.
 
     Returns the maxima, shape ``y_domain.shape``, and the arg-max node as a
-    tuple of n per-axis index arrays of that shape.  Pass k maximises over
-    x_k for a block of dual indices y_k at a time: about ``_BLOCK`` scores,
-    or those of one dual index when they are more.  The first maximum wins,
-    as when the pass is scored at once, so the bits are the same.
+    tuple of n per-axis index arrays of that shape.  Pass k maximises the
+    running maxima over x_k: it copies them once into contiguous lines of
+    m values along x_k and scores whole lines against every dual index y_k,
+    about ``_BLOCK`` scores at a time (one line when a line holds more).
+    The first maximum along the line wins, as in any other layout, so the
+    bits do not depend on the block.
     """
     n, m, m_y = u.domain.n, u.domain.m, y_domain.m
-    xy = np.multiply.outer(u.domain.axis, y_domain.axis)     # (m, m')
+    yx = np.multiply.outer(y_domain.axis, u.domain.axis)       # (m', m)
     V, args = -u.values, [None] * n
     for k in range(n - 1, -1, -1):
         # V: (m,)*(k+1) + (m',)*(n-1-k); maximise over x_k on axis k
-        shape = (m,) * k + (m_y,) * (n - k)
-        V_next, args[k] = np.empty(shape), np.empty(shape, dtype=np.intp)
-        width = max(1, _BLOCK // V.size)
-        Vk = np.expand_dims(V, k + 1)
-        for j in range(0, m_y, width):
-            blk = (slice(None),) * k + (slice(j, j + width),)
-            col = xy[:, j:j + width]
-            scores = Vk + col.reshape(col.shape + (1,) * (n - 1 - k))
-            best = np.argmax(scores, axis=k)
-            args[k][blk] = best
-            V_next[blk] = np.take_along_axis(scores, np.expand_dims(best, k),
-                                             axis=k).squeeze(k)
-        V = V_next
+        lead = V.shape[:k] + V.shape[k + 1:]
+        W = np.ascontiguousarray(np.moveaxis(V, k, -1)).reshape(-1, m)
+        lines = W.shape[0]
+        V_next = np.empty((lines, m_y))
+        best = np.empty((lines, m_y), dtype=np.intp)
+        width = min(lines, max(1, _BLOCK // (m_y * m)))
+        scores = np.empty((width, m_y, m))
+        at = np.arange(0, width * m_y * m, m)              # each score row's start
+        for r in range(0, lines, width):
+            q = min(width, lines - r)
+            np.add(W[r:r + q, None, :], yx, out=scores[:q])
+            np.argmax(scores[:q], axis=-1, out=best[r:r + q])
+            np.take(scores.reshape(-1), at[:q * m_y] + best[r:r + q].reshape(-1),
+                    out=V_next[r:r + q].reshape(-1))
+        # the dual axis y_k comes last; put it back in place k
+        V = np.moveaxis(V_next.reshape(lead + (m_y,)), -1, k)
+        args[k] = np.moveaxis(best.reshape(lead + (m_y,)), -1, k)
     ys = np.indices(y_domain.shape)
     idx = []
     for k in range(n):                       # i_k = arg_k[i_0..i_{k-1}, y_k..y_{n-1}]
         idx.append(args[k][tuple(idx) + tuple(ys[k:])])
-    return V, tuple(idx)
+    return np.ascontiguousarray(V), tuple(idx)
 
 
 _SHRINK = 0.8  # the automatic dual box's share of the gradient range
@@ -137,9 +151,22 @@ def legendre_transform(u: GridFunction, H: HessianField, g: np.ndarray,
     resid = y_pts - (grad_at - (dom.h ** 2 / 6.0) * bias)  # y - Du(x*)
     step = np.einsum("kij,kj->ki", H.inverse()[multi].reshape(-1, dom.n, dom.n), resid)
     star = sup.ravel() + 0.5 * np.einsum("ki,ki->k", resid, step)
-    star = star - np.einsum("kijl,ki,kj,kl->k", third, step, step, step) / 6.0
+    star = star - _cubic(third, step) / 6.0
     return GridFunction(y_domain, star.reshape(y_domain.shape),
                         label=f"conjugate[{u.label}]")
+
+
+def _cubic(third: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """sum over (i, j, l) of third[k, i, j, l] step[k, i] step[k, j] step[k, l]
+    for every k: ``np.einsum("kijl,ki,kj,kl->k", ...)`` bit for bit, with its
+    products and its sum in the same order, from +0.0 up.  At K = 9409 on a
+    2-vCPU x86-64 host it takes 0.20 ms at n = 2 against einsum's 1.5 ms
+    (n = 1: 0.03 against 0.06 ms; n = 3: 0.86 against 2.2 ms)."""
+    n = step.shape[1]
+    cubic = np.zeros(step.shape[0])
+    for i, j, l in itertools.product(range(n), repeat=3):
+        cubic += third[:, i, j, l] * step[:, i] * step[:, j] * step[:, l]
+    return cubic
 
 
 def eigenvalue_swap_gap(H: HessianField, H_star: HessianField) -> tuple[float, float]:

@@ -667,6 +667,27 @@ def test_mcf_reconstruct_cli(tmp_path, capsys):
     assert "re-run the flow with a uniform grid of flow.snapshot_times" in err
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.5])
+def test_legendre_check_dual_cli_prints_the_run_tau(tmp_path, capsys, tau):
+    # the residual is that of the tau = 1 equation; a run at another tau
+    # reads a large one, and the printed tau says why
+    cfg = _write_cfg(tmp_path, {
+        "pipeline": "flow",
+        "grid": {"n": 1, "L": 3.0, "m": 33},
+        "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
+                    "amplitude": 0.1, "width": 1.0},
+        "flow": {"tau": tau, "t_end": 0.05, "snapshot_times": [0.0, 0.025, 0.05]},
+        "outdir": str(tmp_path / "run"),
+    })
+    assert main(["flow", "run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["legendre", "check-dual", "--trajectory", str(tmp_path / "run")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["dual_residual", "tau"] and out["tau"] == tau
+    assert (out["dual_residual"] < 0.01) == (tau == 1.0)
+    assert (out["dual_residual"] > 0.1) == (tau != 1.0)
+
+
 def _manifest_mismatches(rundir: Path) -> dict:
     """Each file of a run directory whose sha256 the manifest does not
     list, mapped to (listed, actual); the manifest lists itself as nothing."""

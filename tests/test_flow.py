@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from logflow.errors import AbortedNonConvex, NonConvexityError
 from logflow.flow import (FlowState, QuadraticFarField, ReferenceSolution, dt_stable,
@@ -398,6 +398,39 @@ def test_stage_operator_raises_where_ftau_does(n):
             _stage_ftau(u.values, dom, tau)
     assert _stage_ftau(u.values, dom, 0.0).tobytes() == \
         _ftau(hessian(u), 0.0)[dom.nonring()].tobytes()
+
+
+def _whole_formula(mats, tau, det):
+    """F_tau with every term formed: trace, log of det where det > 0 (else
+    of 1) times tau / n, plus trace times 1 - tau, even at tau = 1."""
+    n = mats.shape[-1]
+    trace = mats[..., 0, 0] + 0.0 if n == 1 else np.einsum("...ii->...", mats)
+    if tau == 0.0:
+        return trace
+    return np.log(np.where(det > 0.0, det, 1.0)) * (tau / n) + trace * (1.0 - tau)
+
+
+@given(n=st.integers(1, 3), m=st.sampled_from([5, 9, 14]), off=st.floats(-0.4, 0.4),
+       amp=st.floats(-0.4, 0.4), width=st.floats(0.5, 1.5), centre=st.floats(-1.0, 1.0))
+@example(n=1, m=9, off=0.0, amp=0.1, width=1.0, centre=0.0)
+@example(n=2, m=9, off=0.2, amp=-0.3, width=1.0, centre=0.4)
+@example(n=3, m=9, off=-0.2, amp=0.3, width=1.0, centre=-0.7)
+def test_ftau_of_equals_the_whole_formula_bit_for_bit(n, m, off, amp, width, centre):
+    # at tau = 1 the trace term is +-0.0 and log never returns -0.0, so the
+    # formula without it has the same bits; tau = 0 and 0.5 keep the trace
+    from logflow.flow import _ftau, _ftau_of, _stage_ftau
+    from logflow.grid import _det, _nonring_hessian
+    dom = BoxDomain(n=n, half_width=2.0, m=m, margin=0)
+    u = _quad_bump(dom, off, amp, width, centre)
+    mats = _nonring_hessian(u.values, dom.h)
+    det = _det(mats)
+    assume(np.all(det > 0.0) and hessian(u).is_strictly_convex("nonring"))
+    H = hessian(u)
+    for tau in (0.0, 0.5, 1.0):
+        want = _whole_formula(mats, tau, det).tobytes()
+        assert _ftau_of(mats, tau, det).tobytes() == want
+        assert _stage_ftau(u.values, dom, tau).tobytes() == want
+        assert _ftau(H, tau).tobytes() == _whole_formula(H.mats, tau, H.det()).tobytes()
 
 
 @given(n=st.integers(1, 3), bad=st.sampled_from([np.nan, np.inf, -np.inf]),

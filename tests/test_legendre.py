@@ -134,15 +134,32 @@ def one_shot_sup(u, y_domain):
     return V, tuple(idx)
 
 
+# A pass line is one run of the running maxima along the maximised axis,
+# scored against every dual index of that axis: m * m_y scores in every
+# pass, and a pass has m**k * m_y**(n-1-k) lines.  With _BLOCK = quarters *
+# m * m_y // 4 a block holds quarters / 4 lines, rounded down, at least one.
+# The examples use dyadic data, whose scores tie exactly, so the first
+# maximum must win in every block layout:
+#   quarters 2: half a line, so one line per block (n = 1, 2, 3)
+#   quarters 4: exactly one line (n = 1, 2, 3)
+#   n = 1, quarters 16: more than the pass's one line
+#   n = 2, m = 9, m_y = 11, quarters 16: 4 lines, passes of 9 and 11 lines
+#     end in blocks of 1 and 3
+#   n = 3, m = 7, m_y = 9, quarters 20: 5 lines, passes of 49, 63 and 81
+#     lines end in blocks of 4, 3 and 1
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(7, 15),
-       m_y=st.integers(7, 15), width=st.integers(1, 14), ties=st.booleans())
-@example(seed=1, n=1, m=13, m_y=8, width=3, ties=False)
-@example(seed=2, n=2, m=9, m_y=11, width=4, ties=True)
-@example(seed=3, n=3, m=7, m_y=9, width=2, ties=False)
-def test_blocked_sup_has_the_bits_of_one_shot_passes(seed, n, m, m_y, width, ties):
-    # the first pass (over the last axis) holds m**n scores per dual index,
-    # so this block size scores `width` dual indices per block there: the
-    # passes run in several blocks, often with a short last one
+       m_y=st.integers(7, 15), quarters=st.integers(1, 64), ties=st.booleans())
+@example(seed=1, n=1, m=13, m_y=8, quarters=2, ties=True)
+@example(seed=2, n=1, m=13, m_y=8, quarters=4, ties=True)
+@example(seed=3, n=1, m=13, m_y=8, quarters=16, ties=True)
+@example(seed=4, n=2, m=9, m_y=11, quarters=2, ties=True)
+@example(seed=5, n=2, m=9, m_y=11, quarters=4, ties=True)
+@example(seed=6, n=2, m=9, m_y=11, quarters=16, ties=True)
+@example(seed=7, n=3, m=7, m_y=9, quarters=2, ties=True)
+@example(seed=8, n=3, m=7, m_y=9, quarters=4, ties=True)
+@example(seed=9, n=3, m=7, m_y=9, quarters=20, ties=True)
+@example(seed=10, n=3, m=7, m_y=9, quarters=20, ties=False)
+def test_blocked_sup_has_the_bits_of_one_shot_passes(seed, n, m, m_y, quarters, ties):
     rng = np.random.default_rng(seed)
     dom = BoxDomain(n=n, half_width=0.25 * (m - 1), m=m)
     y_dom = BoxDomain(n=n, half_width=0.5 * (m_y - 1), m=m_y)
@@ -151,13 +168,38 @@ def test_blocked_sup_has_the_bits_of_one_shot_passes(seed, n, m, m_y, width, tie
     else:
         vals = rng.normal(size=dom.shape)
     u = GridFunction(dom, vals)
-    with mock.patch.object(legendre, "_BLOCK", width * m ** n):
+    with mock.patch.object(legendre, "_BLOCK", quarters * m * m_y // 4):
         V, idx = _discrete_sup(u, y_dom)
     V_ref, idx_ref = one_shot_sup(u, y_dom)
     assert V.tobytes() == V_ref.tobytes()
     assert len(idx) == n
     for a, b in zip(idx, idx_ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cubic_term_has_the_bits_of_einsum(n):
+    # both multiply in the order third * step_i * step_j * step_l and sum
+    # over (i, j, l) in C order from +0.0, so an exactly zero sum is +0.0 on
+    # both sides, also where every product is -0.0; star - cubic / 6 is
+    # then unchanged too
+    rng = np.random.default_rng(n)
+    K = 4000
+    third = rng.normal(size=(K, n, n, n))
+    step = rng.normal(size=(K, n)) * np.logspace(-8, 0, K)[:, None]
+    third[rng.random(third.shape) < 0.3] = 0.0
+    third[rng.random(third.shape) < 0.1] = -0.0
+    step[rng.random(step.shape) < 0.3] = 0.0
+    step[rng.random(step.shape) < 0.1] = -0.0
+    third[:4], step[:4] = -1.0, 0.0      # every product -0.0
+    third[4:8], step[4:8] = 0.0, -1.0
+    want = np.einsum("kijl,ki,kj,kl->k", third, step, step, step)
+    got = legendre._cubic(third, step)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(want == 0.0) and not np.any(np.signbit(want[:8]))
+    star = rng.normal(size=K)
+    star[:2] = -0.0
+    assert (star - got / 6.0).tobytes() == (star - want / 6.0).tobytes()
 
 
 def test_transform_memory_is_bounded():
