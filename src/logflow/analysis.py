@@ -86,6 +86,10 @@ def check_condition_B(u: GridFunction, lower: float, upper: float) -> ConditionB
 # decay-rate fitting
 # ---------------------------------------------------------------------------
 
+# the fewest samples a rate fit takes, and the first time the decay fit reads
+FIT_SAMPLES = 5
+DECAY_FROM = 0.25
+
 @dataclass
 class RateFit:
     quantity: str
@@ -103,8 +107,8 @@ class RateFit:
 def _loglog_fit(times, values, quantity) -> RateFit:
     t = np.asarray(times, dtype=np.float64)
     q = np.asarray(values, dtype=np.float64)
-    if t.size < 5:
-        raise InsufficientSamples("rate fits need at least five samples")
+    if t.size < FIT_SAMPLES:
+        raise InsufficientSamples(f"rate fits need at least {FIT_SAMPLES} samples")
     if np.max(np.abs(q)) <= 1e-13:
         return RateFit(quantity=quantity, times=list(t), values=list(q),
                        exponent=None, coefficient=None, max_log_residual=None,
@@ -119,12 +123,11 @@ def _loglog_fit(times, values, quantity) -> RateFit:
 
 def fit_decay(trajectory, order: int) -> RateFit:
     """Log-log fit of the squared interior sup norm of the derivative tensor
-    of the given order against snapshot times t >= 0.25."""
-    t_min = 0.25
-    samples = [(t, u) for t, u in trajectory.snapshots if t >= t_min - 1e-12]
-    if len(samples) < 5:
-        raise InsufficientSamples(
-            f"need >= 5 snapshots at t >= {t_min}, found {len(samples)}")
+    of the given order against snapshot times t >= DECAY_FROM."""
+    samples = [(t, u) for t, u in trajectory.snapshots if t >= DECAY_FROM - 1e-12]
+    if len(samples) < FIT_SAMPLES:
+        raise InsufficientSamples(f"need >= {FIT_SAMPLES} snapshots at "
+                                  f"t >= {DECAY_FROM}, found {len(samples)}")
     times = [t for t, _ in samples]
     values = [derivative_sup_norm(u, order) ** 2 for _, u in samples]
     return _loglog_fit(times, values, quantity=f"D{order}norm2")
@@ -184,7 +187,7 @@ def blowdown_convergence(trajectory, U1: Callable,
     monotone = all(errors[k + 1] < errors[k]
                    for k in range(monotone_from, len(errors) - 1))
     fit = None
-    if len(errors) >= 5:
+    if len(errors) >= FIT_SAMPLES:
         fit = _loglog_fit(times, errors, quantity="blowdown_error")
     return BlowdownReport(times=times, errors=errors, monotone_from=monotone_from,
                           monotone=monotone, final_error=errors[-1], fit=fit)

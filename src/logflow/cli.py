@@ -21,11 +21,11 @@ a refined pipeline's finer level and judges the wall time.  Several configs
 run one after another in this process, each into its own directory; every
 preset at once is ``logflow flow run --config presets/*.json --outdir out``.
 A ``--trajectory`` command reads a run directory's snapshots, not its
-monitors or final flow state.  ``mcf reconstruct`` needs densely sampled
-states, and a run's error-controlled steps are few (``flow.store_every = 1``
-stores a few dozen), so give the run a uniform grid of
-``flow.snapshot_times``; the mcf pipeline, streaming its particles through
-the flow, stores none.  ``analyze decay`` merges its fit
+monitors or final flow state.  A run monitors every accepted state and
+snapshots only at ``flow.snapshot_times`` and at ``flow.t_end``, so
+``mcf reconstruct``, which needs densely sampled states, needs a run with a
+uniform grid of ``flow.snapshot_times``; the mcf pipeline, streaming its
+particles through the flow, stores none.  ``analyze decay`` merges its fit
 into the run's ``ratefit.json`` by quantity, keeping the other fits.
 ``legendre check-dual`` prints the residual of the tau = 1 equation, whatever
 the run's tau, and that tau beside it.  Every command that writes into a run
@@ -46,7 +46,7 @@ from . import analysis, expander, legendre, mcf
 from .config import ExperimentConfig, load_config
 from .errors import (AbortedNonConvex, ConfigError, InsufficientSamples, LogFlowError,
                      MissingArtifact)
-from .experiments import PIPELINES, finer_level, gate, judge, run_pipeline
+from .experiments import PIPELINES, gate, judge, run_pipeline
 from .flow import FLOW_KEYS, MonitorRecord, Trajectory
 from .grid import gradient, hessian
 from .snapshots import read_snapshot, write_snapshot
@@ -230,8 +230,8 @@ def _run_dir(path) -> Path:
 
 
 def _cmd_run_configs(args) -> int:
-    """Load every config and check its run directory (and, under ``--check``,
-    its finer level) first, then run them one after another."""
+    """Load every config and check its run directory first, then run them one
+    after another."""
     cfgs = []
     for p in args.config:
         cfg = load_config(p)
@@ -239,8 +239,6 @@ def _cmd_run_configs(args) -> int:
             cfg.outdir = args.outdir if len(args.config) == 1 else str(
                 Path(args.outdir) / Path(str(p)).stem)
         _run_dir(cfg.outdir)
-        if args.check and PIPELINES[cfg.pipeline].refinement is not None:
-            finer_level(cfg)  # refuses a finer level it cannot build
         cfgs.append(cfg)
     status = EXIT_OK
     for cfg in cfgs:
@@ -314,9 +312,10 @@ def _cmd_legendre_transform(args) -> int:
 
 def _cmd_legendre_checkdual(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
-    if len(traj.snapshots) < 3:
-        raise ConfigError("need at least three snapshots for the duality check")
-    res, _ = legendre.dual_flow_check(traj.snapshots[-3:])
+    if len(traj.snapshots) < legendre.DUAL_SNAPSHOTS:
+        raise ConfigError(f"need at least {legendre.DUAL_SNAPSHOTS} snapshots "
+                          "for the duality check")
+    res, _ = legendre.dual_flow_check(traj.snapshots[-legendre.DUAL_SNAPSHOTS:])
     print(json.dumps({"dual_residual": res, "tau": tau}, indent=2))
     return EXIT_OK
 

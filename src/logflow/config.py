@@ -16,9 +16,11 @@ numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
 are positive (``expander.times`` a non-empty list of positive times), step
 counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
 numbers with ``lo <= hi``, ``flow.snapshot_times`` times in
-``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
-Without ``flow.store_every`` the snapshot times fix the number of blow-down
-errors, and ``analysis.monotone_from`` must leave a pair of them to compare.
+``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.  A
+run snapshots at its snapshot times and at ``flow.t_end``, so these fix the
+snapshots a pipeline reads: the blow-down errors, of which
+``analysis.monotone_from`` must leave a pair to compare, the three states of
+the duality check and the samples of the decay fit.
 Loading fills ``check``, ``expander``, ``mcf`` and ``analysis`` from the
 pipeline table, so ``config.json`` records the thresholds and parameters the
 run used.
@@ -78,15 +80,13 @@ def _reject_mistyped(section: str, values: dict, defaults: dict) -> None:
 
 # the range of each bounded key, by section, as (test, description): a list
 # takes a non-empty list with every entry in range, null stays admitted where
-# the default is None, and the counts admit 0 (store_every = 0 and
-# monitor_every = 0 switch storing and monitoring off)
+# the default is None, and the counts admit 0
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _COUNT = (lambda v: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _RANGES = {
     "flow": {"tau": _UNIT, "t_end": _POSITIVE, "safety": _POSITIVE,
-             "store_every": _COUNT, "monitor_every": _COUNT,
-             "monitor_window": _POSITIVE, "max_halvings": _COUNT},
+             "max_halvings": _COUNT},
     "initial": {"width": _POSITIVE, "c_minus": _POSITIVE, "c_plus": _POSITIVE},
     "expander": {"r_max": _POSITIVE, "dt_probe": _POSITIVE, "times": _POSITIVE},
     "analysis": {"window": _POSITIVE, "monotone_from": _COUNT},
@@ -188,10 +188,19 @@ class ExperimentConfig:
         if t_start is not None and not 0.0 <= t_start < t_end:
             raise ConfigError(f"mcf.t_start must lie in [0, flow.t_end) = "
                               f"[0, {t_end}), got {t_start}")
-        if "monotone_from" in self.analysis and not self.flow.get("store_every"):
-            # one blow-down error per positive snapshot time, t_end included
-            errors = len({float(t) for t in times if t > 0.0} | {float(t_end)})
-            if self.analysis["monotone_from"] > errors - 2:
+        if spec.evolves:
+            # a run snapshots at its snapshot times and at t_end, so the
+            # snapshots a pipeline reads are known before it runs
+            stored = {float(t) for t in times} | {float(t_end)}
+            need, t_from = spec.snapshots
+            have = len([t for t in stored if t >= t_from - 1e-12])
+            if have < need:
+                raise ConfigError(f"pipeline {self.pipeline!r} reads {need} snapshots "
+                                  f"from t = {t_from:g}, t_end included; "
+                                  f"flow.snapshot_times gives {have}")
+            errors = len([t for t in stored if t > 0.0])  # one per positive time
+            if ("monotone_from" in self.analysis
+                    and self.analysis["monotone_from"] > errors - 2):
                 raise ConfigError(f"analysis.monotone_from must leave a pair of the "
                                   f"{errors} blow-down errors to compare, so at most "
                                   f"{errors - 2}, got {self.analysis['monotone_from']}")

@@ -64,10 +64,9 @@ def _profile_end(cfg: ExperimentConfig, reach: float, margin: float) -> float:
 
 def flow_pipeline(cfg: ExperimentConfig):
     # the interior bounds of every accepted state, as condition B reads them
-    bounds = []
-    _, traj = _run_flow(cfg, lambda s: bounds.append(s.H.eigen_bounds("interior")))
-    lo = min(lo for lo, _ in bounds)
-    hi = max(hi for _, hi in bounds)
+    _, traj = _run_flow(cfg)
+    lo = min(rec.lambda_min for rec in traj.monitors)
+    hi = max(rec.lambda_max for rec in traj.monitors)
     report = {
         "pipeline": "flow",
         "t_end": traj.state.t,
@@ -95,13 +94,11 @@ def quadratic_exact_pipeline(cfg: ExperimentConfig):
 
 
 def condition_b_pipeline(cfg: ExperimentConfig):
-    # the interior bounds of every accepted state, whatever flow.monitor_every
-    # records; each state's Hessian keeps them, so its monitor reads the same
-    bounds = []
-    _, traj = _run_flow(cfg, lambda s: bounds.append(s.H.eigen_bounds("interior")))
-    lam0, Lam0 = bounds[0]
-    undershoot = max(0.0, max(lam0 - lo for lo, _ in bounds))
-    overshoot = max(0.0, max(hi - Lam0 for _, hi in bounds))
+    # the interior bounds of every accepted state, which its monitor records
+    _, traj = _run_flow(cfg)
+    lam0, Lam0 = traj.monitors[0].lambda_min, traj.monitors[0].lambda_max
+    undershoot = max(0.0, max(lam0 - rec.lambda_min for rec in traj.monitors))
+    overshoot = max(0.0, max(rec.lambda_max - Lam0 for rec in traj.monitors))
     drift = max(undershoot, overshoot)
     report = {
         "pipeline": "condition_b",
@@ -192,9 +189,7 @@ def expander_cross_pipeline(cfg: ExperimentConfig):
 
 def legendre_dual_pipeline(cfg: ExperimentConfig):
     _, traj = _run_flow(cfg)
-    if len(traj.snapshots) < 3:
-        raise ConfigError("duality check needs three snapshot times")
-    snaps = traj.snapshots[-3:]
+    snaps = traj.snapshots[-legendre.DUAL_SNAPSHOTS:]
     # the swap gaps read the dual check's conjugates, on its 0.75 box
     bump_res, pairs = legendre.dual_flow_check(snaps)
     swap_gaps = [max(legendre.eigenvalue_swap_gap(H, H_star)) for H, H_star in pairs]
@@ -286,7 +281,8 @@ class Pipeline(NamedTuple):
     """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
     whether it evolves initial data (reads ``initial`` and ``flow``), the
     keys it reads from ``expander``, ``mcf`` and ``analysis``, each mapped to
-    its default, and its refinement pair, if it has one."""
+    its default, its refinement pair, if it has one, and the fewest
+    snapshots its runner reads, with the time they start at."""
 
     runner: Callable
     check: dict = {}
@@ -295,6 +291,7 @@ class Pipeline(NamedTuple):
     mcf: dict = {}
     analysis: dict = {}
     refinement: Refinement | None = None
+    snapshots: tuple = (0, 0.0)
 
 
 # the keys both expander pipelines read: the value a = u(0) of the profile and
@@ -323,12 +320,14 @@ PIPELINES = {
     "legendre_dual": Pipeline(legendre_dual_pipeline,
                               {"bump_residual": 1e-2},
                               refinement=Refinement("bump_residual", 3.0, 0.0,
-                                                    halves_spacing=True)),
+                                                    halves_spacing=True),
+                              snapshots=(legendre.DUAL_SNAPSHOTS, 0.0)),
     "mcf_verify": Pipeline(mcf_verify_pipeline,
                            {"deviation": 5e-3, "tangential_ratio": 0.10},
                            mcf={"seeds": [[0.0]], "t_start": None}),
     "decay": Pipeline(decay_pipeline, {"exponent3": [-1.3, -0.7],
-                                       "exponent4": [-2.4, -1.6], "runtime_s": 120.0}),
+                                       "exponent4": [-2.4, -1.6], "runtime_s": 120.0},
+                      snapshots=(analysis.FIT_SAMPLES, analysis.DECAY_FROM)),
     "blowdown": Pipeline(blowdown_pipeline, {"final_error": 0.02},
                          analysis={"window": 1.0, "monotone_from": 2}),
     "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02},
@@ -373,13 +372,11 @@ def judge(check: dict, measured: dict) -> list:
 
 def finer_level(cfg: ExperimentConfig) -> ExperimentConfig:
     """cfg at ``grid.m -> 2m - 1``; with ``halves_spacing``, the snapshot times
-    and ``t_end`` move halfway toward the middle snapshot time."""
+    and ``t_end`` move halfway toward the middle snapshot time (loading
+    refuses a duality config without the snapshot times it needs)."""
     flow = dict(cfg.flow)
     if PIPELINES[cfg.pipeline].refinement.halves_spacing:
-        times = list(flow["snapshot_times"] if "snapshot_times" in flow else ())
-        if not times:
-            raise ConfigError("the finer level halves the spacing of "
-                              "flow.snapshot_times, which the config does not set")
+        times = flow["snapshot_times"]
         mid = times[len(times) // 2]
         flow["snapshot_times"] = [mid + (t - mid) / 2 for t in times]
         flow["t_end"] = mid + (flow["t_end"] - mid) / 2

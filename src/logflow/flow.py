@@ -447,19 +447,17 @@ def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
                            f"t={state.t:.6g}; the last: {last}", state=state)
 
 
-def _monitor(state: FlowState, dt: float, window: tuple) -> MonitorRecord:
+def _monitor(state: FlowState, dt: float) -> MonitorRecord:
     lmin, lmax = state.H.eigen_bounds("interior")
     g = gradient(state.u)
-    gsq = float(np.sum(g * g, axis=0)[window].max())
+    gsq = float(np.sum(g * g, axis=0)[state.u.domain.interior()].max())
     d3 = third_derivative_norm(state.H)
     return MonitorRecord(t=state.t, lambda_min=lmin, lambda_max=lmax,
                          grad_sq_window=gsq, d3_norm=d3, dt=dt, residual=state.residual)
 
 
 def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryModel,
-        safety: float = 0.5, snapshot_times: Sequence[float] = (), store_every: int = 0,
-        monitor_every: int = 1, monitor_window: float | None = None,
-        max_halvings: int = 20,
+        safety: float = 0.5, snapshot_times: Sequence[float] = (), max_halvings: int = 20,
         observe: Callable[[FlowState], None] | None = None) -> Trajectory:
     """Integrate to t_end with error-controlled RKC steps, exact snapshot
     landings and monitors.
@@ -470,10 +468,10 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     enforces it step by step).  A config's flow section is passed here as
     keyword arguments, so these defaults are the flow defaults
     (:data:`FLOW_KEYS`); JSON numbers of either kind are accepted for the
-    float and integer parameters.  ``observe``, when given, sees the initial
-    state and every accepted state, after the landing on a snapshot time:
-    the states ``store_every = 1`` would store, handed over one at a time
-    instead of kept.  It is not a config key.
+    float and integer parameters.  The initial state and every accepted
+    state are monitored, and a state is snapshot when it lands on a snapshot
+    time or at t_end.  ``observe``, when given, sees each monitored state,
+    after its landing, one at a time; it is not a config key.
 
     The first step is :func:`dt_stable` of the initial state.  Each accepted
     step's error estimate, over the tolerance ``_ERROR_TOL * h^3``, sets the
@@ -486,7 +484,6 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     spoils, so such a run may stay stable.
     """
     tau, t_end, safety = float(tau), float(t_end), float(safety)
-    store_every, monitor_every = int(store_every), int(monitor_every)
     max_halvings = int(max_halvings)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
@@ -498,25 +495,22 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
             warnings.warn("initial data is not strictly convex on the grid "
                           f"(lambda_min = {lmin0:.3g})", stacklevel=2)
 
-    window = dom.window(monitor_window) if monitor_window is not None else dom.interior()
     targets = sorted({float(s) for s in snapshot_times if 0.0 <= s <= t_end + 1e-12})
     tol = _ERROR_TOL * dom.h ** 3
     snapshots: list = []
     monitors: list = []
 
-    def _maybe_snapshot():
-        if (targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0])):
-            targets.pop(0)
+    def _record(taken: float) -> None:
+        # snap exactly onto a target to keep reference comparisons clean
+        if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
+            state.t = targets.pop(0)
             snapshots.append((state.t, state.u.copy()))
-        elif store_every and state.step_count % store_every == 0:
-            snapshots.append((state.t, state.u.copy()))
+        if observe is not None:
+            observe(state)
+        monitors.append(_monitor(state, taken))
 
     state.F  # non-convex initial data fails here, before the first step
-    monitors.append(_monitor(state, 0.0, window))
-    _maybe_snapshot()
-    if observe is not None:
-        observe(state)
-
+    _record(0.0)
     dt = dt_stable(state, safety)
     while state.t < t_end - 1e-12:
         step = min(dt, t_end - state.t)
@@ -526,14 +520,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         taken = new_state.t - state.t
         dt = taken * _resize(new_state.err)
         state = new_state  # the previous iterate is released here
-        # snap exactly onto targets to keep reference comparisons clean
-        if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
-            state.t = targets[0]
-        if observe is not None:
-            observe(state)
-        if monitor_every and state.step_count % monitor_every == 0:
-            monitors.append(_monitor(state, taken, window))
-        _maybe_snapshot()
+        _record(taken)
 
     if not snapshots or snapshots[-1][0] < state.t - 1e-12:
         snapshots.append((state.t, state.u.copy()))

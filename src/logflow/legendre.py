@@ -182,6 +182,10 @@ def eigenvalue_swap_gap(H: HessianField, H_star: HessianField) -> tuple[float, f
     return max(0.0, 1.0 / hi - lo_s), max(0.0, hi_s - 1.0 / lo)
 
 
+# the snapshots dual_flow_check reads
+DUAL_SNAPSHOTS = 3
+
+
 def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple[float, list]:
     """Residual of the conjugated trajectory under the same flow equation.
 
@@ -196,8 +200,8 @@ def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple
     ``(H, H_star)`` Hessian pair of each snapshot and its conjugate, for
     :func:`eigenvalue_swap_gap`.
     """
-    if len(snapshots) != 3:
-        raise ValueError("dual_flow_check needs exactly three snapshots")
+    if len(snapshots) != DUAL_SNAPSHOTS:
+        raise ValueError(f"dual_flow_check needs exactly {DUAL_SNAPSHOTS} snapshots")
     (t0, u0), (t1, u1), (t2, u2) = snapshots
     if not t0 < t1 < t2:
         raise ValueError("snapshot times must be strictly increasing")

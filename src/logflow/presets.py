@@ -185,7 +185,7 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "mcf_verify",
         "grid": {"n": 1, "L": 4.0, "m": 129},
         "initial": _BUMP,
-        "flow": {"tau": 1.0, "t_end": 1.0, "monitor_every": 25},
+        "flow": {"tau": 1.0, "t_end": 1.0},
         "mcf": {"seeds": [[-0.8], [-0.6], [-0.4], [-0.2], [0.0],
                           [0.2], [0.4], [0.6], [0.8]],
                 "t_start": 0.1},
@@ -194,7 +194,7 @@ _PRESETS: dict[str, dict] = {
         "pipeline": "decay",
         "grid": {"n": 1, "L": 12.0, "m": 129},
         "initial": {"kind": "two_slope", "c_minus": 0.7, "c_plus": 1.3},
-        "flow": {"tau": 1.0, "t_end": 8.0, "monitor_every": 10,
+        "flow": {"tau": 1.0, "t_end": 8.0,
                  "snapshot_times": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]},
     },
     "blowdown-convergence": {
@@ -202,7 +202,7 @@ _PRESETS: dict[str, dict] = {
         "grid": {"n": 1, "L": 8.0, "m": 129},
         "initial": _BUMP,
         "flow": {"tau": 1.0, "t_end": 16.0,
-                 "monitor_every": 10, "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
+                 "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
         "analysis": {"window": 1.0, "monotone_from": 2},
     },
     "plane-convergence": {
@@ -211,7 +211,7 @@ _PRESETS: dict[str, dict] = {
         "initial": {"kind": "linear_plus_bump", "b": [0.0],
                     "amplitude": 0.1, "width": 1.0},
         "flow": {"tau": 0.0, "t_end": 8.0,
-                 "monitor_every": 10, "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
+                 "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
         "analysis": {"window": 2.0},
     },
 }

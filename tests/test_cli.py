@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import csv
 import dataclasses
 import hashlib
 import json
@@ -130,8 +131,7 @@ def test_settable_surface_is_pinned():
         "pipeline", "grid", "initial", "flow", "expander", "mcf", "analysis",
         "check", "seed", "snapshot_format", "outdir", "preset"]
     assert list(FLOW_KEYS) == [
-        "tau", "t_end", "safety", "snapshot_times", "store_every",
-        "monitor_every", "monitor_window", "max_halvings"]
+        "tau", "t_end", "safety", "snapshot_times", "max_halvings"]
     assert list(PIPELINES) == [
         "flow", "quadratic_exact", "condition_b", "heat_oracle",
         "expander_stationarity", "expander_cross", "legendre_dual", "mcf_verify",
@@ -270,16 +270,18 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("quadratic-exact", "initial.A = [[1.0]]", "initial.A"),  # n = 2
     ("quadratic-exact", "initial.b = [1.0]", "initial.b"),
     ("quadratic-exact", "initial.b = [1.0, 0.0, 0.0]", "initial.b"),
-    # the finer level halves the snapshot spacing, even when stored states
-    # would supply the three snapshots
-    ("legendre-duality", "flow.snapshot_times = []\nflow.store_every = 50",
-     "snapshot_times"),
+    # a run snapshots at its snapshot times and t_end only, so too few for
+    # the pipeline are refused: three for duality, five from t = 0.25 for decay
+    ("legendre-duality", "flow.snapshot_times = [0.5]", "flow.snapshot_times"),
+    ("decay-rates", "flow.snapshot_times = [1.0]", "flow.snapshot_times"),
+    # flow takes no step-count sampling key
+    ("condition-b-preservation", "flow.store_every = 1",
+     "unknown flow keys ['store_every']"),
     # a key whose default is a number takes only numbers
     ("expander-stationarity", "expander.slope0 = x", "expander.slope0"),
     ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
     ("condition-b-preservation", "flow.t_end = soon", "flow.t_end"),
     # a key whose default is None takes null or a number
-    ("blowdown-convergence", "flow.monitor_window = x", "flow.monitor_window"),
     ("mcf-correspondence", "mcf.t_start = x", "mcf.t_start"),
     ("expander-cross-validation", "expander.r_max = x", "expander.r_max"),
     # a key whose default is a list takes a list of numbers
@@ -305,8 +307,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "flow.t_end = -1.0", "flow.t_end"),
     ("expander-stationarity", "expander.dt_probe = -1e-3", "expander.dt_probe"),
     ("condition-b-preservation", "flow.safety = -1.0", "flow.safety"),
-    ("condition-b-preservation", "flow.store_every = -3", "flow.store_every"),
-    ("condition-b-preservation", "flow.monitor_every = 2.5", "flow.monitor_every"),
     ("condition-b-preservation", "flow.tau = 1.5", "flow.tau"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
@@ -325,19 +325,49 @@ def test_config_error_exit_code(tmp_path):
     assert main(["flow", "run", "--config", str(cfg)]) == 2
 
 
-def test_condition_b_drift_does_not_depend_on_monitor_every(tmp_path, monkeypatch):
+def _monitor_rows(rundir: Path) -> list[dict]:
+    """A run directory's monitors.csv, one dict of floats per row."""
+    with open(rundir / "monitors.csv", newline="") as f:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+
+
+def test_condition_b_drift_reads_every_monitored_state(tmp_path, monkeypatch):
     # criterion 2's planted fault (an unstable step fraction under a loose
-    # error tolerance) with no monitor record after t = 0: the drift is read
-    # from every accepted state, so it still fails, with the bits of a run
-    # that records every state
+    # error tolerance) fails, and its drift is the one the persisted monitors
+    # give: a row for the initial data and for every accepted state
     monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
-    fault = {"preset": "condition-b-preservation",
-             "flow": {"safety": 1.4, "monitor_every": 0}}
-    cfg = _write_cfg(tmp_path, {**fault, "outdir": str(tmp_path / "run")})
+    cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation",
+                                "flow": {"safety": 1.4}, "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--check", "--config", str(cfg)]) == 4
     report = json.loads((tmp_path / "run" / "report.json").read_text())
-    fault["flow"]["monitor_every"] = 1
-    assert report["drift"] == run_pipeline(load_config(fault))[0]["drift"]
+    rows = _monitor_rows(tmp_path / "run")
+    assert len(rows) == report["counters"]["accepted_steps"] + 1
+    lam0, Lam0 = rows[0]["lambda_min"], rows[0]["lambda_max"]
+    assert (report["lambda_initial"], report["Lambda_initial"]) == (lam0, Lam0)
+    assert report["undershoot"] == max(0.0, lam0 - min(r["lambda_min"] for r in rows))
+    assert report["overshoot"] == max(0.0, max(r["lambda_max"] for r in rows) - Lam0)
+    assert report["drift"] > PIPELINES["condition_b"].check["drift"]
+
+
+def test_every_flow_preset_monitors_each_accepted_state(tmp_path):
+    # one monitor row for the initial data and one for every accepted state,
+    # in time order, the last at t_end
+    names = [n for n in preset_names()
+             if PIPELINES[experiment_preset(n)["pipeline"]].evolves]
+    assert len(names) == 8
+    configs = []
+    for name in names:
+        configs.append(tmp_path / f"{name}.json")
+        configs[-1].write_text(json.dumps({"preset": name}))
+    assert main(["flow", "run", "--outdir", str(tmp_path / "runs"), "--config",
+                 *map(str, configs)]) == 0
+    for name in names:
+        rundir = tmp_path / "runs" / name
+        report = json.loads((rundir / "report.json").read_text())
+        t = [row["t"] for row in _monitor_rows(rundir)]
+        assert len(t) == report["counters"]["accepted_steps"] + 1, name
+        assert all(a < b for a, b in zip(t, t[1:])), name
+        assert t[-1] == experiment_preset(name)["flow"]["t_end"], name
 
 
 @pytest.mark.parametrize("preset, flow", [

@@ -624,7 +624,7 @@ def test_window_gradient_monitor_nonincreasing():
     dom = BoxDomain(n=1, half_width=6.0, m=97)
     u0, ref = make_initial_data(
         dom, {"kind": "linear_plus_bump", "amplitude": 0.1, "width": 1.0}, 0.0)
-    traj = run(u0, tau=0.0, t_end=0.5, boundary=ref, monitor_window=2.0)
+    traj = run(u0, tau=0.0, t_end=0.5, boundary=ref)
     vals = [rec.grad_sq_window for rec in traj.monitors]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logflow.errors import EscapeError, InsufficientSamples
-from logflow.flow import QuadraticFarField, run
+from logflow.flow import QuadraticFarField, Trajectory, run
 from logflow.grid import BoxDomain, GridFunction, hessian
 from logflow.mcf import (ParticleTransport, integrate_particles, mean_curvature_fields,
                         verify_mcf)
@@ -113,6 +113,14 @@ def _paths(traj, seeds, t_start=None):
     return integrate_particles(ParticleTransport(seeds, t_start), traj.snapshots).paths()
 
 
+def _every_state(u0, **kwargs):
+    """A run of u0 whose snapshots are the initial state and every accepted
+    state, collected through run's observer."""
+    states = []
+    traj = run(u0, observe=lambda s: states.append((s.t, s.u.copy())), **kwargs)
+    return Trajectory(state=traj.state, snapshots=states)
+
+
 def _bump_trajectory(m=65, t_end=0.5, samples=40):
     """A bump run stored at samples + 1 uniform times: error-controlled steps
     are too few to sample a path densely."""
@@ -126,8 +134,8 @@ def _bump_trajectory(m=65, t_end=0.5, samples=40):
 def test_quadratic_trajectory_has_stationary_particles():
     dom = BoxDomain(n=2, half_width=2.0, m=17)
     A = np.diag([2.0, 2.0])
-    traj = run(quad(dom, A), tau=1.0, t_end=0.05,
-               boundary=QuadraticFarField(A, np.zeros(2)), store_every=1)
+    traj = _every_state(quad(dom, A), tau=1.0, t_end=0.05,
+                        boundary=QuadraticFarField(A, np.zeros(2)))
     seeds = np.array([[0.3, -0.2], [0.0, 0.5]])
     paths = _paths(traj, seeds)
     for p in paths:
@@ -182,8 +190,8 @@ def test_paths_do_not_cross():
 def test_verify_mcf_quadratic_is_exact():
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     A = np.eye(1) * 2.0
-    traj = run(quad(dom, A), tau=1.0, t_end=0.05,
-               boundary=QuadraticFarField(A, np.zeros(1)), store_every=1)
+    traj = _every_state(quad(dom, A), tau=1.0, t_end=0.05,
+                        boundary=QuadraticFarField(A, np.zeros(1)))
     paths = _paths(traj, [[0.2], [-0.4]])
     rep = verify_mcf(paths)
     assert rep.max_deviation < 1e-10
@@ -228,8 +236,8 @@ def _verify_per_time(paths):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_verify_mcf_matches_per_time_reference_bit_for_bit(n):
     dom = BoxDomain(n=n, half_width=2.0, m=13)
-    traj = run(bump(dom, amp=0.1), tau=1.0, t_end=0.15,
-               boundary=QuadraticFarField(np.eye(n), np.zeros(n)), store_every=1)
+    traj = _every_state(bump(dom, amp=0.1), tau=1.0, t_end=0.15,
+                        boundary=QuadraticFarField(np.eye(n), np.zeros(n)))
     seeds = np.random.default_rng(n).uniform(-0.5, 0.5, size=(4, n))
     paths = _paths(traj, seeds)
     rep = verify_mcf(paths)
@@ -275,21 +283,21 @@ def test_mcf_pipeline_transport_assembles_no_hessian(monkeypatch):
 ], ids=["n1", "n2"])
 def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
     # the pipeline hands over each state as the flow accepts it and stores
-    # only the snapshot times; transport over a store_every = 1 trajectory
-    # must give the same bits.  The uniform times keep the steps dense.
+    # only the snapshot times; transport over every state of the same run,
+    # collected through the observer, must give the same bits.  The uniform
+    # times keep the steps dense.
     from logflow.config import load_config
-    from logflow.experiments import run_pipeline
+    from logflow.experiments import _run_flow, run_pipeline
     times = np.linspace(0.0, 0.1, 11).tolist()
-    data = {"preset": "mcf-correspondence", "grid": grid,
-            "flow": {"t_end": 0.1, "snapshot_times": times},
-            "mcf": {"seeds": seeds, "t_start": 0.02}}
-    _, streamed = run_pipeline(load_config(data))
+    cfg = load_config({"preset": "mcf-correspondence", "grid": grid,
+                       "flow": {"t_end": 0.1, "snapshot_times": times},
+                       "mcf": {"seeds": seeds, "t_start": 0.02}})
+    _, streamed = run_pipeline(cfg)
     assert [t for t, _ in streamed["trajectory"].snapshots] == times
-    data["flow"] = {"t_end": 0.1, "snapshot_times": times, "store_every": 1}
-    cfg = load_config(data)
-    _, stored = run_pipeline(cfg)
-    traj = stored["trajectory"]
-    assert len(traj.snapshots) == traj.state.step_count + 1
+    states = []
+    _run_flow(cfg, lambda s: states.append((s.t, s.u.copy())))
+    traj = Trajectory(state=None, snapshots=states)
+    assert len(traj.snapshots) == streamed["trajectory"].state.step_count + 1
     paths = _paths(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
     assert len(paths) == len(streamed["paths"]) and len(paths[0].times) >= 3
     for mine, ref in zip(streamed["paths"], paths):
