@@ -275,8 +275,10 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("legendre-duality", "flow.snapshot_times = [0.5]", "flow.snapshot_times"),
     ("decay-rates", "flow.snapshot_times = [1.0]", "flow.snapshot_times"),
     # flow takes no step-count sampling key
-    ("condition-b-preservation", "flow.store_every = 1",
+    ("condition-b-preservation", "flow.store_every = -3",
      "unknown flow keys ['store_every']"),
+    ("condition-b-preservation", "flow.monitor_every = 2.5",
+     "unknown flow keys ['monitor_every']"),
     # a key whose default is a number takes only numbers
     ("expander-stationarity", "expander.slope0 = x", "expander.slope0"),
     ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
