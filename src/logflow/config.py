@@ -4,13 +4,14 @@ Configurations are plain nested dictionaries with a dataclass veneer.  Two
 file formats are accepted everywhere: JSON, and a minimal nested key-value
 text format with one ``dotted.path = value`` assignment per line (values are
 parsed as JSON scalars/arrays).  A config may name a preset and override
-individual keys.  An unknown key in any section is a ConfigError: ``flow``
-takes the keyword arguments of :func:`logflow.flow.run` except the boundary
-model, which always comes with the initial data, ``initial`` its family's
-keys, the other sections what the pipeline table in
-:mod:`logflow.experiments` declares; a pipeline that evolves no initial data
-takes neither ``flow`` nor ``initial``, and one that does needs
-``flow.t_end``.  A key's default sets the type of its value (a number, null
+individual keys.  A config is an object of keys, each section one too, and
+``seed`` a nonnegative integer.  An unknown key in any section is a
+ConfigError: ``flow`` takes the keyword arguments of
+:func:`logflow.flow.run` except the boundary model, which always comes
+with the initial data, ``initial`` its family's keys, the other sections
+what the pipeline table in :mod:`logflow.experiments` declares; a pipeline
+that evolves no initial data takes neither ``flow`` nor ``initial``, and
+one that does needs ``flow.t_end``.  A key's default sets the type of its value (a number, null
 or a number, a list of numbers), and one table of ranges bounds the
 numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
 are positive (``expander.times`` a non-empty list of positive times), step
@@ -148,10 +149,18 @@ class ExperimentConfig:
         """Check every section; fill ``check``, ``expander``, ``mcf`` and
         ``analysis`` with the pipeline's defaults."""
         from .experiments import PIPELINES
-        spec = PIPELINES.get(self.pipeline)
+        spec = PIPELINES.get(self.pipeline) if isinstance(self.pipeline, str) else None
         if spec is None:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}; "
                               f"choose from {tuple(PIPELINES)}")
+        for section in ("grid", "initial", "flow", "expander", "mcf", "analysis", "check"):
+            if not isinstance(getattr(self, section), dict):
+                raise ConfigError(f"{section} must be an object of keys, "
+                                  f"got {getattr(self, section)!r}")
+        if not isinstance(self.outdir, str):
+            raise ConfigError(f"outdir must be a string, got {self.outdir!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _reject_unknown("grid", self.grid, ("n", "L", "m", "margin"))
         if not spec.evolves:
             for section in ("flow", "initial"):
@@ -287,6 +296,9 @@ def load_config(path_or_dict) -> ExperimentConfig:
                                   f"{exc.msg}") from exc
         else:
             data = parse_keyvalue(text)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: a config is an object of keys, "
+                              f"got {type(data).__name__}")
     if data.get("preset") is not None:
         data = merge(experiment_preset(data["preset"]), data)
     return ExperimentConfig.from_dict(data)

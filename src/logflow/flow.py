@@ -488,7 +488,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     dom = u0.domain
-    state = FlowState(u=u0.copy(), t=0.0, tau=tau, boundary=boundary)
+    state = FlowState(u=u0, t=0.0, tau=tau, boundary=boundary)
     if tau > 0.0:
         lmin0, _ = state.H.eigen_bounds("nonring")
         if lmin0 <= 1e-10:
@@ -504,7 +504,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         # snap exactly onto a target to keep reference comparisons clean
         if targets and abs(state.t - targets[0]) <= 1e-9 * max(1.0, targets[0]):
             state.t = targets.pop(0)
-            snapshots.append((state.t, state.u.copy()))
+            snapshots.append((state.t, state.u))
         if observe is not None:
             observe(state)
         monitors.append(_monitor(state, taken))
@@ -523,7 +523,7 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
         _record(taken)
 
     if not snapshots or snapshots[-1][0] < state.t - 1e-12:
-        snapshots.append((state.t, state.u.copy()))
+        snapshots.append((state.t, state.u))
     return Trajectory(state=state, snapshots=snapshots, monitors=monitors)
 
 

@@ -13,13 +13,15 @@ expressions of ``np.gradient`` with ``edge_order=2``, written out, and each
 consumer computes only the ones it reads.  Each central expression is
 written once (``_central``, ``_central2``), so the Hessian entries of the
 non-ring block alone are the whole field's bit for bit.  At n = 3 the
-eigenvalue bounds sweep Jacobi only over the nodes a cheap screen cannot
-rule out; the screen runs once per Hessian on all nodes and every region
-reads its slice.
+eigenvalue bounds call LAPACK (``np.linalg.eigvalsh``) only on the nodes a
+cheap screen cannot rule out; the screen runs once per Hessian on all
+nodes and every region reads its slice.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,8 +117,20 @@ class BoxDomain:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoxDomain":
-        return cls(n=int(d["n"]), half_width=float(d["L"]), m=int(d["m"]),
-                   margin=int(d.get("margin", cls.margin)))
+        """``n``, ``m`` and ``margin`` take integral numbers (65.0 reads as
+        65), ``L`` a finite number; a bool or a string raises TypeError, a
+        fraction or a non-finite value ValueError."""
+        keys = {"margin": cls.margin, **d}
+        for key in ("n", "L", "m", "margin"):
+            value = keys[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{key} must be a number, got {value!r}")
+            if key == "L" and not math.isfinite(value):
+                raise ValueError(f"L must be finite, got {value!r}")
+            if key != "L" and not float(value).is_integer():
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        return cls(n=int(keys["n"]), half_width=float(keys["L"]), m=int(keys["m"]),
+                   margin=int(keys["margin"]))
 
 
 @dataclass
@@ -136,9 +150,6 @@ class GridFunction:
 
     def with_values(self, values: np.ndarray, label: str | None = None) -> "GridFunction":
         return GridFunction(self.domain, values, self.label if label is None else label)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.domain, self.values.copy(), self.label)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -224,9 +235,8 @@ class HessianField:
     and every nodewise formula below reads contiguous memory.  Any layout
     gives the same values.  Regions are named: "interior", "nonring" or
     "all" (see :class:`BoxDomain`).  The determinant is evaluated once and
-    kept, as are the n = 3 eigenvalue screen, the n = 3 Jacobi eigenvalues of
-    each swept node, the eigenvalue bounds and the convexity verdict of each
-    region.
+    kept, as are the n = 3 eigenvalue screen, the eigenvalue bounds and the
+    convexity verdict of each region.
     """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
@@ -234,8 +244,6 @@ class HessianField:
         self.mats = mats  # shape (*grid_shape, n, n)
         self._det = None
         self._screen = None
-        self._slot = None   # n = 3: 1 + each swept node's row of _eigvals, else 0
-        self._eigvals = None
         self._bounds: dict = {}
         self._convex: dict = {}
 
@@ -278,26 +286,26 @@ class HessianField:
     def eigen_fields(self, region: str = "interior") -> tuple[np.ndarray, np.ndarray]:
         """(lambda_min, lambda_max) on the region's nodes that can hold an extreme.
 
-        Closed form on every node of the region for n <= 2.  For n = 3 the
-        cyclic Jacobi sweep runs only where a cheap screen cannot rule out
-        an extreme.  The screen is evaluated once per field on all nodes and
-        each region reads its slice; the screen of a node does not depend on
-        the other nodes.  Per node, with mu = tr/3 and S = |A - mu I|_F^2,
-        ``lo`` = max(Gershgorin lower bound, mu - sqrt(2S/3)) bounds
-        lambda_min from below and ``hi`` = min(Gershgorin upper bound,
-        mu + sqrt(2S/3)) bounds lambda_max from above; the sqrt(2S/3) bound
-        is exact when two eigenvalues coincide, as for a radial bump.
-        Jacobi on the two nodes argmin(lo) and argmax(hi) gives thresholds
-        lmin and lmax, and every node with not (lo > lmin + delta and
+        Closed form on every node of the region for n <= 2.  For n = 3
+        LAPACK's symmetric eigenvalue solver (``np.linalg.eigvalsh``) runs
+        only where a cheap screen cannot rule out an extreme.  The screen is
+        evaluated once per field on all nodes and each region reads its
+        slice; the screen of a node does not depend on the other nodes.  Per
+        node, with mu = tr/3 and S = |A - mu I|_F^2, ``lo`` = max(Gershgorin
+        lower bound, mu - sqrt(2S/3)) bounds lambda_min from below and
+        ``hi`` = min(Gershgorin upper bound, mu + sqrt(2S/3)) bounds
+        lambda_max from above; the sqrt(2S/3) bound is exact when two
+        eigenvalues coincide, as for a radial bump.  The eigenvalues of the
+        two nodes argmin(lo) and argmax(hi) give thresholds lmin and lmax,
+        and the solver runs on every node with not (lo > lmin + delta and
         hi < lmax - delta), delta = 1e-10 times the largest entry in the
-        region, is swept.  Min and max of the returned arrays are bit for
-        bit those of sweeping every node: Jacobi's result at a node does not
-        depend on the rest of its batch, and a node left out cannot hold a
-        more extreme computed value, because delta far exceeds Jacobi's
-        stopping error (1e-14 times the entry scale) plus rounding in the
-        screen.  A NaN or inf entry makes delta non-finite, which keeps
-        every node.  Each node's Jacobi eigenvalues are kept, so a node
-        that several regions send to Jacobi is swept once per field.
+        region.  Min and max of the returned arrays are bit for bit those of
+        solving every node: ``eigvalsh`` solves one matrix at a time, so a
+        node's result does not depend on the rest of its batch, and a node
+        left out cannot hold a more extreme computed value, because delta
+        far exceeds the solver's error (a few ulps of the entry scale) plus
+        rounding in the screen.  A NaN or inf entry makes delta non-finite,
+        which keeps every node.
         """
         sl = self._region(region)
         a = self.mats[sl]
@@ -311,31 +319,11 @@ class HessianField:
         if self._screen is None:
             self._screen = _screen_sym3(self.mats)
         lo, hi = self._screen[0][sl], self._screen[1][sl]
-        k_lo = np.unravel_index(np.argmin(lo), lo.shape)
-        k_hi = np.unravel_index(np.argmax(hi), hi.shape)
-        seeds = np.zeros(lo.shape, dtype=bool)
-        seeds[k_lo] = seeds[k_hi] = True
-        slot = self._jacobi(sl, seeds)
-        lmin, lmax = self._eigvals[slot[k_lo] - 1, 0], self._eigvals[slot[k_hi] - 1, 2]
+        lmin = np.linalg.eigvalsh(a[np.unravel_index(np.argmin(lo), lo.shape)])[0]
+        lmax = np.linalg.eigvalsh(a[np.unravel_index(np.argmax(hi), hi.shape)])[2]
         delta = 1e-10 * np.max(np.abs(a))
-        keep = ~((lo > lmin + delta) & (hi < lmax - delta))
-        slot = self._jacobi(sl, keep)
-        ev = self._eigvals[slot[keep] - 1]
+        ev = np.linalg.eigvalsh(a[~((lo > lmin + delta) & (hi < lmax - delta))])
         return ev[:, 0], ev[:, 2]
-
-    def _jacobi(self, sl: tuple, wanted: np.ndarray) -> np.ndarray:
-        """Sweep the ``wanted`` nodes of region ``sl`` not swept before, and
-        return the region's view of ``_slot``."""
-        if self._slot is None:
-            self._slot = np.zeros(self.domain.shape, dtype=np.int32)
-            self._eigvals = np.empty((0, 3))
-        slot = self._slot[sl]
-        new = wanted & (slot == 0)
-        if new.any():
-            ev = _jacobi_eigvals_sym3(self.mats[sl][new])
-            slot[new] = len(self._eigvals) + 1 + np.arange(len(ev), dtype=np.int32)
-            self._eigvals = np.concatenate((self._eigvals, ev))
-        return slot
 
     def eigen_bounds(self, region: str = "interior") -> tuple[float, float]:
         """(min lambda_min, max lambda_max) over the region."""
@@ -414,70 +402,6 @@ def _screen_sym3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     S = (d0 - mu) ** 2 + (d1 - mu) ** 2 + (d2 - mu) ** 2 + 2.0 * (o01 ** 2 + o02 ** 2 + o12 ** 2)
     rad = np.sqrt(2.0 * S / 3.0)
     return np.maximum(gersh_lo, mu - rad), np.minimum(gersh_hi, mu + rad)
-
-
-def _jacobi_eigvals_sym3(mats: np.ndarray, max_sweeps: int = 12,
-                         tol: float = 1e-14) -> np.ndarray:
-    """Vectorised cyclic Jacobi eigenvalues for symmetric 3x3 matrices.
-
-    Returns sorted eigenvalues, shape (*batch, 3).  The sweep runs on six
-    contiguous arrays (three diagonal, three upper off-diagonal entries), and
-    at the start of each sweep every node whose off-diagonal sum is at most
-    ``tol`` times its largest entry is retired: its diagonal is written out
-    and it leaves the arrays.  Such a node is inactive in every later
-    rotation, and an inactive rotation leaves its diagonal unchanged, so for
-    finite input the result is bit for bit that of sweeping the whole batch
-    every time (up to the sign of an eigenvalue that is exactly zero).
-    """
-    mats = np.asarray(mats, dtype=np.float64)
-    batch = mats.shape[:-2]
-    flat = mats.reshape(-1, 9)
-    diag = [flat[:, 0].copy(), flat[:, 4].copy(), flat[:, 8].copy()]
-    off = {(0, 1): flat[:, 1].copy(), (0, 2): flat[:, 2].copy(),
-           (1, 2): flat[:, 5].copy()}
-    scale = np.abs(diag[0])
-    for entry in (*diag[1:], *off.values()):
-        np.maximum(scale, np.abs(entry), out=scale)
-    lim = tol * np.maximum(scale, 1e-300)
-    node = np.arange(flat.shape[0])
-    ev = np.empty((flat.shape[0], 3))
-    for _ in range(max_sweeps):
-        settled = np.abs(off[0, 1]) + np.abs(off[0, 2]) + np.abs(off[1, 2]) <= lim
-        if settled.any():
-            for k in range(3):
-                ev[node[settled], k] = diag[k][settled]
-            keep = np.flatnonzero(~settled)
-            diag = [d[keep] for d in diag]
-            off = {pq: o[keep] for pq, o in off.items()}
-            lim, node = lim[keep], node[keep]
-            if node.size == 0:
-                break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = off[p, q]
-            active = np.abs(apq) > lim
-            if not active.any():
-                continue
-            app, aqq = diag[p], diag[q]
-            safe_apq = np.where(active, apq, 1.0)
-            theta = (aqq - app) / (2.0 * safe_apq)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(theta == 0.0, 1.0, t)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            r = 3 - p - q  # the remaining index
-            rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
-            arp, arq = off[rp], off[rq]
-            off[rp] = c * arp - s * arq
-            off[rq] = s * arp + c * arq
-            shift = t * apq
-            diag[p] = app - shift
-            diag[q] = aqq + shift
-            apq.fill(0.0)
-    for k in range(3):
-        ev[node, k] = diag[k]
-    ev.sort(axis=-1)
-    return ev.reshape(batch + (3,))
 
 
 def hessian(u: GridFunction) -> HessianField:

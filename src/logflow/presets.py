@@ -223,7 +223,7 @@ def preset_names() -> list[str]:
 
 def experiment_preset(name: str) -> dict:
     """Deep copy of a named preset; unknown names list the catalogue."""
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available presets: {', '.join(preset_names())}")
     import copy

@@ -310,6 +310,18 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("expander-stationarity", "expander.dt_probe = -1e-3", "expander.dt_probe"),
     ("condition-b-preservation", "flow.safety = -1.0", "flow.safety"),
     ("condition-b-preservation", "flow.tau = 1.5", "flow.tau"),
+    # a section is an object of keys, and seed builds a generator
+    ("condition-b-preservation", "grid = 5", "grid must be an object"),
+    ("condition-b-preservation", "check = 3", "check must be an object"),
+    ("condition-b-preservation", "seed = x", "seed must be a nonnegative integer"),
+    ("condition-b-preservation", "seed = -1", "seed must be a nonnegative integer"),
+    ("condition-b-preservation", "seed = 1.5", "seed must be a nonnegative integer"),
+    # grid counts are integral numbers and L a number, never coerced
+    ("condition-b-preservation", "grid.m = 65.5", "m must be an integer"),
+    ("condition-b-preservation", "grid.n = 1.5", "n must be an integer"),
+    ("condition-b-preservation", "grid.L = true", "L must be a number"),
+    ("condition-b-preservation", 'grid.m = "65"', "m must be a number"),
+    ("condition-b-preservation", "grid.margin = 1.7", "margin must be an integer"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
     # a good config listed first does not run either
@@ -325,6 +337,23 @@ def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, messag
 def test_config_error_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, {"pipeline": "flow", "grid": {"n": 1, "L": 1.0, "m": 3}})
     assert main(["flow", "run", "--config", str(cfg)]) == 2
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["flow", "run", "--config", str(cfg)]) == 2
+    assert "a config is an object of keys, got list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"pipeline": ["flow"]}, "unknown pipeline"),
+    ({"preset": ["heat-oracle"]}, "unknown preset"),
+    ({"preset": "heat-oracle", "outdir": 5}, "outdir must be a string"),
+])
+def test_top_level_values_of_the_wrong_type_raise_config_error(data, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(data)
 
 
 def _monitor_rows(rundir: Path) -> list[dict]:
@@ -625,7 +654,9 @@ def _drop(key):
     _drop("n"), _drop("L"), _drop("m"), _drop("format"),
     lambda head: json.dumps(dict(head, kind="something-else")),
     lambda head: json.dumps(dict(head, m=3)),   # BoxDomain needs m >= 5
-], ids=["not-json", "no-n", "no-L", "no-m", "no-format", "wrong-kind", "bad-grid"])
+    lambda head: json.dumps(dict(head, m=65.5)),
+], ids=["not-json", "no-n", "no-L", "no-m", "no-format", "wrong-kind", "bad-grid",
+        "fractional-m"])
 def test_malformed_snapshot_header_exits_with_missing_artifact(tmp_path, tamper):
     from logflow.grid import BoxDomain, GridFunction
     from logflow.snapshots import read_snapshot, write_snapshot

@@ -148,6 +148,25 @@ def test_worker_pool_runs_multiple_configs(tmp_path, src_env):
         assert (tmp_path / f"run{k}" / "report.json").exists()
 
 
+def test_n3_monitors_do_not_depend_on_the_blas_thread_count(tmp_path, src_env):
+    # the n = 3 eigenvalue bounds come from LAPACK, which must give the same
+    # bits on one thread and on two
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "condition-b-preservation",
+                               "grid": {"n": 3, "L": 3.0, "m": 13},
+                               "flow": {"tau": 1.0, "t_end": 0.25}}))
+    monitors = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "logflow.cli", "flow", "run",
+                               "--config", str(cfg), "--outdir", str(out)],
+                              env={**src_env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        monitors.append((out / "monitors.csv").read_bytes())
+    assert monitors[0].count(b"\n") > 3 and monitors[0] == monitors[1]
+
+
 # ---------------------------------------------------------------------------
 # 3-D smoke coverage through the full stack
 # ---------------------------------------------------------------------------

@@ -41,6 +41,18 @@ def test_domain_rejects_tiny_grids():
         BoxDomain(n=1, half_width=-1.0, m=9)
 
 
+def test_box_from_dict_takes_integral_numbers_only():
+    # an integral float names the same box; fractions, bools and strings raise
+    assert BoxDomain.from_dict({"n": 2.0, "L": 1, "m": 9.0, "margin": 1.0}) == \
+        BoxDomain(n=2, half_width=1.0, m=9, margin=1)
+    for key, value, error in (("m", 65.5, ValueError), ("n", 1.5, ValueError),
+                              ("margin", 1.7, ValueError), ("L", float("inf"), ValueError),
+                              ("L", True, TypeError), ("m", "65", TypeError),
+                              ("n", None, TypeError)):
+        with pytest.raises(error, match=key):
+            BoxDomain.from_dict({"n": 1, "L": 1.0, "m": 65, key: value})
+
+
 def test_grid_function_rejects_nan():
     dom = BoxDomain(n=1, half_width=1.0, m=9)
     vals = np.zeros(9)
@@ -333,7 +345,7 @@ def test_eigen_bounds_diagonal_and_coupled():
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 3))
 def test_eigen_bounds_match_characteristic_roots(seed, n):
-    # oracle: roots of the characteristic polynomial, independent of Jacobi
+    # oracle: roots of the characteristic polynomial, independent of LAPACK's eigvalsh
     rng = np.random.default_rng(seed)
     from logflow.grid import HessianField
     dom = BoxDomain(n=n, half_width=1.0, m=7)
@@ -346,59 +358,12 @@ def test_eigen_bounds_match_characteristic_roots(seed, n):
     assert abs(hi - roots[-1]) < 1e-10
 
 
-def test_eigen_bounds_random_spd_batch(rng):
-    from logflow.grid import _jacobi_eigvals_sym3
-    mats = np.stack([spd_matrix(rng, 3) for _ in range(100)])
-    ev = _jacobi_eigvals_sym3(mats)
-    for k in range(100):
-        roots = np.sort(np.roots(np.poly(mats[k])))
-        assert np.max(np.abs(ev[k] - roots)) < 1e-10
-
-
-def _jacobi_full_batch(mats, max_sweeps=12, tol=1e-14):
-    """Reference: the cyclic Jacobi sweep over the whole batch in every sweep."""
-    a = np.array(mats, dtype=np.float64, copy=True)
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
-    for _ in range(max_sweeps):
-        off = np.abs(a[..., 0, 1]) + np.abs(a[..., 0, 2]) + np.abs(a[..., 1, 2])
-        if np.all(off <= tol * scale):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[..., p, q]
-            active = np.abs(apq) > tol * scale
-            if not np.any(active):
-                continue
-            app, aqq = a[..., p, p], a[..., q, q]
-            safe_apq = np.where(active, apq, 1.0)
-            theta = (aqq - app) / (2.0 * safe_apq)
-            t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t = np.where(theta == 0.0, 1.0, t)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            r = 3 - p - q
-            arp, arq = a[..., r, p], a[..., r, q]
-            new_rp = c * arp - s * arq
-            new_rq = s * arp + c * arq
-            a[..., p, p] = app - t * apq
-            a[..., q, q] = aqq + t * apq
-            a[..., p, q] = a[..., q, p] = 0.0
-            a[..., r, p] = a[..., p, r] = new_rp
-            a[..., r, q] = a[..., q, r] = new_rq
-    ev = np.stack([a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]], axis=-1)
-    ev.sort(axis=-1)
-    return ev
-
-
 def _symmetric_batch(rng, size):
     """Symmetric 3x3 matrices of five kinds, shuffled together.
 
     Random SPD, exact diagonals, a repeated eigenvalue, the identity plus
     ~1e-16 off-diagonals (the far field of a flow), and a repeated diagonal
-    with off-diagonals near the Jacobi threshold 1e-14 * max|entry|.  Only
-    the last kind tells a looser retirement test from the right one: with a
-    repeated diagonal, a rotation just above the threshold moves the
-    diagonal by about the size of the off-diagonal entry.
+    with off-diagonals of about 1e-14 * max|entry|.
     """
     kind = rng.integers(0, 5, size=size)
     lam = rng.uniform(0.3, 3.0, size=(size, 3))
@@ -413,15 +378,6 @@ def _symmetric_batch(rng, size):
     mats[kind == 3] = (np.eye(3) + 1e-16 * noise)[kind == 3]
     mats[kind == 4] = (diag + near_tol * noise)[kind == 4]
     return 0.5 * (mats + mats.transpose(0, 2, 1))
-
-
-@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 20))
-def test_jacobi_matches_full_batch_sweep_bit_for_bit(seed, rows):
-    from logflow.grid import _jacobi_eigvals_sym3
-    mats = _symmetric_batch(np.random.default_rng(seed), rows * 20).reshape(rows, 20, 3, 3)
-    ev = _jacobi_eigvals_sym3(mats)
-    assert ev.shape == (rows, 20, 3)
-    assert ev.tobytes() == _jacobi_full_batch(mats).tobytes()
 
 
 _FIELD_KINDS = ("bump", "mixed", "constant", "repeated", "indefinite")
@@ -462,42 +418,41 @@ def _hessian_batch(rng, kind, dom):
        m=st.integers(7, 11),
        order=st.permutations(["interior", "nonring", "all"]))
 def test_screened_eigen_bounds_equal_full_sweep(seed, kind, m, order):
-    # the screen and the swept nodes are kept across regions, so the order varies
-    from logflow.grid import HessianField, _jacobi_eigvals_sym3
+    # the screen is kept across regions, so the order varies; the reference
+    # solves every node of the region
+    from logflow.grid import HessianField
     dom = BoxDomain(n=3, half_width=2.0, m=m)
     H = HessianField(dom, _hessian_batch(np.random.default_rng(seed), kind, dom))
     regions = {"interior": dom.interior(), "nonring": dom.nonring(),
                "all": (slice(None),) * 3}
     for name in order:
-        sl = regions[name]
-        ev = _jacobi_eigvals_sym3(H.mats[sl])
+        ev = np.linalg.eigvalsh(H.mats[regions[name]])
         assert H.eigen_bounds(name) == (float(np.min(ev[..., 0])), float(np.max(ev[..., 2])))
 
 
-def test_screen_sends_few_condition_b_nodes_to_jacobi(monkeypatch):
+def test_screen_sends_few_condition_b_nodes_to_eigvalsh(monkeypatch):
     # the flow-3d initial data: the condition-B preset's quadratic plus bump;
     # a flow state reads the bounds of both regions from one Hessian
-    import logflow.grid as grid
     from logflow.presets import experiment_preset, make_initial_data
-    swept = []
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_jacobi(mats, *args, **kwargs):
-        swept.append(int(np.prod(np.shape(mats)[:-2])))
-        return jacobi(mats, *args, **kwargs)
+    def counting_eigvalsh(mats, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(mats)[:-2])))
+        return eigvalsh(mats, *args, **kwargs)
 
-    jacobi = grid._jacobi_eigvals_sym3
-    monkeypatch.setattr(grid, "_jacobi_eigvals_sym3", counting_jacobi)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     dom = BoxDomain(n=3, half_width=3.0, m=25)
     u0, _ = make_initial_data(dom, experiment_preset("condition-b-preservation")["initial"],
                               tau=1.0)
     H = hessian(u0)
     bounds = {}
     for region in ("nonring", "interior"):
-        before = sum(swept)
+        before = len(solved)
         bounds[region] = H.eigen_bounds(region)
-        assert sum(swept) - before < 0.05 * (H.mats[H._region(region)].size // 9)
-    # every sweep went to a node not swept before
-    assert 0 < sum(swept) == int((H._slot > 0).sum()) == len(H._eigvals)
+        # the two threshold nodes, then the kept ones
+        assert solved[before:before + 2] == [1, 1] and len(solved) == before + 3
+        assert solved[-1] < 0.05 * (H.mats[H._region(region)].size // 9)
     fresh = hessian(u0)
     assert {region: fresh.eigen_bounds(region) for region in ("interior", "nonring")} == bounds
 

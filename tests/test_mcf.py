@@ -117,7 +117,7 @@ def _every_state(u0, **kwargs):
     """A run of u0 whose snapshots are the initial state and every accepted
     state, collected through run's observer."""
     states = []
-    traj = run(u0, observe=lambda s: states.append((s.t, s.u.copy())), **kwargs)
+    traj = run(u0, observe=lambda s: states.append((s.t, s.u)), **kwargs)
     return Trajectory(state=traj.state, snapshots=states)
 
 
@@ -295,7 +295,7 @@ def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
     _, streamed = run_pipeline(cfg)
     assert [t for t, _ in streamed["trajectory"].snapshots] == times
     states = []
-    _run_flow(cfg, lambda s: states.append((s.t, s.u.copy())))
+    _run_flow(cfg, lambda s: states.append((s.t, s.u)))
     traj = Trajectory(state=None, snapshots=states)
     assert len(traj.snapshots) == streamed["trajectory"].state.step_count + 1
     paths = _paths(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
