@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 from . import analysis, expander, legendre, mcf
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_seeds, load_config
 from .errors import (AbortedNonConvex, ConfigError, InsufficientSamples, LogFlowError,
                      MissingArtifact)
 from .experiments import PIPELINES, gate, judge, run_pipeline
@@ -107,9 +107,6 @@ def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
     for k, (t, u) in enumerate(artifacts.get("snapshots", [])):
         write_snapshot(outdir / f"aux_{_snapshot_name(k, t)}", u, t=t, tau=tau,
                        fmt=cfg.snapshot_format)
-    prof = artifacts.get("profile")
-    if prof is not None:
-        _write_profile_csv(outdir / "profile.csv", prof)
     paths = artifacts.get("paths")
     if paths is not None:
         _write_paths_csv(outdir / "paths.csv", paths)
@@ -125,26 +122,18 @@ def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
     _write_manifest(outdir)
 
 
-def _write_profile_csv(path: Path, prof) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "u", "du", "d2u"])
-        for row in zip(prof.r, prof.u, prof.du, prof.d2u):
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
 def _write_paths_csv(path: Path, paths) -> None:
-    n = paths[0].positions.shape[1]
+    n = paths.seeds.shape[1]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         head = (["path", "t"] + [f"r{i + 1}" for i in range(n)]
                 + [f"F{i + 1}" for i in range(2 * n)])
         writer.writerow(head)
-        for p_idx, p in enumerate(paths):
-            for k in range(len(p.times)):
-                row = [p_idx, f"{p.times[k]:.17g}"]
-                row += [f"{v:.17g}" for v in p.positions[k]]
-                row += [f"{v:.17g}" for v in p.F[k]]
+        for p in range(len(paths.seeds)):
+            for k, t in enumerate(paths.times):
+                row = [p, f"{t:.17g}"]
+                row += [f"{v:.17g}" for v in paths.positions[k, p]]
+                row += [f"{v:.17g}" for v in paths.F[k, p]]
                 writer.writerow(row)
 
 
@@ -276,7 +265,11 @@ def _cmd_expander_shoot(args) -> int:
     prof = expander.radial_shoot(args.n, args.a, args.rmax)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_profile_csv(outdir / "profile.csv", prof)
+    with open(outdir / "profile.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["r", "u", "du", "d2u"])
+        for row in zip(prof.r, prof.u, prof.du, prof.d2u):
+            writer.writerow([f"{v:.17g}" for v in row])
     print(f"profile written to {outdir / 'profile.csv'}")
     return EXIT_OK
 
@@ -322,7 +315,11 @@ def _cmd_legendre_checkdual(args) -> int:
 
 def _cmd_mcf_reconstruct(args) -> int:
     traj, tau = load_trajectory_dir(args.trajectory)
-    seeds = json.loads(Path(args.seeds).read_text())
+    try:
+        seeds = json.loads(Path(args.seeds).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--seeds {args.seeds}: {exc}") from exc
+    check_seeds(seeds, traj.snapshots[0][1].domain.n, "--seeds")
     try:
         transport = mcf.ParticleTransport(seeds, t_start=args.t_start)
         paths = mcf.integrate_particles(transport, traj.snapshots).paths()
@@ -402,6 +399,17 @@ def _cmd_emit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive(convert):
+    """An argument type that refuses (exit 2) a value that is not positive."""
+    def parse(text):
+        value = convert(text)
+        if value > 0:
+            return value
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    parse.__name__ = convert.__name__  # named in argparse's "invalid ... value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command table: each leaf parser carries its handler as ``handler``."""
     parser = argparse.ArgumentParser(prog="logflow",
@@ -424,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = top.add_parser("expander").add_subparsers(dest="sub", required=True)
     shoot = command(exp, "shoot", _cmd_expander_shoot)
-    shoot.add_argument("--n", type=int, required=True)
+    shoot.add_argument("--n", type=_positive(int), required=True)
     shoot.add_argument("--a", type=float, required=True)
     shoot.add_argument("--rmax", type=float, required=True)
     shoot.add_argument("--out", default="out")
@@ -448,10 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
     an = top.add_parser("analyze").add_subparsers(dest="sub", required=True)
     dec = command(an, "decay", _cmd_analyze_decay)
     dec.add_argument("--trajectory", required=True)
-    dec.add_argument("--order", type=int, default=3)
+    dec.add_argument("--order", type=int, choices=(3, 4), default=3)
     pl = command(an, "plane", _cmd_analyze_plane)
     pl.add_argument("--trajectory", required=True)
-    pl.add_argument("--window", type=float,
+    pl.add_argument("--window", type=_positive(float),
                     default=PIPELINES["plane"].analysis["window"])
     cond = command(an, "condition", _cmd_analyze_condition)
     cond.add_argument("--input", required=True)

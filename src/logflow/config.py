@@ -11,20 +11,21 @@ ConfigError: ``flow`` takes the keyword arguments of
 with the initial data, ``initial`` its family's keys, the other sections
 what the pipeline table in :mod:`logflow.experiments` declares; a pipeline
 that evolves no initial data takes neither ``flow`` nor ``initial``, and
-one that does needs ``flow.t_end``.  A key's default sets the type of its value (a number, null
-or a number, a list of numbers), and one table of ranges bounds the
-numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths and step factors
-are positive (``expander.times`` a non-empty list of positive times), step
-counts are nonnegative integers.  A ``[lo, hi]`` check bound takes two
-numbers with ``lo <= hi``, ``flow.snapshot_times`` times in
-``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.  A
-run snapshots at its snapshot times and at ``flow.t_end``, so these fix the
-snapshots a pipeline reads: the blow-down errors, of which
-``analysis.monotone_from`` must leave a pair to compare, the three states of
-the duality check and the samples of the decay fit.
-Loading fills ``check``, ``expander``, ``mcf`` and ``analysis`` from the
-pipeline table, so ``config.json`` records the thresholds and parameters the
-run used.
+one that does needs ``flow.t_end``.  A key's default sets the type of its
+value (a number, null or a number, a list of numbers), and one table of
+ranges bounds the numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths
+and curvatures are positive (``expander.times`` a non-empty list of
+positive times), ``analysis.monotone_from`` is a nonnegative integer.  A
+``[lo, hi]`` check bound takes two numbers with ``lo <= hi``,
+``flow.snapshot_times`` times in ``[0, flow.t_end]`` and ``mcf.t_start`` a
+time in ``[0, flow.t_end)``.  A run snapshots at its snapshot times and at
+``flow.t_end``, so these fix the snapshots a pipeline reads: the blow-down
+errors, of which ``analysis.monotone_from`` must leave a pair to compare,
+the three states of the duality check and the samples of the decay fit.
+Expander stationarity is checked on the line expander, so it needs
+``grid.n = 1`` and a nonzero ``expander.slope0``.  Loading fills ``check``,
+``expander``, ``mcf`` and ``analysis`` from the pipeline table, so
+``config.json`` records the thresholds and parameters the run used.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import ConfigError
 from .flow import FLOW_KEYS
 from .presets import INITIAL_FAMILIES, experiment_preset
 
-__all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge"]
+__all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge", "check_seeds"]
 
 
 def _reject_unknown(section: str, keys, allowed) -> None:
@@ -86,8 +87,7 @@ _POSITIVE = (lambda v: v > 0.0, "positive")
 _COUNT = (lambda v: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _RANGES = {
-    "flow": {"tau": _UNIT, "t_end": _POSITIVE, "safety": _POSITIVE,
-             "max_halvings": _COUNT},
+    "flow": {"tau": _UNIT, "t_end": _POSITIVE},
     "initial": {"width": _POSITIVE, "c_minus": _POSITIVE, "c_plus": _POSITIVE},
     "expander": {"r_max": _POSITIVE, "dt_probe": _POSITIVE, "times": _POSITIVE},
     "analysis": {"window": _POSITIVE, "monotone_from": _COUNT},
@@ -113,6 +113,15 @@ def _shape(value) -> tuple | None:
         return np.shape(np.asarray(value, dtype=np.float64))
     except (TypeError, ValueError):
         return None
+
+
+def check_seeds(seeds, n: int, what: str) -> None:
+    """Refuse particle seeds that are not a non-empty list of points with n
+    coordinates each."""
+    shape = _shape(seeds) or ()
+    if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
+        raise ConfigError(f"{what} must be a non-empty list of points "
+                          f"with {n} coordinates each")
 
 
 @dataclass
@@ -219,17 +228,15 @@ class ExperimentConfig:
                 raise ConfigError(f"check.{key} must be [lo, hi] with lo <= hi, "
                                   f"got {value}")
         if "seeds" in self.mcf:
-            shape = _shape(self.mcf["seeds"]) or ()
-            if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
-                raise ConfigError(f"mcf.seeds must be a non-empty list of points "
-                                  f"with {n} coordinates each")
+            check_seeds(self.mcf["seeds"], n, "mcf.seeds")
         for key, shapes, what in (("A", [(), (n, n)], f"a scalar or an {n} x {n} matrix"),
                                   ("b", [(n,)], f"a vector of length {n}")):
             if self.initial.get(key) is not None and _shape(self.initial[key]) not in shapes:
                 raise ConfigError(f"initial.{key} must be {what}")
-        if self.expander.get("slope0", 0.0) != 0.0 and n > 1:
-            raise ConfigError("expander.slope0 != 0 selects the line expander; "
-                              "at n >= 2 the profile is radial and needs slope0 = 0")
+        if "slope0" in self.expander and (n != 1 or self.expander["slope0"] == 0.0):
+            raise ConfigError("stationarity is checked on the line expander: it needs "
+                              f"grid.n = 1 and expander.slope0 != 0, got n = {n} and "
+                              f"slope0 = {self.expander['slope0']}")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

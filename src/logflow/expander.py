@@ -264,12 +264,11 @@ def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
     return RadialProfile(n=n, a=a, r=r, u=y[0], du=y[1], d2u=d2, _sol=sol)
 
 
-def profile_to_grid(profile: RadialProfile, domain: BoxDomain,
-                    label: str = "expander") -> GridFunction:
+def profile_to_grid(profile: RadialProfile, domain: BoxDomain) -> GridFunction:
     """Sample u(|x|) on the grid through the dense ODE solution (no interpolation)."""
     grids = domain.meshgrid()
     radii = np.sqrt(sum(g ** 2 for g in grids))
-    return GridFunction(domain, profile(radii), label=label)
+    return GridFunction(domain, profile(radii), label="expander")
 
 
 def line_profile(a: float, slope0: float, half_width: float):
@@ -459,7 +458,7 @@ def newton_solve(u_init: GridFunction,
     u = u_init.with_values(vals)
 
     H = hessian(u)
-    if not H.is_strictly_convex("nonring"):
+    if not H.is_strictly_convex():
         raise NonConvexityError("initial guess is not strictly convex")
 
     inner = dom.nonring()
@@ -486,7 +485,7 @@ def newton_solve(u_init: GridFunction,
             trial[inner] += step * delta
             u_try = u.with_values(trial)
             H_try = hessian(u_try)
-            if H_try.is_strictly_convex("nonring"):
+            if H_try.is_strictly_convex():
                 R_try = (_ftau(H_try, 1.0) - _w_field(u_try))[inner]
                 r_try = float(np.max(np.abs(R_try)))
                 if r_try < rnorm * (1.0 - 1e-4 * step) or r_try <= tol:
@@ -567,7 +566,7 @@ def certify(u_or_solution) -> CertificationReport:
     dom = u.domain
     H, w = hessian(u), _w_field(u)
     if residual_norm is None:
-        if not H.is_strictly_convex("nonring"):
+        if not H.is_strictly_convex():
             raise NonConvexityError("expander residual needs strict convexity")
         residual_norm = float(np.max(np.abs((_ftau(H, 1.0) - w)[dom.interior()])))
 

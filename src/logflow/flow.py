@@ -233,7 +233,7 @@ def _ftau(H: HessianField, tau: float) -> np.ndarray:
     Newton residual and of Legendre's dual residual."""
     if tau == 0.0:
         return _ftau_of(H.mats, tau, None)
-    if not H.is_strictly_convex("nonring"):
+    if not H.is_strictly_convex():
         raise NonConvexityError(_CONVEXITY_LOST)
     # convexity is enforced off the ring only: a ring node's one-sided
     # Hessian may have det <= 0 and gets a finite value no reader uses
@@ -280,10 +280,11 @@ def _ftau_of(mats: np.ndarray, tau: float, det: np.ndarray | None) -> np.ndarray
     return f
 
 
-def dt_stable(state: FlowState, safety: float = 0.5) -> float:
-    """Parabolic step limit safety * h^2 / (2 n mu_max): forward Euler's
-    stable step at ``safety = 1``, which sets RKC's stage count, and the
-    first step of a run.
+def dt_stable(state: FlowState) -> float:
+    """Parabolic step limit _SAFETY * h^2 / (2 n mu_max): forward Euler's
+    stable step h^2 / (2 n mu_max) times the fraction of RKC's stability
+    interval in use, which sets RKC's stage count, and the first step of a
+    run.
 
     mu_max bounds the largest diffusion coefficient of the linearised operator
     (tau/n) u^{ij} d_ij + (1 - tau) Laplacian over the non-ring nodes.
@@ -295,7 +296,7 @@ def dt_stable(state: FlowState, safety: float = 0.5) -> float:
         if lmin <= 0.0:
             raise NonConvexityError("lambda_min <= 0: no stable explicit step exists")
         mu += state.tau / (dom.n * lmin)
-    return safety * dom.h ** 2 / (2.0 * dom.n * mu)
+    return _SAFETY * dom.h ** 2 / (2.0 * dom.n * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,11 @@ _RKC_EPS = 2.0 / 13.0
 # estimate is at most _ERROR_TOL * h^3.  Per-step control leaves a global
 # time error of order tol^(2/3), so h^3 keeps it O(h^2) under refinement.
 _ERROR_TOL = 1e-2
+
+# the fraction of RKC's stability interval a step uses (see :func:`run`), and
+# the rejected trials a step may retry before the run aborts
+_SAFETY = 0.5
+_MAX_RETRIES = 20
 
 
 @lru_cache(maxsize=128)
@@ -355,12 +361,12 @@ def _rkc_stages(need: float) -> int:
     return s
 
 
-def _advance(state: FlowState, dt: float, safety: float) -> FlowState:
+def _advance(state: FlowState, dt: float) -> FlowState:
     """One tentative damped RKC step; its result's F_tau is not yet evaluated.
 
-    Explicit Euler is stable up to ``dt_stable(state, 1)``, which puts the
-    spectral radius at 2 / dt_stable(state, 1); s stages cover dt when
-    ``dt <= beta(s) / 2 * dt_stable(state, safety)``, so ``safety`` is the
+    Explicit Euler is stable up to ``dt_stable(state) / _SAFETY``, which puts
+    the spectral radius at ``2 _SAFETY / dt_stable(state)``; s stages cover
+    dt when ``dt <= beta(s) / 2 * dt_stable(state)``, so ``_SAFETY`` is the
     fraction of the stability interval in use.  F0 is the state's own F, so
     a step evaluates F_tau s times, counting its result's.  The inner stages
     evaluate F_tau on the non-ring block only (:func:`_stage_ftau`, which
@@ -370,7 +376,7 @@ def _advance(state: FlowState, dt: float, safety: float) -> FlowState:
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
     inner = dom.nonring()
-    _, mu1, stages = _rkc_coefficients(_rkc_stages(2.0 * dt / dt_stable(state, safety)))
+    _, mu1, stages = _rkc_coefficients(_rkc_stages(2.0 * dt / dt_stable(state)))
     # the stages live on the non-ring block; each is written into one
     # whole-grid buffer, with the ring at the stage's time, for F_tau to read
     y0, f0 = u.values[inner], state.F[inner]
@@ -401,30 +407,26 @@ def _resize(err: float) -> float:
     return min(10.0, max(0.1, 0.8 * max(err, 1e-12) ** (-1.0 / 3.0)))
 
 
-def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
-                  safety: float = 0.5, tol: float = math.inf) -> FlowState:
+def step_explicit(state: FlowState, dt: float, tol: float = math.inf) -> FlowState:
     """Advance one accepted RKC step of at most dt.
 
     A trial whose stage or result loses convexity is retried at half the
     step.  RKC's embedded estimate of the step's error is ``-0.8 dt r`` with
     ``r = (Y1 - Y0) / dt - (F0 + F1) / 2``; a trial whose estimate has an
     interior RMS above ``tol`` is retried at the step :func:`_resize` gives.
-    Both kinds of retry count as rejected trials and draw on
-    ``max_halvings``; when it runs out, :class:`AbortedNonConvex` names the
+    Both kinds of retry count as rejected trials and draw on one budget of
+    ``_MAX_RETRIES``; when it runs out, :class:`AbortedNonConvex` names the
     last rejection's cause.  The default ``tol`` accepts every convex trial,
-    so dt is then a fixed step.  ``safety`` sets the stage count (see
-    :func:`run`).
+    so dt is then a fixed step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if max_halvings < 0:
-        raise ValueError("max_halvings must be nonnegative")
     inner = state.u.domain.interior()
     trial_dt = dt
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_RETRIES + 1):
         where = "a stage"
         try:
-            trial = _advance(state, trial_dt, safety)
+            trial = _advance(state, trial_dt)
             where = "the result"
             trial.F  # when tau > 0 the result must be convex too
         except NonConvexityError:
@@ -443,7 +445,7 @@ def step_explicit(state: FlowState, dt: float, max_halvings: int = 20,
         trial.residual = float(np.abs(r).max())
         state.counters.halved_steps += trial_dt < dt
         return trial
-    raise AbortedNonConvex(f"step rejected after {max_halvings} retries at "
+    raise AbortedNonConvex(f"step rejected after {_MAX_RETRIES} retries at "
                            f"t={state.t:.6g}; the last: {last}", state=state)
 
 
@@ -457,7 +459,7 @@ def _monitor(state: FlowState, dt: float) -> MonitorRecord:
 
 
 def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryModel,
-        safety: float = 0.5, snapshot_times: Sequence[float] = (), max_halvings: int = 20,
+        snapshot_times: Sequence[float] = (),
         observe: Callable[[FlowState], None] | None = None) -> Trajectory:
     """Integrate to t_end with error-controlled RKC steps, exact snapshot
     landings and monitors.
@@ -467,8 +469,8 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     error: the continuum statement guarantees preservation, the discrete run
     enforces it step by step).  A config's flow section is passed here as
     keyword arguments, so these defaults are the flow defaults
-    (:data:`FLOW_KEYS`); JSON numbers of either kind are accepted for the
-    float and integer parameters.  The initial state and every accepted
+    (:data:`FLOW_KEYS`); JSON numbers of either kind are accepted for
+    ``tau`` and ``t_end``.  The initial state and every accepted
     state are monitored, and a state is snapshot when it lands on a snapshot
     time or at t_end.  ``observe``, when given, sees each monitored state,
     after its landing, one at a time; it is not a config key.
@@ -476,15 +478,13 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
     The first step is :func:`dt_stable` of the initial state.  Each accepted
     step's error estimate, over the tolerance ``_ERROR_TOL * h^3``, sets the
     next step (:func:`step_explicit`), and a step is shortened to land on the
-    next snapshot time and on ``t_end``.  ``safety`` is the fraction of RKC's
-    stability interval in use: the fewest stages s with ``beta(s) >= need =
-    2 dt / dt_stable(state, safety)`` leave it at ``safety * need / beta(s)
-    <= safety``.  Rounding s up can bring a ``safety`` slightly above 1 back
-    under 1, and the error control rejects the steps an unstable fraction
-    spoils, so such a run may stay stable.
+    next snapshot time and on ``t_end``.  ``_SAFETY`` is the fraction of
+    RKC's stability interval in use: the fewest stages s with ``beta(s) >=
+    need = 2 dt / dt_stable(state)`` leave it at ``_SAFETY * need / beta(s)
+    <= _SAFETY``.  The error control rejects the steps an unstable fraction
+    spoils, so a fraction above 1 may still give a stable run.
     """
-    tau, t_end, safety = float(tau), float(t_end), float(safety)
-    max_halvings = int(max_halvings)
+    tau, t_end = float(tau), float(t_end)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     dom = u0.domain
@@ -511,12 +511,12 @@ def run(u0: GridFunction, *, tau: float = 1.0, t_end: float, boundary: BoundaryM
 
     state.F  # non-convex initial data fails here, before the first step
     _record(0.0)
-    dt = dt_stable(state, safety)
+    dt = dt_stable(state)
     while state.t < t_end - 1e-12:
         step = min(dt, t_end - state.t)
         if targets:
             step = min(step, targets[0] - state.t)
-        new_state = step_explicit(state, step, max_halvings, safety, tol)
+        new_state = step_explicit(state, step, tol)
         taken = new_state.t - state.t
         dt = taken * _resize(new_state.err)
         state = new_state  # the previous iterate is released here

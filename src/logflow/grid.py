@@ -148,8 +148,8 @@ class GridFunction:
                 f"values shape {self.values.shape} != domain shape {self.domain.shape}")
         _require_finite(self.values)
 
-    def with_values(self, values: np.ndarray, label: str | None = None) -> "GridFunction":
-        return GridFunction(self.domain, values, self.label if label is None else label)
+    def with_values(self, values: np.ndarray) -> "GridFunction":
+        return GridFunction(self.domain, values, self.label)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -235,8 +235,8 @@ class HessianField:
     and every nodewise formula below reads contiguous memory.  Any layout
     gives the same values.  Regions are named: "interior", "nonring" or
     "all" (see :class:`BoxDomain`).  The determinant is evaluated once and
-    kept, as are the n = 3 eigenvalue screen, the eigenvalue bounds and the
-    convexity verdict of each region.
+    kept, as are the n = 3 eigenvalue screen, the eigenvalue bounds of each
+    region and the convexity verdict on the non-ring nodes.
     """
 
     def __init__(self, domain: BoxDomain, mats: np.ndarray):
@@ -245,7 +245,7 @@ class HessianField:
         self._det = None
         self._screen = None
         self._bounds: dict = {}
-        self._convex: dict = {}
+        self._convex = None
 
     # -- determinants / inverses (closed forms, n <= 3) ---------------------
 
@@ -332,14 +332,13 @@ class HessianField:
             self._bounds[region] = float(lmin.min()), float(lmax.max())
         return self._bounds[region]
 
-    def is_strictly_convex(self, region: str = "nonring") -> bool:
-        """Sylvester criterion on every node of the region; :meth:`det`
-        supplies the last leading minor."""
-        if region not in self._convex:
-            sl = self._region(region)
-            self._convex[region] = _sylvester(self.mats[sl]) and not (
-                self.det()[sl] <= 0.0).any()
-        return self._convex[region]
+    def is_strictly_convex(self) -> bool:
+        """Sylvester criterion on every non-ring node; :meth:`det` supplies
+        the last leading minor."""
+        if self._convex is None:
+            sl = self.domain.nonring()
+            self._convex = _sylvester(self.mats[sl]) and not (self.det()[sl] <= 0.0).any()
+        return self._convex
 
     def _region(self, region: str) -> tuple:
         if region == "interior":

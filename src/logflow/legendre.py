@@ -186,13 +186,13 @@ def eigenvalue_swap_gap(H: HessianField, H_star: HessianField) -> tuple[float, f
 DUAL_SNAPSHOTS = 3
 
 
-def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple[float, list]:
+def dual_flow_check(snapshots: list) -> tuple[float, list]:
     """Residual of the conjugated trajectory under the same flow equation.
 
     ``snapshots`` holds three (t, GridFunction) entries from a tau = 1
     trajectory, not necessarily equally spaced.  Each snapshot is conjugated
-    once onto one common dual box, by default the middle snapshot's
-    automatic box at shrink 0.75.  Returns the interior sup of
+    once onto one common dual box, the middle snapshot's automatic box at
+    shrink 0.75.  Returns the interior sup of
     d(u*)/dt - F_1(D2u*) at the middle time, F_1 = (1/n) ln det the flow
     operator at tau = 1 (:func:`~logflow.flow._ftau`, which refuses a
     conjugate that is not strictly convex off the dual ring), with the time
@@ -207,8 +207,7 @@ def dual_flow_check(snapshots: list, y_domain: BoxDomain | None = None) -> tuple
         raise ValueError("snapshot times must be strictly increasing")
     us = (u0, u1, u2)
     hess, grads = [hessian(u) for u in us], [gradient(u) for u in us]
-    if y_domain is None:
-        y_domain = auto_dual_domain(grads[1], u1.domain, shrink=0.75)
+    y_domain = auto_dual_domain(grads[1], u1.domain, shrink=0.75)
     stars = [legendre_transform(u, H, g, y_domain) for u, H, g in zip(us, hess, grads)]
     hess_star = [hessian(s) for s in stars]
     ha, hb = t1 - t0, t2 - t1

@@ -32,7 +32,7 @@ from .grid import BoxDomain, HessianField, axis_diff, gradient, hessian, sample
 
 __all__ = [
     "mean_curvature_fields",
-    "ParticlePath",
+    "ParticlePaths",
     "ParticleTransport",
     "integrate_particles",
     "verify_mcf",
@@ -67,17 +67,16 @@ def mean_curvature_fields(Hess: HessianField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ParticlePath:
-    x0: np.ndarray
-    times: np.ndarray        # (k,)
-    positions: np.ndarray    # (k, n)
-    F: np.ndarray            # (k, 2n) embedding along the path
-    H: np.ndarray            # (k, 2n) mean curvature vector along the path
-    metric: np.ndarray       # (k, n, n) induced metric (the Hessian) along the path
+class ParticlePaths:
+    """The paths of p particles over k shared times, stacked by time and then
+    by particle."""
 
-    def __post_init__(self):
-        if not np.allclose(self.positions[0], self.x0):
-            raise ValueError("path must start at its seed")
+    seeds: np.ndarray        # (p, n)
+    times: np.ndarray        # (k,)
+    positions: np.ndarray    # (k, p, n)
+    F: np.ndarray            # (k, p, 2n) embedding along the paths
+    H: np.ndarray            # (k, p, 2n) mean curvature vector along the paths
+    metric: np.ndarray       # (k, p, n, n) induced metric (the Hessian) along the paths
 
 
 def _escape_guard(dom: BoxDomain, pts: np.ndarray):
@@ -105,7 +104,7 @@ class ParticleTransport:
         self.samples: list = []     # (fields, particles): Du, H, then D2u
         self.velocity = None        # particle velocity field of the last state
 
-    def paths(self) -> list[ParticlePath]:
+    def paths(self) -> ParticlePaths:
         """The paths so far; a window with fewer than three states raises
         :class:`InsufficientSamples`."""
         k = len(self.times)
@@ -114,15 +113,12 @@ class ParticleTransport:
             raise InsufficientSamples(f"particle transport needs at least three stored "
                                       f"snapshots{window}, found {k}")
         n = self.seeds.shape[1]
-        tt = np.array(self.times)
         pos = np.stack(self.positions)                       # (k, particles, n)
         vals = np.stack(self.samples).transpose(0, 2, 1)     # (k, particles, fields)
-        F = np.concatenate([pos, vals[..., :n]], axis=-1)
-        Hv = vals[..., n:3 * n]
-        U = vals[..., 3 * n:].reshape(pos.shape + (n,))
-        return [ParticlePath(x0=self.seeds[p], times=tt.copy(), positions=pos[:, p].copy(),
-                             F=F[:, p].copy(), H=Hv[:, p].copy(), metric=U[:, p].copy())
-                for p in range(len(self.seeds))]
+        return ParticlePaths(seeds=self.seeds, times=np.array(self.times), positions=pos,
+                             F=np.concatenate([pos, vals[..., :n]], axis=-1),
+                             H=vals[..., n:3 * n],
+                             metric=vals[..., 3 * n:].reshape(pos.shape + (n,)))
 
 
 def integrate_particles(transport: ParticleTransport, states) -> ParticleTransport:
@@ -182,25 +178,18 @@ class McfReport:
         return self.max_tangential / max(self.max_normal, 1e-300)
 
 
-def verify_mcf(paths: list) -> McfReport:
+def verify_mcf(paths: ParticlePaths) -> McfReport:
     """Compare centred time differences of F against the curvature vector.
 
     The motion is purely normal in the continuum, so the tangential part of
     dF/dt (split through the frames at the sampled point) must vanish to
     discretisation accuracy while the full vector matches H.  The curvature
     vector and the metric are the ones :func:`integrate_particles` sampled
-    along each path; the paths must share one time grid.
+    along each path.
     """
-    tt = paths[0].times
-    for p in paths[1:]:
-        if not np.array_equal(p.times, tt):
-            raise ValueError("paths must share one time grid")
-    n = paths[0].positions.shape[1]
-
-    # (time, path, component) arrays; centred differences at the inner times
-    F = np.stack([p.F for p in paths], axis=1)
-    Hvec = np.stack([p.H for p in paths], axis=1)[1:-1]
-    U = np.stack([p.metric for p in paths], axis=1)[1:-1]
+    tt, F, n = paths.times, paths.F, paths.seeds.shape[1]
+    # centred differences at the inner times
+    Hvec, U = paths.H[1:-1], paths.metric[1:-1]
     dFdt = (F[2:] - F[:-2]) / (tt[2:] - tt[:-2])[:, None, None]
     dev = np.abs(dFdt - Hvec).max(axis=(0, 2))
     # split dFdt = sum a_i e_i + sum b_i eta_i through the point frames
@@ -212,9 +201,9 @@ def verify_mcf(paths: list) -> McfReport:
     Ub = np.einsum("jkab,jkb->jka", U, b)
     tan = np.abs(np.concatenate([a, Ua], axis=-1)).max(axis=(0, 2))
     nor = np.abs(np.concatenate([b, -Ub], axis=-1)).max(axis=(0, 2))
-    per_path = [{"x0": p.x0.tolist(), "deviation": float(dev[i]),
+    per_path = [{"x0": x0.tolist(), "deviation": float(dev[i]),
                  "tangential": float(tan[i]), "normal": float(nor[i])}
-                for i, p in enumerate(paths)]
+                for i, x0 in enumerate(paths.seeds)]
     return McfReport(max_deviation=float(np.max(dev)),
                      max_tangential=float(np.max(tan)),
                      max_normal=float(np.max(nor)), per_path=per_path)

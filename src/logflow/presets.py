@@ -118,9 +118,9 @@ def make_initial_data(domain: BoxDomain, spec: dict, tau: float,
         u0 = GridFunction(domain, 0.5 * np.where(x < 0, cm, cp) * x ** 2,
                           label="two_slope")
         # per-side quadratic evolution: rate tau ln c + (1 - tau) c
-        def reference(pts, t, _cm=cm, _cp=cp, _tau=tau):
-            c = np.where(pts[:, 0] < 0, _cm, _cp)
-            rate = _tau * np.log(c) + (1.0 - _tau) * c
+        def reference(pts, t):
+            c = np.where(pts[:, 0] < 0, cm, cp)
+            rate = tau * np.log(c) + (1.0 - tau) * c
             return 0.5 * c * pts[:, 0] ** 2 + t * rate
 
         boundary = ReferenceSolution(reference)
@@ -164,8 +164,8 @@ _PRESETS: dict[str, dict] = {
     "expander-stationarity": {
         "pipeline": "expander_stationarity",
         "grid": {"n": 1, "L": 2.0, "m": 65},
-        # slope0 != 0 selects the genuinely non-quadratic line expander; the
-        # centred profiles are exact parabolas whose residual is pure roundoff
+        # slope0 != 0: the line expander is not quadratic; loading refuses the
+        # centred one (slope0 = 0), an exact parabola of roundoff residual
         "expander": {"a": -0.1, "slope0": 0.5, "r_max": 2.5,
                      "times": [1.0, 2.0, 4.0], "dt_probe": 1e-3},
     },

@@ -55,11 +55,13 @@ def write_snapshot(path, u: GridFunction, t=None, tau=None, fmt: str = "binary")
 
 
 def read_snapshot(path) -> tuple[GridFunction, dict]:
-    """Returns the grid function and the parsed header (with t / tau entries)."""
+    """Returns the grid function and the parsed header (with t / tau entries);
+    an unreadable file or unusable snapshot raises :class:`MissingArtifact`."""
     path = Path(path)
-    with open(path, "rb") as f:
-        first = f.readline()
-        rest = f.read()
+    try:
+        first, _, rest = path.read_bytes().partition(b"\n")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise MissingArtifact(f"{path}: cannot read the snapshot: {exc.strerror}") from exc
     try:
         text = first.decode("utf-8").strip()
         if text.startswith("# "):

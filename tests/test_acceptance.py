@@ -69,11 +69,13 @@ def test_criterion_01_exact_quadratic_evolution(tmp_path):
 def test_criterion_02_hessian_bound_preservation(tmp_path, monkeypatch):
     _row(tmp_path, 2, "Hessian bound preservation", "condition-b-preservation")
     # the error control rejects the steps an unstable stage count spoils
-    # (drift 0.0 at safety 1.2, 1.4 and 3.0), so the fault also loosens the
-    # tolerance to 1e3 h^3: safety 1.4 then reads drift 0.323 at m = 65
+    # (drift 0.0 at stage fractions 1.2, 1.4 and 3.0), so the fault also
+    # loosens the tolerance to 1e3 h^3: fraction 1.4 then reads drift 0.323
+    # at m = 65
     monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
-    _fault(tmp_path, 2, "Hessian bound preservation, tolerance 1e3 h^3",
-           "condition-b-preservation", flow={"safety": 1.4})
+    monkeypatch.setattr("logflow.flow._SAFETY", 1.4)
+    _fault(tmp_path, 2, "Hessian bound preservation, stage fraction 1.4 and "
+           "tolerance 1e3 h^3", "condition-b-preservation")
 
 
 def test_criterion_03_heat_oracle_agreement(tmp_path):

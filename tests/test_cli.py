@@ -130,8 +130,7 @@ def test_settable_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
         "pipeline", "grid", "initial", "flow", "expander", "mcf", "analysis",
         "check", "seed", "snapshot_format", "outdir", "preset"]
-    assert list(FLOW_KEYS) == [
-        "tau", "t_end", "safety", "snapshot_times", "max_halvings"]
+    assert list(FLOW_KEYS) == ["tau", "t_end", "snapshot_times"]
     assert list(PIPELINES) == [
         "flow", "quadratic_exact", "condition_b", "heat_oracle",
         "expander_stationarity", "expander_cross", "legendre_dual", "mcf_verify",
@@ -266,7 +265,10 @@ def test_check_mode_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset, line, message", [
-    ("expander-stationarity", "grid.n = 2", "slope0"),  # the preset's slope0 = 0.5
+    # stationarity is checked on the line expander: n = 1 and slope0 != 0
+    ("expander-stationarity", "grid.n = 2", "slope0"),
+    ("expander-stationarity", "expander.slope0 = 0.0",
+     "grid.n = 1 and expander.slope0 != 0"),
     ("quadratic-exact", "initial.A = [[1.0]]", "initial.A"),  # n = 2
     ("quadratic-exact", "initial.b = [1.0]", "initial.b"),
     ("quadratic-exact", "initial.b = [1.0, 0.0, 0.0]", "initial.b"),
@@ -279,6 +281,9 @@ def test_check_mode_exit_code(tmp_path, capsys):
      "unknown flow keys ['store_every']"),
     ("condition-b-preservation", "flow.monitor_every = 2.5",
      "unknown flow keys ['monitor_every']"),
+    # the stage fraction and the retry budget are no flow keys
+    ("condition-b-preservation", "flow.safety = -1.0", "flow keys ['safety']"),
+    ("condition-b-preservation", "flow.max_halvings = 2.5", "flow keys ['max_halvings']"),
     # a key whose default is a number takes only numbers
     ("expander-stationarity", "expander.slope0 = x", "expander.slope0"),
     ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
@@ -308,7 +313,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("heat-oracle", "flow.t_end = 0.0", "flow.t_end"),
     ("condition-b-preservation", "flow.t_end = -1.0", "flow.t_end"),
     ("expander-stationarity", "expander.dt_probe = -1e-3", "expander.dt_probe"),
-    ("condition-b-preservation", "flow.safety = -1.0", "flow.safety"),
     ("condition-b-preservation", "flow.tau = 1.5", "flow.tau"),
     # a section is an object of keys, and seed builds a generator
     ("condition-b-preservation", "grid = 5", "grid must be an object"),
@@ -367,8 +371,9 @@ def test_condition_b_drift_reads_every_monitored_state(tmp_path, monkeypatch):
     # error tolerance) fails, and its drift is the one the persisted monitors
     # give: a row for the initial data and for every accepted state
     monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
+    monkeypatch.setattr("logflow.flow._SAFETY", 1.4)
     cfg = _write_cfg(tmp_path, {"preset": "condition-b-preservation",
-                                "flow": {"safety": 1.4}, "outdir": str(tmp_path / "run")})
+                                "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--check", "--config", str(cfg)]) == 4
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     rows = _monitor_rows(tmp_path / "run")
@@ -450,21 +455,21 @@ def test_bad_boundary_rejected_before_any_run(tmp_path, capsys):
     assert not runs.exists()
 
 
-# the radial stationarity residual at n = 2 is roundoff on an exact parabola,
-# so only a plain run of it can pass: its refinement clause cannot
-@pytest.mark.parametrize("pipeline, flags", [("expander_cross", ["--check"]),
-                                             ("expander_stationarity", [])])
-def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, flags):
-    # at n = 2, L = 1.5 the corners lie at radius 2.12: an explicit r_max of 2
-    # would leave them past the profile's end; the default reaches them
-    cfg = {"pipeline": pipeline, "grid": {"n": 2, "L": 1.5, "m": 17},
-           "outdir": str(tmp_path / "run")}
+@pytest.mark.parametrize("pipeline, grid, reach", [
+    ("expander_cross", {"n": 2, "L": 1.5, "m": 17}, "2.12132"),
+    ("expander_stationarity", {"n": 1, "L": 2.5, "m": 17}, "2.5"),
+], ids=["expander_cross", "expander_stationarity"])
+def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, grid, reach):
+    # at n = 2, L = 1.5 the corners lie at radius 2.12, and the line of
+    # half-width 2.5 reaches 2.5 at t = 1: an explicit r_max of 2 would leave
+    # them past the profile's end; the default reaches them
+    cfg = {"pipeline": pipeline, "grid": grid, "outdir": str(tmp_path / "run")}
     short = _write_cfg(tmp_path, {**cfg, "expander": {"r_max": 2.0}})
-    assert main(["flow", "run", *flags, "--config", str(short)]) == 2
-    assert "expander.r_max = 2 is short of radius 2.12132" in capsys.readouterr().err
+    assert main(["flow", "run", "--check", "--config", str(short)]) == 2
+    assert f"expander.r_max = 2 is short of radius {reach}," in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     default = _write_cfg(tmp_path, cfg)
-    assert main(["flow", "run", *flags, "--config", str(default)]) == 0
+    assert main(["flow", "run", "--check", "--config", str(default)]) == 0
     assert json.loads((tmp_path / "run" / "report.json").read_text())["passed"]
 
 
@@ -513,6 +518,76 @@ def test_bad_mcf_seeds_exit_config(tmp_path, capsys, seeds):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "mcf.seeds" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def dense_run(tmp_path_factory):
+    """A short n = 1 run snapshot at six uniform times: enough for mcf
+    reconstruct."""
+    root = tmp_path_factory.mktemp("dense")
+    cfg = _write_cfg(root, {
+        "pipeline": "flow",
+        "grid": {"n": 1, "L": 3.0, "m": 33},
+        "initial": {"kind": "quadratic_plus_bump", "A": 1.0},
+        "flow": {"tau": 1.0, "t_end": 0.05,
+                 "snapshot_times": np.linspace(0.0, 0.05, 6).tolist()},
+        "outdir": str(root / "run"),
+    })
+    assert main(["flow", "run", "--config", str(cfg)]) == 0
+    return root / "run"
+
+
+@pytest.mark.parametrize("text", [None, "not json", '[["a"]]', "[[0.0, 1.0]]", "[]",
+                                  "[[0.1], [0.2, 0.3]]"],
+                         ids=["missing", "not-json", "not-numbers", "wrong-length",
+                              "empty", "ragged"])
+def test_bad_reconstruct_seeds_exit_config(tmp_path, capsys, dense_run, text):
+    # the seeds file takes what loading takes for mcf.seeds: a non-empty list
+    # of points with the run's n coordinates each
+    seeds = tmp_path / "seeds.json"
+    if text is not None:
+        seeds.write_text(text)
+    before = sorted(p.name for p in dense_run.iterdir())
+    assert main(["mcf", "reconstruct", "--trajectory", str(dense_run),
+                 "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seeds" in err
+    assert sorted(p.name for p in dense_run.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "decay", "--trajectory", "run", "--order", "5"], "invalid choice: 5"),
+    (["analyze", "plane", "--trajectory", "run", "--window", "-1"],
+     "--window: must be positive, got -1"),
+    (["analyze", "plane", "--trajectory", "run", "--window", "0"],
+     "--window: must be positive, got 0"),
+    (["expander", "shoot", "--n", "0", "--a", "-0.1", "--rmax", "2.0", "--out", "prof"],
+     "--n: must be positive, got 0"),
+    (["expander", "shoot", "--n", "-1", "--a", "-0.1", "--rmax", "2.0", "--out", "prof"],
+     "--n: must be positive, got -1"),
+], ids=["order-5", "window-negative", "window-0", "n-0", "n-negative"])
+def test_bad_command_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # refused while the command line is parsed, before any file is touched
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "certify"],
+    ["legendre", "transform", "--output", "ustar.snap"],
+    ["analyze", "condition", "--lambda", "1", "--Lambda", "2"],
+], ids=["certify", "transform", "condition"])
+def test_missing_input_snapshot_exits_with_missing_artifact(tmp_path, capsys,
+                                                            monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--input", "missing.snap"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.snap: cannot read the snapshot" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("outdir", ["afile", "afile/x"])
@@ -812,15 +887,17 @@ def test_analyze_decay_merges_its_fit_into_the_pipeline_fits(tmp_path, capsys):
     assert "not a list of rate fits" in capsys.readouterr().err
 
 
-def test_numerical_abort_exit_code_and_last_good_state(tmp_path):
-    # a reckless safety factor forces step rejection; with no halvings allowed
+def test_numerical_abort_exit_code_and_last_good_state(tmp_path, monkeypatch):
+    # a reckless stage fraction forces step rejection; with no retries allowed
     # the run aborts, exits 3 and persists the last accepted state
+    monkeypatch.setattr("logflow.flow._SAFETY", 200.0)
+    monkeypatch.setattr("logflow.flow._MAX_RETRIES", 0)
     cfg = _write_cfg(tmp_path, {
         "pipeline": "flow",
         "grid": {"n": 1, "L": 3.0, "m": 33},
         "initial": {"kind": "quadratic_plus_bump", "A": 1.0,
                     "amplitude": 0.12, "width": 0.7},
-        "flow": {"tau": 1.0, "t_end": 1.0, "safety": 200.0, "max_halvings": 0},
+        "flow": {"tau": 1.0, "t_end": 1.0},
         "outdir": str(tmp_path / "abort"),
     })
     assert main(["flow", "run", "--config", str(cfg)]) == 3

@@ -40,9 +40,9 @@ def test_flow_pipeline_extremes_read_every_accepted_state(monkeypatch):
     # move, and the overall extremes are those of the monitor records, one
     # for the initial state and one for every accepted state
     monkeypatch.setattr("logflow.flow._ERROR_TOL", 1e3)
+    monkeypatch.setattr("logflow.flow._SAFETY", 1.4)
     report, art = run_pipeline(load_config({
-        "preset": "condition-b-preservation", "pipeline": "flow",
-        "flow": {"safety": 1.4}}))
+        "preset": "condition-b-preservation", "pipeline": "flow"}))
     monitors = art["trajectory"].monitors
     assert len(monitors) == report["counters"]["accepted_steps"] + 1
     assert report["lambda_min_overall"] == min(rec.lambda_min for rec in monitors)

@@ -215,21 +215,23 @@ def test_scaling_invariance_of_quadratic_solutions():
 # step rejection and abort paths
 # ---------------------------------------------------------------------------
 
-def test_step_halves_dt_until_convex():
-    # a huge requested step with too few stages (safety 3) destroys
+def test_step_halves_dt_until_convex(monkeypatch):
+    # a huge requested step with too few stages (stage fraction 3) destroys
     # convexity; halving must rescue it
+    import logflow.flow as flow
     dom = BoxDomain(n=1, half_width=2.0, m=33)
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
     big = 100.0 * dt_stable(state)
-    new = step_explicit(state, big, safety=3.0)
+    monkeypatch.setattr(flow, "_SAFETY", 3.0)
+    new = step_explicit(state, big)
     assert new.t - state.t < big  # at least one halving happened
-    assert hessian(new.u).is_strictly_convex("nonring")
+    assert hessian(new.u).is_strictly_convex()
 
 
 def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
-    # twice the stability interval (safety 3 against rkc's own 1.5 margin):
+    # twice the stability interval (fraction 3 against rkc's own 1.5 margin):
     # a stage, not only a step's result, loses convexity, and the step is
     # retried at half the size instead of aborting
     import logflow.flow as flow
@@ -250,9 +252,10 @@ def test_rkc_stage_losing_convexity_halves_the_step(monkeypatch):
 
     monkeypatch.setattr(flow, "_stage_ftau", recording(flow._stage_ftau, "stage"))
     monkeypatch.setattr(flow, "_ftau", recording(flow._ftau, "result"))
-    new = step_explicit(state, 0.1, safety=3.0)
+    monkeypatch.setattr(flow, "_SAFETY", 3.0)
+    new = step_explicit(state, 0.1)
     assert failed and failed[0] == "stage"
-    assert hessian(new.u).is_strictly_convex("nonring")
+    assert hessian(new.u).is_strictly_convex()
     taken = new.t - state.t
     assert taken < 0.1 and math.log2(0.1 / taken).is_integer()
     assert state.counters.rejected_trials == len(failed)
@@ -265,23 +268,26 @@ def test_abort_after_exhausted_halvings(monkeypatch):
     x = dom.axis
     u0 = GridFunction(dom, 0.5 * x ** 2 + 0.1 * np.exp(-4 * x ** 2))
     state = FlowState(u=u0, t=0.0, tau=1.0, boundary=unit_far_field(1))
+    dt = dt_stable(state)
+    monkeypatch.setattr(flow, "_SAFETY", 3.0)
+    monkeypatch.setattr(flow, "_MAX_RETRIES", 0)
     with pytest.raises(AbortedNonConvex) as exc:
-        step_explicit(state, 100.0 * dt_stable(state), max_halvings=0, safety=3.0)
+        step_explicit(state, 100.0 * dt)
     assert exc.value.state is state
     assert str(exc.value).endswith("the last: convexity lost in a stage")
-    with pytest.raises(ValueError, match="max_halvings"):
-        step_explicit(state, dt_stable(state), max_halvings=-1)
+    monkeypatch.undo()
 
     def refuse(H, tau):
         raise NonConvexityError("refused")
 
     # every result is refused; the state's own F is kept already
     monkeypatch.setattr(flow, "_ftau", refuse)
+    monkeypatch.setattr(flow, "_MAX_RETRIES", 1)
     with pytest.raises(AbortedNonConvex, match="the last: convexity lost in the result$"):
-        step_explicit(state, dt_stable(state), max_halvings=1)
+        step_explicit(state, dt)
 
 
-def test_error_control_rejects_and_aborts_after_exhausted_retries():
+def test_error_control_rejects_and_aborts_after_exhausted_retries(monkeypatch):
     # a trial whose error estimate exceeds the tolerance is retried smaller,
     # and each retry draws on the same budget as a halving
     import logflow.flow as flow
@@ -294,9 +300,10 @@ def test_error_control_rejects_and_aborts_after_exhausted_retries():
     assert new.t - state.t < 0.05 and new.err <= 1.0
     assert state.counters.rejected_trials >= 1 and state.counters.halved_steps == 1
     rejected = state.counters.rejected_trials
+    monkeypatch.setattr(flow, "_MAX_RETRIES", 2)
     with pytest.raises(AbortedNonConvex, match=r"the last: error estimate \S+ times "
                        r"the tolerance$") as exc:
-        step_explicit(state, 0.05, max_halvings=2, tol=1e-30)
+        step_explicit(state, 0.05, tol=1e-30)
     assert exc.value.state is state
     assert state.counters.rejected_trials == rejected + 3
 
@@ -424,7 +431,7 @@ def test_ftau_of_equals_the_whole_formula_bit_for_bit(n, m, off, amp, width, cen
     u = _quad_bump(dom, off, amp, width, centre)
     mats = _nonring_hessian(u.values, dom.h)
     det = _det(mats)
-    assume(np.all(det > 0.0) and hessian(u).is_strictly_convex("nonring"))
+    assume(np.all(det > 0.0) and hessian(u).is_strictly_convex())
     H = hessian(u)
     for tau in (0.0, 0.5, 1.0):
         want = _whole_formula(mats, tau, det).tobytes()
@@ -448,14 +455,14 @@ def test_stage_operator_rejects_non_finite_values_like_a_grid_function(n, bad, a
     assert str(got.value) == str(want.value)
 
 
-def _whole_field_advance(state, dt, safety):
+def _whole_field_advance(state, dt):
     """The RKC step with each stage's F_tau taken from its whole-field
     Hessian, every node combined and the ring then overwritten."""
     import logflow.flow as flow
     u, tau, t, boundary = state.u, state.tau, state.t, state.boundary
     dom = u.domain
     _, mu1, stages = flow._rkc_coefficients(
-        flow._rkc_stages(2.0 * dt / dt_stable(state, safety)))
+        flow._rkc_stages(2.0 * dt / dt_stable(state)))
     y0, f0 = u.values, state.F
     prev2, prev = y0, y0 + mu1 * dt * f0
     for mu, nu, mu_t, gamma_t, c_prev in stages:
@@ -481,10 +488,13 @@ def test_step_equals_whole_field_stage_step_bit_for_bit(monkeypatch, n, m, tau, 
     u0 = _quad_bump(dom, 0.2, 0.1, 1.0, 0.3)
     far = QuadraticFarField(_off_diagonal(n, 0.2), np.zeros(n))
 
+    # the requested step is taken at the default stage fraction
+    dt = factor * dt_stable(FlowState(u=u0, t=0.0, tau=tau, boundary=far))
+    monkeypatch.setattr(flow, "_SAFETY", safety)
+
     def one_step():
         state = FlowState(u=u0, t=0.0, tau=tau, boundary=far)
-        new = step_explicit(state, factor * dt_stable(state), safety=safety,
-                            tol=flow._ERROR_TOL * dom.h ** 3)
+        new = step_explicit(state, dt, tol=flow._ERROR_TOL * dom.h ** 3)
         return (new.t, new.err, new.residual, new.u.values.tobytes(), new.F.tobytes(),
                 new.run_counters())
 

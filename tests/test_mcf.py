@@ -138,9 +138,8 @@ def test_quadratic_trajectory_has_stationary_particles():
                         boundary=QuadraticFarField(A, np.zeros(2)))
     seeds = np.array([[0.3, -0.2], [0.0, 0.5]])
     paths = _paths(traj, seeds)
-    for p in paths:
-        assert np.max(np.abs(p.positions - p.x0)) < 1e-10
-        assert np.max(np.abs(p.F[:, 2:] - p.F[0, 2:])) < 1e-9
+    assert np.max(np.abs(paths.positions - seeds)) < 1e-10
+    assert np.max(np.abs(paths.F[..., 2:] - paths.F[0, :, 2:])) < 1e-9
 
 
 def test_path_self_convergence_under_snapshot_refinement():
@@ -151,11 +150,11 @@ def test_path_self_convergence_under_snapshot_refinement():
 
     def end_gap(stride):
         sub = type(traj)(state=traj.state, snapshots=traj.snapshots[::stride])
-        path = _paths(sub, [[0.3]])[0]
+        path = _paths(sub, [[0.3]])
         t_last = path.times[-1]
-        k = int(np.argmin(np.abs(fine[0].times - t_last)))
-        assert abs(fine[0].times[k] - t_last) < 1e-12
-        return float(abs(path.positions[-1, 0] - fine[0].positions[k, 0]))
+        k = int(np.argmin(np.abs(fine.times - t_last)))
+        assert abs(fine.times[k] - t_last) < 1e-12
+        return float(abs(path.positions[-1, 0, 0] - fine.positions[k, 0, 0]))
 
     g2, g4 = end_gap(2), end_gap(4)
     assert g2 < 2e-5
@@ -178,7 +177,7 @@ def test_paths_do_not_cross():
     traj = _bump_trajectory(m=65, t_end=0.5)
     seeds = np.linspace(-0.8, 0.8, 9)[:, None]
     paths = _paths(traj, seeds)
-    final = np.array([p.positions[-1, 0] for p in paths])
+    final = paths.positions[-1, :, 0]
     d0 = np.min(np.diff(seeds[:, 0]))
     assert np.min(np.diff(final)) >= 0.5 * d0
 
@@ -216,13 +215,12 @@ def test_verify_mcf_bump_within_budget_and_detects_corruption():
 
 def _verify_per_time(paths):
     """Reference: the frame split of dF/dt taken one inner time at a time."""
-    tt, n = paths[0].times, paths[0].positions.shape[1]
-    dev = tan = nor = np.zeros(len(paths))
+    tt, n = paths.times, paths.seeds.shape[1]
+    dev = tan = nor = np.zeros(len(paths.seeds))
     for j in range(1, len(tt) - 1):
-        dFdt = np.stack([(p.F[j + 1] - p.F[j - 1]) / (tt[j + 1] - tt[j - 1])
-                         for p in paths])
-        Hvec = np.stack([p.H[j] for p in paths])
-        U = np.stack([p.metric[j] for p in paths])
+        dFdt = (paths.F[j + 1] - paths.F[j - 1]) / (tt[j + 1] - tt[j - 1])
+        Hvec = paths.H[j]
+        U = paths.metric[j]
         dev = np.maximum(dev, np.max(np.abs(dFdt - Hvec), axis=1))
         dx, dy = dFdt[:, :n], dFdt[:, n:]
         Uinv_dy = np.linalg.solve(U, dy[..., None])[..., 0]
@@ -299,7 +297,7 @@ def test_streamed_paths_equal_stored_paths_bit_for_bit(grid, seeds):
     traj = Trajectory(state=None, snapshots=states)
     assert len(traj.snapshots) == streamed["trajectory"].state.step_count + 1
     paths = _paths(traj, cfg.mcf["seeds"], t_start=cfg.mcf["t_start"])
-    assert len(paths) == len(streamed["paths"]) and len(paths[0].times) >= 3
-    for mine, ref in zip(streamed["paths"], paths):
-        for key in ("times", "positions", "F", "H", "metric"):
-            assert getattr(mine, key).tobytes() == getattr(ref, key).tobytes(), key
+    assert len(paths.times) >= 3
+    for key in ("seeds", "times", "positions", "F", "H", "metric"):
+        mine, ref = getattr(streamed["paths"], key), getattr(paths, key)
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes(), key
