@@ -5,8 +5,8 @@ duality, and the associated spacelike graph flow in split-signature space."""
 from .errors import (AbortedNonConvex, BlowupError, ConfigError,
                      EmptyCoincidenceError, EscapeError, InsufficientSamples,
                      LogFlowError, MissingArtifact, NewtonStall,
-                     NonConvexityError, RangeError, SingularStartError,
-                     TailError, WindowEscape)
+                     NonConvexityError, RangeError, TailError,
+                     WindowEscape)
 from .grid import (BoxDomain, GridFunction, HessianField, gradient, hessian,
                    third_derivative_norm)
 from .flow import (FlowState, MonitorRecord, QuadraticFarField,

@@ -137,6 +137,10 @@ def fit_decay(trajectory, order: int) -> RateFit:
 # blow-down convergence
 # ---------------------------------------------------------------------------
 
+# the blow-down pipeline's window half-width and the first error index its
+# monotonicity verdict reads, so it needs MONOTONE_FROM + 2 positive times
+BLOWDOWN_WINDOW, MONOTONE_FROM = 1.0, 2
+
 @dataclass
 class BlowdownReport:
     times: list
@@ -196,6 +200,9 @@ def blowdown_convergence(trajectory, U1: Callable,
 # ---------------------------------------------------------------------------
 # long-time flattening of bounded-gradient graphs
 # ---------------------------------------------------------------------------
+
+# the plane pipeline's window half-width, also ``analyze plane``'s default
+PLANE_WINDOW = 2.0
 
 @dataclass
 class PlaneReport:

@@ -38,6 +38,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -399,6 +400,17 @@ def _cmd_emit(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """A float argument type that refuses (exit 2) NaN and the infinities."""
+    value = float(text)
+    if math.isfinite(value):
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+
+
+_finite.__name__ = "float"  # named in argparse's "invalid ... value"
+
+
 def _positive(convert):
     """An argument type that refuses (exit 2) a value that is not positive."""
     def parse(text):
@@ -433,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = top.add_parser("expander").add_subparsers(dest="sub", required=True)
     shoot = command(exp, "shoot", _cmd_expander_shoot)
     shoot.add_argument("--n", type=_positive(int), required=True)
-    shoot.add_argument("--a", type=float, required=True)
-    shoot.add_argument("--rmax", type=float, required=True)
+    shoot.add_argument("--a", type=_finite, required=True)
+    shoot.add_argument("--rmax", type=_finite, required=True)
     shoot.add_argument("--out", default="out")
     cert = command(exp, "certify", _cmd_expander_certify)
     cert.add_argument("--input", required=True)
@@ -451,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = command(mc, "reconstruct", _cmd_mcf_reconstruct)
     rec.add_argument("--trajectory", required=True)
     rec.add_argument("--seeds", required=True)
-    rec.add_argument("--t-start", type=float, default=None)
+    rec.add_argument("--t-start", type=_finite, default=None)
 
     an = top.add_parser("analyze").add_subparsers(dest="sub", required=True)
     dec = command(an, "decay", _cmd_analyze_decay)
@@ -459,12 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--order", type=int, choices=(3, 4), default=3)
     pl = command(an, "plane", _cmd_analyze_plane)
     pl.add_argument("--trajectory", required=True)
-    pl.add_argument("--window", type=_positive(float),
-                    default=PIPELINES["plane"].analysis["window"])
+    pl.add_argument("--window", type=_positive(_finite), default=analysis.PLANE_WINDOW)
     cond = command(an, "condition", _cmd_analyze_condition)
     cond.add_argument("--input", required=True)
-    cond.add_argument("--lambda", dest="lam", type=float, required=True)
-    cond.add_argument("--Lambda", dest="Lam", type=float, required=True)
+    cond.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    cond.add_argument("--Lambda", dest="Lam", type=_finite, required=True)
 
     em = command(top, "emit", _cmd_emit)
     em.add_argument("artifact_dir")

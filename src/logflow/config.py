@@ -6,26 +6,26 @@ text format with one ``dotted.path = value`` assignment per line (values are
 parsed as JSON scalars/arrays).  A config may name a preset and override
 individual keys.  A config is an object of keys, each section one too, and
 ``seed`` a nonnegative integer.  An unknown key in any section is a
-ConfigError: ``flow`` takes the keyword arguments of
+ConfigError, an unknown section named by the dotted keys it sets: ``grid``
+takes ``n``, ``L`` and ``m``, ``flow`` the keyword arguments of
 :func:`logflow.flow.run` except the boundary model, which always comes
-with the initial data, ``initial`` its family's keys, the other sections
+with the initial data, ``initial`` its family's keys, ``check`` and ``mcf``
 what the pipeline table in :mod:`logflow.experiments` declares; a pipeline
 that evolves no initial data takes neither ``flow`` nor ``initial``, and
 one that does needs ``flow.t_end``.  A key's default sets the type of its
-value (a number, null or a number, a list of numbers), and one table of
-ranges bounds the numbers: ``flow.tau`` lies in ``[0, 1]``, times, lengths
-and curvatures are positive (``expander.times`` a non-empty list of
-positive times), ``analysis.monotone_from`` is a nonnegative integer.  A
-``[lo, hi]`` check bound takes two numbers with ``lo <= hi``,
-``flow.snapshot_times`` times in ``[0, flow.t_end]`` and ``mcf.t_start`` a
-time in ``[0, flow.t_end)``.  A run snapshots at its snapshot times and at
-``flow.t_end``, so these fix the snapshots a pipeline reads: the blow-down
-errors, of which ``analysis.monotone_from`` must leave a pair to compare,
-the three states of the duality check and the samples of the decay fit.
-Expander stationarity is checked on the line expander, so it needs
-``grid.n = 1`` and a nonzero ``expander.slope0``.  Loading fills ``check``,
-``expander``, ``mcf`` and ``analysis`` from the pipeline table, so
-``config.json`` records the thresholds and parameters the run used.
+value (a finite number, null or a finite number, a list of finite
+numbers), and one table of ranges bounds the numbers: ``flow.tau`` lies in
+``[0, 1]``, times, lengths and curvatures are positive.  A ``[lo, hi]``
+check bound takes two numbers with ``lo <= hi``, ``flow.snapshot_times``
+times in ``[0, flow.t_end]`` and ``mcf.t_start`` a time in
+``[0, flow.t_end)``.  A run snapshots at its snapshot times and at
+``flow.t_end``, so these fix the snapshots a pipeline reads: the three
+states of the duality check, the samples of the decay fit and the
+blow-down errors, one per positive time, of which the check compares those
+from :data:`logflow.analysis.MONOTONE_FROM` on.  Expander stationarity is
+checked on the line expander, so it needs ``grid.n = 1``.  Loading fills
+``check`` and ``mcf`` from the pipeline table, so ``config.json`` records
+the thresholds and parameters the run used.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import MONOTONE_FROM
 from .errors import ConfigError
 from .flow import FLOW_KEYS
 from .presets import INITIAL_FAMILIES, experiment_preset
@@ -45,15 +47,26 @@ from .presets import INITIAL_FAMILIES, experiment_preset
 __all__ = ["ExperimentConfig", "load_config", "parse_keyvalue", "merge", "check_seeds"]
 
 
-def _reject_unknown(section: str, keys, allowed) -> None:
-    unknown = sorted(set(keys) - set(allowed))
+def _reject_unknown(section: str, values: dict, allowed) -> None:
+    # an unknown section is named by the keys it sets, as a key-value file
+    # spells them
+    unknown = []
+    for key in set(values) - set(allowed):
+        subs = values[key] if isinstance(values[key], dict) else ()
+        unknown += [f"{key}.{sub}" for sub in subs] or [key]
     if unknown:
         hint = f"choose from {sorted(allowed)}" if allowed else "the pipeline reads none"
-        raise ConfigError(f"unknown {section} keys {unknown}; {hint}")
+        raise ConfigError(f"unknown {section} keys {sorted(unknown)}; {hint}")
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: an int or a float that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 # keys with a shape check of their own in ExperimentConfig.validate
@@ -61,19 +74,20 @@ _SHAPED = ("A", "b", "seeds")
 
 
 def _reject_mistyped(section: str, values: dict, defaults: dict) -> None:
-    """A key's declared default sets what it takes: a number default a number,
-    a None default null or a number, a list default a list of numbers."""
+    """A key's declared default sets what it takes: a number default a finite
+    number, a None default null or a finite number, a list default a list of
+    finite numbers."""
     for key, default in defaults.items():
         if key not in values or key in _SHAPED:
             continue
         value = values[key]
         if _number(default):
-            ok, what = _number(value), "a number"
+            ok, what = _number(value), "a finite number"
         elif default is None:
-            ok, what = value is None or _number(value), "null or a number"
+            ok, what = value is None or _number(value), "null or a finite number"
         elif isinstance(default, (list, tuple)):
             ok = isinstance(value, (list, tuple)) and all(map(_number, value))
-            what = "a list of numbers"
+            what = "a list of finite numbers"
         else:
             continue
         if not ok:
@@ -81,16 +95,13 @@ def _reject_mistyped(section: str, values: dict, defaults: dict) -> None:
 
 
 # the range of each bounded key, by section, as (test, description): a list
-# takes a non-empty list with every entry in range, null stays admitted where
-# the default is None, and the counts admit 0
+# takes a non-empty list with every entry in range, and null stays admitted
+# where the default is None
 _POSITIVE = (lambda v: v > 0.0, "positive")
-_COUNT = (lambda v: v >= 0 and float(v).is_integer(), "a nonnegative integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _RANGES = {
     "flow": {"tau": _UNIT, "t_end": _POSITIVE},
     "initial": {"width": _POSITIVE, "c_minus": _POSITIVE, "c_plus": _POSITIVE},
-    "expander": {"r_max": _POSITIVE, "dt_probe": _POSITIVE, "times": _POSITIVE},
-    "analysis": {"window": _POSITIVE, "monotone_from": _COUNT},
 }
 
 
@@ -108,20 +119,21 @@ def _reject_out_of_range(section: str, values: dict) -> None:
 
 
 def _shape(value) -> tuple | None:
-    """The shape of a numeric array, or None when value is not one."""
+    """The shape of an array of finite numbers, or None when value is not one."""
     try:
-        return np.shape(np.asarray(value, dtype=np.float64))
-    except (TypeError, ValueError):
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
         return None
+    return array.shape if np.isfinite(array).all() else None
 
 
 def check_seeds(seeds, n: int, what: str) -> None:
     """Refuse particle seeds that are not a non-empty list of points with n
-    coordinates each."""
+    finite coordinates each."""
     shape = _shape(seeds) or ()
     if len(shape) != 2 or shape[0] == 0 or shape[1] != n:
         raise ConfigError(f"{what} must be a non-empty list of points "
-                          f"with {n} coordinates each")
+                          f"with {n} finite coordinates each")
 
 
 @dataclass
@@ -130,9 +142,7 @@ class ExperimentConfig:
     grid: dict = field(default_factory=lambda: {"n": 1, "L": 4.0, "m": 65})
     initial: dict = field(default_factory=dict)
     flow: dict = field(default_factory=dict)
-    expander: dict = field(default_factory=dict)
     mcf: dict = field(default_factory=dict)
-    analysis: dict = field(default_factory=dict)
     check: dict = field(default_factory=dict)
     seed: int = 0
     snapshot_format: str = "binary"
@@ -155,14 +165,14 @@ class ExperimentConfig:
         return float(self.flow.get("tau", FLOW_KEYS["tau"]))
 
     def validate(self) -> None:
-        """Check every section; fill ``check``, ``expander``, ``mcf`` and
-        ``analysis`` with the pipeline's defaults."""
+        """Check every section; fill ``check`` and ``mcf`` with the
+        pipeline's defaults."""
         from .experiments import PIPELINES
         spec = PIPELINES.get(self.pipeline) if isinstance(self.pipeline, str) else None
         if spec is None:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}; "
                               f"choose from {tuple(PIPELINES)}")
-        for section in ("grid", "initial", "flow", "expander", "mcf", "analysis", "check"):
+        for section in ("grid", "initial", "flow", "mcf", "check"):
             if not isinstance(getattr(self, section), dict):
                 raise ConfigError(f"{section} must be an object of keys, "
                                   f"got {getattr(self, section)!r}")
@@ -170,13 +180,13 @@ class ExperimentConfig:
             raise ConfigError(f"outdir must be a string, got {self.outdir!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        _reject_unknown("grid", self.grid, ("n", "L", "m", "margin"))
+        _reject_unknown("grid", self.grid, ("n", "L", "m"))
         if not spec.evolves:
             for section in ("flow", "initial"):
                 _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
         _reject_mistyped("flow", self.flow, FLOW_KEYS)
-        for section in ("check", "expander", "mcf", "analysis"):
+        for section in ("check", "mcf"):
             table = getattr(spec, section)
             _reject_unknown(section, getattr(self, section), table)
             _reject_mistyped(section, getattr(self, section), table)
@@ -217,11 +227,11 @@ class ExperimentConfig:
                                   f"from t = {t_from:g}, t_end included; "
                                   f"flow.snapshot_times gives {have}")
             errors = len([t for t in stored if t > 0.0])  # one per positive time
-            if ("monotone_from" in self.analysis
-                    and self.analysis["monotone_from"] > errors - 2):
-                raise ConfigError(f"analysis.monotone_from must leave a pair of the "
-                                  f"{errors} blow-down errors to compare, so at most "
-                                  f"{errors - 2}, got {self.analysis['monotone_from']}")
+            if self.pipeline == "blowdown" and errors < MONOTONE_FROM + 2:
+                raise ConfigError(f"the blow-down check compares its errors from "
+                                  f"index {MONOTONE_FROM} on, so it needs "
+                                  f"{MONOTONE_FROM + 2} positive times, t_end included; "
+                                  f"flow.snapshot_times gives {errors}")
         for key, bound in spec.check.items():
             value = self.check[key]
             if isinstance(bound, list) and (len(value) != 2 or value[0] > value[1]):
@@ -229,14 +239,14 @@ class ExperimentConfig:
                                   f"got {value}")
         if "seeds" in self.mcf:
             check_seeds(self.mcf["seeds"], n, "mcf.seeds")
-        for key, shapes, what in (("A", [(), (n, n)], f"a scalar or an {n} x {n} matrix"),
-                                  ("b", [(n,)], f"a vector of length {n}")):
+        for key, shapes, what in (("A", [(), (n, n)],
+                                   f"a finite scalar or an {n} x {n} finite matrix"),
+                                  ("b", [(n,)], f"a finite vector of length {n}")):
             if self.initial.get(key) is not None and _shape(self.initial[key]) not in shapes:
                 raise ConfigError(f"initial.{key} must be {what}")
-        if "slope0" in self.expander and (n != 1 or self.expander["slope0"] == 0.0):
-            raise ConfigError("stationarity is checked on the line expander: it needs "
-                              f"grid.n = 1 and expander.slope0 != 0, got n = {n} and "
-                              f"slope0 = {self.expander['slope0']}")
+        if self.pipeline == "expander_stationarity" and n != 1:
+            raise ConfigError("stationarity is checked on the line expander with "
+                              f"u'(0) = slope0 != 0: it needs grid.n = 1, got n = {n}")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

@@ -28,10 +28,6 @@ class BlowupError(LogFlowError):
     """Radial profile curvature left the admissible range (1e-12, 1e6)."""
 
 
-class SingularStartError(LogFlowError):
-    """Series start of the radial integration is inconsistent at r = 0."""
-
-
 class NewtonStall(LogFlowError):
     """Damped Newton iteration stopped making progress before reaching tolerance."""
 

@@ -9,10 +9,11 @@ and :func:`run_pipeline` sets the report's ``checks`` and ``passed``
 (:func:`gate` extends both with a refinement pair).
 :data:`PIPELINES` is the one list of pipelines: it declares each pipeline's
 runner, its frozen thresholds, whether it evolves initial data (reading the
-``initial`` and ``flow`` sections), the keys it reads from the ``expander``,
-``mcf`` and ``analysis`` sections with their defaults, and its refinement
-pair.  Loading a config fills those sections, so a runner indexes them
-directly.
+``initial`` and ``flow`` sections), the keys it reads from the ``mcf``
+section with their defaults, and its refinement pair.  Loading a config
+fills ``check`` and ``mcf``, so a runner indexes them directly.  The
+parameters of the expander and analysis pipelines are constants of the code
+that reads them.
 """
 
 from __future__ import annotations
@@ -44,18 +45,13 @@ def _run_flow(cfg: ExperimentConfig, observe=None) -> tuple[GridFunction, Trajec
     return u0, run(u0, boundary=boundary, observe=observe, **cfg.flow)
 
 
-def _profile_end(cfg: ExperimentConfig, reach: float, margin: float) -> float:
-    """The radius an expander profile is integrated to: ``expander.r_max``,
-    by default ``reach`` (the largest radius the pipeline reads) plus
-    ``margin``.  A profile read past its end raises, so an explicit r_max
-    short of ``reach`` is refused before the shoot."""
-    r_max = cfg.expander["r_max"]
-    if r_max is None:
-        return reach + margin
-    if r_max < reach:
-        raise ConfigError(f"expander.r_max = {r_max:g} is short of radius {reach:.6g}, "
-                          "the largest the pipeline reads")
-    return float(r_max)
+# both expander pipelines shoot from u(0) = a and integrate the profile to
+# the largest radius they read plus _PAST_REACH; stationarity reads the line
+# expander of u'(0) = slope0 at the times _TIMES, each differenced over
+# dt_probe, and cross-validation starts Newton _PERTURBATION off the profile
+_A, _PAST_REACH = -0.1, 0.5
+_SLOPE0, _DT_PROBE, _TIMES = 0.5, 1e-3, (1.0, 2.0, 4.0)
+_PERTURBATION = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +121,13 @@ def heat_oracle_pipeline(cfg: ExperimentConfig):
 
 def expander_stationarity_pipeline(cfg: ExperimentConfig):
     # the line expander with u'(0) = slope0 != 0 is not quadratic, so its
-    # residuals measure the discretisation (loading refuses n != 1 and
-    # slope0 = 0, whose centred profile is an exact parabola)
+    # residuals measure the discretisation (the centred profile is an exact
+    # parabola, and loading refuses n != 1)
     domain = cfg.domain()
-    ex = cfg.expander
-    a = float(ex["a"])
-    slope0 = float(ex["slope0"])
-    dt_probe = float(ex["dt_probe"])
     x = domain.axis
     # family(t) reads the profile at x / sqrt(t), widest at the smallest t
-    reach = float(np.max(np.abs(x)) / np.sqrt(min(1.0, *ex["times"])))
-    prof = expander.line_profile(a, slope0, _profile_end(cfg, reach, 2.0))
+    reach = float(np.max(np.abs(x)) / np.sqrt(min(_TIMES)))
+    prof = expander.line_profile(_A, _SLOPE0, reach + _PAST_REACH)
 
     def family(t):
         return GridFunction(domain, t * prof(x / np.sqrt(t)),
@@ -143,15 +135,15 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 
     cert = expander.certify(family(1.0))
     residuals = {}
-    for t in ex["times"]:
+    for t in _TIMES:
         u_lo = family(t)
-        u_mid = family(t + 0.5 * dt_probe)
-        u_hi = family(t + dt_probe)
-        residuals[str(t)] = pde_residual(u_lo, u_mid, u_hi, dt_probe, tau=1.0)
+        u_mid = family(t + 0.5 * _DT_PROBE)
+        u_hi = family(t + _DT_PROBE)
+        residuals[str(t)] = pde_residual(u_lo, u_mid, u_hi, _DT_PROBE, tau=1.0)
     report = {
         "pipeline": "expander_stationarity",
-        "a": a,
-        "slope0": slope0,
+        "a": _A,
+        "slope0": _SLOPE0,
         "h": domain.h,
         "certification": cert.to_dict(),
         "residuals": residuals,
@@ -163,15 +155,14 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 
 def expander_cross_pipeline(cfg: ExperimentConfig):
     domain = cfg.domain()
-    ex = cfg.expander
     grids = domain.meshgrid()
     reach = float(np.sqrt(sum(g ** 2 for g in grids)).max())  # the box corners
-    prof = expander.radial_shoot(domain.n, float(ex["a"]), _profile_end(cfg, reach, 0.5))
+    prof = expander.radial_shoot(domain.n, _A, reach + _PAST_REACH)
     target = expander.profile_to_grid(prof, domain)
     # the taper vanishes on the ring, so the start stays convex next to it
     L = domain.half_width
     taper = math.prod(1.0 - (g / L) ** 2 for g in grids)
-    start_vals = target.values + float(ex["perturbation"]) * taper * np.cos(2.0 * sum(grids))
+    start_vals = target.values + _PERTURBATION * taper * np.cos(2.0 * sum(grids))
     sol = expander.newton_solve(GridFunction(domain, start_vals), dirichlet=target)
     gap = float(np.max(np.abs(sol.u.values - target.values)))
     measured = {"profile_gap": gap, "newton_residual": sol.residual_norm,
@@ -245,10 +236,8 @@ def blowdown_pipeline(cfg: ExperimentConfig):
     def U1(pts):
         return 0.5 * np.einsum("ki,ij,kj->k", pts, A, pts)
 
-    an = cfg.analysis
-    rep = analysis.blowdown_convergence(
-        traj, U1, window_half=float(an["window"]),
-        monotone_from=int(an["monotone_from"]))
+    rep = analysis.blowdown_convergence(traj, U1, window_half=analysis.BLOWDOWN_WINDOW,
+                                        monotone_from=analysis.MONOTONE_FROM)
     report = {"pipeline": "blowdown", **rep.to_dict()}
     measured = {"monotone": rep.monotone, "final_error": rep.final_error}
     return report, measured, {"trajectory": traj,
@@ -257,7 +246,7 @@ def blowdown_pipeline(cfg: ExperimentConfig):
 
 def plane_pipeline(cfg: ExperimentConfig):
     _, traj = _run_flow(cfg)
-    rep = analysis.plane_convergence(traj, window_half=float(cfg.analysis["window"]))
+    rep = analysis.plane_convergence(traj, window_half=analysis.PLANE_WINDOW)
     return {"pipeline": "plane", **rep.to_dict()}, rep.measured(), {"trajectory": traj}
 
 
@@ -274,24 +263,16 @@ class Refinement(NamedTuple):
 class Pipeline(NamedTuple):
     """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
     whether it evolves initial data (reads ``initial`` and ``flow``), the
-    keys it reads from ``expander``, ``mcf`` and ``analysis``, each mapped to
-    its default, its refinement pair, if it has one, and the fewest
-    snapshots its runner reads, with the time they start at."""
+    keys it reads from ``mcf``, each mapped to its default, its refinement
+    pair, if it has one, and the fewest snapshots its runner reads, with the
+    time they start at."""
 
     runner: Callable
     check: dict = {}
     evolves: bool = True
-    expander: dict = {}
     mcf: dict = {}
-    analysis: dict = {}
     refinement: Refinement | None = None
     snapshots: tuple = (0, 0.0)
-
-
-# the keys both expander pipelines read: the value a = u(0) of the profile and
-# the radius it is integrated to (by default the largest radius read, plus 2
-# for stationarity and 0.5 for cross)
-_EXPANDER = {"a": -0.1, "r_max": None}
 
 
 PIPELINES = {
@@ -304,13 +285,11 @@ PIPELINES = {
                             refinement=Refinement("sup_diff", 3.0, 0.0)),
     "expander_stationarity": Pipeline(
         expander_stationarity_pipeline, {"residual": 0.05}, evolves=False,
-        expander={**_EXPANDER, "slope0": 0.5, "dt_probe": 1e-3,
-                  "times": [1.0, 2.0, 4.0]},
         refinement=Refinement("residuals", 3.0, 0.0)),
     "expander_cross": Pipeline(
         expander_cross_pipeline,
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
-        evolves=False, expander={**_EXPANDER, "perturbation": 5e-3}),
+        evolves=False),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
                               {"bump_residual": 1e-2},
                               refinement=Refinement("bump_residual", 3.0, 0.0,
@@ -322,10 +301,8 @@ PIPELINES = {
     "decay": Pipeline(decay_pipeline, {"exponent3": [-1.3, -0.7],
                                        "exponent4": [-2.4, -1.6], "runtime_s": 120.0},
                       snapshots=(analysis.FIT_SAMPLES, analysis.DECAY_FROM)),
-    "blowdown": Pipeline(blowdown_pipeline, {"final_error": 0.02},
-                         analysis={"window": 1.0, "monotone_from": 2}),
-    "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02},
-                      analysis={"window": 2.0}),
+    "blowdown": Pipeline(blowdown_pipeline, {"final_error": 0.02}),
+    "plane": Pipeline(plane_pipeline, {"final_max_gradient": 0.02}),
 }
 
 

@@ -15,7 +15,9 @@ any family's data loads numpy only.
 Each experiment preset is a configuration dictionary consumed by
 :mod:`logflow.config`; the acceptance suite runs these presets verbatim.  The
 frozen thresholds a preset is judged against are its pipeline's, declared in
-:data:`logflow.experiments.PIPELINES`.
+:data:`logflow.experiments.PIPELINES`, and the expander and analysis presets
+set only the grid and flow: their pipelines' parameters are constants of
+:mod:`logflow.experiments` and :mod:`logflow.analysis`.
 """
 
 from __future__ import annotations
@@ -164,15 +166,10 @@ _PRESETS: dict[str, dict] = {
     "expander-stationarity": {
         "pipeline": "expander_stationarity",
         "grid": {"n": 1, "L": 2.0, "m": 65},
-        # slope0 != 0: the line expander is not quadratic; loading refuses the
-        # centred one (slope0 = 0), an exact parabola of roundoff residual
-        "expander": {"a": -0.1, "slope0": 0.5, "r_max": 2.5,
-                     "times": [1.0, 2.0, 4.0], "dt_probe": 1e-3},
     },
     "expander-cross-validation": {
         "pipeline": "expander_cross",
         "grid": {"n": 1, "L": 1.5, "m": 129},
-        "expander": {"a": -0.1, "perturbation": 5e-3},
     },
     "legendre-duality": {
         "pipeline": "legendre_dual",
@@ -203,7 +200,6 @@ _PRESETS: dict[str, dict] = {
         "initial": _BUMP,
         "flow": {"tau": 1.0, "t_end": 16.0,
                  "snapshot_times": [1.0, 2.0, 4.0, 8.0, 16.0]},
-        "analysis": {"window": 1.0, "monotone_from": 2},
     },
     "plane-convergence": {
         "pipeline": "plane",
@@ -212,7 +208,6 @@ _PRESETS: dict[str, dict] = {
                     "amplitude": 0.1, "width": 1.0},
         "flow": {"tau": 0.0, "t_end": 8.0,
                  "snapshot_times": [0.5, 1.0, 2.0, 4.0, 8.0]},
-        "analysis": {"window": 2.0},
     },
 }
 

@@ -125,11 +125,13 @@ def _leaf_commands(parser, prefix=()):
 
 
 def test_settable_surface_is_pinned():
-    # adding or removing a top-level config key, a flow key, a pipeline or a
-    # command shows up here
+    # adding or removing a top-level config key, a grid or flow key, a
+    # pipeline or a command shows up here
     assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-        "pipeline", "grid", "initial", "flow", "expander", "mcf", "analysis",
-        "check", "seed", "snapshot_format", "outdir", "preset"]
+        "pipeline", "grid", "initial", "flow", "mcf", "check", "seed",
+        "snapshot_format", "outdir", "preset"]
+    with pytest.raises(ConfigError, match=r"choose from \['L', 'm', 'n'\]$"):
+        load_config({"preset": "heat-oracle", "grid": {"margin": 2}})
     assert list(FLOW_KEYS) == ["tau", "t_end", "snapshot_times"]
     assert list(PIPELINES) == [
         "flow", "quadratic_exact", "condition_b", "heat_oracle",
@@ -145,9 +147,7 @@ def test_range_table_bounds_declared_keys_and_admits_their_defaults():
     # a mistyped entry in the table of ranges would bound nothing
     from logflow.config import _RANGES
     from logflow.presets import INITIAL_FAMILIES
-    declared = {"flow": [FLOW_KEYS], "initial": list(INITIAL_FAMILIES.values()),
-                "expander": [p.expander for p in PIPELINES.values()],
-                "analysis": [p.analysis for p in PIPELINES.values()]}
+    declared = {"flow": [FLOW_KEYS], "initial": list(INITIAL_FAMILIES.values())}
     for section, ranges in _RANGES.items():
         for key, (test, _) in ranges.items():
             defaults = [table[key] for table in declared[section] if key in table]
@@ -265,10 +265,12 @@ def test_check_mode_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset, line, message", [
-    # stationarity is checked on the line expander: n = 1 and slope0 != 0
+    # stationarity is checked on the line expander of slope0 != 0: n = 1
     ("expander-stationarity", "grid.n = 2", "slope0"),
+    # the expander and analysis parameters are constants, no config keys: an
+    # unknown section is named by the dotted keys it sets
     ("expander-stationarity", "expander.slope0 = 0.0",
-     "grid.n = 1 and expander.slope0 != 0"),
+     "unknown config keys ['expander.slope0']"),
     ("quadratic-exact", "initial.A = [[1.0]]", "initial.A"),  # n = 2
     ("quadratic-exact", "initial.b = [1.0]", "initial.b"),
     ("quadratic-exact", "initial.b = [1.0, 0.0, 0.0]", "initial.b"),
@@ -284,14 +286,21 @@ def test_check_mode_exit_code(tmp_path, capsys):
     # the stage fraction and the retry budget are no flow keys
     ("condition-b-preservation", "flow.safety = -1.0", "flow keys ['safety']"),
     ("condition-b-preservation", "flow.max_halvings = 2.5", "flow keys ['max_halvings']"),
-    # a key whose default is a number takes only numbers
+    # a key whose default is a number takes only finite numbers
     ("expander-stationarity", "expander.slope0 = x", "expander.slope0"),
     ("condition-b-preservation", "initial.amplitude = big", "initial.amplitude"),
     ("condition-b-preservation", "flow.t_end = soon", "flow.t_end"),
-    # a key whose default is None takes null or a number
+    ("condition-b-preservation", "initial.amplitude = NaN", "initial.amplitude"),
+    ("quadratic-exact", "initial.c = Infinity", "initial.c"),
+    ("condition-b-preservation", "check.drift = NaN", "check.drift"),
+    # matrices, vectors and seeds take finite entries
+    ("quadratic-exact", "initial.A = [[NaN, 0], [0, 1]]", "initial.A"),
+    ("quadratic-exact", "initial.b = [Infinity, 0]", "initial.b"),
+    ("mcf-correspondence", "mcf.seeds = [[NaN]]", "mcf.seeds"),
+    # a key whose default is None takes null or a finite number
     ("mcf-correspondence", "mcf.t_start = x", "mcf.t_start"),
     ("expander-cross-validation", "expander.r_max = x", "expander.r_max"),
-    # a key whose default is a list takes a list of numbers
+    # a key whose default is a list takes a list of finite numbers
     ("condition-b-preservation", "flow.snapshot_times = x", "flow.snapshot_times"),
     ("condition-b-preservation", 'flow.snapshot_times = ["a"]', "flow.snapshot_times"),
     ("expander-stationarity", "expander.times = x", "expander.times"),
@@ -308,6 +317,7 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "flow.snapshot_times = [-1.0, 99.0]",
      "flow.snapshot_times"),
     ("blowdown-convergence", "analysis.monotone_from = 40", "analysis.monotone_from"),
+    ("blowdown-convergence", "flow.snapshot_times = [8.0]", "flow.snapshot_times gives 2"),
     # numbers out of their key's range: positive, nonnegative integer, [0, 1]
     ("blowdown-convergence", "analysis.window = -1.0", "analysis.window"),
     ("heat-oracle", "flow.t_end = 0.0", "flow.t_end"),
@@ -325,7 +335,8 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "grid.n = 1.5", "n must be an integer"),
     ("condition-b-preservation", "grid.L = true", "L must be a number"),
     ("condition-b-preservation", 'grid.m = "65"', "m must be a number"),
-    ("condition-b-preservation", "grid.margin = 1.7", "margin must be an integer"),
+    # the grid takes n, L and m; the box's margin is no key
+    ("condition-b-preservation", "grid.margin = 1.7", "unknown grid keys ['margin']"),
 ])
 def test_bad_input_exits_2_before_any_run(tmp_path, capsys, preset, line, message):
     # a good config listed first does not run either
@@ -455,18 +466,19 @@ def test_bad_boundary_rejected_before_any_run(tmp_path, capsys):
     assert not runs.exists()
 
 
-@pytest.mark.parametrize("pipeline, grid, reach", [
-    ("expander_cross", {"n": 2, "L": 1.5, "m": 17}, "2.12132"),
-    ("expander_stationarity", {"n": 1, "L": 2.5, "m": 17}, "2.5"),
+@pytest.mark.parametrize("pipeline, grid", [
+    ("expander_cross", {"n": 2, "L": 1.5, "m": 17}),
+    ("expander_stationarity", {"n": 1, "L": 2.5, "m": 17}),
 ], ids=["expander_cross", "expander_stationarity"])
-def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, grid, reach):
+def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, grid):
     # at n = 2, L = 1.5 the corners lie at radius 2.12, and the line of
-    # half-width 2.5 reaches 2.5 at t = 1: an explicit r_max of 2 would leave
-    # them past the profile's end; the default reaches them
+    # half-width 2.5 reaches 2.5 at t = 1: an r_max of 2 would leave them past
+    # the profile's end, but the radius is no key; the profile always
+    # reaches them
     cfg = {"pipeline": pipeline, "grid": grid, "outdir": str(tmp_path / "run")}
     short = _write_cfg(tmp_path, {**cfg, "expander": {"r_max": 2.0}})
     assert main(["flow", "run", "--check", "--config", str(short)]) == 2
-    assert f"expander.r_max = 2 is short of radius {reach}," in capsys.readouterr().err
+    assert "unknown config keys ['expander.r_max']" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     default = _write_cfg(tmp_path, cfg)
     assert main(["flow", "run", "--check", "--config", str(default)]) == 0
@@ -474,12 +486,14 @@ def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, gr
 
 
 def test_cross_validation_preset_runs_at_n2(tmp_path):
-    # the preset pins no r_max, so at n = 2 its profile reaches the corners
+    # the profile is integrated past the largest radius read, so at n = 2 it
+    # reaches the corners, and the preset sets nothing but the grid
     cfg = _write_cfg(tmp_path, {"preset": "expander-cross-validation", "grid": {"n": 2},
                                 "outdir": str(tmp_path / "run")})
     assert main(["flow", "run", "--check", "--config", str(cfg)]) == 0
     written = json.loads((tmp_path / "run" / "config.json").read_text())
-    assert written["expander"]["r_max"] is None
+    assert "expander" not in written and written["grid"]["n"] == 2
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["passed"]
 
 
 def test_missing_t_end_exit_code(tmp_path, capsys):
@@ -565,7 +579,18 @@ def test_bad_reconstruct_seeds_exit_config(tmp_path, capsys, dense_run, text):
      "--n: must be positive, got 0"),
     (["expander", "shoot", "--n", "-1", "--a", "-0.1", "--rmax", "2.0", "--out", "prof"],
      "--n: must be positive, got -1"),
-], ids=["order-5", "window-negative", "window-0", "n-0", "n-negative"])
+    # every comparison with NaN is false: it would pass an order check or
+    # silently mean no window start
+    (["expander", "shoot", "--n", "1", "--a", "nan", "--rmax", "2.0", "--out", "prof"],
+     "--a: must be a finite number, got nan"),
+    (["mcf", "reconstruct", "--trajectory", "run", "--seeds", "s.json",
+      "--t-start", "nan"], "--t-start: must be a finite number, got nan"),
+    (["analyze", "condition", "--input", "u.snap", "--lambda", "nan", "--Lambda", "2"],
+     "--lambda: must be a finite number, got nan"),
+    (["analyze", "condition", "--input", "u.snap", "--lambda", "1", "--Lambda", "inf"],
+     "--Lambda: must be a finite number, got inf"),
+], ids=["order-5", "window-negative", "window-0", "n-0", "n-negative", "a-nan",
+        "t-start-nan", "lambda-nan", "Lambda-inf"])
 def test_bad_command_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # refused while the command line is parsed, before any file is touched
     monkeypatch.chdir(tmp_path)
@@ -619,6 +644,15 @@ def test_integer_tau_and_t_end_match_floats(tmp_path):
                       if p.name == "report.json" or p.suffix == ".snap"})
     assert len(files[0]) > 2
     assert files[0] == files[1]
+
+
+def test_expander_shoot_out_of_range_curvature_exits_3(tmp_path, capsys):
+    # exp(800) overflows a float: a is compared with the curvature range in logs
+    out = tmp_path / "prof"
+    assert main(["expander", "shoot", "--n", "1", "--a", "800",
+                 "--rmax", "2.0", "--out", str(out)]) == 3
+    assert "starting curvature exp(a) = exp(800) outside" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_expander_shoot_and_certify(tmp_path):

@@ -97,6 +97,9 @@ def test_line_profiles_are_exact_parabolas():
 def test_shoot_blowup_guard():
     with pytest.raises(BlowupError):
         radial_shoot(n=1, a=20.0, r_max=1.0)
+    # exp(800) overflows: the start is refused before it is computed
+    with pytest.raises(BlowupError, match="exp"):
+        radial_shoot(n=1, a=800.0, r_max=1.0)
 
 
 # between steps both sides evaluate the same quartic interpolant of the same

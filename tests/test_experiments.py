@@ -99,14 +99,16 @@ def test_runners_read_no_fallback_defaults():
     assert gets == []
 
 
-# each preset whose pipeline reads a parameter section, shortened
+# presets and the section of theirs that loading fills from the pipeline
+# table, shortened: the mcf parameters, and the thresholds of the expander
+# and analysis pipelines, whose parameters are constants
 _SECTION_PRESETS = {
-    "expander-stationarity": ("expander", {}),
-    "expander-cross-validation": ("expander", {"grid": {"m": 65}}),
+    "expander-stationarity": ("check", {}),
+    "expander-cross-validation": ("check", {"grid": {"m": 65}}),
     "mcf-correspondence": ("mcf", {"grid": {"m": 33}, "flow": {"t_end": 0.2}}),
-    "blowdown-convergence": ("analysis", {"grid": {"m": 65}, "flow": {
+    "blowdown-convergence": ("check", {"grid": {"m": 65}, "flow": {
         "t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}),
-    "plane-convergence": ("analysis", {"grid": {"m": 65}, "flow": {
+    "plane-convergence": ("check", {"grid": {"m": 65}, "flow": {
         "t_end": 4.0, "snapshot_times": [0.5, 1.0, 2.0, 4.0]}}),
 }
 
