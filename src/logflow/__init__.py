@@ -13,8 +13,7 @@ from .flow import (FlowState, MonitorRecord, QuadraticFarField,
                    ReferenceSolution, Trajectory, dt_stable, pde_residual,
                    run, step_explicit)
 from .heat import heat_solve
-from .expander import (ExpanderSolution, certify, newton_solve, profile_to_grid,
-                       radial_shoot)
+from .expander import ExpanderSolution, certify, newton_solve
 from .legendre import dual_flow_check, legendre_transform
 from .mcf import integrate_particles, verify_mcf
 from .analysis import (blowdown_convergence, check_condition_A,

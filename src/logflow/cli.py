@@ -4,7 +4,6 @@ One binary: ``flow run`` runs every pipeline, whichever its config names, and
 the other commands work on one snapshot or run directory::
 
     logflow flow run --config cfg.json [--check]
-    logflow expander shoot --n 1 --a -0.1 --rmax 2.0 --out dir
     logflow expander certify --input snapshot.snap
     logflow legendre transform --input u.snap --output ustar.snap
     logflow legendre check-dual --trajectory rundir
@@ -262,19 +261,6 @@ def _run_one(cfg: ExperimentConfig, check: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_expander_shoot(args) -> int:
-    prof = expander.radial_shoot(args.n, args.a, args.rmax)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "profile.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "u", "du", "d2u"])
-        for row in zip(prof.r, prof.u, prof.du, prof.d2u):
-            writer.writerow([f"{v:.17g}" for v in row])
-    print(f"profile written to {outdir / 'profile.csv'}")
-    return EXIT_OK
-
-
 def _output_file(path) -> Path:
     """An output file path, refused before the computation when its directory
     is missing or it names a directory."""
@@ -411,15 +397,16 @@ def _finite(text: str) -> float:
 _finite.__name__ = "float"  # named in argparse's "invalid ... value"
 
 
-def _positive(convert):
-    """An argument type that refuses (exit 2) a value that is not positive."""
-    def parse(text):
-        value = convert(text)
-        if value > 0:
-            return value
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    parse.__name__ = convert.__name__  # named in argparse's "invalid ... value"
-    return parse
+def _positive(text: str) -> float:
+    """A finite float argument type that refuses (exit 2) a value that is not
+    positive."""
+    value = _finite(text)
+    if value > 0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+
+
+_positive.__name__ = "float"  # named in argparse's "invalid ... value"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,11 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--outdir", default=None)
 
     exp = top.add_parser("expander").add_subparsers(dest="sub", required=True)
-    shoot = command(exp, "shoot", _cmd_expander_shoot)
-    shoot.add_argument("--n", type=_positive(int), required=True)
-    shoot.add_argument("--a", type=_finite, required=True)
-    shoot.add_argument("--rmax", type=_finite, required=True)
-    shoot.add_argument("--out", default="out")
     cert = command(exp, "certify", _cmd_expander_certify)
     cert.add_argument("--input", required=True)
     cert.add_argument("--output", default=None)
@@ -471,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--order", type=int, choices=(3, 4), default=3)
     pl = command(an, "plane", _cmd_analyze_plane)
     pl.add_argument("--trajectory", required=True)
-    pl.add_argument("--window", type=_positive(_finite), default=analysis.PLANE_WINDOW)
+    pl.add_argument("--window", type=_positive, default=analysis.PLANE_WINDOW)
     cond = command(an, "condition", _cmd_analyze_condition)
     cond.add_argument("--input", required=True)
     cond.add_argument("--lambda", dest="lam", type=_finite, required=True)

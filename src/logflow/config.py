@@ -22,8 +22,7 @@ times in ``[0, flow.t_end]`` and ``mcf.t_start`` a time in
 ``flow.t_end``, so these fix the snapshots a pipeline reads: the three
 states of the duality check, the samples of the decay fit and the
 blow-down errors, one per positive time, of which the check compares those
-from :data:`logflow.analysis.MONOTONE_FROM` on.  Expander stationarity is
-checked on the line expander, so it needs ``grid.n = 1``.  Loading fills
+from :data:`logflow.analysis.MONOTONE_FROM` on.  Loading fills
 ``check`` and ``mcf`` from the pipeline table, so ``config.json`` records
 the thresholds and parameters the run used.
 """
@@ -244,9 +243,6 @@ class ExperimentConfig:
                                   ("b", [(n,)], f"a finite vector of length {n}")):
             if self.initial.get(key) is not None and _shape(self.initial[key]) not in shapes:
                 raise ConfigError(f"initial.{key} must be {what}")
-        if self.pipeline == "expander_stationarity" and n != 1:
-            raise ConfigError("stationarity is checked on the line expander with "
-                              f"u'(0) = slope0 != 0: it needs grid.n = 1, got n = {n}")
         if self.snapshot_format not in ("binary", "csv"):
             raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 

@@ -5,20 +5,21 @@ The stationary profile of a self-similarly expanding flow solves
     (1/n) ln det D2u = u - <x, Du>/2,
 
 the steady state of the rescaled logarithmic gradient flow.  Two independent
-routes are implemented: radial shooting of the reduced ODE
-u'' = (u'/r)^{1-n} exp(n (u - r u'/2)) from a regular series start at the
-origin, and a damped Newton iteration on the discretised equation with
-Dirichlet data on the boundary ring.  Newton's left side is the flow's own
-operator, F_1 of :func:`logflow.flow._ftau`, so the grid equation it solves
-is the one the flow integrates; its block-tridiagonal Jacobian is eliminated
-block by block with numpy.  The shoot steps with a private adaptive
-Dormand-Prince 5(4) pair on Python floats (the ODE has two unknowns): the
-tableau, error estimate and step control of scipy's RK45, with the RMS error
-norm over rtol = 1e-10, atol = 1e-12, safety 0.9 and step factors in
-[0.2, 10].  Its dense output is the pair's own quartic interpolant
-(Shampine's coefficients), fifth-order accurate between steps; a cubic
-Hermite interpolant is not accurate enough for the stationarity refinement
-check.  Certification reports Hessian bounds,
+routes are implemented: shooting of the line equation
+u'' = exp(u - x u'/2) from u(0) = a, u'(0) = slope0 along both half-lines,
+and a damped Newton iteration on the discretised equation with Dirichlet
+data on the boundary ring.  A line solution W gives an expander at every n,
+the rotated separable sum of :func:`separable_expander`.  Newton's left side
+is the flow's own operator, F_1 of :func:`logflow.flow._ftau`, so the grid
+equation it solves is the one the flow integrates; its block-tridiagonal
+Jacobian is eliminated block by block with numpy.  The shoot steps with a
+private adaptive Dormand-Prince 5(4) pair on Python floats (the ODE has two
+unknowns): the tableau, error estimate and step control of scipy's RK45,
+with the RMS error norm over rtol = 1e-10, atol = 1e-12, safety 0.9 and
+step factors in [0.2, 10].  Its dense output is the pair's own quartic
+interpolant (Shampine's coefficients), fifth-order accurate between steps;
+a cubic Hermite interpolant is not accurate enough for the stationarity
+refinement check.  Certification reports Hessian bounds,
 the degree-2 homogeneity defect of the profile's blow-down against its own
 far-field quadratic, and the residual of the Bernstein-type identity
 u^{ij} w_ij = <x, Dw>/2 for w = u - <x, Du>/2 (w is constant exactly on
@@ -35,29 +36,28 @@ import numpy as np
 from .errors import (BlowupError, ConfigError, EmptyCoincidenceError, NewtonStall,
                      NonConvexityError, RangeError)
 from .flow import _ftau
-from .grid import (BoxDomain, GridFunction, HessianField, coincident_index_sets,
-                   gradient, hessian)
+from .grid import (GridFunction, HessianField, coincident_index_sets, gradient,
+                   hessian)
 
 __all__ = [
-    "RadialProfile",
     "ExpanderSolution",
-    "radial_shoot",
-    "profile_to_grid",
+    "line_profile",
+    "separable_expander",
     "newton_solve",
     "certify",
     "CertificationReport",
 ]
 
-_CURVATURE_FLOOR, _CURVATURE_CAP = 1e-12, 1e6   # the shoot's admissible u''
 _RTOL, _ATOL = 1e-10, 1e-12   # tolerances of the ODE integrations
-# step budget of one integration: the presets' shoots take 62-184 steps and a
-# shoot from exp(a) = exp(10) takes 38098; a stiff start near the curvature
-# cap would take about 1e6
+# step budget of one half-line: the pipelines' line profiles take 57-96
+# steps and one from u(0) = 10 to x = 1 takes 6702; from u(0) = 20 the
+# budget runs out at x = 0.048
 _MAX_STEPS = 100_000
 # a block of the Newton solve's elimination takes whole slices along axis 0,
 # as many as fit in this many unknowns: below about 32 unknowns numpy's
 # per-call cost outweighs a dense block's cubic cost (timed at n = 1 and 2)
 _BLOCK = 32
+_ROTATION = 0.3   # the separable expander's angle in the (x1, x2) plane
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +99,14 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(0.5 * (a * a + b * b))
 
 
-def _dopri45(f, t0: float, y0, t_end: float, check=None):
+def _dopri45(f, t0: float, y0, t_end: float):
     """Integrate y' = f(t, y) for two unknowns from t0 to t_end > t0.
 
     The first step is chosen as scipy's ``select_initial_step`` chooses it; a
     step is accepted when the RMS norm of the error estimate, scaled by
     ``_ATOL + _RTOL * max(|y|, |y_new|)``, is below 1, and the next step
     grows or shrinks by ``0.9 * err^(-1/5)`` clipped to [0.2, 10] (at most 1
-    after a rejection).  ``check(t, dydt)`` sees each accepted step's end and
-    its derivative, and may raise.  A step below ten float spacings of t, or
+    after a rejection).  A step below ten float spacings of t, or
     a step past the budget of ``_MAX_STEPS`` accepted steps, raises
     :class:`BlowupError`.  Returns the dense solution: a callable
     taking a 1-D array of times in [t0, t_end] to the (2, N) array of y; a
@@ -159,8 +158,6 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
         starts.append((u, v))
         stages.append((ku, kv))
         t, u, v, fu, fv = t_new, u_new, v_new, fu_new, fv_new
-        if check is not None:
-            check(t, (fu, fv))
 
     knots = np.array(knots)
     widths = np.diff(knots)
@@ -183,89 +180,11 @@ def _dopri45(f, t0: float, y0, t_end: float, check=None):
     return dense
 
 
-# ---------------------------------------------------------------------------
-# radial shooting
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RadialProfile:
-    """Samples of (u, u', u'') along the radius, with dense evaluation."""
-
-    n: int
-    a: float
-    r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    d2u: np.ndarray
-    _sol: object = None
-
-    def __call__(self, radii: np.ndarray) -> np.ndarray:
-        """Profile values at arbitrary radii in [0, r_max]; a radius past
-        r_max raises :class:`RangeError`."""
-        radii = np.asarray(radii, dtype=np.float64)
-        flat = np.abs(radii).ravel()
-        out = np.empty_like(flat)
-        small = flat < self.r[0]
-        # series start below the first sample: u = a + e^a r^2 / 2
-        out[small] = self.a + 0.5 * math.exp(self.a) * flat[small] ** 2
-        if np.any(~small):
-            out[~small] = self._sol(flat[~small])[0]
-        return out.reshape(radii.shape)
-
-
-def _radial_rhs(n: int, a: float):
-    def f(r, y):
-        u, du = y
-        w = n * (u - 0.5 * r * du)
-        w = min(w, 700.0)  # keep exp finite; the curvature check fires first
-        if n == 1:
-            d2 = math.exp(w)
-        else:
-            ratio = du / r
-            if ratio <= 0.0:
-                return [du, _CURVATURE_CAP * 2.0]
-            d2 = ratio ** (1 - n) * math.exp(w)
-        return [du, d2]
-    return f
-
-
-def radial_shoot(n: int, a: float, r_max: float) -> RadialProfile:
-    """Integrate the radial profile from u(0) = a, u'(0) = 0 to r_max.
-
-    Regularity at the origin forces u''(0) = exp(a); the integration starts at
-    r0 = 1e-4 from the quadratic series.  The curvature u'' must lie in
-    (1e-12, 1e6) at the start and at the end of every accepted step; leaving
-    that range raises :class:`BlowupError` with the radius.  Off-centre
-    solutions on the line (u'(0) != 0) come from :func:`line_profile`.
-    """
-    # a is compared in logs, so a large a raises here and never overflows exp
-    if not math.log(_CURVATURE_FLOOR) < a < math.log(_CURVATURE_CAP):
-        raise BlowupError(f"starting curvature exp(a) = exp({a:.6g}) outside (1e-12, 1e6)")
-    c0 = math.exp(a)
-    r0 = 1e-4
-    if not r_max > r0:
-        raise ConfigError(f"r_max = {r_max:.3g} must exceed the series start r0 = {r0:g}")
-    u_start = a + 0.5 * c0 * r0 ** 2
-    du_start = c0 * r0
-
-    f = _radial_rhs(n, a)
-
-    def curvature_in_range(r, dydt):
-        if not _CURVATURE_FLOOR < dydt[1] < _CURVATURE_CAP:
-            raise BlowupError(f"curvature left (1e-12, 1e6) at r = {r:.6g}")
-
-    sol = _dopri45(f, r0, (u_start, du_start), r_max, check=curvature_in_range)
-    r = np.linspace(r0, r_max, 513)
-    y = sol(r)
-    d2 = np.array([f(rk, yk)[1] for rk, yk in zip(r, y.T)])
-    return RadialProfile(n=n, a=a, r=r, u=y[0], du=y[1], d2u=d2, _sol=sol)
-
-
-def profile_to_grid(profile: RadialProfile, domain: BoxDomain) -> GridFunction:
-    """Sample u(|x|) on the grid through the dense ODE solution (no interpolation)."""
-    grids = domain.meshgrid()
-    radii = np.sqrt(sum(g ** 2 for g in grids))
-    return GridFunction(domain, profile(radii), label="expander")
+def _line_rhs(x, y):
+    """The line equation u'' = exp(u - x u'/2) as a first-order system."""
+    u, du = y
+    # keep exp finite: a solution that runs away then fails the step control
+    return [du, math.exp(min(u - 0.5 * x * du, 700.0))]
 
 
 def line_profile(a: float, slope0: float, half_width: float):
@@ -277,7 +196,6 @@ def line_profile(a: float, slope0: float, half_width: float):
     curvatures differ on the two sides.  Returns a vectorised callable u(x)
     for |x| <= half_width; a point past it raises :class:`RangeError`.
     """
-    f = _radial_rhs(1, a)
     r0 = 1e-6
     c0 = math.exp(a)
     if not half_width > r0:
@@ -287,7 +205,7 @@ def line_profile(a: float, slope0: float, half_width: float):
     # half-line is the right one of the mirrored start
     def shoot(slope):
         start = (a + slope * r0 + 0.5 * c0 * r0 ** 2, slope + c0 * r0)
-        return _dopri45(f, r0, start, half_width)
+        return _dopri45(_line_rhs, r0, start, half_width)
 
     right, left = shoot(slope0), shoot(-slope0)
 
@@ -304,6 +222,29 @@ def line_profile(a: float, slope0: float, half_width: float):
         if np.any(neg):
             out[neg] = left(-flat[neg])[0]
         return out.reshape(x.shape)
+
+    return u
+
+
+def separable_expander(n: int, a: float, slope0: float, half_width: float):
+    """The expander u(x) = sum_i (W((Rx)_i) - ln n) / n on n coordinate arrays.
+
+    W is :func:`line_profile` ``(a, slope0, half_width)`` and R the rotation
+    by ``_ROTATION`` in the (x1, x2) plane.  D2u is R' diag(W''((Rx)_i)) R / n,
+    so (1/n) ln det D2u = (1/n) sum_i (W - y W'/2)((Rx)_i) - ln n, which is
+    u - <x, Du>/2: the sum solves the equation exactly, at every n and for
+    any rotation.  The rotation keeps the Hessian off the grid axes.  Every
+    |(Rx)_i| is at most |x|, so ``half_width`` past the largest |x| read
+    covers the box.  At n = 1 this is W itself.
+    """
+    W = line_profile(a, slope0, half_width)
+    if n == 1:
+        return W
+    c, s = math.cos(_ROTATION), math.sin(_ROTATION)
+
+    def u(*x):
+        y = (c * x[0] - s * x[1], s * x[0] + c * x[1], *x[2:])
+        return sum(W(yi) - math.log(n) for yi in y) / n
 
     return u
 

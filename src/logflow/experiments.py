@@ -45,10 +45,11 @@ def _run_flow(cfg: ExperimentConfig, observe=None) -> tuple[GridFunction, Trajec
     return u0, run(u0, boundary=boundary, observe=observe, **cfg.flow)
 
 
-# both expander pipelines shoot from u(0) = a and integrate the profile to
-# the largest radius they read plus _PAST_REACH; stationarity reads the line
-# expander of u'(0) = slope0 at the times _TIMES, each differenced over
-# dt_probe, and cross-validation starts Newton _PERTURBATION off the profile
+# both expander pipelines read the separable expander built on the line
+# expander of u(0) = a, u'(0) = slope0, integrated past the largest |x| they
+# read by _PAST_REACH; stationarity reads it at the times _TIMES, each
+# differenced over dt_probe, and cross-validation starts Newton
+# _PERTURBATION off it
 _A, _PAST_REACH = -0.1, 0.5
 _SLOPE0, _DT_PROBE, _TIMES = 0.5, 1e-3, (1.0, 2.0, 4.0)
 _PERTURBATION = 5e-3
@@ -119,18 +120,23 @@ def heat_oracle_pipeline(cfg: ExperimentConfig):
                                             "snapshots": [(traj.state.t, oracle)]}
 
 
+def _corner_radius(domain) -> float:
+    """The largest |x| on the grid: the box corners."""
+    return float(np.sqrt(sum(g ** 2 for g in domain.meshgrid())).max())
+
+
 def expander_stationarity_pipeline(cfg: ExperimentConfig):
-    # the line expander with u'(0) = slope0 != 0 is not quadratic, so its
-    # residuals measure the discretisation (the centred profile is an exact
-    # parabola, and loading refuses n != 1)
+    # the line expander with u'(0) = slope0 != 0 is not quadratic, nor is its
+    # rotated separable sum at n >= 2, so the residuals measure the
+    # discretisation (the centred profile is an exact parabola)
     domain = cfg.domain()
-    x = domain.axis
-    # family(t) reads the profile at x / sqrt(t), widest at the smallest t
-    reach = float(np.max(np.abs(x)) / np.sqrt(min(_TIMES)))
-    prof = expander.line_profile(_A, _SLOPE0, reach + _PAST_REACH)
+    grids = domain.meshgrid()
+    # family(t) reads the expander at x / sqrt(t), widest at the smallest t
+    reach = _corner_radius(domain) / np.sqrt(min(_TIMES))
+    U = expander.separable_expander(domain.n, _A, _SLOPE0, reach + _PAST_REACH)
 
     def family(t):
-        return GridFunction(domain, t * prof(x / np.sqrt(t)),
+        return GridFunction(domain, t * U(*(g / np.sqrt(t) for g in grids)),
                             label=f"self-similar t={t}")
 
     cert = expander.certify(family(1.0))
@@ -156,9 +162,9 @@ def expander_stationarity_pipeline(cfg: ExperimentConfig):
 def expander_cross_pipeline(cfg: ExperimentConfig):
     domain = cfg.domain()
     grids = domain.meshgrid()
-    reach = float(np.sqrt(sum(g ** 2 for g in grids)).max())  # the box corners
-    prof = expander.radial_shoot(domain.n, _A, reach + _PAST_REACH)
-    target = expander.profile_to_grid(prof, domain)
+    U = expander.separable_expander(domain.n, _A, _SLOPE0,
+                                    _corner_radius(domain) + _PAST_REACH)
+    target = GridFunction(domain, U(*grids), label="expander")
     # the taper vanishes on the ring, so the start stays convex next to it
     L = domain.half_width
     taper = math.prod(1.0 - (g / L) ** 2 for g in grids)
@@ -289,7 +295,7 @@ PIPELINES = {
     "expander_cross": Pipeline(
         expander_cross_pipeline,
         {"profile_gap": 1e-4, "newton_residual": 1e-10, "newton_iterations": 15},
-        evolves=False),
+        evolves=False, refinement=Refinement("profile_gap", 3.0, 0.0)),
     "legendre_dual": Pipeline(legendre_dual_pipeline,
                               {"bump_residual": 1e-2},
                               refinement=Refinement("bump_residual", 3.0, 0.0,

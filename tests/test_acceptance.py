@@ -9,6 +9,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL lines.
 """
 
 import json
+import math
 from pathlib import Path
 
 from logflow.cli import EXIT_OK, EXIT_THRESHOLD, main
@@ -86,8 +87,23 @@ def test_criterion_04_expander_stationarity(tmp_path):
     _row(tmp_path, 4, "self-expander stationarity", "expander-stationarity")
 
 
-def test_criterion_05_expander_cross_validation(tmp_path):
+def test_criterion_04_expander_stationarity_2d(tmp_path):
+    _row(tmp_path, 4, "self-expander stationarity, n = 2", "expander-stationarity",
+         grid={"n": 2, "m": 33})
+
+
+def test_criterion_05_expander_cross_validation(tmp_path, monkeypatch):
     _row(tmp_path, 5, "expander solver cross-validation", "expander-cross-validation")
+
+    # the shoot integrates u'' = exp(u - 0.45 x u'), another equation than
+    # the one Newton solves: profile_gap reads 1.69e-2 at m = 129 and 257
+    def drift_045(x, y):
+        u, du = y
+        return [du, math.exp(u - 0.45 * x * du)]
+
+    monkeypatch.setattr("logflow.expander._line_rhs", drift_045)
+    _fault(tmp_path, 5, "expander solver cross-validation, line drift 0.45 x u'",
+           "expander-cross-validation")
 
 
 def test_criterion_05_expander_cross_validation_2d(tmp_path):

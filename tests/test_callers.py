@@ -4,10 +4,13 @@ The package, ``scripts/`` and ``perfbench/`` are parsed with ``ast``; a name
 counts as referenced when it appears as a name or an attribute anywhere but
 inside its own definition.  Re-exports in ``__init__.py`` and the tests do
 not count, so a helper whose only caller is its unit test is reported.
-Methods are matched by attribute name, not by type.
+Methods are matched by attribute name, not by type.  Every ``__all__``
+entry must name an attribute its module defines, so a deletion leaves no
+stale export.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +65,13 @@ def unreferenced() -> list[str]:
 def test_every_public_name_has_a_caller():
     assert unreferenced() == []
 
+
+
+def test_every_exported_name_is_defined():
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "logflow" if path.stem == "__init__" else f"logflow.{path.stem}")
+        stale += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", [])
+                  if not hasattr(module, name)]
+    assert stale == []

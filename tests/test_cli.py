@@ -96,6 +96,7 @@ REFINEMENTS = {
     "condition-b-preservation": ("drift", 3.0, 1e-6, 129, False),
     "heat-oracle": ("sup_diff", 3.0, 0.0, 129, False),
     "expander-stationarity": ("residuals", 3.0, 0.0, 129, False),
+    "expander-cross-validation": ("profile_gap", 3.0, 0.0, 257, False),
     "legendre-duality": ("bump_residual", 3.0, 0.0, 129, True),
 }
 
@@ -138,7 +139,7 @@ def test_settable_surface_is_pinned():
         "expander_stationarity", "expander_cross", "legendre_dual", "mcf_verify",
         "decay", "blowdown", "plane"]
     assert list(_leaf_commands(build_parser())) == [
-        "flow run", "expander shoot", "expander certify", "legendre transform",
+        "flow run", "expander certify", "legendre transform",
         "legendre check-dual", "mcf reconstruct", "analyze decay", "analyze plane",
         "analyze condition", "emit"]
 
@@ -265,8 +266,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset, line, message", [
-    # stationarity is checked on the line expander of slope0 != 0: n = 1
-    ("expander-stationarity", "grid.n = 2", "slope0"),
     # the expander and analysis parameters are constants, no config keys: an
     # unknown section is named by the dotted keys it sets
     ("expander-stationarity", "expander.slope0 = 0.0",
@@ -487,10 +486,11 @@ def test_profile_short_of_the_box_corners_refused(tmp_path, capsys, pipeline, gr
 
 def test_cross_validation_preset_runs_at_n2(tmp_path):
     # the profile is integrated past the largest radius read, so at n = 2 it
-    # reaches the corners, and the preset sets nothing but the grid
+    # reaches the corners, and the preset sets nothing but the grid; the
+    # acceptance gate runs the refinement pair at n = 2, on m = 65 -> 129
     cfg = _write_cfg(tmp_path, {"preset": "expander-cross-validation", "grid": {"n": 2},
                                 "outdir": str(tmp_path / "run")})
-    assert main(["flow", "run", "--check", "--config", str(cfg)]) == 0
+    assert main(["flow", "run", "--config", str(cfg)]) == 0
     written = json.loads((tmp_path / "run" / "config.json").read_text())
     assert "expander" not in written and written["grid"]["n"] == 2
     assert json.loads((tmp_path / "run" / "report.json").read_text())["passed"]
@@ -575,22 +575,18 @@ def test_bad_reconstruct_seeds_exit_config(tmp_path, capsys, dense_run, text):
      "--window: must be positive, got -1"),
     (["analyze", "plane", "--trajectory", "run", "--window", "0"],
      "--window: must be positive, got 0"),
-    (["expander", "shoot", "--n", "0", "--a", "-0.1", "--rmax", "2.0", "--out", "prof"],
-     "--n: must be positive, got 0"),
-    (["expander", "shoot", "--n", "-1", "--a", "-0.1", "--rmax", "2.0", "--out", "prof"],
-     "--n: must be positive, got -1"),
     # every comparison with NaN is false: it would pass an order check or
     # silently mean no window start
-    (["expander", "shoot", "--n", "1", "--a", "nan", "--rmax", "2.0", "--out", "prof"],
-     "--a: must be a finite number, got nan"),
+    (["analyze", "plane", "--trajectory", "run", "--window", "nan"],
+     "--window: must be a finite number, got nan"),
     (["mcf", "reconstruct", "--trajectory", "run", "--seeds", "s.json",
       "--t-start", "nan"], "--t-start: must be a finite number, got nan"),
     (["analyze", "condition", "--input", "u.snap", "--lambda", "nan", "--Lambda", "2"],
      "--lambda: must be a finite number, got nan"),
     (["analyze", "condition", "--input", "u.snap", "--lambda", "1", "--Lambda", "inf"],
      "--Lambda: must be a finite number, got inf"),
-], ids=["order-5", "window-negative", "window-0", "n-0", "n-negative", "a-nan",
-        "t-start-nan", "lambda-nan", "Lambda-inf"])
+], ids=["order-5", "window-negative", "window-0", "window-nan", "t-start-nan",
+        "lambda-nan", "Lambda-inf"])
 def test_bad_command_arguments_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     # refused while the command line is parsed, before any file is touched
     monkeypatch.chdir(tmp_path)
@@ -646,22 +642,20 @@ def test_integer_tau_and_t_end_match_floats(tmp_path):
     assert files[0] == files[1]
 
 
-def test_expander_shoot_out_of_range_curvature_exits_3(tmp_path, capsys):
-    # exp(800) overflows a float: a is compared with the curvature range in logs
-    out = tmp_path / "prof"
-    assert main(["expander", "shoot", "--n", "1", "--a", "800",
-                 "--rmax", "2.0", "--out", str(out)]) == 3
-    assert "starting curvature exp(a) = exp(800) outside" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_expander_shoot_and_certify(tmp_path):
-    out = tmp_path / "prof"
-    assert main(["expander", "shoot", "--n", "1", "--a", "-0.1",
-                 "--rmax", "2.0", "--out", str(out)]) == 0
-    rows = (out / "profile.csv").read_text().splitlines()
-    assert rows[0] == "r,u,du,d2u"
-    assert len(rows) > 100
+def test_expander_certify_cross_validation_snapshot(tmp_path):
+    # the Newton solution the cross-validation run writes certifies as the run
+    # did: a non-quadratic expander with the same bounds and w range
+    run = tmp_path / "run"
+    preset = Path(__file__).resolve().parents[1] / "presets" / "expander-cross-validation.json"
+    assert main(["flow", "run", "--config", str(preset), "--outdir", str(run)]) == 0
+    snap, = run.glob("aux_*.snap")
+    out = tmp_path / "certification.json"
+    assert main(["expander", "certify", "--input", str(snap), "--output", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    expected = json.loads((run / "report.json").read_text())["certification"]
+    assert cert["is_quadratic"] is False
+    for key in ("lambda_min", "lambda_max", "w_range"):
+        assert cert[key] == expected[key]
 
 
 def test_legendre_transform_cli(tmp_path):

@@ -1,6 +1,6 @@
 """The package runs without scipy.
 
-No module under ``src`` imports scipy: the expander shoot steps on its own,
+No module under ``src`` imports scipy: the line expander's shoot steps on its own,
 ``grid.sample`` interpolates on its own and the Newton solve eliminates its
 block-tridiagonal Jacobian with numpy.  So ``import logflow.cli``, loading
 any config, building any initial data and every preset's run load numpy
@@ -63,7 +63,7 @@ def test_no_module_imports_scipy():
 
 
 def test_no_module_imports_scipy_integrate():
-    # the shoot has its own stepper
+    # the line shoot has its own stepper
     assert _imports_anywhere("scipy.integrate") == []
 
 

@@ -1,4 +1,4 @@
-"""Self-expander equation: shooting vs Newton vs closed forms, certification."""
+"""Self-expander equation: line shooting vs Newton vs closed forms, certification."""
 
 from pathlib import Path
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from logflow.errors import BlowupError, NewtonStall, NonConvexityError, RangeError
-from logflow.expander import (certify, line_profile, newton_solve, profile_to_grid,
-                              radial_shoot)
+from logflow.expander import certify, line_profile, newton_solve, separable_expander
 from logflow.flow import run
 from logflow.grid import BoxDomain, GridFunction
 
@@ -16,6 +15,12 @@ def iso_quad(domain, scale=1.0, const=0.0):
     grids = domain.meshgrid()
     r2 = sum(g ** 2 for g in grids)
     return GridFunction(domain, const + 0.5 * scale * r2, label="quad")
+
+
+def centred_expander(domain, a=-0.1):
+    """The expander with u(0) = a, Du(0) = 0 at every n: the parabola
+    a + e^a |x|^2 / 2, since D2u = e^a I and u - <x, Du>/2 = a."""
+    return iso_quad(domain, scale=np.exp(a), const=a)
 
 
 # ---------------------------------------------------------------------------
@@ -49,24 +54,17 @@ def test_residual_requires_convexity():
 
 
 # ---------------------------------------------------------------------------
-# radial shooting
+# line shooting and the separable expander
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_trivial_profile_is_half_r_squared(n):
-    prof = radial_shoot(n=n, a=0.0, r_max=2.0)
-    assert np.max(np.abs(prof.u - 0.5 * prof.r ** 2)) < 1e-7
-    assert np.max(np.abs(prof.du - prof.r)) < 1e-7
-
-
 def test_shooting_matches_fixed_step_rk4_oracle():
-    # independent fixed-step RK4 at ten-fold resolution
-    n, a, r_max = 1, -0.1, 1.5
-    prof = radial_shoot(n=n, a=a, r_max=r_max)
+    # independent fixed-step RK4 at ten-fold resolution, on the right half-line
+    a, slope0, r_max = -0.1, 0.5, 1.5
+    u = line_profile(a=a, slope0=slope0, half_width=r_max)
 
-    r0 = 1e-4
+    r0 = 1e-6
     c0 = np.exp(a)
-    y = np.array([a + 0.5 * c0 * r0 ** 2, c0 * r0])
+    y = np.array([a + slope0 * r0 + 0.5 * c0 * r0 ** 2, slope0 + c0 * r0])
 
     def f(r, y):
         u, du = y
@@ -82,24 +80,15 @@ def test_shooting_matches_fixed_step_rk4_oracle():
         k4 = f(r + hstep, y + hstep * k3)
         y = y + hstep / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         r += hstep
-    idx = np.argmin(np.abs(prof.r - r_max))
-    assert abs(prof.u[idx] - y[0]) < 1e-8
+    assert abs(u(np.array([r_max]))[0] - y[0]) < 1e-8
 
 
 def test_line_profiles_are_exact_parabolas():
-    # on the line, u(0)=a, u'(0)=0 forces u = a + e^a r^2 / 2 identically
+    # on the line, u(0)=a, u'(0)=0 forces u = a + e^a x^2 / 2 identically
     a = -0.1
-    prof = radial_shoot(n=1, a=a, r_max=2.0)
-    exact = a + 0.5 * np.exp(a) * prof.r ** 2
-    assert np.max(np.abs(prof.u - exact)) < 1e-8
-
-
-def test_shoot_blowup_guard():
-    with pytest.raises(BlowupError):
-        radial_shoot(n=1, a=20.0, r_max=1.0)
-    # exp(800) overflows: the start is refused before it is computed
-    with pytest.raises(BlowupError, match="exp"):
-        radial_shoot(n=1, a=800.0, r_max=1.0)
+    x = np.linspace(-2.0, 2.0, 513)
+    u = line_profile(a=a, slope0=0.0, half_width=2.0)
+    assert np.max(np.abs(u(x) - (a + 0.5 * np.exp(a) * x ** 2))) < 1e-8
 
 
 # between steps both sides evaluate the same quartic interpolant of the same
@@ -119,31 +108,13 @@ def _solve_ivp_reference(f, t0, y0, t_end):
     return sol.sol, 0.5 * (sol.t[1:] + sol.t[:-1])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_radial_shoot_matches_solve_ivp_reference(n):
-    from logflow.expander import _radial_rhs
-    a, r_max, r0 = -0.1, 3.5, 1e-4
-    c0 = np.exp(a)
-    ref, mids = _solve_ivp_reference(_radial_rhs(n, a), r0,
-                                     [a + 0.5 * c0 * r0 ** 2, c0 * r0], r_max)
-    prof = radial_shoot(n=n, a=a, r_max=r_max)
-    assert prof.r.size == 513
-    y = ref(prof.r)
-    assert np.max(np.abs(prof.u - y[0])) < 1e-9
-    assert np.max(np.abs(prof.du - y[1])) < 1e-9
-    # dense evaluation off the samples and between the steps
-    assert mids.size > 50
-    assert np.max(np.abs(prof(mids) - ref(mids)[0])) < _DENSE_TOL
-
-
 def test_line_profile_matches_solve_ivp_reference():
-    from logflow.expander import _radial_rhs
+    from logflow.expander import _line_rhs
     a, slope0, half_width, r0 = 0.0, 0.5, 2.5, 1e-6
-    f = _radial_rhs(1, a)
     right, mid_r = _solve_ivp_reference(
-        f, r0, [a + slope0 * r0 + 0.5 * r0 ** 2, slope0 + r0], half_width)
+        _line_rhs, r0, [a + slope0 * r0 + 0.5 * r0 ** 2, slope0 + r0], half_width)
     left, mid_l = _solve_ivp_reference(
-        f, -r0, [a - slope0 * r0 + 0.5 * r0 ** 2, slope0 - r0], -half_width)
+        _line_rhs, -r0, [a - slope0 * r0 + 0.5 * r0 ** 2, slope0 - r0], -half_width)
     u = line_profile(a=a, slope0=slope0, half_width=half_width)
     x = np.linspace(-half_width, half_width, 513)
     x = x[np.abs(x) >= r0]
@@ -152,43 +123,33 @@ def test_line_profile_matches_solve_ivp_reference():
         assert np.max(np.abs(u(mids) - side(mids)[0])) < _DENSE_TOL
 
 
-def test_shoot_refuses_starting_curvature_below_floor():
-    # exp(-30) = 9.4e-14 lies below the curvature floor 1e-12 of every step
-    with pytest.raises(BlowupError, match="starting curvature"):
-        radial_shoot(n=2, a=-30.0, r_max=2.0)
-
-
 def test_shoot_step_budget(monkeypatch):
-    # a stiff start near the curvature cap (exp(13) = 4.4e5) would take about
-    # 1e6 steps; past the budget the shoot stops with the radius reached.
-    # The preset shoot takes 62-184 steps, so a budget of 50 stops it early
+    # the pipelines' half-lines take 57-96 steps; this one takes 57, so a
+    # budget of 50 stops it early, with the point reached
     import logflow.expander as expander
     assert expander._MAX_STEPS == 100_000
-    radial_shoot(n=1, a=-0.1, r_max=2.0)
+    line_profile(a=-0.1, slope0=0.5, half_width=2.0)
     monkeypatch.setattr(expander, "_MAX_STEPS", 50)
-    with pytest.raises(BlowupError, match=r"no end after 50 accepted steps, at r = 1\.5"):
-        radial_shoot(n=1, a=-0.1, r_max=2.0)
+    with pytest.raises(BlowupError, match=r"no end after 50 accepted steps, at r = 1\.77"):
+        line_profile(a=-0.1, slope0=0.5, half_width=2.0)
 
 
 def test_shoot_refuses_r_max_inside_series_start():
     from logflow.errors import ConfigError
-    with pytest.raises(ConfigError, match="r_max"):
-        radial_shoot(n=1, a=0.0, r_max=1e-5)
+    with pytest.raises(ConfigError, match="half_width"):
+        line_profile(a=0.0, slope0=0.5, half_width=1e-7)
 
 
 def test_profiles_refuse_points_past_their_end():
-    # read past r_max, the dense output would extrapolate silently: at r = 2.6
-    # it misses the exact parabola a + e^a r^2 / 2 by 2.6e-6
-    prof = radial_shoot(n=2, a=-0.1, r_max=2.0)
-    assert np.max(np.abs(prof(np.array([0.0, 1.0, 2.0])) - (-0.1 + 0.5 * np.exp(-0.1)
-                                                           * np.array([0.0, 1.0, 4.0])))) < 1e-8
-    with pytest.raises(RangeError, match="past its end r_max = 2"):
-        prof(np.array([1.0, 2.6]))
+    # read past its end, the dense output would extrapolate silently
     u = line_profile(a=0.0, slope0=0.5, half_width=2.0)
     assert np.all(np.isfinite(u(np.array([-2.0, 2.0]))))
     for x in (-2.1, 2.1):
         with pytest.raises(RangeError, match="past its end"):
             u(np.array([0.0, x]))
+    U = separable_expander(2, a=0.0, slope0=0.5, half_width=2.0)
+    with pytest.raises(RangeError, match="past its end"):
+        U(np.array([2.0]), np.array([2.0]))
 
 
 def test_off_centre_line_profile_is_not_quadratic():
@@ -198,6 +159,26 @@ def test_off_centre_line_profile_is_not_quadratic():
     u = line_profile(a=0.0, slope0=0.5, half_width=2.0)(x)
     w = u - 0.5 * x * np.gradient(u, x)
     assert np.max(w) - np.min(w) > 1e-3
+
+
+def test_separable_expander_is_the_line_profile_at_n1():
+    x = np.linspace(-2.0, 2.0, 65)
+    U = separable_expander(1, a=-0.1, slope0=0.5, half_width=2.5)
+    assert U(x).tobytes() == line_profile(-0.1, 0.5, 2.5)(x).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(2, 33), (3, 17)])
+def test_separable_expander_solves_the_equation_at_second_order(n, m):
+    # the sum is an exact expander: the grid residual is the stencils' O(h^2)
+    # error, and w = u - <x, Du>/2 is far from constant
+    def certified(m):
+        dom = BoxDomain(n=n, half_width=1.0, m=m)
+        U = separable_expander(n, a=-0.1, slope0=0.5, half_width=np.sqrt(n) + 0.5)
+        rep = certify(GridFunction(dom, U(*dom.meshgrid())))
+        assert not rep.is_quadratic
+        return rep.residual_norm
+
+    assert certified(m) / certified(2 * m - 1) > 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +196,11 @@ def test_newton_recovers_quadratic_from_noisy_start(rng):
     assert np.max(np.abs(sol.u.values - exact.values)) < 1e-9
 
 
-def test_newton_cross_validates_radial_profile():
-    n, a = 1, -0.1
-    prof = radial_shoot(n=n, a=a, r_max=2.0)
+def test_newton_cross_validates_line_profile():
+    u_line = line_profile(a=-0.1, slope0=0.5, half_width=2.0)
     dom = BoxDomain(n=1, half_width=1.5, m=65)
-    target = profile_to_grid(prof, dom)
-    # start from the interpolated profile with a smooth interior perturbation
+    target = GridFunction(dom, u_line(dom.axis))
+    # start from the profile with a smooth interior perturbation
     start_vals = target.values + 5e-3 * np.cos(2.0 * dom.axis)
     start_vals[dom.ring_mask()] = target.values[dom.ring_mask()]
     sol = newton_solve(GridFunction(dom, start_vals), dirichlet=target)
@@ -238,12 +218,12 @@ def test_newton_stalls_on_inconsistent_boundary():
 
 
 def _cross_validation_start(n, m):
-    """The expander-cross-validation start on [-1.5, 1.5]^n: the radial
-    a = -0.1 profile plus 5e-3 cos(2 sum x), tapered by prod(1 - (x_i/L)^2)
-    to vanish on the ring, and the profile."""
+    """A start on [-1.5, 1.5]^n: the centred a = -0.1 expander plus
+    5e-3 cos(2 sum x), tapered by prod(1 - (x_i/L)^2) to vanish on the ring,
+    and the expander."""
     dom = BoxDomain(n=n, half_width=1.5, m=m)
     grids = dom.meshgrid()
-    target = profile_to_grid(radial_shoot(n=n, a=-0.1, r_max=1.5 * np.sqrt(n) + 0.5), dom)
+    target = centred_expander(dom)
     taper = np.prod([1.0 - (g / 1.5) ** 2 for g in grids], axis=0)
     start = target.values + 5e-3 * taper * np.cos(2.0 * sum(grids))
     start[dom.ring_mask()] = target.values[dom.ring_mask()]
@@ -352,9 +332,7 @@ def test_certify_trivial_expander():
 def test_certify_reports_constant_offset_defect():
     # u = a + e^a r^2/2 solves the equation but breaks degree-2 homogeneity by a
     a = -0.1
-    prof = radial_shoot(n=1, a=a, r_max=3.0)
-    dom = BoxDomain(n=1, half_width=2.0, m=65)
-    rep = certify(profile_to_grid(prof, dom))
+    rep = certify(centred_expander(BoxDomain(n=1, half_width=2.0, m=65), a))
     assert rep.residual_norm < 1e-6
     assert rep.is_quadratic  # w is the constant a
     # R^-2 u(Rx) - x'Ax/2 = a / R^2, largest at the smallest scale R = 2
