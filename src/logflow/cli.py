@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -80,11 +81,12 @@ def _write_manifest(outdir: Path) -> None:
 
 
 def _write_monitors(outdir: Path, monitors) -> None:
+    columns = [f.name for f in dataclasses.fields(MonitorRecord)]
     with open(outdir / "monitors.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(MonitorRecord.COLUMNS)
+        writer.writerow(columns)
         for rec in monitors:
-            writer.writerow([f"{v:.17g}" for v in rec.as_row()])
+            writer.writerow([f"{getattr(rec, c):.17g}" for c in columns])
 
 
 def _snapshot_name(idx: int, t) -> str:
@@ -95,18 +97,17 @@ def _snapshot_name(idx: int, t) -> str:
 def persist_run(outdir: Path, cfg: ExperimentConfig, report: dict,
                 artifacts: dict) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2,
-                                                   sort_keys=True))
+    # a run directory does not name its own location
+    recorded = {k: v for k, v in cfg.to_dict().items() if k != "outdir"}
+    (outdir / "config.json").write_text(json.dumps(recorded, indent=2, sort_keys=True))
     traj = artifacts.get("trajectory")
     tau = cfg.tau
     if traj is not None:
         _write_monitors(outdir, traj.monitors)
         for k, (t, u) in enumerate(traj.snapshots):
-            write_snapshot(outdir / _snapshot_name(k, t), u, t=t, tau=tau,
-                           fmt=cfg.snapshot_format)
+            write_snapshot(outdir / _snapshot_name(k, t), u, t=t, tau=tau)
     for k, (t, u) in enumerate(artifacts.get("snapshots", [])):
-        write_snapshot(outdir / f"aux_{_snapshot_name(k, t)}", u, t=t, tau=tau,
-                       fmt=cfg.snapshot_format)
+        write_snapshot(outdir / f"aux_{_snapshot_name(k, t)}", u, t=t, tau=tau)
     paths = artifacts.get("paths")
     if paths is not None:
         _write_paths_csv(outdir / "paths.csv", paths)

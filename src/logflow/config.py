@@ -9,22 +9,23 @@ individual keys.  A config is an object of keys, each section one too, and
 ConfigError, an unknown section named by the dotted keys it sets: ``grid``
 takes ``n``, ``L`` and ``m``, ``flow`` the keyword arguments of
 :func:`logflow.flow.run` except the boundary model, which always comes
-with the initial data, ``initial`` its family's keys, ``check`` and ``mcf``
-what the pipeline table in :mod:`logflow.experiments` declares; a pipeline
-that evolves no initial data takes neither ``flow`` nor ``initial``, and
-one that does needs ``flow.t_end``.  A key's default sets the type of its
-value (a finite number, null or a finite number, a list of finite
-numbers), and one table of ranges bounds the numbers: ``flow.tau`` lies in
-``[0, 1]``, times, lengths and curvatures are positive.  A ``[lo, hi]``
-check bound takes two numbers with ``lo <= hi``, ``flow.snapshot_times``
-times in ``[0, flow.t_end]`` and ``mcf.t_start`` a time in
-``[0, flow.t_end)``.  A run snapshots at its snapshot times and at
-``flow.t_end``, so these fix the snapshots a pipeline reads: the three
-states of the duality check, the samples of the decay fit and the
-blow-down errors, one per positive time, of which the check compares those
-from :data:`logflow.analysis.MONOTONE_FROM` on.  Loading fills
-``check`` and ``mcf`` from the pipeline table, so ``config.json`` records
-the thresholds and parameters the run used.
+with the initial data, ``initial`` its family's keys, and ``mcf`` what the
+pipeline table in :mod:`logflow.experiments` declares; a pipeline that
+evolves no initial data takes neither ``flow`` nor ``initial``, and one
+that does needs ``flow.t_end``.  The thresholds are no input: a ``check``
+section is an unknown section, and loading copies the pipeline's frozen
+thresholds into ``check``.  A key's default sets the type of its value (a
+finite number, null or a finite number, a list of finite numbers), and one
+table of ranges bounds the numbers: ``flow.tau`` lies in ``[0, 1]``, times,
+lengths and curvatures are positive.  ``flow.snapshot_times`` takes times
+in ``[0, flow.t_end]`` and ``mcf.t_start`` a time in ``[0, flow.t_end)``.
+A run snapshots at its snapshot times and at ``flow.t_end``, so these fix
+the snapshots a pipeline reads: the three states of the duality check, the
+samples of the decay fit and the blow-down errors, one per positive time,
+of which the check compares those from
+:data:`logflow.analysis.MONOTONE_FROM` on.  Loading fills ``mcf`` from the
+pipeline table, so ``config.json`` records the parameters the run used;
+each ``checks`` entry of a report records the bound it was judged against.
 """
 
 from __future__ import annotations
@@ -142,18 +143,20 @@ class ExperimentConfig:
     initial: dict = field(default_factory=dict)
     flow: dict = field(default_factory=dict)
     mcf: dict = field(default_factory=dict)
+    # the pipeline's frozen thresholds: validate sets them, no config does
     check: dict = field(default_factory=dict)
     seed: int = 0
-    snapshot_format: str = "binary"
     outdir: str = "out"
     preset: str | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The config as :meth:`from_dict` takes it: ``check`` is left out."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if k != "check"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        _reject_unknown("config", data, [f.name for f in dataclasses.fields(cls)])
+        _reject_unknown("config", data,
+                        [f.name for f in dataclasses.fields(cls) if f.name != "check"])
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -164,14 +167,14 @@ class ExperimentConfig:
         return float(self.flow.get("tau", FLOW_KEYS["tau"]))
 
     def validate(self) -> None:
-        """Check every section; fill ``check`` and ``mcf`` with the
-        pipeline's defaults."""
+        """Check every section; fill ``mcf`` with the pipeline's defaults and
+        set ``check`` to a copy of its frozen thresholds."""
         from .experiments import PIPELINES
         spec = PIPELINES.get(self.pipeline) if isinstance(self.pipeline, str) else None
         if spec is None:
             raise ConfigError(f"unknown pipeline {self.pipeline!r}; "
                               f"choose from {tuple(PIPELINES)}")
-        for section in ("grid", "initial", "flow", "mcf", "check"):
+        for section in ("grid", "initial", "flow", "mcf"):
             if not isinstance(getattr(self, section), dict):
                 raise ConfigError(f"{section} must be an object of keys, "
                                   f"got {getattr(self, section)!r}")
@@ -185,11 +188,10 @@ class ExperimentConfig:
                 _reject_unknown(section, getattr(self, section), ())
         _reject_unknown("flow", self.flow, FLOW_KEYS)
         _reject_mistyped("flow", self.flow, FLOW_KEYS)
-        for section in ("check", "mcf"):
-            table = getattr(spec, section)
-            _reject_unknown(section, getattr(self, section), table)
-            _reject_mistyped(section, getattr(self, section), table)
-            setattr(self, section, {**copy.deepcopy(table), **getattr(self, section)})
+        _reject_unknown("mcf", self.mcf, spec.mcf)
+        _reject_mistyped("mcf", self.mcf, spec.mcf)
+        self.mcf = {**copy.deepcopy(spec.mcf), **self.mcf}
+        self.check = copy.deepcopy(spec.check)
         if self.initial:
             kind = self.initial.get("kind")
             if kind not in INITIAL_FAMILIES:
@@ -231,11 +233,6 @@ class ExperimentConfig:
                                   f"index {MONOTONE_FROM} on, so it needs "
                                   f"{MONOTONE_FROM + 2} positive times, t_end included; "
                                   f"flow.snapshot_times gives {errors}")
-        for key, bound in spec.check.items():
-            value = self.check[key]
-            if isinstance(bound, list) and (len(value) != 2 or value[0] > value[1]):
-                raise ConfigError(f"check.{key} must be [lo, hi] with lo <= hi, "
-                                  f"got {value}")
         if "seeds" in self.mcf:
             check_seeds(self.mcf["seeds"], n, "mcf.seeds")
         for key, shapes, what in (("A", [(), (n, n)],
@@ -243,8 +240,6 @@ class ExperimentConfig:
                                   ("b", [(n,)], f"a finite vector of length {n}")):
             if self.initial.get(key) is not None and _shape(self.initial[key]) not in shapes:
                 raise ConfigError(f"initial.{key} must be {what}")
-        if self.snapshot_format not in ("binary", "csv"):
-            raise ConfigError("snapshot_format must be 'binary' or 'csv'")
 
     def domain(self):
         from .grid import BoxDomain

@@ -25,7 +25,8 @@ class TailError(LogFlowError):
 
 
 class BlowupError(LogFlowError):
-    """Radial profile curvature left the admissible range (1e-12, 1e6)."""
+    """The Dormand-Prince 5(4) stepper of the line expander ran out of its
+    budget of accepted steps, or its step fell below its floor."""
 
 
 class NewtonStall(LogFlowError):
@@ -34,7 +35,7 @@ class NewtonStall(LogFlowError):
 
 class RangeError(LogFlowError):
     """A requested point lies outside the sampled range: a dual point outside
-    the sampled gradient range, or a radius past an expander profile's end."""
+    the sampled gradient range, or a point past a line profile's end."""
 
 
 class EscapeError(LogFlowError):

@@ -110,7 +110,8 @@ def _dopri45(f, t0: float, y0, t_end: float):
     a step past the budget of ``_MAX_STEPS`` accepted steps, raises
     :class:`BlowupError`.  Returns the dense solution: a callable
     taking a 1-D array of times in [t0, t_end] to the (2, N) array of y; a
-    time past t_end raises :class:`RangeError`.
+    time past t_end raises :class:`RangeError`.  The messages call t x, the
+    line variable of :func:`line_profile`, its one caller.
     """
     u, v = y0
     fu, fv = f(t0, (u, v))
@@ -127,13 +128,13 @@ def _dopri45(f, t0: float, y0, t_end: float):
     knots, starts, stages = [t0], [], []
     while t < t_end:
         if len(starts) == _MAX_STEPS:
-            raise BlowupError(f"no end after {_MAX_STEPS} accepted steps, at r = {t:.6g}")
+            raise BlowupError(f"no end after {_MAX_STEPS} accepted steps, at x = {t:.6g}")
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                raise BlowupError(f"step size fell below {min_step:.3g} at r = {t:.6g}")
+                raise BlowupError(f"step size fell below {min_step:.3g} at x = {t:.6g}")
             t_new = min(t + h_abs, t_end)
             h_abs = h = t_new - t
             ku, kv = [fu], [fv]
@@ -166,8 +167,8 @@ def _dopri45(f, t0: float, y0, t_end: float):
 
     def dense(times: np.ndarray) -> np.ndarray:
         if times.size and times.max() > t_end:
-            raise RangeError(f"profile read at r = {times.max():.6g}, "
-                             f"past its end r_max = {t_end:.6g}")
+            raise RangeError(f"profile read at x = {times.max():.6g}, "
+                             f"past its end x = {t_end:.6g}")
         # a time on a knot reads the step that ends there
         seg = np.clip(np.searchsorted(knots, times) - 1, 0, len(widths) - 1)
         x = ((times - knots[seg]) / widths[seg])[:, None]

@@ -10,8 +10,9 @@ and :func:`run_pipeline` sets the report's ``checks`` and ``passed``
 :data:`PIPELINES` is the one list of pipelines: it declares each pipeline's
 runner, its frozen thresholds, whether it evolves initial data (reading the
 ``initial`` and ``flow`` sections), the keys it reads from the ``mcf``
-section with their defaults, and its refinement pair.  Loading a config
-fills ``check`` and ``mcf``, so a runner indexes them directly.  The
+section with their defaults, and its refinement pair.  It is the only
+source of thresholds: loading a config copies them into ``check``, which
+no config sets, and fills ``mcf``, so a runner indexes both directly.  The
 parameters of the expander and analysis pipelines are constants of the code
 that reads them.
 """
@@ -267,11 +268,11 @@ class Refinement(NamedTuple):
 
 
 class Pipeline(NamedTuple):
-    """A pipeline's runner, its frozen thresholds (the defaults of ``check``),
-    whether it evolves initial data (reads ``initial`` and ``flow``), the
-    keys it reads from ``mcf``, each mapped to its default, its refinement
-    pair, if it has one, and the fewest snapshots its runner reads, with the
-    time they start at."""
+    """A pipeline's runner, its frozen thresholds (which loading copies into
+    ``check``; no config sets them), whether it evolves initial data (reads
+    ``initial`` and ``flow``), the keys it reads from ``mcf``, each mapped to
+    its default, its refinement pair, if it has one, and the fewest
+    snapshots its runner reads, with the time they start at."""
 
     runner: Callable
     check: dict = {}

@@ -157,13 +157,6 @@ class MonitorRecord:
     dt: float
     residual: float
 
-    COLUMNS = ("t", "lambda_min", "lambda_max", "grad_sq_window",
-               "d3_norm", "dt", "residual")
-
-    def as_row(self) -> tuple:
-        return (self.t, self.lambda_min, self.lambda_max, self.grad_sq_window,
-                self.d3_norm, self.dt, self.residual)
-
 
 @dataclass
 class RunCounters:

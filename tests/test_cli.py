@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -16,7 +15,7 @@ from logflow.config import ExperimentConfig, load_config, parse_keyvalue
 from logflow.errors import ConfigError, MissingArtifact
 from logflow.experiments import PIPELINES, finer_level, run_pipeline
 from logflow.flow import FLOW_KEYS
-from logflow.presets import experiment_preset, preset_names
+from logflow.presets import INITIAL_FAMILIES, experiment_preset, preset_names
 
 
 # ---------------------------------------------------------------------------
@@ -25,8 +24,24 @@ from logflow.presets import experiment_preset, preset_names
 
 def test_config_round_trips_losslessly():
     cfg = load_config({"preset": "quadratic-exact"})
+    assert "check" not in cfg.to_dict()
     clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert clone.to_dict() == cfg.to_dict()
+    assert clone.to_dict() == cfg.to_dict() and clone.check == cfg.check
+
+
+def test_config_json_names_no_location(tmp_path):
+    # one preset run into two directories records the same config.json,
+    # which loads back to the config it records
+    cfg = _write_cfg(tmp_path, {"preset": "quadratic-exact", "grid": {"m": 17}})
+    for tag in ("a", "b"):
+        assert main(["flow", "run", "--config", str(cfg),
+                     "--outdir", str(tmp_path / tag)]) == 0
+    recorded = [(tmp_path / tag / "config.json").read_bytes() for tag in ("a", "b")]
+    assert recorded[0] == recorded[1]
+    data = json.loads(recorded[0])
+    assert "outdir" not in data and "check" not in data
+    reloaded = load_config(tmp_path / "a" / "config.json").to_dict()
+    assert {k: v for k, v in reloaded.items() if k != "outdir"} == data
 
 
 def test_keyvalue_format():
@@ -86,7 +101,8 @@ def test_every_preset_validates():
     for name in preset_names():
         cfg = load_config({"preset": name})
         assert cfg.preset == name
-        assert cfg.check == FROZEN_THRESHOLDS[name]
+        assert cfg.check == FROZEN_THRESHOLDS[name] == PIPELINES[cfg.pipeline].check
+        assert cfg.check is not PIPELINES[cfg.pipeline].check
         assert "check" not in experiment_preset(name)
 
 
@@ -125,14 +141,47 @@ def _leaf_commands(parser, prefix=()):
     yield " ".join(prefix)
 
 
+def _choices(data: dict) -> list:
+    """The keys a section takes, as the refusal of an unknown key lists them."""
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    _, _, listed = str(exc.value).partition("choose from ")
+    return ast.literal_eval(listed) if listed else []
+
+
+def _settable_surface() -> list:
+    """Every dotted key a config may set; a key read by one pipeline or one
+    initial family is tagged with it."""
+    base = {"pipeline": "mcf_verify"}
+    keys = _choices({**base, "?": 0})
+    for section in ("grid", "flow"):
+        keys += [f"{section}.{k}" for k in _choices({**base, section: {"?": 0}})]
+    for kind in INITIAL_FAMILIES:
+        keys += [f"initial.{k} ({kind})"
+                 for k in _choices({**base, "initial": {"kind": kind, "?": 0}})]
+    for name in PIPELINES:
+        keys += [f"mcf.{k} ({name})" for k in _choices({"pipeline": name, "mcf": {"?": 0}})]
+    return keys
+
+
 def test_settable_surface_is_pinned():
-    # adding or removing a top-level config key, a grid or flow key, a
-    # pipeline or a command shows up here
-    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-        "pipeline", "grid", "initial", "flow", "mcf", "check", "seed",
-        "snapshot_format", "outdir", "preset"]
-    with pytest.raises(ConfigError, match=r"choose from \['L', 'm', 'n'\]$"):
-        load_config({"preset": "heat-oracle", "grid": {"margin": 2}})
+    # adding or removing a config key, a pipeline or a command shows up here;
+    # the thresholds and the snapshot format are no config keys
+    assert _settable_surface() == [
+        "flow", "grid", "initial", "mcf", "outdir", "pipeline", "preset", "seed",
+        "grid.L", "grid.m", "grid.n",
+        "flow.snapshot_times", "flow.t_end", "flow.tau",
+        "initial.A (quadratic)", "initial.b (quadratic)", "initial.c (quadratic)",
+        "initial.kind (quadratic)", "initial.noise (quadratic)",
+        "initial.A (quadratic_plus_bump)", "initial.amplitude (quadratic_plus_bump)",
+        "initial.kind (quadratic_plus_bump)", "initial.noise (quadratic_plus_bump)",
+        "initial.width (quadratic_plus_bump)",
+        "initial.amplitude (linear_plus_bump)", "initial.b (linear_plus_bump)",
+        "initial.kind (linear_plus_bump)", "initial.noise (linear_plus_bump)",
+        "initial.width (linear_plus_bump)",
+        "initial.c_minus (two_slope)", "initial.c_plus (two_slope)",
+        "initial.kind (two_slope)", "initial.noise (two_slope)",
+        "mcf.seeds (mcf_verify)", "mcf.t_start (mcf_verify)"]
     assert list(FLOW_KEYS) == ["tau", "t_end", "snapshot_times"]
     assert list(PIPELINES) == [
         "flow", "quadratic_exact", "condition_b", "heat_oracle",
@@ -147,7 +196,6 @@ def test_settable_surface_is_pinned():
 def test_range_table_bounds_declared_keys_and_admits_their_defaults():
     # a mistyped entry in the table of ranges would bound nothing
     from logflow.config import _RANGES
-    from logflow.presets import INITIAL_FAMILIES
     declared = {"flow": [FLOW_KEYS], "initial": list(INITIAL_FAMILIES.values())}
     for section, ranges in _RANGES.items():
         for key, (test, _) in ranges.items():
@@ -252,12 +300,15 @@ def test_flow_run_deterministic_snapshots(tmp_path):
     assert out[0] == out[1]
 
 
-def test_check_mode_exit_code(tmp_path, capsys):
+def test_check_mode_exit_code(tmp_path, capsys, monkeypatch):
     # an impossible threshold fails the report; an impossible wall-time bound
     # fails only --check, and wall time never reaches report.json
+    spec = PIPELINES["quadratic_exact"]
+    cfg = _write_cfg(tmp_path, {"preset": "quadratic-exact", "grid": {"m": 17},
+                                "outdir": str(tmp_path / "run")})
     for check, passed in (({"sup_error": 1e-30}, False), ({"runtime_s": 1e-9}, True)):
-        cfg = _write_cfg(tmp_path, {"preset": "quadratic-exact", "grid": {"m": 17},
-                                    "check": check, "outdir": str(tmp_path / "run")})
+        monkeypatch.setitem(PIPELINES, "quadratic_exact",
+                            spec._replace(check={**spec.check, **check}))
         assert main(["flow", "run", "--config", str(cfg)]) == 0
         assert main(["flow", "run", "--config", str(cfg), "--check"]) == 4
         assert f'"key": "{next(iter(check))}"' in capsys.readouterr().err
@@ -291,7 +342,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "flow.t_end = soon", "flow.t_end"),
     ("condition-b-preservation", "initial.amplitude = NaN", "initial.amplitude"),
     ("quadratic-exact", "initial.c = Infinity", "initial.c"),
-    ("condition-b-preservation", "check.drift = NaN", "check.drift"),
     # matrices, vectors and seeds take finite entries
     ("quadratic-exact", "initial.A = [[NaN, 0], [0, 1]]", "initial.A"),
     ("quadratic-exact", "initial.b = [Infinity, 0]", "initial.b"),
@@ -307,9 +357,14 @@ def test_check_mode_exit_code(tmp_path, capsys):
     # the residual times must exist and be positive
     ("expander-stationarity", "expander.times = []", "expander.times"),
     ("expander-stationarity", "expander.times = [-1.0]", "expander.times"),
-    # a [lo, hi] bound takes two ordered numbers
-    ("decay-rates", "check.exponent3 = [1.0]", "check.exponent3"),
-    ("decay-rates", "check.exponent3 = [-0.7, -1.3]", "check.exponent3"),
+    # the thresholds and the snapshot format are no config keys
+    ("condition-b-preservation", "check = 3", "unknown config keys ['check']"),
+    ("condition-b-preservation", "check.drift = NaN", "unknown config keys ['check.drift']"),
+    ("decay-rates", "check.exponent3 = [1.0]", "unknown config keys ['check.exponent3']"),
+    ("decay-rates", "check.exponent3 = [-0.7, -1.3]",
+     "unknown config keys ['check.exponent3']"),
+    ("quadratic-exact", "check.runtime_s = 1e9", "unknown config keys ['check.runtime_s']"),
+    ("quadratic-exact", 'snapshot_format = "csv"', "unknown config keys ['snapshot_format']"),
     # particle transport starts inside the run
     ("mcf-correspondence", "mcf.t_start = 5.0", "mcf.t_start"),
     # snapshots lie inside the run, and the blow-down verdict has a pair to compare
@@ -325,7 +380,6 @@ def test_check_mode_exit_code(tmp_path, capsys):
     ("condition-b-preservation", "flow.tau = 1.5", "flow.tau"),
     # a section is an object of keys, and seed builds a generator
     ("condition-b-preservation", "grid = 5", "grid must be an object"),
-    ("condition-b-preservation", "check = 3", "check must be an object"),
     ("condition-b-preservation", "seed = x", "seed must be a nonnegative integer"),
     ("condition-b-preservation", "seed = -1", "seed must be a nonnegative integer"),
     ("condition-b-preservation", "seed = 1.5", "seed must be a nonnegative integer"),

@@ -130,7 +130,7 @@ def test_shoot_step_budget(monkeypatch):
     assert expander._MAX_STEPS == 100_000
     line_profile(a=-0.1, slope0=0.5, half_width=2.0)
     monkeypatch.setattr(expander, "_MAX_STEPS", 50)
-    with pytest.raises(BlowupError, match=r"no end after 50 accepted steps, at r = 1\.77"):
+    with pytest.raises(BlowupError, match=r"no end after 50 accepted steps, at x = 1\.77"):
         line_profile(a=-0.1, slope0=0.5, half_width=2.0)
 
 

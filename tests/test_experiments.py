@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logflow import experiments
-from logflow.cli import persist_run
+from logflow.cli import main, persist_run
 from logflow.config import load_config
 from logflow.experiments import (PIPELINES, Refinement, finer_level, judge,
                                  refinement_check, run_pipeline)
@@ -114,13 +114,33 @@ _SECTION_PRESETS = {
 
 
 @pytest.mark.parametrize("preset", sorted(_SECTION_PRESETS))
-def test_omitted_section_keys_take_the_table_defaults(tmp_path, preset):
+def test_omitted_section_keys_take_the_table_defaults(tmp_path, capsys, preset):
+    # the mcf parameters, omitted or spelled out, give the same run, and
+    # config.json records them; the thresholds are no input: spelled out
+    # they exit 2 before any run, named by their dotted keys, and each checks
+    # entry a report persists carries the table's bound, or true for a
+    # condition
     section, short = _SECTION_PRESETS[preset]
     data = experiment_preset(preset)
     for key, val in short.items():
         data[key].update(val)
     table = getattr(PIPELINES[data["pipeline"]], section)
     assert table
+    if section == "check":
+        spelled = tmp_path / "spelled.json"
+        spelled.write_text(json.dumps({**data, "check": table,
+                                       "outdir": str(tmp_path / "spelled")}))
+        assert main(["flow", "run", "--config", str(spelled)]) == 2
+        err = capsys.readouterr().err
+        assert all(f"'check.{key}'" in err for key in table), err
+        assert not (tmp_path / "spelled").exists()
+        cfg = load_config(data)
+        persist_run(tmp_path / "omitted", cfg, *run_pipeline(cfg))
+        checks = json.loads((tmp_path / "omitted" / "report.json").read_text())["checks"]
+        assert {c["key"]: c["bound"] for c in checks
+                if not isinstance(c["measured"], bool)} == table
+        assert all(c["bound"] is True for c in checks if isinstance(c["measured"], bool))
+        return
     out = {}
     for tag, given in (("omitted", {}), ("spelled", copy.deepcopy(table))):
         cfg = load_config({**data, section: given})
